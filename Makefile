@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check race race-grids bench vet lint lint-sarif lint-vet lint-bench fmt serve-smoke serve-bench sim-bench fleet-bench hmpc-bench
+.PHONY: build test check race race-grids bench bench-smoke vet lint lint-sarif lint-vet lint-bench fmt serve-smoke serve-bench sim-bench fleet-bench hmpc-bench
 
 build:
 	$(GO) build ./...
@@ -49,8 +49,9 @@ test: build
 	$(GO) test ./...
 
 # Tier-1: everything compiles, vet and otem-lint are clean, the full
-# suite passes under the race detector.
-check: vet lint build
+# suite passes under the race detector, and the benchmark driver's smoke
+# test still reproduces its pinned results.
+check: vet lint build bench-smoke
 	$(GO) test -race ./...
 
 # The full suite under the race detector (slow: MPC-heavy tests included).
@@ -66,6 +67,14 @@ race-grids:
 
 bench:
 	$(GO) test -bench 'Batch' -benchtime 1x ./internal/experiments
+
+# The benchmark driver (bench/, a module of its own that the root
+# `./...` patterns do not reach): vet it and run its smoke test, which
+# drives every workload briefly and checks the pinned route bits, fleet
+# digests and serve hashes in bench/pins.json.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # End-to-end smoke of the HTTP subsystem: boots cmd/otem-serve on an
 # ephemeral port, checks /healthz, a real /v1/simulate, the cache-hit

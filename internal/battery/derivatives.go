@@ -3,7 +3,6 @@ package battery
 import (
 	"math"
 
-	"repro/internal/core/floats"
 	"repro/internal/units"
 )
 
@@ -12,8 +11,15 @@ import (
 // the measurement model with it.
 func (p *CellParams) OCVPrime(z float64) float64 {
 	z = units.Clamp(z, 0, 1)
+	return p.OCVPrimeFromExp(z, math.Exp(p.OCVExpArg(z)))
+}
+
+// OCVPrimeFromExp returns dVoc/dz at clamped z given e = exp(OCVExpArg(z)),
+// the same exponential OCVFromExp takes, so a caller that kept it from the
+// forward evaluation needs no second exp.
+func (p *CellParams) OCVPrimeFromExp(z, e float64) float64 {
 	z2 := z * z
-	return p.V[0]*p.V[1]*math.Exp(p.V[1]*z) +
+	return p.V[0]*p.V[1]*e +
 		4*p.V[2]*z2*z + 3*p.V[3]*z2 + 2*p.V[4]*z + p.V[5]
 }
 
@@ -22,9 +28,12 @@ func (p *CellParams) OCVPrime(z float64) float64 {
 // not depend on z).
 func (p *CellParams) ResistancePrime(z, T float64) float64 {
 	z = units.Clamp(z, 0, 1)
-	d := p.R[0] * p.R[1] * math.Exp(p.R[1]*z)
-	if floats.Zero(p.Kr) || T <= 0 {
-		return d
-	}
-	return d * math.Exp(p.Kr*(1/T-1/p.RefTemp))
+	zArg, tArg := p.ResistanceExpArgs(z, T)
+	return p.ResistancePrimeFromExp(math.Exp(zArg), math.Exp(tArg))
+}
+
+// ResistancePrimeFromExp returns dR/dz given the exponentials
+// ResistanceFromExp takes.
+func (p *CellParams) ResistancePrimeFromExp(ez, et float64) float64 {
+	return p.R[0] * p.R[1] * ez * et
 }

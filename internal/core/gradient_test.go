@@ -36,6 +36,13 @@ func randomizedOTEM(t *testing.T, rng *rand.Rand) *OTEM {
 	return o
 }
 
+// replayTape runs a one-lane forward pass at z and returns a copy of the
+// recorded tape and the cost.
+func replayTape(o *OTEM, z []float64) ([]stepTape, float64) {
+	o.objectiveFwd([][]float64{z})
+	return append([]stepTape(nil), o.tapes[0][:o.cfg.Horizon]...), o.tapeCost[0]
+}
+
 func TestObjectiveFwdMatchesObjective(t *testing.T) {
 	// The taped forward pass must be bit-identical to the plain objective.
 	rng := rand.New(rand.NewSource(5))
@@ -50,8 +57,7 @@ func TestObjectiveFwdMatchesObjective(t *testing.T) {
 			}
 		}
 		plain := o.objective(z)
-		tape := make([]stepTape, o.cfg.Horizon)
-		taped := o.objectiveFwd(z, tape)
+		_, taped := replayTape(o, z)
 		if plain != taped {
 			t.Fatalf("trial %d: taped forward %v != plain %v", trial, taped, plain)
 		}

@@ -164,13 +164,15 @@ func (o *OTEM) PlanTrip(p *sim.Plant, forecast []float64, traj *Trajectory) ([]f
 		return o.plan, nil
 	}
 	// The solver's last objective evaluation is usually the accepted
-	// point, so the tape already holds this rollout; otherwise replay the
-	// forward pass at the final plan (same cost path as the line search).
-	tape := o.tape[:h]
-	if !o.tapeMatches(o.plan) {
-		cost := o.objectiveFwd(o.plan, tape)
-		o.noteTape(o.plan, cost)
+	// point, so a lane's tape already holds this rollout; otherwise replay
+	// the forward pass at the final plan (same cost path as the line
+	// search).
+	lane := o.tapeLane(o.plan)
+	if lane < 0 {
+		o.objectiveFwd([][]float64{o.plan})
+		lane = 0
 	}
+	tape := o.tapes[lane][:h]
 	for k := 0; k < h; k++ {
 		tp := &tape[k]
 		soc, soe := tp.socPre, tp.soePre

@@ -213,8 +213,7 @@ func TestPlanTripTrajectoryMatchesRollout(t *testing.T) {
 	}
 
 	// Replay the rollout independently and compare the extracted states.
-	tape := make([]stepTape, 16)
-	o.objectiveFwd(plan, tape)
+	tape, _ := replayTape(o, plan)
 	for k := 0; k < 16; k++ {
 		wantSoC, wantSoE := tape[k].socPre, tape[k].soePre
 		if tape[k].socClampHi {

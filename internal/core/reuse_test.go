@@ -36,25 +36,29 @@ func warmOTEM(tb testing.TB) (*OTEM, *sim.Plant, []float64) {
 func TestReplanReusesBuffers(t *testing.T) {
 	o, plant, forecast := warmOTEM(t)
 
-	tape0 := &o.tape[0]
+	var tape0 [maxLanes]*stepTape
+	var tapeZ0 [maxLanes]*float64
+	for j := range o.tapes {
+		if o.tapes[j] != nil {
+			tape0[j], tapeZ0[j] = &o.tapes[j][0], &o.tapeZ[j][0]
+		}
+	}
 	plan0 := &o.plan[0]
 	fc0 := &o.fc[0]
-	tapeZ0 := &o.tapeZ[0]
-	planCap, tapeZCap := cap(o.plan), cap(o.tapeZ)
+	planCap := cap(o.plan)
 
 	for i := 0; i < 2; i++ {
 		o.replan(plant, forecast)
-		if &o.tape[0] != tape0 {
-			t.Fatalf("replan %d reallocated the adjoint tape", i)
+		for j := range o.tapes {
+			if tape0[j] != nil && (&o.tapes[j][0] != tape0[j] || &o.tapeZ[j][0] != tapeZ0[j]) {
+				t.Fatalf("replan %d reallocated lane %d's tape or tape key", i, j)
+			}
 		}
 		if &o.plan[0] != plan0 || cap(o.plan) != planCap {
 			t.Fatalf("replan %d reallocated the plan buffer", i)
 		}
 		if &o.fc[0] != fc0 {
 			t.Fatalf("replan %d reallocated the forecast pad", i)
-		}
-		if &o.tapeZ[0] != tapeZ0 || cap(o.tapeZ) != tapeZCap {
-			t.Fatalf("replan %d reallocated the tape key", i)
 		}
 	}
 }
@@ -84,7 +88,7 @@ func TestTapeReuseSkipsForwardPass(t *testing.T) {
 	}
 	// Objective records the tape at z; the gradient call should reuse it.
 	cost := o.objective(z)
-	if !o.tapeMatches(z) {
+	if o.tapeLane(z) != 0 {
 		t.Fatal("tape not recorded by objective evaluation")
 	}
 	gWarm := make([]float64, len(z))
@@ -93,7 +97,7 @@ func TestTapeReuseSkipsForwardPass(t *testing.T) {
 	}
 
 	// Invalidate the cache and recompute from scratch.
-	o.tapeValid = false
+	o.tapeLanes = 0
 	gCold := make([]float64, len(z))
 	costCold := o.objectiveGrad(z, gCold)
 	if costCold != cost {

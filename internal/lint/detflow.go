@@ -49,8 +49,10 @@ var DetFlow = &Analyzer{
 	Name: "detflow",
 	Doc: `forbid transitive nondeterminism in the deterministic packages
 
-A function in internal/sim, internal/mpc, internal/policy, internal/fleet
-or internal/hmpc must not reach — at any depth, across packages, or laundered through
+A function in a deterministic package (the detrand scope: internal/sim,
+internal/mpc, internal/policy, internal/fleet, internal/hmpc,
+internal/hees, internal/battery, internal/core, internal/optimize and
+internal/vmath) must not reach — at any depth, across packages, or laundered through
 struct fields, closures and function values — the global math/rand source
 or time.Now. detrand catches the direct uses; detflow propagates
 "reaches nondeterminism" facts along the package DAG and tracks tainted

@@ -16,10 +16,14 @@ import (
 // battery) carry the batched rollout's bit-identity contract: the
 // lockstep bus solver and the prepared battery step must reproduce the
 // scalar path exactly, which no wall-clock or global-source draw may
-// perturb.
+// perturb. The controller and its solver (core, optimize) and the vector
+// math kernels (vmath) carry the speculative line search's contract: the
+// lockstep rollout lanes and the batched trials must give the same plan,
+// bit for bit, as one trial at a time.
 var detrandScopes = []string{
 	"internal/sim", "internal/mpc", "internal/policy", "internal/fleet",
 	"internal/hmpc", "internal/hees", "internal/battery",
+	"internal/core", "internal/optimize", "internal/vmath",
 }
 
 // globalRandFuncs are the math/rand package-level functions backed by the
@@ -53,8 +57,9 @@ var DetRand = &Analyzer{
 	Name: "detrand",
 	Doc: `forbid global math/rand and time.Now in deterministic packages
 
-internal/sim, internal/mpc, internal/policy, internal/fleet and
-internal/hmpc must be replayable:
+internal/sim, internal/mpc, internal/policy, internal/fleet,
+internal/hmpc, internal/hees, internal/battery, internal/core,
+internal/optimize and internal/vmath must be replayable:
 identical seeds and inputs give identical traces whether the batch runs
 on 1 worker or 8. The global math/rand source is shared mutable state
 across goroutines, and time.Now leaks the wall clock into physics. Use a

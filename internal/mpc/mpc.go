@@ -136,23 +136,27 @@ func (p *Planner) resetWarm() {
 // returned slice and Result alias the planner's internal state — copy them
 // if they must survive the next Plan call.
 func (p *Planner) Plan(objective func(z []float64) float64) ([]float64, *optimize.Result, error) {
-	return p.PlanGrad(objective, nil)
+	return p.PlanGrad(objective, nil, nil)
 }
 
 // PlanGrad is Plan with an optional analytic gradient (grad writes
-// ∂objective/∂z into its second argument); when grad is nil the solver
-// falls back to finite differences.
+// ∂objective/∂z into its second argument; when nil the solver falls back
+// to finite differences) and an optional batched objective (batch sets
+// fs[i] = objective(zs[i]) bit for bit, for up to optimize.BatchWidth
+// points; see optimize.Problem.FuncBatch).
 //
 //lint:hotpath the warm re-plan runs once per control step; allocflow proves it allocation-free
-func (p *Planner) PlanGrad(objective func(z []float64) float64, grad func(z, g []float64)) ([]float64, *optimize.Result, error) {
+func (p *Planner) PlanGrad(objective func(z []float64) float64, grad func(z, g []float64), batch func(zs [][]float64, fs []float64)) ([]float64, *optimize.Result, error) {
 	if objective == nil {
 		return nil, nil, errors.New("mpc: nil objective")
 	}
 	p.prob.Func = objective
 	p.prob.Grad = grad
+	p.prob.FuncBatch = batch
 	res, err := p.ws.Minimize(&p.prob, p.warm, &p.spec.Options)
 	p.prob.Func = nil
 	p.prob.Grad = nil
+	p.prob.FuncBatch = nil
 	if err != nil {
 		return nil, nil, err
 	}

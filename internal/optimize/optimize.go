@@ -54,6 +54,11 @@ type Problem struct {
 	// Grad writes the gradient of Func at x into grad. Optional; when nil a
 	// central finite difference of Func is used.
 	Grad func(x, grad []float64)
+	// FuncBatch, when set, evaluates Func at up to BatchWidth points at
+	// once: fs[i] = Func(xs[i]), bit for bit. Optional. The line search
+	// uses it to evaluate backtracking trials together after its first
+	// rejected trial; every Result field is the same with or without it.
+	FuncBatch func(xs [][]float64, fs []float64)
 	// Lower and Upper, when non-nil, bound each variable. A nil slice means
 	// unbounded on that side; individual entries may be ±Inf.
 	Lower, Upper []float64
@@ -107,6 +112,9 @@ type Result struct {
 	// Status describes why iteration stopped.
 	Status Status
 }
+
+// BatchWidth is the most points one Problem.FuncBatch call evaluates.
+const BatchWidth = 4
 
 // ErrBadProblem is returned for structurally invalid problems (missing
 // objective, dimension mismatch, inconsistent bounds).
@@ -180,6 +188,13 @@ type Workspace struct {
 	rho          []float64
 	alpha        []float64
 
+	// Speculative line-search lanes: the trial points of one FuncBatch
+	// call, their values, step lengths and projected slopes.
+	trials     [BatchWidth][]float64
+	trialF     [BatchWidth]float64
+	trialAlpha [BatchWidth]float64
+	trialSlope [BatchWidth]float64
+
 	evals int
 }
 
@@ -201,6 +216,9 @@ func (ws *Workspace) ensure(n, m int) {
 		ws.xNew = make([]float64, n)
 		ws.gNew = make([]float64, n)
 		ws.fdX = make([]float64, n)
+		for i := range ws.trials {
+			ws.trials[i] = make([]float64, n)
+		}
 		ws.dim = n
 		// Row storage is dimension-dependent; force a pool rebuild.
 		ws.mem = 0
@@ -224,6 +242,9 @@ func (ws *Workspace) ensure(n, m int) {
 	ws.xNew = ws.xNew[:n]
 	ws.gNew = ws.gNew[:n]
 	ws.fdX = ws.fdX[:n]
+	for i := range ws.trials {
+		ws.trials[i] = ws.trials[i][:n]
+	}
 	ws.alpha = ws.alpha[:m]
 	ws.resetHistory()
 	ws.evals = 0
@@ -424,47 +445,95 @@ func (ws *Workspace) Minimize(p *Problem, x0 []float64, opts *Options) (Result, 
 
 // lineSearch performs a projected backtracking Armijo line search along
 // dir, writing the accepted point to xNew and returning its value.
+//
+// Trials halve the step from alpha0 until one is accepted, one does not
+// move x after projection, or maxSteps trials were made. The first trial
+// is evaluated alone: it is accepted often enough that evaluating more
+// with it would waste work. After a rejection, a problem with FuncBatch
+// evaluates the next up-to-BatchWidth trials in one call. They are
+// generated exactly as the one-at-a-time loop would (same step halving,
+// same projection, stopping at a trial that does not move or at
+// maxSteps) and scanned in order, and only the trials that loop would have
+// evaluated are counted, so the result and FuncEvals are the same either
+// way.
+//
+//lint:hotpath runs every solver iteration; allocflow proves it allocation-free
 func (ws *Workspace) lineSearch(p *Problem, x []float64, f float64, g, dir, xNew []float64, maxSteps int, alpha0 float64) (float64, bool) {
-	const c1 = 1e-4
 	alpha := alpha0
 	gd := dot(g, dir)
-	for step := 0; step < maxSteps; step++ {
-		for i := range xNew {
-			xNew[i] = x[i] + alpha*dir[i]
+	for step := 0; step < maxSteps; {
+		width := BatchWidth
+		if step == 0 || p.FuncBatch == nil {
+			width = 1
 		}
-		p.project(xNew)
-		// Effective step after projection.
-		var sg float64
-		moved := false
-		for i := range xNew {
-			d := xNew[i] - x[i]
-			//lint:ignore floatcompare projection no-op detection must see bit-level movement; an epsilon would stall convergence detection
-			if d != 0 {
-				moved = true
+		n, stalled := 0, false
+		for n < width && step < maxSteps {
+			t := ws.trials[n]
+			sg, moved := projectedTrial(p, x, g, dir, alpha, t)
+			if !moved {
+				stalled = true
+				break
 			}
-			sg += d * g[i]
+			ws.trialAlpha[n], ws.trialSlope[n] = alpha, sg
+			alpha *= 0.5
+			step++
+			n++
 		}
-		if !moved {
-			return f, false
+		if n == 1 {
+			ws.trialF[0] = p.Func(ws.trials[0])
+		} else if n > 1 {
+			p.FuncBatch(ws.trials[:n], ws.trialF[:n])
 		}
-		fNew := ws.value(p, xNew)
-		// Armijo condition on the projected step; fall back to the raw
-		// direction slope when projection did not truncate the step.
-		slope := sg
-		if slope >= 0 {
-			slope = alpha * gd
+		for i := 0; i < n; i++ {
+			ws.evals++
+			if fNew := ws.trialF[i]; armijo(f, fNew, ws.trialSlope[i], ws.trialAlpha[i], gd) {
+				copy(xNew, ws.trials[i])
+				return fNew, true
+			}
 		}
-		if fNew <= f+c1*slope && fNew < f {
-			return fNew, true
+		if stalled {
+			break
 		}
-		// Plain decrease acceptance for very small steps avoids stalling on
-		// flat, noisy objectives.
-		if fNew < f-1e-14*(math.Abs(f)+1) && alpha < 1e-6 {
-			return fNew, true
-		}
-		alpha *= 0.5
 	}
 	return f, false
+}
+
+// projectedTrial writes the projected trial point x + alpha·dir into t and
+// returns the slope of the effective step along g, and whether the
+// projection left any coordinate moved at all.
+func projectedTrial(p *Problem, x, g, dir []float64, alpha float64, t []float64) (sg float64, moved bool) {
+	for i := range t {
+		t[i] = x[i] + alpha*dir[i]
+	}
+	p.project(t)
+	for i := range t {
+		d := t[i] - x[i]
+		//lint:ignore floatcompare projection no-op detection must see bit-level movement; an epsilon would stall convergence detection
+		if d != 0 {
+			moved = true
+		}
+		sg += d * g[i]
+	}
+	return sg, moved
+}
+
+// armijo reports whether a trial with value fNew, projected slope sg and
+// step length alpha is accepted from f, where gd is the raw directional
+// derivative.
+func armijo(f, fNew, sg, alpha, gd float64) bool {
+	const c1 = 1e-4
+	// Armijo condition on the projected step; fall back to the raw
+	// direction slope when projection did not truncate the step.
+	slope := sg
+	if slope >= 0 {
+		slope = alpha * gd
+	}
+	if fNew <= f+c1*slope && fNew < f {
+		return true
+	}
+	// Plain decrease acceptance for very small steps avoids stalling on
+	// flat, noisy objectives.
+	return fNew < f-1e-14*(math.Abs(f)+1) && alpha < 1e-6
 }
 
 // twoLoop computes out = H·g using the standard L-BFGS two-loop recursion.
