@@ -41,7 +41,6 @@ func main() {
 		fleetVeh = flag.Int("max-fleet-vehicles", 0, "max vehicles per /v1/fleet request (0 = 512)")
 		fleetDay = flag.Int("max-fleet-days", 0, "max days per /v1/fleet request (0 = 7)")
 		fleetPar = flag.Int("fleet-parallel", 0, "worker fan-out inside one /v1/fleet request (0 = GOMAXPROCS)")
-		fleetBat = flag.Int("fleet-batch", 0, "fleet rollout lane width (0 = auto batched, <0 = per-vehicle reference; result identical at any setting)")
 		portfile = flag.String("portfile", "", "optional file to write the bound address to once listening")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes process internals; only enable on trusted/loopback listeners)")
 	)
@@ -58,7 +57,6 @@ func main() {
 		MaxFleetVehicles: *fleetVeh,
 		MaxFleetDays:     *fleetDay,
 		FleetParallelism: *fleetPar,
-		FleetBatch:       *fleetBat,
 		Log:              logger,
 		EnablePprof:      *pprofOn,
 	})

@@ -16,7 +16,6 @@ type fleetFlags struct {
 	days     int
 	seed     int64
 	parallel int
-	batch    int
 	route    float64
 	method   string
 	ucap     float64
@@ -44,7 +43,7 @@ func runFleet(ff fleetFlags) {
 		UltracapF:    ff.ucap,
 		RouteSeconds: ff.route,
 	}
-	opts := []otem.Option{otem.WithParallelism(ff.parallel), otem.WithFleetBatch(ff.batch)}
+	opts := []otem.Option{otem.WithParallelism(ff.parallel)}
 	if ff.progress {
 		enc := json.NewEncoder(os.Stderr)
 		opts = append(opts, otem.WithProgress(func(done, total int) {

@@ -69,7 +69,6 @@ func main() {
 		days     = flag.Int("days", 1, "fleet mode: daily routes per vehicle")
 		seed     = flag.Int64("seed", 0, "fleet mode: master seed (same seed ⇒ bit-identical result)")
 		parallel = flag.Int("parallel", 0, "fleet mode: worker count (0 = GOMAXPROCS; result is identical at any setting)")
-		batch    = flag.Int("batch", 0, "fleet mode: lockstep rollout lane width (0 = auto, <0 = per-vehicle reference; result is identical at any setting)")
 		route    = flag.Float64("route", 600, "fleet mode: target route duration per day, seconds")
 		progress = flag.Bool("progress", true, "fleet mode: emit NDJSON progress events on stderr")
 	)
@@ -119,7 +118,6 @@ func main() {
 			days:     *days,
 			seed:     *seed,
 			parallel: *parallel,
-			batch:    *batch,
 			route:    *route,
 			method:   *method,
 			ucap:     *ucap,

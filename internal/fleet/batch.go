@@ -23,31 +23,33 @@ import (
 // hundred bytes per lane) stays cache-resident on one worker.
 const DefaultBatch = 64
 
-// Options configures a fleet run beyond the Spec. The zero value runs the
-// batched rollout at DefaultBatch width on a private pool.
+// Options configures a fleet run beyond the Spec. The zero value runs on a
+// private pool without progress reporting. Every run steps its vehicles
+// through the lockstep rollout (sim.RunBatch) in groups of DefaultBatch;
+// the outcome is a pure function of the Spec, independent of the lane
+// width, which the package tests pin against a per-vehicle reference.
 type Options struct {
 	// Pool supplies the workers; nil uses a fresh default pool.
 	Pool *runner.Pool
 	// Progress, when non-nil, is called after each finished chunk with the
 	// cumulative number of completed vehicles; calls are serialized.
 	Progress func(vehiclesDone, vehiclesTotal int)
-	// Batch selects the rollout: 0 means the batched path at DefaultBatch
-	// width, a positive value the batched path at that lane width, and a
-	// negative value the per-vehicle reference path. Outcomes are
-	// bit-identical across every setting; only throughput differs.
-	Batch int
 }
 
-// Run executes the fleet on the pool and returns the merged result, using
-// the batched rollout at the default lane width. progress, when non-nil,
-// is called after each finished chunk with the cumulative number of
-// completed vehicles; calls are serialized.
+// Run executes the fleet on the pool and returns the merged result.
+// progress, when non-nil, is called after each finished chunk with the
+// cumulative number of completed vehicles; calls are serialized.
 func Run(ctx context.Context, spec Spec, pool *runner.Pool, progress func(vehiclesDone, vehiclesTotal int)) (*Result, error) {
 	return RunWith(ctx, spec, Options{Pool: pool, Progress: progress})
 }
 
-// RunWith is Run with explicit rollout options.
+// RunWith is Run with the options in a struct.
 func RunWith(ctx context.Context, spec Spec, opts Options) (*Result, error) {
+	return runWith(ctx, spec, opts, DefaultBatch)
+}
+
+// runWith rolls the fleet in lockstep groups of width vehicles.
+func runWith(ctx context.Context, spec Spec, opts Options, width int) (*Result, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -55,10 +57,6 @@ func RunWith(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	pool := opts.Pool
 	if pool == nil {
 		pool = runner.New()
-	}
-	width := opts.Batch
-	if width == 0 {
-		width = DefaultBatch
 	}
 
 	chunks := numChunks(spec.Vehicles)
@@ -77,25 +75,10 @@ func RunWith(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	parts, err := runner.Map(ctx, pool, chunks, func(ctx context.Context, c int) (*Result, error) {
 		lo, hi := chunkBounds(spec.Vehicles, chunks, c)
 		acc := newAccumulator(spec)
-		if width < 0 {
-			var ws workspace
-			for i := lo; i < hi; i++ {
-				o, err := rollVehicle(ctx, spec, i, &ws)
-				if err != nil {
-					return nil, err
-				}
-				acc.add(o)
-			}
-		} else {
-			var ws batchWorkspace
-			for b := lo; b < hi; b += width {
-				end := b + width
-				if end > hi {
-					end = hi
-				}
-				if err := rollBatch(ctx, spec, b, end, &ws, acc); err != nil {
-					return nil, err
-				}
+		var ws batchWorkspace
+		for b := lo; b < hi; b += width {
+			if err := rollBatch(ctx, spec, b, min(b+width, hi), &ws, acc); err != nil {
+				return nil, err
 			}
 		}
 		report(hi - lo)
@@ -159,8 +142,8 @@ func (ws *batchWorkspace) ensure(n int) {
 }
 
 // rollBatch simulates vehicles [lo, hi) in lockstep and folds their
-// outcomes into acc in vehicle-index order — the same order the
-// per-vehicle path uses, so the sketches fill identically.
+// outcomes into acc in vehicle-index order, so the sketches fill
+// identically at any lane width.
 func rollBatch(ctx context.Context, spec Spec, lo, hi int, ws *batchWorkspace, acc *Result) error {
 	n := hi - lo
 	ws.ensure(n)
@@ -178,8 +161,8 @@ func rollBatch(ctx context.Context, spec Spec, lo, hi int, ws *batchWorkspace, a
 		ws.haveTemplate = true
 	}
 
-	// Per-vehicle setup: scenario, route, plant. The draws and the route
-	// synthesis are exactly the per-vehicle path's, per vehicle index.
+	// Per-vehicle setup: scenario, route, plant — each a pure function of
+	// the vehicle index.
 	ev := vehicle.MidSizeEV()
 	for k := 0; k < n; k++ {
 		i := lo + k
@@ -256,8 +239,10 @@ func rollBatch(ctx context.Context, spec Spec, lo, hi int, ws *batchWorkspace, a
 				out.peakTempK = res.MaxBatteryTemp
 			}
 
-			// Overnight charging per the plug state, exactly the
-			// per-vehicle path's rules.
+			// Overnight charging per the plug state: plugged days restore
+			// the morning state of charge, pre-vacation days fill the
+			// pack, and an unplugged day still charges when the guard
+			// trips.
 			target := 0.0
 			switch ws.scens[k].days[d] {
 			case dayPlugged:

@@ -17,17 +17,14 @@ import (
 // misaligns with the chunk size, the default, and whole-fleet lanes.
 func TestBatchedIdentityAcrossWidthsAndWorkers(t *testing.T) {
 	spec := testSpec()
-	ref, err := RunWith(context.Background(), spec, Options{Batch: -1})
+	ref, err := runReference(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refDigest := ref.Digest()
 	for _, width := range []int{1, 7, DefaultBatch, testSpec().Vehicles} {
 		for _, workers := range []int{1, runtime.NumCPU()} {
-			got, err := RunWith(context.Background(), spec, Options{
-				Pool:  runner.New(runner.Workers(workers)),
-				Batch: width,
-			})
+			got, err := runWith(context.Background(), spec, Options{Pool: runner.New(runner.Workers(workers))}, width)
 			if err != nil {
 				t.Fatalf("batch=%d workers=%d: %v", width, workers, err)
 			}
@@ -57,12 +54,12 @@ func TestBatchedIdentityOtherMethods(t *testing.T) {
 		{policy.MethodologyOTEM, 6, 1},
 	} {
 		spec := Spec{Vehicles: tc.vehicles, Days: tc.days, Seed: 99, Method: tc.method, RouteSeconds: 120}
-		ref, err := RunWith(context.Background(), spec, Options{Batch: -1})
+		ref, err := runReference(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s reference: %v", tc.method, err)
 		}
 		for _, width := range []int{1, 7, DefaultBatch} {
-			got, err := RunWith(context.Background(), spec, Options{Batch: width})
+			got, err := runWith(context.Background(), spec, Options{}, width)
 			if err != nil {
 				t.Fatalf("%s batch=%d: %v", tc.method, width, err)
 			}
@@ -75,11 +72,11 @@ func TestBatchedIdentityOtherMethods(t *testing.T) {
 }
 
 // TestRunUsesBatchedDefault pins that the plain Run entry point (the
-// facade's path) produces the reference outcome too — the batched rollout
-// is the default, not an opt-in fork.
+// facade's path, lockstep groups of DefaultBatch) produces the reference
+// outcome too.
 func TestRunUsesBatchedDefault(t *testing.T) {
 	spec := testSpec()
-	ref, err := RunWith(context.Background(), spec, Options{Batch: -1})
+	ref, err := runReference(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

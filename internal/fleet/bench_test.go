@@ -108,14 +108,20 @@ func TestFleetBenchJSON(t *testing.T) {
 
 	// run rolls the fleet once on a fresh pool and reports elapsed time
 	// and heap allocations. batch < 0 selects the per-vehicle reference
-	// path, 0 the auto-sized batched rollout.
+	// (serial, on the calling goroutine), 0 the DefaultBatch rollout.
 	run := func(workers, batch int) (*Result, time.Duration, uint64) {
 		pool := runner.New(runner.Workers(workers))
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		res, err := RunWith(ctx, spec, Options{Pool: pool, Batch: batch})
+		var res *Result
+		var err error
+		if batch < 0 {
+			res, err = runReference(ctx, spec)
+		} else {
+			res, err = RunWith(ctx, spec, Options{Pool: pool})
+		}
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&m1)
 		if err != nil {

@@ -15,17 +15,13 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/canon"
-	"repro/internal/charger"
 	"repro/internal/core"
 	"repro/internal/core/floats"
-	"repro/internal/drivecycle"
 	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/vehicle"
 )
 
 // Spec describes one fleet run. The zero value of every field is completed
@@ -246,14 +242,6 @@ type vehicleOutcome struct {
 	thermalViolationSec float64
 }
 
-// workspace carries the result-neutral buffers one worker reuses across
-// its vehicles: the sim scratch (forecast window) and nothing else — the
-// plant and controller are rebuilt per vehicle because both are stateful
-// and vehicle purity is the determinism contract.
-type workspace struct {
-	scratch sim.Scratch
-}
-
 // newController builds a fresh controller for a methodology (controllers
 // are stateful, so every vehicle gets its own).
 func newController(method policy.Methodology, horizon int) (sim.Controller, error) {
@@ -269,80 +257,6 @@ func newController(method policy.Methodology, horizon int) (sim.Controller, erro
 // state of charge falls this low — a real fleet visits a public charger
 // rather than strand the vehicle.
 const lowSoCGuard = 0.35
-
-// rollVehicle simulates one vehicle's whole horizon. It is a pure function
-// of (spec, index): the workspace only supplies reusable buffers that
-// cannot influence the outcome.
-func rollVehicle(ctx context.Context, spec Spec, index int, ws *workspace) (vehicleOutcome, error) {
-	sc := drawScenario(spec, index)
-	out := vehicleOutcome{family: familyIndex(&sc)}
-
-	cycle, err := drivecycle.Synthesize(sc.synth)
-	if err != nil {
-		return out, fmt.Errorf("fleet: vehicle %d synth: %w", index, err)
-	}
-	requests := vehicle.MidSizeEV().PowerSeriesAt(cycle, sc.ambientK)
-
-	plant, err := sim.NewPlant(sim.PlantConfig{UltracapF: spec.UltracapF, Ambient: sc.ambientK})
-	if err != nil {
-		return out, fmt.Errorf("fleet: vehicle %d plant: %w", index, err)
-	}
-	out.peakTempK = plant.Loop.BatteryTemp
-	chg := charger.Default()
-
-	for _, kind := range sc.days {
-		if kind == dayVacation {
-			continue
-		}
-		ctrl, err := newController(spec.Method, spec.Horizon)
-		if err != nil {
-			return out, fmt.Errorf("fleet: vehicle %d controller: %w", index, err)
-		}
-		startSoC := plant.HEES.Battery.SoC
-		res, err := sim.RunContext(ctx, plant, ctrl, requests, sim.Config{
-			Horizon: spec.Horizon,
-			Scratch: &ws.scratch,
-		})
-		if err != nil {
-			return out, fmt.Errorf("fleet: vehicle %d route: %w", index, err)
-		}
-		out.steps += res.Steps
-		out.fallbackSteps += res.FallbackSteps
-		out.thermalViolationSec += res.ThermalViolationSec
-		out.qlossPct += res.QlossPct
-		out.energyJ += res.HEESEnergyJ
-		if res.MaxBatteryTemp > out.peakTempK {
-			out.peakTempK = res.MaxBatteryTemp
-		}
-
-		// Overnight charging per the plug state: plugged days restore the
-		// morning state of charge, pre-vacation days fill the pack, and an
-		// unplugged day still charges when the guard trips.
-		target := 0.0
-		switch kind {
-		case dayPlugged:
-			target = startSoC
-		case dayPreVacation:
-			target = 1.0
-		case dayUnplugged:
-			if plant.HEES.Battery.SoC < lowSoCGuard {
-				target = startSoC
-			}
-		}
-		if target > plant.HEES.Battery.SoC {
-			cr, err := charger.Charge(plant.HEES.Battery, plant.Loop, chg, target, sc.ambientK)
-			if err != nil {
-				return out, fmt.Errorf("fleet: vehicle %d charge: %w", index, err)
-			}
-			out.qlossPct += cr.AgingPct
-			out.energyJ += cr.WallEnergyJ
-			if cr.PeakTempK > out.peakTempK {
-				out.peakTempK = cr.PeakTempK
-			}
-		}
-	}
-	return out, nil
-}
 
 // Chunking: vehicles are partitioned into at most maxChunks contiguous
 // ranges of at least minChunkVehicles each. The partition depends only on

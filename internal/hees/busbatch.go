@@ -55,21 +55,19 @@ func NewBusBatch(n int) *BusBatch {
 }
 
 // Ensure grows the scratch to hold at least n lanes, keeping it otherwise.
+// The eight float64 lane arrays share one allocation, which keeps a
+// one-lane batch (every sim.Run route builds one) cheap to set up.
 //
 //lint:coldpath per-batch capacity growth; a warmed BusBatch returns at the cap check
 func (bb *BusBatch) Ensure(n int) {
 	if cap(bb.VB) >= n {
 		return
 	}
-	bb.VB = make([]float64, n)
-	bb.RB = make([]float64, n)
-	bb.VC = make([]float64, n)
-	bb.RC = make([]float64, n)
-	bb.P = make([]float64, n)
-	bb.VL = make([]float64, n)
+	f := make([]float64, 8*n)
+	for _, s := range [...]*[]float64{&bb.VB, &bb.RB, &bb.VC, &bb.RC, &bb.P, &bb.VL, &bb.lo, &bb.hi} {
+		*s, f = f[:n:n], f[n:]
+	}
 	bb.Feasible = make([]bool, n)
-	bb.lo = make([]float64, n)
-	bb.hi = make([]float64, n)
 	bb.act = make([]int, n)
 }
 
@@ -131,7 +129,7 @@ func (bb *BusBatch) Solve(n int) {
 	// memory traffic and the independent lanes' arithmetic overlaps
 	// instead of serialising on one lane's ~33-iteration chain.
 	a := 0
-	if useAVX {
+	if useAVX && na > 1 { // a lone lane is faster in bisect1
 		// AVX kernel: gather eight lanes into the contiguous register
 		// block, run the vector bisection, and read the converged
 		// midpoints back. IEEE determinism keeps every lane bit-identical
@@ -329,15 +327,21 @@ func (bb *BusBatch) bisect4(k0, k1, k2, k3 int) {
 	bb.VL[k3] = (lo3 + hi3) / 2
 }
 
-// bisect1 handles the remainder lanes one at a time: the scalar
-// bisection loop on register-resident state, sharing the branchless
-// bracket update of the blocked kernels.
+// bisect1 handles a lone lane and the portable kernels' remainder lanes
+// one at a time: solveParallelBus's bisection loop on register-resident
+// state. With no other lane to overlap, the branch lets the CPU speculate
+// into the next iteration's divides, which the branchless update of the
+// blocked kernels would serialise behind this one's; a one-lane batch
+// (sim.Run) therefore skips the AVX kernel and lands here.
 func (bb *BusBatch) bisect1(k int) {
 	vb, rb, vc, rc, p, lo, hi := bb.VB[k], bb.RB[k], bb.VC[k], bb.RC[k], bb.P[k], bb.lo[k], bb.hi[k]
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
-		pos := parallelBusGap(vb, rb, vc, rc, p, mid) > 0
-		lo, hi = bisectUpdate(lo, hi, mid, pos)
+		if parallelBusGap(vb, rb, vc, rc, p, mid) > 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
 		if hi-lo < 1e-10*hi {
 			break
 		}

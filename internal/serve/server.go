@@ -60,11 +60,6 @@ type Config struct {
 	// request (default GOMAXPROCS). The result is bit-identical at any
 	// setting — only latency changes.
 	FleetParallelism int
-	// FleetBatch selects the fleet rollout lane width: 0 (default) the
-	// auto-tuned batched rollout, > 0 that many vehicles per lockstep
-	// group, < 0 the per-vehicle reference path. Like FleetParallelism the
-	// result is bit-identical at any setting — only throughput changes.
-	FleetBatch int
 	// Log receives serving events and isolated panics; nil selects the
 	// process-default logger.
 	Log *log.Logger
@@ -139,7 +134,7 @@ type Server struct {
 	// latency and failure modes deterministic.
 	runSim func(ctx context.Context, spec otem.RunSpec) (otem.Result, error)
 	// runBatch executes one admitted batch grid; tests substitute stubs.
-	runBatch func(ctx context.Context, specs []otem.RunSpec, opts ...otem.BatchOption) ([]otem.BatchResult, error)
+	runBatch func(ctx context.Context, specs []otem.RunSpec, opts ...otem.Option) ([]otem.BatchResult, error)
 	// runFleet executes one admitted fleet spec; tests substitute stubs.
 	runFleet func(ctx context.Context, spec otem.FleetSpec, opts ...otem.Option) (*otem.FleetResult, error)
 	// runPlan solves one outer route plan; tests substitute stubs.
@@ -403,9 +398,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		}
 		defer s.gate.release()
 		out, err := runner.Map(ctx, s.pool, 1, func(ctx context.Context, _ int) (*otem.FleetResult, error) {
-			return s.runFleet(ctx, spec,
-				otem.WithParallelism(s.cfg.FleetParallelism),
-				otem.WithFleetBatch(s.cfg.FleetBatch))
+			return s.runFleet(ctx, spec, otem.WithParallelism(s.cfg.FleetParallelism))
 		})
 		if err != nil {
 			return nil, err
@@ -591,7 +584,6 @@ func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request) {
 		out, err := runner.Map(ctx, s.pool, 1, func(ctx context.Context, _ int) (*otem.FleetResult, error) {
 			return s.runFleet(ctx, spec,
 				otem.WithParallelism(s.cfg.FleetParallelism),
-				otem.WithFleetBatch(s.cfg.FleetBatch),
 				otem.WithProgress(progress))
 		})
 		if err != nil {

@@ -63,7 +63,7 @@ func stubSim(s *Server, counter *atomic.Int64, fn func(ctx context.Context, spec
 		counter.Add(1)
 		return fn(ctx, spec)
 	}
-	s.runBatch = func(ctx context.Context, specs []otem.RunSpec, _ ...otem.BatchOption) ([]otem.BatchResult, error) {
+	s.runBatch = func(ctx context.Context, specs []otem.RunSpec, _ ...otem.Option) ([]otem.BatchResult, error) {
 		out := make([]otem.BatchResult, len(specs))
 		for i, spec := range specs {
 			out[i].Spec = spec

@@ -1,19 +1,20 @@
-// Batched lockstep rollout: many independent vehicles advance through the
-// same Algorithm 1 step loop one global step at a time, so the per-step
-// work of a whole batch runs back to back over contiguous state instead of
-// one vehicle monopolising the pipeline for its whole route. The payoff is
-// twofold: the parallel-architecture bus solves of all lanes go through
-// one hees.BusBatch lockstep bisection (independent lanes hide each
-// other's divide latency), and controllers that declare a ForecastDepth
-// skip the per-step horizon fill entirely.
+// The Algorithm 1 step loop. RunBatch advances many independent vehicles
+// through it in lockstep, one global step at a time, so the per-step work
+// of a whole batch runs back to back over contiguous state instead of one
+// vehicle monopolising the pipeline for its whole route; Run and
+// RunContext drive a single vehicle through it as a one-lane batch. The
+// payoff is twofold: the parallel-architecture bus solves of all lanes go
+// through one hees.BusBatch lockstep bisection (independent lanes hide
+// each other's divide latency), and controllers that declare a
+// ForecastDepth skip the per-step horizon fill entirely.
 //
 // Bit-identity contract: every lane's floating-point sequence is exactly
-// RunContext's for the same vehicle — the fast path reuses PrepareParallel
-// / FinishParallel / batteryFallback and the lockstep solver is
-// bit-identical to solveParallelBus (property-tested in hees), the slow
-// path calls the very same executeAction/advanceThermal helpers — so a
-// batched fleet digests identically to the per-vehicle path at any batch
-// size.
+// the one its vehicle follows when stepped alone through executeAction —
+// the fast path reuses PrepareParallel / FinishParallel / batteryFallback
+// and the lockstep solver is bit-identical to solveParallelBus
+// (property-tested in hees), the slow path calls executeAction itself —
+// so a batched fleet digests identically at any batch size. The scalar
+// reference loop in the package tests pins this, traces included.
 
 package sim
 
@@ -22,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cooling"
 	"repro/internal/hees"
 	"repro/internal/runner"
 )
@@ -41,25 +41,26 @@ type BatchVehicle struct {
 
 // BatchScratch holds the worker-owned structure-of-arrays state of a
 // batched rollout — the lockstep bus solver, the per-lane accumulators and
-// the shared forecast window — so repeated batches run allocation-free.
-// Single-goroutine state: give each worker its own.
+// traces, and the shared forecast window — so repeated batches run
+// allocation-free. Single-goroutine state: give each worker its own.
 type BatchScratch struct {
 	forecast []float64 // one shared window, refilled per lane per step
 	bus      hees.BusBatch
 	pre      []hees.ParallelPrep // per bus slot, parallel to bus lanes
 	busLane  []int               // lane index per bus slot
-	coolOn   []bool              // per bus slot: cooling commanded this step
-	inlet    []float64           // per bus slot: commanded inlet temperature
+	act      []Action            // per bus slot: the lane's action this step
 	depth    []int               // per-lane forecast fill depth
 	active   []int               // packed indices of lanes still driving
 	tempSum  []float64           // per-lane running T_b sum
 	results  []Result            // per-lane accumulators, returned by RunBatch
+	traces   []Trace             // per-lane trace storage when tracing
 }
 
-// ensure sizes the scratch for n lanes and a horizon-length window.
+// ensure sizes the scratch for n lanes and a horizon-length window, with
+// per-lane trace storage when trace is set.
 //
-//lint:coldpath per-batch capacity growth; warmed scratch returns at the cap checks
-func (sc *BatchScratch) ensure(n, horizon int) {
+//lint:coldpath per-batch capacity growth of the lane arrays and trace slots; warmed scratch returns at the cap checks
+func (sc *BatchScratch) ensure(n, horizon int, trace bool) {
 	if cap(sc.forecast) < horizon {
 		sc.forecast = make([]float64, horizon)
 	}
@@ -67,12 +68,14 @@ func (sc *BatchScratch) ensure(n, horizon int) {
 	if cap(sc.results) < n {
 		sc.pre = make([]hees.ParallelPrep, n)
 		sc.busLane = make([]int, n)
-		sc.coolOn = make([]bool, n)
-		sc.inlet = make([]float64, n)
+		sc.act = make([]Action, n)
 		sc.depth = make([]int, n)
 		sc.active = make([]int, n)
 		sc.tempSum = make([]float64, n)
 		sc.results = make([]Result, n)
+	}
+	if trace && len(sc.traces) < n {
+		sc.traces = make([]Trace, n)
 	}
 	sc.bus.Ensure(n)
 }
@@ -89,23 +92,18 @@ func forecastDepth(ctrl Controller, horizon int) int {
 
 // RunBatch simulates every lane's route in lockstep and returns the
 // per-lane results, indexed like lanes. The returned slice and the results
-// it holds are owned by the scratch and valid until the next RunBatch call
-// on it. Tracing is not supported on the batched path; use RunContext for
-// figure-style experiments.
+// it holds — traces included, when cfg.RecordTrace is set — are owned by
+// the scratch and valid until the next RunBatch call on it. On
+// cancellation or failure it returns a nil slice; the plants are left in
+// their mid-route state.
 //
-//lint:hotpath the lockstep batch loop is the fleet simulator's inner loop; with a warmed scratch it must not allocate
+//lint:hotpath the lockstep batch loop is the simulator's inner loop; with a warmed scratch it must not allocate
 func RunBatch(ctx context.Context, lanes []BatchVehicle, cfg Config, sc *BatchScratch) ([]Result, error) {
 	if len(lanes) == 0 {
 		return nil, errors.New("sim: empty batch")
 	}
-	if cfg.RecordTrace {
-		return nil, errors.New("sim: the batched rollout does not record traces")
-	}
-	horizon := cfg.Horizon
-	if horizon < 1 {
-		horizon = 1
-	}
-	sc.ensure(len(lanes), horizon)
+	horizon := max(cfg.Horizon, 1)
+	sc.ensure(len(lanes), horizon, cfg.RecordTrace)
 
 	maxSteps := 0
 	for k := range lanes {
@@ -123,9 +121,13 @@ func RunBatch(ctx context.Context, lanes []BatchVehicle, cfg Config, sc *BatchSc
 		sc.active[k] = k
 		sc.tempSum[k] = 0
 		sc.results[k] = Result{Controller: ln.Ctrl.Name(), Steps: len(ln.Requests), DT: ln.Plant.DT}
-		if len(ln.Requests) > maxSteps {
-			maxSteps = len(ln.Requests)
+		if cfg.RecordTrace {
+			tr := &sc.traces[k]
+			tr.Reset()
+			tr.reserve(len(ln.Requests))
+			sc.results[k].Trace = tr
 		}
+		maxSteps = max(maxSteps, len(ln.Requests))
 	}
 
 	forecast := sc.forecast
@@ -135,29 +137,30 @@ func RunBatch(ctx context.Context, lanes []BatchVehicle, cfg Config, sc *BatchSc
 	for t := 0; t < maxSteps && na > 0; t++ {
 		select {
 		case <-done:
-			return nil, fmt.Errorf("sim: batch canceled at step %d: %w", t, runner.Canceled(ctx.Err()))
+			return nil, fmt.Errorf("sim: run canceled at step %d: %w", t, runner.Canceled(ctx.Err()))
 		default:
 		}
 
 		// Pass 1 — decide every lane; parallel-architecture lanes park
 		// their bus solve in the lockstep batch, everything else steps
-		// through the scalar path immediately.
+		// through executeAction immediately.
 		nb := 0
 		for a := 0; a < na; a++ {
 			k := sc.active[a]
 			ln := &lanes[k]
 			plant := ln.Plant
+			// Mirror the thermal state into the battery model before deciding.
 			plant.HEES.Battery.Temp = plant.Loop.BatteryTemp
+			// The forecast window is zero-padded past the route end
+			// (Algorithm 1 lines 11–12).
 			fillForecast(forecast[:sc.depth[k]], ln.Requests, t)
 			act := ln.Ctrl.Decide(plant, forecast)
-			pe := ln.Requests[t]
-			load := pe + coolingLoad(plant, act)
+			load := ln.Requests[t] + coolingLoad(plant, act)
 			if act.Arch == ArchParallel {
 				pre := plant.HEES.PrepareParallel()
 				sc.pre[nb] = pre
 				sc.busLane[nb] = k
-				sc.coolOn[nb] = act.CoolingOn
-				sc.inlet[nb] = act.InletTemp
+				sc.act[nb] = act
 				bus.VB[nb] = pre.Batt.VOC
 				bus.RB[nb] = pre.Batt.R
 				bus.VC[nb] = pre.VC
@@ -167,53 +170,34 @@ func RunBatch(ctx context.Context, lanes []BatchVehicle, cfg Config, sc *BatchSc
 				continue
 			}
 			rep, fellBack := executeAction(plant, act, load)
-			coolRes, err := advanceThermal(plant, act, rep.Batt.HeatRate)
-			if err != nil {
-				return nil, fmt.Errorf("sim: batch lane %d thermal step %d: %w", k, t, err)
+			if err := sc.finishStep(ln, k, t, &act, &rep, fellBack); err != nil {
+				return nil, err
 			}
-			plant.HEES.Battery.Temp = plant.Loop.BatteryTemp
-			tb := plant.Loop.BatteryTemp
-			sc.results[k].accumulateStep(rep, coolRes, fellBack,
-				tb, plant.HEES.Battery.Cell.SafeTemp, plant.DT)
-			sc.tempSum[k] += tb
 		}
 
 		// Pass 2 — one lockstep bisection over every parked bus solve.
 		bus.Solve(nb)
 
 		// Pass 3 — finish the parked lanes: integrate the storages with
-		// the solved bus voltage (or recover through the scalar fallback),
-		// then advance the thermal loop, active or passive per the
-		// stashed cooling command.
+		// the solved bus voltage, or recover through the battery fallback.
 		for j := 0; j < nb; j++ {
 			k := sc.busLane[j]
-			plant := lanes[k].Plant
+			ln := &lanes[k]
+			hs, dt := ln.Plant.HEES, ln.Plant.DT
 			var rep hees.StepReport
 			fellBack := false
 			if bus.Feasible[j] {
 				var err error
-				rep, err = plant.HEES.FinishParallel(sc.pre[j], bus.VL[j], plant.DT)
+				rep, err = hs.FinishParallel(sc.pre[j], bus.VL[j], dt)
 				if err != nil {
-					rep, fellBack = batteryFallback(plant.HEES, bus.P[j], plant.DT)
+					rep, fellBack = batteryFallback(hs, bus.P[j], dt)
 				}
 			} else {
-				rep, fellBack = batteryFallback(plant.HEES, bus.P[j], plant.DT)
+				rep, fellBack = batteryFallback(hs, bus.P[j], dt)
 			}
-			var coolRes cooling.StepResult
-			var err error
-			if sc.coolOn[j] {
-				coolRes, err = plant.Loop.StepActive(rep.Batt.HeatRate, sc.inlet[j], plant.DT)
-			} else {
-				coolRes, err = plant.Loop.StepPassive(rep.Batt.HeatRate, plant.Ambient, plant.DT)
+			if err := sc.finishStep(ln, k, t, &sc.act[j], &rep, fellBack); err != nil {
+				return nil, err
 			}
-			if err != nil {
-				return nil, fmt.Errorf("sim: batch lane %d thermal step %d: %w", k, t, err)
-			}
-			plant.HEES.Battery.Temp = plant.Loop.BatteryTemp
-			tb := plant.Loop.BatteryTemp
-			sc.results[k].accumulateStep(rep, coolRes, fellBack,
-				tb, plant.HEES.Battery.Cell.SafeTemp, plant.DT)
-			sc.tempSum[k] += tb
 		}
 
 		// Retire lanes whose route ended this step.
@@ -230,4 +214,30 @@ func RunBatch(ctx context.Context, lanes []BatchVehicle, cfg Config, sc *BatchSc
 		na = nw
 	}
 	return sc.results[:len(lanes)], nil
+}
+
+// finishStep completes lane k's step t once its storages have stepped:
+// advance the thermal network with the step's battery heat, mirror T_b
+// into the pack, and fold the step into the lane's result and trace
+// (Algorithm 1 lines 15–18).
+func (sc *BatchScratch) finishStep(ln *BatchVehicle, k, t int, act *Action, rep *hees.StepReport, fellBack bool) error {
+	plant := ln.Plant
+	coolRes, err := advanceThermal(plant, act, rep.Batt.HeatRate)
+	if err != nil {
+		return fmt.Errorf("sim: batch lane %d thermal step %d: %w", k, t, err)
+	}
+	plant.HEES.Battery.Temp = plant.Loop.BatteryTemp
+	tb := plant.Loop.BatteryTemp
+	res := &sc.results[k]
+	res.accumulateStep(rep, coolRes, fellBack, tb, plant.HEES.Battery.Cell.SafeTemp, plant.DT)
+	sc.tempSum[k] += tb
+	if res.Trace != nil {
+		res.Trace.append(float64(t)*plant.DT, ln.Requests[t], tb, plant.Loop.CoolantTemp,
+			plant.HEES.Battery.SoC, plant.HEES.Cap.SoE,
+			coolRes.CoolerPower+coolRes.PumpPower,
+			rep.Batt.TerminalVoltage*rep.Batt.Current,
+			rep.Cap.TerminalVoltage*rep.Cap.Current,
+			rep.Batt.HeatRate)
+	}
+	return nil
 }

@@ -2,10 +2,13 @@ package sim_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -30,60 +33,112 @@ func batchTestRoute(seed int64, steps int) []float64 {
 
 // TestRunBatchMatchesRunContext is the kernel-level bit-identity gate:
 // lanes of different lengths, stepped in lockstep, must produce exactly
-// the sim.Result that sim.RunContext produces for the same vehicle — every field,
-// compared with == (no tolerances).
+// the sim.Result of the scalar reference loop for the same vehicle — every
+// field, compared with == (no tolerances) — and so must the one-lane batch
+// behind sim.RunContext. The traced variant mixes Parallel, Dual and
+// ActiveCooling lanes in one batch and compares every trace series
+// element by element.
 func TestRunBatchMatchesRunContext(t *testing.T) {
-	ctrls := map[string]func() sim.Controller{
-		"parallel": func() sim.Controller { return policy.Parallel{} },
-		"dual":     func() sim.Controller { return policy.NewDual() },
-		"cooling":  func() sim.Controller { return policy.NewActiveCooling() },
+	mixed := []func() sim.Controller{
+		func() sim.Controller { return policy.Parallel{} },
+		func() sim.Controller { return policy.NewDual() },
+		func() sim.Controller { return policy.NewActiveCooling() },
 	}
-	for name, mk := range ctrls {
+	for _, tc := range []struct {
+		name  string
+		mk    func(lane int) sim.Controller
+		trace bool
+	}{
+		{"parallel", func(int) sim.Controller { return policy.Parallel{} }, false},
+		{"dual", func(int) sim.Controller { return policy.NewDual() }, false},
+		{"cooling", func(int) sim.Controller { return policy.NewActiveCooling() }, false},
+		{"mixed/traced", func(k int) sim.Controller { return mixed[k%len(mixed)]() }, true},
+	} {
 		const lanes = 9
+		cfg := sim.Config{Horizon: 5, RecordTrace: tc.trace}
 		batch := make([]sim.BatchVehicle, lanes)
 		want := make([]sim.Result, lanes)
 		for k := 0; k < lanes; k++ {
 			route := batchTestRoute(int64(100+k), 80+13*k) // staggered lengths
-			ref, err := sim.NewPlant(sim.PlantConfig{})
+			w, err := sim.ReferenceRun(context.Background(), newPlant(t), tc.mk(k), route, cfg)
 			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := sim.RunContext(context.Background(), ref, mk(), route, sim.Config{Horizon: 5})
-			if err != nil {
-				t.Fatalf("%s lane %d scalar: %v", name, k, err)
+				t.Fatalf("%s lane %d reference: %v", tc.name, k, err)
 			}
 			want[k] = w
 
-			p, err := sim.NewPlant(sim.PlantConfig{})
+			one, err := sim.RunContext(context.Background(), newPlant(t), tc.mk(k), route, cfg)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s lane %d RunContext: %v", tc.name, k, err)
 			}
-			batch[k] = sim.BatchVehicle{Plant: p, Ctrl: mk(), Requests: route}
+			assertSameResult(t, fmt.Sprintf("%s lane %d RunContext", tc.name, k), one, w)
+
+			batch[k] = sim.BatchVehicle{Plant: newPlant(t), Ctrl: tc.mk(k), Requests: route}
 		}
 		var sc sim.BatchScratch
-		got, err := sim.RunBatch(context.Background(), batch, sim.Config{Horizon: 5}, &sc)
+		got, err := sim.RunBatch(context.Background(), batch, cfg, &sc)
 		if err != nil {
-			t.Fatalf("%s batch: %v", name, err)
+			t.Fatalf("%s batch: %v", tc.name, err)
 		}
 		for k := 0; k < lanes; k++ {
-			if got[k] != want[k] {
-				t.Errorf("%s lane %d: batch result %+v != scalar %+v", name, k, got[k], want[k])
+			assertSameResult(t, fmt.Sprintf("%s lane %d batch", tc.name, k), got[k], want[k])
+		}
+	}
+}
+
+// assertSameResult compares two results with == on every field and, when
+// traced, on every element of every trace series.
+func assertSameResult(t *testing.T, label string, got, want sim.Result) {
+	t.Helper()
+	gotTr, wantTr := got.Trace, want.Trace
+	got.Trace, want.Trace = nil, nil
+	if got != want {
+		t.Errorf("%s: result %+v != reference %+v", label, got, want)
+	}
+	if (gotTr == nil) != (wantTr == nil) {
+		t.Fatalf("%s: trace presence %v, reference %v", label, gotTr != nil, wantTr != nil)
+	}
+	if gotTr == nil {
+		return
+	}
+	series := func(tr *sim.Trace) [][]float64 {
+		return [][]float64{tr.Time, tr.PowerRequest, tr.BatteryTemp, tr.CoolantTemp, tr.SoC,
+			tr.SoE, tr.CoolerPower, tr.BatteryPower, tr.CapPower, tr.BatteryHeat}
+	}
+	g, w := series(gotTr), series(wantTr)
+	for i := range w {
+		if len(g[i]) != len(w[i]) {
+			t.Errorf("%s: trace series %d has %d entries, reference %d", label, i, len(g[i]), len(w[i]))
+			continue
+		}
+		for j := range w[i] {
+			if g[i][j] != w[i][j] {
+				t.Errorf("%s: trace series %d step %d = %v, reference %v", label, i, j, g[i][j], w[i][j])
+				break
 			}
 		}
 	}
 }
 
+func newPlant(t *testing.T) *sim.Plant {
+	t.Helper()
+	p, err := sim.NewPlant(sim.PlantConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestRunBatchForecastDepthInvariance pins that the depth-limited forecast
 // fill cannot change outcomes: a controller reading the full window must
-// see identical results batched and scalar even when other lanes' depths
-// left stale entries in the shared buffer.
+// see identical results batched and in the scalar reference even when
+// other lanes' depths left stale entries in the shared buffer.
 func TestRunBatchForecastDepthInvariance(t *testing.T) {
 	route := batchTestRoute(7, 96)
 	ref, err := sim.NewPlant(sim.PlantConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunContext(context.Background(), ref, policy.NewDual(), route, sim.Config{Horizon: 8})
+	want, err := sim.ReferenceRun(context.Background(), ref, policy.NewDual(), route, sim.Config{Horizon: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,36 +159,95 @@ func TestRunBatchForecastDepthInvariance(t *testing.T) {
 }
 
 // TestRunBatchWarmNoAlloc proves the batched step loop is allocation-free
-// once the scratch is warm — the allocflow gate's runtime counterpart.
+// once the scratch is warm — the allocflow gate's runtime counterpart —
+// with and without per-lane traces.
 func TestRunBatchWarmNoAlloc(t *testing.T) {
 	const lanes = 16
-	routes := make([][]float64, lanes)
-	for k := range routes {
-		routes[k] = batchTestRoute(int64(k), 64)
-	}
 	batch := make([]sim.BatchVehicle, lanes)
-	var sc sim.BatchScratch
-	reset := func() {
-		for k := range batch {
-			p, err := sim.NewPlant(sim.PlantConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch[k] = sim.BatchVehicle{Plant: p, Ctrl: policy.Parallel{}, Requests: routes[k]}
-		}
+	for k := range batch {
+		batch[k] = sim.BatchVehicle{Plant: newPlant(t), Ctrl: policy.Parallel{}, Requests: batchTestRoute(int64(k), 64)}
 	}
-	reset()
-	if _, err := sim.RunBatch(context.Background(), batch, sim.Config{Horizon: 5}, &sc); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := sim.RunBatch(context.Background(), batch, sim.Config{Horizon: 5}, &sc); err != nil {
+	for _, cfg := range []sim.Config{{Horizon: 5}, {Horizon: 5, RecordTrace: true}} {
+		var sc sim.BatchScratch
+		if _, err := sim.RunBatch(context.Background(), batch, cfg, &sc); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// reset() allocations (fresh plants) are outside the measured closure;
-	// the warm batch loop itself must not allocate at all.
-	if allocs != 0 {
-		t.Fatalf("warm sim.RunBatch allocates %.2f per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := sim.RunBatch(context.Background(), batch, cfg, &sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Plant construction is outside the measured closure; the warm
+		// batch loop itself must not allocate at all.
+		if allocs != 0 {
+			t.Fatalf("warm sim.RunBatch (trace %v) allocates %.2f per run, want 0", cfg.RecordTrace, allocs)
+		}
+	}
+}
+
+// cancelAfter is a controller that cancels its context on its n-th
+// decision, so the engine sees the cancellation mid-route.
+type cancelAfter struct {
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Name() string { return "cancel-after" }
+
+func (c *cancelAfter) Decide(*sim.Plant, []float64) sim.Action {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return sim.Action{Arch: sim.ArchParallel}
+}
+
+// TestRunCancellation covers cooperative cancellation of the scalar entry
+// point and of a multi-lane batch, before the first step and mid-route:
+// the error must match both runner.ErrCanceled and context.Canceled, and
+// no partial result escapes.
+func TestRunCancellation(t *testing.T) {
+	route := batchTestRoute(3, 40)
+	for _, tc := range []struct {
+		name   string
+		midway bool
+		batch  bool
+	}{
+		{"RunContext/pre-canceled", false, false},
+		{"RunContext/mid-route", true, false},
+		{"RunBatch/pre-canceled", false, true},
+		{"RunBatch/mid-route", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctrl := func() sim.Controller { return policy.Parallel{} }
+			if tc.midway {
+				ctrl = func() sim.Controller { return &cancelAfter{n: 10, cancel: cancel} }
+			} else {
+				cancel()
+			}
+			var err error
+			if tc.batch {
+				lanes := make([]sim.BatchVehicle, 3)
+				for k := range lanes {
+					lanes[k] = sim.BatchVehicle{Plant: newPlant(t), Ctrl: ctrl(), Requests: route}
+				}
+				var sc sim.BatchScratch
+				var res []sim.Result
+				res, err = sim.RunBatch(ctx, lanes, sim.Config{Horizon: 4}, &sc)
+				if res != nil {
+					t.Errorf("canceled batch returned %d results, want nil", len(res))
+				}
+			} else {
+				var res sim.Result
+				res, err = sim.RunContext(ctx, newPlant(t), ctrl(), route, sim.Config{Horizon: 4, RecordTrace: true})
+				if res != (sim.Result{}) {
+					t.Errorf("canceled run returned %+v, want the zero Result", res)
+				}
+			}
+			if !errors.Is(err, runner.ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("error %v does not match both runner.ErrCanceled and context.Canceled", err)
+			}
+		})
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/cooling"
 	"repro/internal/core/floats"
 	"repro/internal/hees"
-	"repro/internal/runner"
 	"repro/internal/ultracap"
 )
 
@@ -170,7 +169,7 @@ func (tr *Trace) Reset() {
 // reserve grows each series to capacity n (keeping contents), so a run of n
 // steps appends without reallocating.
 //
-//lint:coldpath per-route capacity growth; a Scratch reused across routes hits the cap check and returns
+//lint:coldpath per-lane trace capacity growth; a BatchScratch reused across batches hits the cap check and returns
 func (tr *Trace) reserve(n int) {
 	if cap(tr.Time) >= n {
 		return
@@ -193,10 +192,9 @@ func (tr *Trace) reserve(n int) {
 }
 
 // append records one step in every series. The appends stay within the
-// capacity reserve preallocated; only an unwarmed (scratchless) trace
-// grows here, amortized by the runtime's doubling.
+// capacity reserve preallocated for the route, so they never grow.
 //
-//lint:coldpath appends land in reserved capacity on the warmed path; scratchless growth is amortized
+//lint:coldpath appends land in the capacity reserve preallocated for the route
 func (tr *Trace) append(t, pe, tb, tc, soc, soe, pcool, pbatt, pcap, qb float64) {
 	tr.Time = append(tr.Time, t)
 	tr.PowerRequest = append(tr.PowerRequest, pe)
@@ -278,20 +276,6 @@ type Config struct {
 	// Horizon is how many future samples are shown to the controller
 	// (≥ 1; the first entry is the current step).
 	Horizon int
-	// Scratch optionally supplies reusable run buffers; nil allocates fresh
-	// ones (the original behaviour).
-	Scratch *Scratch
-}
-
-// Scratch holds the per-run buffers — the forecast window and, when tracing,
-// the trace storage — so repeated simulations (sweeps, benchmark loops,
-// pooled workers) run without per-route allocations. Like an optimize
-// Workspace it is single-goroutine state: give each runner.Pool worker its
-// own. A Result produced with a Scratch aliases its trace storage, which the
-// next run reuses — copy the trace if it must survive.
-type Scratch struct {
-	forecast []float64
-	trace    Trace
 }
 
 // Run simulates the power-request series through the plant under the given
@@ -303,75 +287,21 @@ func Run(plant *Plant, ctrl Controller, requests []float64, cfg Config) (Result,
 // RunContext is Run with cooperative cancellation: the engine checks ctx
 // between steps and, when it fires, abandons the route with an error
 // matching runner.ErrCanceled (and the context's own error) via errors.Is.
-// The plant is left in its mid-route state.
-//
-//lint:hotpath the vehicle-step loop is the simulator's inner loop; with a warmed Scratch it must not allocate
+// A canceled or failed run returns a zero Result; the plant is left in its
+// mid-route state. The route runs as a one-lane RunBatch on a private
+// scratch, so the returned trace, if any, belongs to the caller.
 func RunContext(ctx context.Context, plant *Plant, ctrl Controller, requests []float64, cfg Config) (Result, error) {
-	if err := plant.Validate(); err != nil {
+	var sc BatchScratch
+	res, err := RunBatch(ctx, []BatchVehicle{{Plant: plant, Ctrl: ctrl, Requests: requests}}, cfg, &sc)
+	if err != nil {
 		return Result{}, err
 	}
-	if ctrl == nil {
-		return Result{}, errors.New("sim: nil controller")
-	}
-	if len(requests) == 0 {
-		return Result{}, errors.New("sim: empty request series")
-	}
-	horizon := cfg.Horizon
-	if horizon < 1 {
-		horizon = 1
-	}
-
-	res := Result{Controller: ctrl.Name(), Steps: len(requests), DT: plant.DT}
-	forecast := setupRoute(cfg, horizon, len(requests), &res)
-	safe := plant.HEES.Battery.Cell.SafeTemp
-	done := ctx.Done() // nil for context.Background(): the select never fires
-
-	var tempSum float64
-	for t, pe := range requests {
-		select {
-		case <-done:
-			return res, fmt.Errorf("sim: run canceled at step %d: %w", t, runner.Canceled(ctx.Err()))
-		default:
-		}
-		// Mirror the thermal state into the battery model before deciding.
-		plant.HEES.Battery.Temp = plant.Loop.BatteryTemp
-
-		// Build the forecast window (zero-padded past the route end,
-		// matching Algorithm 1 lines 11–12).
-		fillForecast(forecast, requests, t)
-
-		act := ctrl.Decide(plant, forecast)
-		load := pe + coolingLoad(plant, act)
-
-		rep, fellBack := executeAction(plant, act, load)
-		// Advance the thermal network with the battery heat of this step.
-		coolRes, err := advanceThermal(plant, act, rep.Batt.HeatRate)
-		if err != nil {
-			return res, fmt.Errorf("sim: thermal step %d: %w", t, err)
-		}
-		plant.HEES.Battery.Temp = plant.Loop.BatteryTemp
-
-		// Accumulate Algorithm 1 outputs (lines 17–18).
-		tb := plant.Loop.BatteryTemp
-		res.accumulateStep(rep, coolRes, fellBack, tb, safe, plant.DT)
-		tempSum += tb
-		if res.Trace != nil {
-			res.Trace.append(float64(t)*plant.DT, pe, tb, plant.Loop.CoolantTemp,
-				plant.HEES.Battery.SoC, plant.HEES.Cap.SoE,
-				coolRes.CoolerPower+coolRes.PumpPower,
-				rep.Batt.TerminalVoltage*rep.Batt.Current,
-				rep.Cap.TerminalVoltage*rep.Cap.Current,
-				rep.Batt.HeatRate)
-		}
-	}
-
-	res.finishRoute(plant, tempSum)
-	return res, nil
+	return res[0], nil
 }
 
 // fillForecast writes the window starting at step t into dst, zero-padded
-// past the route end. The batched rollout passes a depth-limited dst when
-// the controller declares (via ForecastReader) that it reads fewer entries.
+// past the route end. RunBatch passes a depth-limited dst when the
+// controller declares (via ForecastReader) that it reads fewer entries.
 func fillForecast(dst, requests []float64, t int) {
 	for k := range dst {
 		if t+k < len(requests) {
@@ -394,7 +324,7 @@ func coolingLoad(plant *Plant, act Action) float64 {
 
 // advanceThermal integrates the thermal network with this step's battery
 // heat, active or passive per the action.
-func advanceThermal(plant *Plant, act Action, heat float64) (cooling.StepResult, error) {
+func advanceThermal(plant *Plant, act *Action, heat float64) (cooling.StepResult, error) {
 	if act.CoolingOn {
 		return plant.Loop.StepActive(heat, act.InletTemp, plant.DT)
 	}
@@ -402,9 +332,8 @@ func advanceThermal(plant *Plant, act Action, heat float64) (cooling.StepResult,
 }
 
 // accumulateStep folds one step's outputs into the route result — the
-// single definition of Algorithm 1's accumulators, shared by the scalar
-// and the batched rollout so both produce bit-identical sums.
-func (res *Result) accumulateStep(rep hees.StepReport, coolRes cooling.StepResult, fellBack bool, tb, safe, dt float64) {
+// single definition of Algorithm 1's accumulators (lines 17–18).
+func (res *Result) accumulateStep(rep *hees.StepReport, coolRes cooling.StepResult, fellBack bool, tb, safe, dt float64) {
 	res.QlossPct += rep.Batt.AgingPct
 	res.HEESEnergyJ += rep.HEESEnergyJ
 	res.CoolingEnergyJ += (coolRes.CoolerPower + coolRes.PumpPower) * dt
@@ -426,29 +355,6 @@ func (res *Result) finishRoute(plant *Plant, tempSum float64) {
 	res.AvgBatteryTemp = tempSum / float64(res.Steps)
 	res.FinalSoC = plant.HEES.Battery.SoC
 	res.FinalSoE = plant.HEES.Cap.SoE
-}
-
-// setupRoute acquires the forecast window and, when tracing, the trace
-// storage — from the caller's Scratch when one is provided, freshly
-// otherwise — and wires the trace into res.
-//
-//lint:coldpath per-route setup runs once before the step loop; a reused Scratch makes it allocation-free too
-func setupRoute(cfg Config, horizon, steps int, res *Result) []float64 {
-	if sc := cfg.Scratch; sc != nil {
-		if cap(sc.forecast) < horizon {
-			sc.forecast = make([]float64, horizon)
-		}
-		if cfg.RecordTrace {
-			sc.trace.Reset()
-			sc.trace.reserve(steps)
-			res.Trace = &sc.trace
-		}
-		return sc.forecast[:horizon]
-	}
-	if cfg.RecordTrace {
-		res.Trace = &Trace{}
-	}
-	return make([]float64, horizon)
 }
 
 // unknownArch builds the cannot-happen error for an unmatched ArchKind;
@@ -529,8 +435,9 @@ func executeAction(plant *Plant, act Action, load float64) (hees.StepReport, boo
 }
 
 // batteryFallback is the last-resort path for an infeasible command:
-// battery alone, clamped to its capability. The batched rollout shares it
-// so an infeasible lane recovers through exactly the scalar sequence.
+// battery alone, clamped to its capability. RunBatch's parked bus lanes
+// share it, so an infeasible lane recovers through exactly the
+// executeAction sequence.
 func batteryFallback(s *hees.System, load, dt float64) (hees.StepReport, bool) {
 	rep2, err2 := stepBatteryDirect(s, load, dt)
 	if err2 != nil {

@@ -27,7 +27,7 @@ type BatchResult struct {
 // batch-level error is non-nil only when ctx was canceled, in which case
 // it matches ErrCanceled (and ctx.Err()) via errors.Is and the returned
 // slice is nil.
-func RunBatch(ctx context.Context, specs []RunSpec, opts ...BatchOption) ([]BatchResult, error) {
+func RunBatch(ctx context.Context, specs []RunSpec, opts ...Option) ([]BatchResult, error) {
 	pool := newSettings(opts).pool()
 	return runner.Map(ctx, pool, len(specs),
 		func(ctx context.Context, i int) (BatchResult, error) {

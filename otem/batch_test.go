@@ -185,7 +185,8 @@ func TestFunctionalOptions(t *testing.T) {
 		t.Error("WithTrace: trace missing")
 	}
 
-	// The deprecated struct must behave identically through the shim.
+	// Option order must not matter: the same options reversed on a fresh
+	// plant reproduce the run.
 	plant2, err := otem.NewPlant(otem.PlantConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -194,15 +195,15 @@ func TestFunctionalOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := otem.Simulate(plant2, ctrl2, requests, otem.SimOptions{RecordTrace: true, Horizon: 16})
+	res2, err := otem.Simulate(plant2, ctrl2, requests, otem.WithHorizon(16), otem.WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Trace == nil {
-		t.Error("SimOptions shim: trace missing")
+		t.Error("reordered options: trace missing")
 	}
 	if res.QlossPct != res2.QlossPct || res.Steps != res2.Steps {
-		t.Errorf("options vs shim diverged: %+v vs %+v", res.QlossPct, res2.QlossPct)
+		t.Errorf("reordered options diverged: %+v vs %+v", res.QlossPct, res2.QlossPct)
 	}
 }
 

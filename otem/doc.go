@@ -63,9 +63,7 @@
 // The same spec and seed produce a bit-identical result (same Digest, same
 // otem.fleet/v1 JSON from EncodeFleet) at any parallelism. Each worker
 // rolls its vehicles in structure-of-arrays batches with vectorized
-// lockstep bus solves; WithFleetBatch selects the lane width (0 = auto,
-// negative = the per-vehicle reference path) without changing a single
-// bit of the result.
+// lockstep bus solves, bit-identical to stepping them one at a time.
 //
 // # Two-layer hierarchical MPC
 //
@@ -96,7 +94,7 @@
 // WithTrace, WithHorizon, WithContext, WithParallelism, WithProgress.
 // Each entry point consumes the options that apply to it and ignores the
 // rest, so one option slice can parameterise a Simulate, a RunBatch and a
-// RunFleet alike. SimOption and BatchOption are aliases of Option.
+// RunFleet alike.
 //
 // # Canonical spec encoding
 //
@@ -121,14 +119,4 @@
 //	if _, err := otem.CycleByName(name); errors.Is(err, otem.ErrUnknownCycle) { … }
 //	if _, err := otem.Baseline(name); errors.Is(err, otem.ErrUnknownBaseline) { … }
 //	if err := doBatch(ctx); errors.Is(err, otem.ErrCanceled) { … }
-//
-// # Migration from SimOptions
-//
-// Simulate historically took a variadic SimOptions struct. It now takes
-// functional options; the struct still satisfies the SimOption interface,
-// so existing call sites keep compiling, but new code should write
-//
-//	otem.Simulate(plant, ctrl, requests, otem.WithTrace(), otem.WithHorizon(16))
-//
-// instead of otem.Simulate(plant, ctrl, requests, otem.SimOptions{…}).
 package otem

@@ -34,15 +34,13 @@ func FleetFamilyNames() []string { return fleet.FamilyNames() }
 // loss, energy and peak temperature into quantile sketches, in O(workers)
 // memory regardless of fleet size.
 //
-// The rollout is batched by default: vehicles advance in lockstep groups
-// over structure-of-arrays state (see WithFleetBatch), which is
-// bit-identical to the per-vehicle path at any width and worker count.
+// Vehicles advance in lockstep groups over structure-of-arrays state, so
+// their bus solves and forecast windows are shared across a group.
 //
 // Determinism: the same spec (seed included) produces a bit-identical
-// result at any parallelism and batch width. RunFleet consumes the
-// WithParallelism, WithFleetBatch and WithProgress options (progress ticks
-// are vehicles); the explicit context wins over WithContext. A nil ctx
-// means context.Background().
+// result at any parallelism. RunFleet consumes the WithParallelism and
+// WithProgress options (progress ticks are vehicles); the explicit context
+// wins over WithContext. A nil ctx means context.Background().
 func RunFleet(ctx context.Context, spec FleetSpec, opts ...Option) (*FleetResult, error) {
 	s := newSettings(opts)
 	if ctx == nil {
@@ -51,7 +49,6 @@ func RunFleet(ctx context.Context, spec FleetSpec, opts ...Option) (*FleetResult
 	return fleet.RunWith(ctx, spec, fleet.Options{
 		Pool:     s.workerPool(),
 		Progress: s.progress,
-		Batch:    s.fleetBatch,
 	})
 }
 

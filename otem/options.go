@@ -16,7 +16,6 @@ type settings struct {
 	trace       bool
 	horizon     int
 	parallelism int
-	fleetBatch  int
 	progress    func(done, total int)
 }
 
@@ -53,23 +52,13 @@ func (s settings) workerPool() *runner.Pool {
 //	WithTrace()          per-step traces  (Simulate)
 //	WithHorizon(n)       forecast window  (Simulate, ProjectLifetime)
 //	WithParallelism(n)   worker bound     (RunBatch, ExploreDesigns, RunFleet)
-//	WithFleetBatch(n)    rollout width    (RunFleet)
 //	WithProgress(fn)     completion ticks (RunBatch, ExploreDesigns, ProjectLifetime, RunFleet)
 //
 // Options outside an entry point's row are accepted and ignored, so one
-// option slice can parameterise a whole pipeline. SimOption and
-// BatchOption are the historical names for the same interface.
+// option slice can parameterise a whole pipeline.
 type Option interface {
 	applyOption(*settings)
 }
-
-// SimOption is the historical name Simulate used for Option; they are the
-// same interface.
-type SimOption = Option
-
-// BatchOption is the historical name RunBatch used for Option; they are
-// the same interface.
-type BatchOption = Option
 
 type optionFunc func(*settings)
 
@@ -108,16 +97,6 @@ func WithParallelism(n int) Option {
 	return optionFunc(func(s *settings) { s.parallelism = n })
 }
 
-// WithFleetBatch selects RunFleet's rollout: 0 (the default) runs the
-// structure-of-arrays batched rollout at its auto-tuned lane width, a
-// positive n batches n vehicles per lockstep group, and a negative value
-// forces the per-vehicle reference path. Outcomes are bit-identical across
-// every setting — the batch width only changes throughput, never the
-// digest — so it is safe to tune freely.
-func WithFleetBatch(n int) Option {
-	return optionFunc(func(s *settings) { s.fleetBatch = n })
-}
-
 // WithProgress registers a callback invoked as a run advances, with the
 // units done so far and the total (specs for RunBatch, grid points for
 // ExploreDesigns, routes for ProjectLifetime, vehicles for RunFleet).
@@ -125,24 +104,4 @@ func WithFleetBatch(n int) Option {
 // locking.
 func WithProgress(fn func(done, total int)) Option {
 	return optionFunc(func(s *settings) { s.progress = fn })
-}
-
-// SimOptions tunes Simulate.
-//
-// Deprecated: pass functional options instead — WithTrace() for
-// RecordTrace, WithHorizon(n) for Horizon. The struct satisfies Option so
-// existing call sites keep working.
-type SimOptions struct {
-	// RecordTrace captures per-step signals into Result.Trace.
-	RecordTrace bool
-	// Horizon overrides the forecast window handed to the controller
-	// (defaults to the OTEM default horizon).
-	Horizon int
-}
-
-func (o SimOptions) applyOption(s *settings) {
-	s.trace = o.RecordTrace
-	if o.Horizon > 0 {
-		s.horizon = o.Horizon
-	}
 }

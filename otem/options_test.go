@@ -99,30 +99,6 @@ func TestOptionsComposeAcrossEntryPoints(t *testing.T) {
 	}
 }
 
-// TestDeprecatedSimOptionsShim: the legacy struct still satisfies the
-// unified Option interface (and therefore SimOption, its alias).
-func TestDeprecatedSimOptionsShim(t *testing.T) {
-	var _ otem.Option = otem.SimOptions{}
-	var _ otem.SimOption = otem.SimOptions{}
-
-	plant, err := otem.NewPlant(otem.PlantConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := otem.Baseline("parallel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := otem.Simulate(plant, ctrl, []float64{10e3, 20e3},
-		otem.SimOptions{RecordTrace: true, Horizon: 8})
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
-	if res.Trace == nil {
-		t.Error("SimOptions shim lost RecordTrace")
-	}
-}
-
 // TestProjectLifetimeOptions: the lifetime entry point consumes context,
 // horizon and progress from the same option family.
 func TestProjectLifetimeOptions(t *testing.T) {

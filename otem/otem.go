@@ -122,7 +122,7 @@ func PowerSeries(cycleName string, repeats int) ([]float64, error) {
 // controller (the paper's Algorithm 1) and returns the route summary. The
 // plant is mutated in place. It consumes the WithTrace, WithHorizon and
 // WithContext options (see Option).
-func Simulate(plant *Plant, ctrl Controller, requests []float64, opts ...SimOption) (Result, error) {
+func Simulate(plant *Plant, ctrl Controller, requests []float64, opts ...Option) (Result, error) {
 	s := newSettings(opts)
 	if s.horizon < 1 {
 		s.horizon = core.DefaultConfig().Horizon
@@ -136,8 +136,8 @@ func Simulate(plant *Plant, ctrl Controller, requests []float64, opts ...SimOpti
 // SimulateContext is Simulate with cooperative cancellation: when ctx is
 // canceled the simulation abandons mid-route and the returned error
 // matches both ErrCanceled and ctx.Err() via errors.Is.
-func SimulateContext(ctx context.Context, plant *Plant, ctrl Controller, requests []float64, opts ...SimOption) (Result, error) {
-	return Simulate(plant, ctrl, requests, append([]SimOption{WithContext(ctx)}, opts...)...)
+func SimulateContext(ctx context.Context, plant *Plant, ctrl Controller, requests []float64, opts ...Option) (Result, error) {
+	return Simulate(plant, ctrl, requests, append([]Option{WithContext(ctx)}, opts...)...)
 }
 
 // Run executes one canned experiment specification (fresh default plant and
@@ -246,6 +246,6 @@ func ExploreDesigns(cfg DSEConfig, opts ...Option) (*DSEResult, error) {
 
 // ExploreDesignsContext is ExploreDesigns with the context as an explicit
 // leading argument (which wins over any WithContext option).
-func ExploreDesignsContext(ctx context.Context, cfg DSEConfig, opts ...BatchOption) (*DSEResult, error) {
+func ExploreDesignsContext(ctx context.Context, cfg DSEConfig, opts ...Option) (*DSEResult, error) {
 	return dse.ExploreContext(ctx, cfg, newSettings(opts).pool())
 }

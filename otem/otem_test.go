@@ -60,7 +60,7 @@ func TestSimulateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := otem.Simulate(plant, ctrl, requests, otem.SimOptions{RecordTrace: true})
+	res, err := otem.Simulate(plant, ctrl, requests, otem.WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestOTEMControllerViaFacade(t *testing.T) {
 	for i := range requests {
 		requests[i] = 15e3
 	}
-	res, err := otem.Simulate(plant, ctrl, requests, otem.SimOptions{Horizon: 16})
+	res, err := otem.Simulate(plant, ctrl, requests, otem.WithHorizon(16))
 	if err != nil {
 		t.Fatal(err)
 	}
