@@ -115,20 +115,27 @@ func etaAt(peak, min, nom, droop, v float64) (float64, bool) {
 	return eta, true
 }
 
-// expLanes replaces the first n entries of x with their exponentials: a
-// single lane takes one math.Exp, more lanes one vmath.Exp4 call. Both are
-// bit-identical to math.Exp. Lanes at and beyond n are reset to 0 first:
-// Exp4 overwrites them too, and a value left to grow step after step would
-// push every later call onto the kernel's scalar fallback.
-func expLanes(x *[maxLanes]float64, n int) {
-	if n == 1 {
-		x[0] = math.Exp(x[0])
+// expLanes replaces the first n entries of x with their exponentials. A
+// single lane, or any lane count without vmath's vector kernel, takes one
+// math.Exp per lane; more lanes take one vmath.Exp4 call per four. Both
+// are bit-identical to math.Exp. Lanes from n up to the next multiple of
+// four are reset to 0 first: Exp4 overwrites them too, and a value left to
+// grow step after step would push every later call onto the kernel's
+// scalar fallback.
+func expLanes(x *[laneBudget]float64, n int) {
+	if n == 1 || !vmath.Live() {
+		for j := 0; j < n; j++ {
+			x[j] = math.Exp(x[j])
+		}
 		return
 	}
-	for j := n; j < maxLanes; j++ {
+	for j := n; j < (n+3)&^3; j++ {
 		x[j] = 0
 	}
-	vmath.Exp4(x)
+	vmath.Exp4((*[4]float64)(x[0:4]))
+	if n > 4 {
+		vmath.Exp4((*[4]float64)(x[4:8]))
+	}
 }
 
 // laneState is one rollout lane's carried plant state and running cost.
@@ -136,73 +143,76 @@ type laneState struct {
 	soc, soe, tb, tc, cost float64
 }
 
-// objectiveFwd is the single source of truth for the MPC cost. It rolls the
-// model forward over the horizon for len(zs) decision vectors in lockstep
-// (1 to maxLanes lanes): lane j evaluates zs[j], records its intermediates
-// into o.tapes[j] and keys that tape by zs[j] and its cost, so the adjoint
-// can reuse whichever lane the solver accepts.
+// fwdLane is one lane of a lockstep rollout: the controller whose captured
+// plant, padded forecast and reference windows it rolls, the tape slot of
+// that controller it records into, and its decision vector.
+type fwdLane struct {
+	o    *OTEM
+	slot int
+	z    []float64
+}
+
+// objectiveFwd is the single source of truth for the MPC cost. It rolls
+// the model forward over the horizon for up to laneBudget lanes in
+// lockstep. The lanes may belong to different controllers (different
+// vehicles of a fleet) of one Config: lane j rolls its controller's
+// captured plant and forecast at lanes[j].z, records its intermediates
+// into that controller's tape slot lanes[j].slot and keys the slot by z and
+// its cost (tapeZ/tapeCost), so the adjoint can reuse whichever lane the
+// solver accepts. A controller's slots in one call must run from 0 up;
+// its tapeLanes ends as their count.
 //
 // The lanes share one instruction stream, and each step splits where the
 // battery formulas need exponentials (the Eq. 2/3/5 exps, then the aging
 // power law's): every lane computes its arguments, one expLanes call per
 // site evaluates them, and the lanes carry on. Each lane performs exactly
-// the operations a single-lane call performs on its z, so a lane's cost and
-// tape rows do not depend on how many lanes ran beside it; the single-lane
-// call is the plain objective.
+// the operations a single-lane call performs on its controller and z, so a
+// lane's cost and tape rows do not depend on which lanes ran beside it;
+// the single-lane call is the plain objective.
 //
 // Rows are written in full — every conditionally-set field is explicitly
 // reset — so a dirty, reused tape is fine and the hot path never zeroes or
 // copies a stepTape.
-func (o *OTEM) objectiveFwd(zs [][]float64) {
-	n := len(zs)
-	r := &o.roll
-	cfg := &o.cfg
-	spec := o.planner.Spec()
+//
+//lint:hotpath every trial of every replan rolls through here; allocflow proves it allocation-free
+func objectiveFwd(lanes []fwdLane) {
+	n := len(lanes)
+	lead := lanes[0].o
+	cfg := &lead.cfg
+	spec := lead.planner.Spec()
 	bs, nb, mIn := spec.BlockSize, spec.Blocks(), spec.InputsPerStep
-	cc := r.capConv
-	bc := r.battConv
-	dt := r.dt
-	cn := r.cnc
+	horizon := cfg.Horizon
 
-	// Hoist every scalar the loop reads into locals: the tape writes go
-	// through a pointer, so without this the compiler must reload each field
-	// from o.roll / o.cfg after every store. Values and operation order are
-	// unchanged.
-	cell := &r.cell
-	dvocdt := r.cell.DVocDT
-	agingPow := r.agingPow
-	coolerMax, pump, coolEff := r.coolerMax, r.pump, r.coolEff
-	capBusV, capC7, capESR := r.capBusV, r.capC7, r.capESR
-	capEnergy, capMinSoE := r.capEnergy, r.capMinSoE
-	cellOCVScale, packResScale := r.cellOCVScale, r.packResScale
-	packMaxI, parallel, cells := r.packMaxI, r.parallel, r.cells
-	packCapC, battMinSoC, safeTemp := r.packCapC, r.battMinSoC, r.safeTemp
-	battHeatCap, coolHeatCap := r.battHeatCap, r.coolHeatCap
-	hcSum := battHeatCap + coolHeatCap
-	wAmbient := cn.w * r.ambient
+	// Hoist the configuration's scalars into locals (every lane shares the
+	// Config): the tape writes go through a pointer, so without this the
+	// compiler must reload each field after every store. Values and
+	// operation order are unchanged. The captured plants differ per lane
+	// and are read through rs.
 	capPowerScale, stateWeight := cfg.CapPowerScale, cfg.StateWeight
 	safeTempWeight, targetTemp := cfg.SafeTempWeight, cfg.TargetTemp
-	tempPressureWeight, horizonF := cfg.TempPressureWeight, float64(cfg.Horizon)
+	tempPressureWeight, horizonF := cfg.TempPressureWeight, float64(horizon)
 	w1, w2, w3 := cfg.W1, cfg.W2, cfg.W3
-	fc := o.fc
-	tapes := &o.tapes
-	// Outer-layer tracking terms: latched per replan, skipped entirely for
-	// the flat controller so its cost stays bit-identical.
-	trackSoC, trackTb := o.trackSoC, o.trackTb
-	refS, refT := o.refSoC, o.refTb
 	socRefW, tbRefW := cfg.SoCRefWeight, cfg.TempRefWeight
 
-	var st [maxLanes]laneState
-	for j := 0; j < n; j++ {
+	var (
+		rs    [laneBudget]*rollout
+		tapes [laneBudget][]stepTape
+		st    [laneBudget]laneState
+	)
+	for j := range lanes {
+		o := lanes[j].o
+		r := &o.roll
+		rs[j] = r
+		tapes[j] = o.tapes[lanes[j].slot][:horizon]
 		st[j] = laneState{soc: r.soc, soe: r.soe, tb: r.tb, tc: r.tc}
 	}
 	// Per-site exponential arguments, overwritten in place by expLanes.
-	var eOCV, eResZ, eResT, eAge, ePow [maxLanes]float64
+	var eOCV, eResZ, eResT, eAge, ePow [laneBudget]float64
 
 	// Blocked-input cursor: base walks z one block every bs steps (same
 	// indexing as Spec.InputAt, without the per-step division).
 	base, nextBlockAt, lastBase := 0, bs, (nb-1)*mIn
-	for k := 0; k < cfg.Horizon; k++ {
+	for k := 0; k < horizon; k++ {
 		if k == nextBlockAt && base < lastBase {
 			base += mIn
 			nextBlockAt += bs
@@ -211,18 +221,21 @@ func (o *OTEM) objectiveFwd(zs [][]float64) {
 		// Cooling, ultracapacitor and SoE; then the arguments of the
 		// battery formulas' exponentials at this step's (soc, tb).
 		for j := 0; j < n; j++ {
+			r := rs[j]
+			cc := &r.capConv
+			capBusV, capESR, dt := r.capBusV, r.capESR, r.dt
 			s := &st[j]
 			tp := &tapes[j][k]
 			soc, soe, tb := s.soc, s.soe, s.tb
 			cost := s.cost
 			tp.soc0, tp.soe0, tp.tb0, tp.tc0 = soc, soe, tb, s.tc
-			z := zs[j]
+			z := lanes[j].z
 			tp.capU = z[base]
 			tp.coolU = z[base+1]
 
 			// --- Cooling: linear intensity model ---
-			tp.pcool = tp.coolU * (coolerMax + pump)
-			tp.qx = -tp.coolU * coolEff * coolerMax
+			tp.pcool = tp.coolU * (r.coolerMax + r.pump)
+			tp.qx = -tp.coolU * r.coolEff * r.coolerMax
 
 			// --- Ultracapacitor branch ---
 			capBus0 := tp.capU * capPowerScale
@@ -233,7 +246,7 @@ func (o *OTEM) objectiveFwd(zs [][]float64) {
 				tp.vcap = capBusV * math.Sqrt(1e-6)
 				tp.vcapClamped = true
 			}
-			tp.capMax = capC7
+			tp.capMax = r.capC7
 			tp.sagBranch = false
 			if capESR > 0 {
 				if sag := 0.97 * tp.vcap * tp.vcap / (4 * capESR); sag < tp.capMax {
@@ -271,9 +284,9 @@ func (o *OTEM) objectiveFwd(zs [][]float64) {
 				tp.capI = tp.capStorage / tp.vcap
 			}
 			tp.dEcap = (tp.capStorage + tp.capI*tp.capI*capESR) * dt
-			tp.soePre = soe - tp.dEcap/capEnergy
+			tp.soePre = soe - tp.dEcap/r.capEnergy
 			soe = tp.soePre
-			if d := capMinSoE - soe; d > 0 {
+			if d := r.capMinSoE - soe; d > 0 {
 				cost += stateWeight * d * d
 			}
 			tp.soeClampHi = false
@@ -284,6 +297,7 @@ func (o *OTEM) objectiveFwd(zs [][]float64) {
 			}
 			s.soe, s.cost = soe, cost
 
+			cell := &r.cell
 			zc := units.Clamp(soc, 0, 1)
 			eOCV[j] = cell.OCVExpArg(zc)
 			eResZ[j], eResT[j] = cell.ResistanceExpArgs(zc, tb)
@@ -297,16 +311,19 @@ func (o *OTEM) objectiveFwd(zs [][]float64) {
 		// Battery branch up to the cell current; then the argument of the
 		// aging power law's exponential at |cellI|.
 		for j := 0; j < n; j++ {
+			r := rs[j]
+			cell := &r.cell
+			bc := &r.battConv
 			s := &st[j]
 			tp := &tapes[j][k]
 			tb, cost := s.tb, s.cost
 			tp.ocvExp, tp.resZExp, tp.resTExp = eOCV[j], eResZ[j], eResT[j]
 
-			tp.battBus = fc[k] + tp.pcool - tp.capBus
-			tp.voc = cellOCVScale * cell.OCVFromExp(units.Clamp(tp.soc0, 0, 1), tp.ocvExp)
+			tp.battBus = lanes[j].o.fc[k] + tp.pcool - tp.capBus
+			tp.voc = r.cellOCVScale * cell.OCVFromExp(units.Clamp(tp.soc0, 0, 1), tp.ocvExp)
 			cellR := cell.ResistanceFromExp(tp.resZExp, tp.resTExp)
 			tp.cellR = cellR
-			tp.res = packResScale * cellR
+			tp.res = r.packResScale * cellR
 			tp.etaBatt, tp.etaBattP = etaAt(bc.PeakEfficiency, bc.MinEfficiency, bc.NominalVoltage, bc.Droop, tp.voc)
 			if tp.battBus >= 0 {
 				tp.bsPre = tp.battBus/tp.etaBatt + bc.IdleLoss
@@ -330,23 +347,27 @@ func (o *OTEM) objectiveFwd(zs [][]float64) {
 			}
 			tp.sBatt = math.Sqrt(disc)
 			tp.i = (tp.voc - tp.sBatt) / (2 * tp.res)
-			tp.overC6 = tp.i - packMaxI
+			tp.overC6 = tp.i - r.packMaxI
 			if tp.overC6 > 0 {
 				cost += 1e3 * tp.overC6 * tp.overC6
 			} else {
 				tp.overC6 = 0
 			}
-			tp.cellI = tp.i / parallel
+			tp.cellI = tp.i / r.parallel
 			// Inlined HeatRate: i²·R + i·T·dVoc/dT, reusing cellR (the same
 			// R(soc, tb) the method would recompute).
-			tp.heat = (tp.cellI*tp.cellI*cellR + tp.cellI*tb*dvocdt) * cells
+			tp.heat = (tp.cellI*tp.cellI*cellR + tp.cellI*tb*cell.DVocDT) * r.cells
 			s.cost = cost
-			ePow[j] = agingPow.ExpArg(math.Abs(tp.cellI))
+			ePow[j] = r.agingPow.ExpArg(math.Abs(tp.cellI))
 		}
 		expLanes(&ePow, n)
 
 		// Aging, SoC, thermal network and the step's cost terms.
 		for j := 0; j < n; j++ {
+			r := rs[j]
+			o := lanes[j].o
+			cn := &r.cnc
+			dt := r.dt
 			s := &st[j]
 			tp := &tapes[j][k]
 			soc, tb, tc, cost := s.soc, s.tb, s.tc, s.cost
@@ -354,13 +375,13 @@ func (o *OTEM) objectiveFwd(zs [][]float64) {
 			// Eq. 5 as CellParams.AgingRate evaluates it.
 			aging := 0.0
 			if ai := math.Abs(tp.cellI); battery.Ages(ai, tb) {
-				aging = cell.AgingRateFromExp(eAge[j], agingPow.FromExp(ai, ePow[j]))
+				aging = r.cell.AgingRateFromExp(eAge[j], r.agingPow.FromExp(ai, ePow[j]))
 			}
 			tp.aging = aging * dt
 			dEbat := tp.voc * tp.i * dt
-			tp.socPre = soc - tp.i*dt/packCapC
+			tp.socPre = soc - tp.i*dt/r.packCapC
 			soc = tp.socPre
-			if d := battMinSoC - soc; d > 0 {
+			if d := r.battMinSoC - soc; d > 0 {
 				cost += stateWeight * d * d
 			}
 			tp.socClampHi = false
@@ -372,25 +393,27 @@ func (o *OTEM) objectiveFwd(zs [][]float64) {
 
 			// --- Thermal network (closed-form CN, identical to CNStep2) ---
 			r0 := cn.r0tb*tb + cn.r0tc*tc + tp.heat
-			r1 := cn.r1tb*tb + cn.r1tc*tc + wAmbient + tp.qx
+			r1 := cn.r1tb*tb + cn.r1tc*tc + cn.w*r.ambient + tp.qx
 			tb = cn.i00*r0 + cn.i01*r1
 			tc = cn.i10*r0 + cn.i11*r1
 			tp.tb1, tp.tc1 = tb, tc
-			if d := tb - safeTemp; d > 0 {
+			if d := tb - r.safeTemp; d > 0 {
 				cost += safeTempWeight * d * d
 			}
-			tw := (battHeatCap*tb + coolHeatCap*tc) / hcSum
+			tw := (r.battHeatCap*tb + r.coolHeatCap*tc) / (r.battHeatCap + r.coolHeatCap)
 			if d := tw - targetTemp; d > 0 {
 				cost += tempPressureWeight / horizonF * d * d
 			}
 
-			// --- Outer-reference tracking (two-layer MPC) ---
-			if trackSoC {
-				d := soc - refS[k]
+			// --- Outer-reference tracking (two-layer MPC): latched per
+			// replan, skipped entirely for the flat controller so its cost
+			// stays bit-identical ---
+			if o.trackSoC {
+				d := soc - o.refSoC[k]
 				cost += socRefW * d * d
 			}
-			if trackTb {
-				d := tb - refT[k]
+			if o.trackTb {
+				d := tb - o.refTb[k]
 				cost += tbRefW * d * d
 			}
 
@@ -399,16 +422,18 @@ func (o *OTEM) objectiveFwd(zs [][]float64) {
 		}
 	}
 
-	for j := 0; j < n; j++ {
+	for j := range lanes {
+		ln := &lanes[j]
+		o := ln.o
 		cost := st[j].cost
 		if d := cfg.TEBTargetSoE - st[j].soe; d > 0 {
-			cost += cfg.TEBWeight * r.capEnergy * d * d
+			cost += cfg.TEBWeight * o.roll.capEnergy * d * d
 		}
-		o.tapeZ[j] = o.tapeZ[j][:len(zs[j])]
-		copy(o.tapeZ[j], zs[j])
-		o.tapeCost[j] = cost
+		o.tapeZ[ln.slot] = o.tapeZ[ln.slot][:len(ln.z)]
+		copy(o.tapeZ[ln.slot], ln.z)
+		o.tapeCost[ln.slot] = cost
+		o.tapeLanes = ln.slot + 1
 	}
-	o.tapeLanes = n
 }
 
 // objectiveGrad computes the cost and writes ∂cost/∂z into grad via the
@@ -427,7 +452,7 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 	// forward pass can be skipped — same rows, same cost, bit-identical.
 	lane := o.tapeLane(z)
 	if lane < 0 {
-		o.objectiveFwd([][]float64{z})
+		o.objective(z)
 		lane = 0
 	}
 	tape := o.tapes[lane][:cfg.Horizon]

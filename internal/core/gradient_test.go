@@ -39,8 +39,8 @@ func randomizedOTEM(t *testing.T, rng *rand.Rand) *OTEM {
 // replayTape runs a one-lane forward pass at z and returns a copy of the
 // recorded tape and the cost.
 func replayTape(o *OTEM, z []float64) ([]stepTape, float64) {
-	o.objectiveFwd([][]float64{z})
-	return append([]stepTape(nil), o.tapes[0][:o.cfg.Horizon]...), o.tapeCost[0]
+	cost := o.objective(z)
+	return append([]stepTape(nil), o.tapes[0][:o.cfg.Horizon]...), cost
 }
 
 func TestObjectiveFwdMatchesObjective(t *testing.T) {

@@ -10,15 +10,16 @@ import (
 	"repro/internal/units"
 )
 
-// withAllLanes gives o a tape for every rollout lane, so the lockstep
-// rollout can be exercised on hosts where New allocates only lane 0.
-func withAllLanes(o *OTEM) {
+// withAllSlots gives o a tape for every slot, so the lockstep rollout can
+// be exercised on hosts where New allocates only slot 0.
+func withAllSlots(o *OTEM) {
 	for j := range o.tapes {
 		if o.tapes[j] == nil {
 			o.tapes[j] = make([]stepTape, o.cfg.Horizon)
 			o.tapeZ[j] = make([]float64, o.planner.Spec().Dim())
 		}
 	}
+	o.slots = maxSpec
 }
 
 // sameRow reports whether two tape rows hold the same bits in every field.
@@ -84,15 +85,16 @@ func (c *laneBranches) add(o *OTEM, tp *stepTape) {
 // drawn wide enough to drive every clamp of the rollout: near-empty and
 // near-full storages, hot and cold packs, regen bursts, loads beyond the
 // pack's power and current limits, a cell without a temperature
-// correction, tracking terms, and (as degenerate model parameters) a zero
-// open-circuit scale and a zero capacitor bus voltage, whose discriminants
-// come out exactly zero.
-func laneScenario(t *testing.T, rng *rand.Rand) *OTEM {
+// correction, tracking terms (when tracking is set), and (as degenerate
+// model parameters) a zero open-circuit scale and a zero capacitor bus
+// voltage, whose discriminants come out exactly zero. Controllers built
+// with the same tracking flag share one Config, so they may share a
+// rollout.
+func laneScenario(t *testing.T, rng *rand.Rand, tracking bool) *OTEM {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Horizon = 16
 	cfg.BlockSize = 4
-	tracking := rng.Intn(3) == 0
 	if tracking {
 		cfg.SoCRefWeight = 5e7
 		cfg.TempRefWeight = 1e5
@@ -101,7 +103,7 @@ func laneScenario(t *testing.T, rng *rand.Rand) *OTEM {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withAllLanes(o)
+	withAllSlots(o)
 	plant, err := sim.NewPlant(sim.PlantConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +113,7 @@ func laneScenario(t *testing.T, rng *rand.Rand) *OTEM {
 	plant.HEES.Cap.SoE = pick(rng.Float64(), 1e-7, 0.999, 0.1)
 	plant.Loop.BatteryTemp = units.CToK(pick(10+35*rng.Float64(), 42))
 	plant.Loop.CoolantTemp = plant.Loop.BatteryTemp - 3*rng.Float64()
+	plant.Ambient = units.CToK(-10 + 50*rng.Float64())
 	if tracking {
 		ref := &Reference{SoC: make([]float64, 40), TempK: make([]float64, 40)}
 		for i := range ref.SoC {
@@ -156,38 +159,53 @@ func randomDecision(rng *rand.Rand, dim int) []float64 {
 	return z
 }
 
+// packedLanes builds one packed rollout call of n lanes over up to n
+// controllers: each controller takes 1 to maxSpec consecutive lanes, its
+// slots counted from 0 as the packer assigns them.
+func packedLanes(t *testing.T, rng *rand.Rand, n int, tracking bool) []fwdLane {
+	lanes := make([]fwdLane, 0, n)
+	for len(lanes) < n {
+		o := laneScenario(t, rng, tracking)
+		dim := o.planner.Spec().Dim()
+		m := min(1+rng.Intn(maxSpec), n-len(lanes))
+		for s := 0; s < m; s++ {
+			z := randomDecision(rng, dim)
+			if s > 0 && rng.Intn(8) == 0 {
+				copy(z, lanes[len(lanes)-1].z) // duplicate lanes must not interact
+			}
+			lanes = append(lanes, fwdLane{o: o, slot: s, z: z})
+		}
+	}
+	return lanes
+}
+
 // TestLockstepRolloutMatchesSingleLane is the lockstep rollout's
-// bit-identity contract: for every lane count, each lane's cost and every
-// field of every tape row equal a single-lane rollout at the same z, over
+// bit-identity contract: for every lane count up to laneBudget, each lane's
+// cost and every field of every tape row equal a single-lane rollout of its
+// own controller at the same z, over packed calls mixing controllers on
 // seeded random plants, forecasts and decisions that reach every clamp.
 func TestLockstepRolloutMatchesSingleLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var seen laneBranches
 	for trial := 0; trial < 400; trial++ {
-		o := laneScenario(t, rng)
-		dim := o.planner.Spec().Dim()
-		n := 2 + trial%(maxLanes-1)
-		zs := make([][]float64, n)
+		n := 2 + trial%(laneBudget-1)
+		lanes := packedLanes(t, rng, n, rng.Intn(3) == 0)
 		wantTape := make([][]stepTape, n)
 		wantCost := make([]float64, n)
-		for j := range zs {
-			zs[j] = randomDecision(rng, dim)
-			if j > 0 && rng.Intn(8) == 0 {
-				copy(zs[j], zs[j-1]) // duplicate lanes must not interact
-			}
-			wantTape[j], wantCost[j] = replayTape(o, zs[j])
+		for j, ln := range lanes {
+			wantTape[j], wantCost[j] = replayTape(ln.o, ln.z)
 		}
-		fs := make([]float64, n)
-		o.objectiveBatch(zs, fs)
-		for j := range zs {
-			if math.Float64bits(fs[j]) != math.Float64bits(wantCost[j]) {
-				t.Fatalf("trial %d lane %d/%d: batched cost %v, single lane %v", trial, j, n, fs[j], wantCost[j])
+		objectiveFwd(lanes)
+		for j, ln := range lanes {
+			o := ln.o
+			if got := o.tapeCost[ln.slot]; math.Float64bits(got) != math.Float64bits(wantCost[j]) {
+				t.Fatalf("trial %d lane %d/%d: packed cost %v, single lane %v", trial, j, n, got, wantCost[j])
 			}
-			if o.tapeLane(zs[j]) < 0 {
+			if lane := o.tapeLane(ln.z); lane < 0 || !sameVector(o.tapeZ[lane], ln.z) {
 				t.Fatalf("trial %d lane %d: tape not keyed by its z", trial, j)
 			}
 			for k := range wantTape[j] {
-				got := &o.tapes[j][k]
+				got := &o.tapes[ln.slot][k]
 				if !sameRow(got, &wantTape[j][k]) {
 					t.Fatalf("trial %d lane %d/%d step %d: tape row differs\n got %+v\nwant %+v", trial, j, n, k, *got, wantTape[j][k])
 				}
@@ -210,7 +228,7 @@ func TestLockstepRolloutMatchesSingleLane(t *testing.T) {
 func TestAdjointReusesForwardExponentials(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
-		o := laneScenario(t, rng)
+		o := laneScenario(t, rng, rng.Intn(3) == 0)
 		tape, _ := replayTape(o, randomDecision(rng, o.planner.Spec().Dim()))
 		cell := &o.roll.cell
 		for k := range tape {
@@ -226,31 +244,27 @@ func TestAdjointReusesForwardExponentials(t *testing.T) {
 	}
 }
 
-// TestGradientUsesMatchingLane checks that after a batched evaluation the
-// adjoint picks up the lane recorded at its z and returns that lane's cost
+// TestGradientUsesMatchingLane checks that after a packed evaluation the
+// adjoint picks up the slot recorded at its z and returns that slot's cost
 // and the gradient of a cold single-lane evaluation.
 func TestGradientUsesMatchingLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 50; trial++ {
-		o := laneScenario(t, rng)
-		dim := o.planner.Spec().Dim()
-		zs := make([][]float64, maxLanes)
-		for j := range zs {
-			zs[j] = randomDecision(rng, dim)
-		}
-		fs := make([]float64, maxLanes)
-		o.objectiveBatch(zs, fs)
-		j := rng.Intn(maxLanes)
-		warm := make([]float64, dim)
-		if cost := o.objectiveGrad(zs[j], warm); math.Float64bits(cost) != math.Float64bits(fs[j]) {
-			t.Fatalf("trial %d: reused lane %d cost %v, batch %v", trial, j, cost, fs[j])
+		lanes := packedLanes(t, rng, laneBudget, rng.Intn(3) == 0)
+		objectiveFwd(lanes)
+		ln := lanes[rng.Intn(len(lanes))]
+		o := ln.o
+		want := o.tapeCost[o.tapeLane(ln.z)]
+		warm := make([]float64, len(ln.z))
+		if cost := o.objectiveGrad(ln.z, warm); math.Float64bits(cost) != math.Float64bits(want) {
+			t.Fatalf("trial %d: reused slot %d cost %v, packed %v", trial, ln.slot, cost, want)
 		}
 		o.tapeLanes = 0
-		cold := make([]float64, dim)
-		o.objectiveGrad(zs[j], cold)
+		cold := make([]float64, len(ln.z))
+		o.objectiveGrad(ln.z, cold)
 		for i := range cold {
 			if math.Float64bits(cold[i]) != math.Float64bits(warm[i]) {
-				t.Fatalf("trial %d grad[%d]: lane %d %v, cold %v", trial, i, j, warm[i], cold[i])
+				t.Fatalf("trial %d grad[%d]: slot %d %v, cold %v", trial, i, ln.slot, warm[i], cold[i])
 			}
 		}
 	}

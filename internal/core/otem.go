@@ -163,29 +163,39 @@ type OTEM struct {
 	// forecast buffer padded to the horizon.
 	fc []float64
 	// tapes holds one set of adjoint-gradient intermediates (gradient.go)
-	// per rollout lane: lane 0 serves plain objective evaluations, and the
-	// batched line search fills up to maxLanes. They are the scratch of
+	// per tape slot: slot 0 serves plain objective evaluations, and a
+	// replan's speculative line-search trials fill up to slots of them (1,
+	// or maxSpec where vmath's vector exp is live). They are the scratch of
 	// every evaluation, so steady-state replans never allocate.
-	tapes [maxLanes][]stepTape
-	// tapeZ/tapeCost key each lane's tape by the decision vector and cost
-	// it was recorded at; tapeLanes counts the lanes holding a recording
+	tapes [maxSpec][]stepTape
+	slots int
+	// tapeZ/tapeCost key each slot's tape by the decision vector and cost
+	// it was recorded at; tapeLanes counts the slots holding a recording
 	// of the current replan (0 after a capture). The line search always
 	// evaluates the objective at the accepted point immediately before the
 	// solver asks for its gradient, so the adjoint can skip its own
-	// forward pass by reading the lane whose z matches — bit-identical,
+	// forward pass by reading the slot whose z matches — bit-identical,
 	// since the tape rows are exactly what that forward pass would
 	// re-record.
-	tapeZ     [maxLanes][]float64
-	tapeCost  [maxLanes]float64
+	tapeZ     [maxSpec][]float64
+	tapeCost  [maxSpec]float64
 	tapeLanes int
 
-	// objFn/gradFn/batchFn are the planner callbacks, bound once at
-	// construction so each replan does not allocate a method value or
-	// closure. batchFn is nil unless vmath's vector exp is live: without
-	// it a lockstep rollout is no faster than its lanes one by one.
-	objFn   func([]float64) float64
-	gradFn  func(z, g []float64)
-	batchFn func(zs [][]float64, fs []float64)
+	// objFn/gradFn are the planner callbacks, bound once at construction
+	// so each replan does not allocate a method value or closure.
+	objFn  func([]float64) float64
+	gradFn func(z, g []float64)
+
+	// State of a replan in a lockstep group (group.go): replanning from
+	// beginReplan to endReplan, solving until the planner is done (started
+	// records whether it began at all), the class leader whose Config this
+	// controller's trials pack with, the trials asked of the planner this
+	// round and the budget of the next Ask. stats is the leader's count of
+	// its packing work.
+	replanning, solving, started bool
+	lead                         *OTEM
+	asked, budget                int
+	stats                        packStats
 
 	// Outer-layer reference tracking (reference.go). ref is the installed
 	// trajectory (nil without an outer layer); stepAbs is the absolute
@@ -230,16 +240,15 @@ func New(cfg Config) (*OTEM, error) {
 		refSoC:  make([]float64, cfg.Horizon),
 		refTb:   make([]float64, cfg.Horizon),
 	}
-	lanes := 1
+	o.slots = 1
 	if vmath.Live() {
-		lanes = maxLanes
-		o.batchFn = o.objectiveBatch
+		o.slots = maxSpec
 	}
-	// One backing array each for the lanes' tapes and keys, so extra lanes
+	// One backing array each for the slots' tapes and keys, so extra slots
 	// add no allocations.
 	h, dim := cfg.Horizon, planner.Spec().Dim()
-	rows, keys := make([]stepTape, lanes*h), make([]float64, lanes*dim)
-	for j := 0; j < lanes; j++ {
+	rows, keys := make([]stepTape, o.slots*h), make([]float64, o.slots*dim)
+	for j := 0; j < o.slots; j++ {
 		o.tapes[j] = rows[j*h : (j+1)*h : (j+1)*h]
 		o.tapeZ[j] = keys[j*dim : (j+1)*dim : (j+1)*dim]
 	}
@@ -260,18 +269,28 @@ func (o *OTEM) ForecastDepth() int { return -1 }
 
 // Decide implements sim.Controller: execute the current plan, re-solving
 // the Eq. 18/19 optimisation every ReplanInterval steps (paper Alg. 1
-// lines 10–22).
+// lines 10–22). It is DecideGroup over a group of one lane.
 func (o *OTEM) Decide(p *sim.Plant, forecast []float64) sim.Action {
+	g := [1]sim.GroupLane{{Ctrl: o, Plant: p, Forecast: forecast}}
+	o.DecideGroup(g[:])
+	return g[0].Action
+}
+
+// dueForReplan reports whether this step re-solves: the plan is spent or
+// missing, or the realized state drifted past the reference tolerances —
+// the rest of the current plan then tracks a trajectory it can no longer
+// reach, so it re-solves now instead of waiting out the interval.
+func (o *OTEM) dueForReplan(p *sim.Plant) bool {
 	if o.planValid && o.cursor < o.cfg.ReplanInterval && o.divergedFromRef(p) {
-		// The realized state drifted past the reference tolerances: the
-		// rest of the current plan tracks a trajectory it can no longer
-		// reach, so re-solve now instead of waiting out the interval.
 		o.planValid = false
 		o.nudges++
 	}
-	if !o.planValid || o.cursor >= o.cfg.ReplanInterval {
-		o.replan(p, forecast)
-	}
+	return !o.planValid || o.cursor >= o.cfg.ReplanInterval
+}
+
+// execute returns the current plan's action for this step and advances
+// the cursor.
+func (o *OTEM) execute(p *sim.Plant, forecast []float64) sim.Action {
 	o.stepAbs++
 	capU := o.planner.Spec().InputAt(o.plan, o.cursor, 0)
 	coolU := o.planner.Spec().InputAt(o.plan, o.cursor, 1)
@@ -307,8 +326,18 @@ func (o *OTEM) Decide(p *sim.Plant, forecast []float64) sim.Action {
 }
 
 // replan snapshots the plant, solves the horizon problem and resets the
-// execution cursor.
+// execution cursor: a replan group of one.
 func (o *OTEM) replan(p *sim.Plant, forecast []float64) {
+	o.beginReplan(p, forecast)
+	g := [1]sim.GroupLane{{Ctrl: o}}
+	replanGroup(g[:])
+	o.endReplan()
+}
+
+// beginReplan snapshots the plant and forecast into the rollout and starts
+// the planner's ask/tell solve; replanGroup drives it and endReplan takes
+// its plan.
+func (o *OTEM) beginReplan(p *sim.Plant, forecast []float64) {
 	o.roll.capture(p, o.cfg)
 	o.prepareRefWindow()
 	o.replans++
@@ -323,45 +352,43 @@ func (o *OTEM) replan(p *sim.Plant, forecast []float64) {
 		}
 	}
 	o.planner.Advance(o.cursor)
-	plan, _, err := o.planner.PlanGrad(o.objFn, o.gradFn, o.batchFn)
-	if err != nil {
+	o.replanning = true
+	o.started = o.planner.Start(o.objFn, o.gradFn) == nil
+	o.solving = o.started
+}
+
+// endReplan installs the finished solve's plan and resets the cursor.
+func (o *OTEM) endReplan() {
+	o.replanning = false
+	if o.started {
+		// The buffer was sized to the decision dimension at construction,
+		// so this reslice-and-copy never grows it (replan is on the warm
+		// PlanTrip path and must stay allocation-free).
+		plan, _ := o.planner.Finish()
+		o.plan = o.plan[:len(plan)]
+		copy(o.plan, plan)
+	} else {
 		// Objective failures cannot happen with a validated config; fall
 		// back to a do-nothing hybrid action (battery carries everything).
 		o.plan = o.plan[:o.planner.Spec().Dim()]
 		for i := range o.plan {
 			o.plan[i] = 0
 		}
-	} else {
-		// The buffer was sized to the decision dimension at construction,
-		// so this reslice-and-copy never grows it (replan is on the warm
-		// PlanTrip path and must stay allocation-free).
-		o.plan = o.plan[:len(plan)]
-		copy(o.plan, plan)
 	}
 	o.planValid = true
 	o.cursor = 0
 }
 
-// maxLanes is the widest lockstep rollout: one lane per point of an
-// optimize.FuncBatch call, and one vmath.Exp4 lane each.
-const maxLanes = optimize.BatchWidth
-
 // objective is the single-shooting cost of the blocked decision vector z:
-// the one-lane forward pass (gradient.go has the rollout and the adjoint).
+// a one-lane forward pass into tape slot 0 (gradient.go has the rollout
+// and the adjoint).
 func (o *OTEM) objective(z []float64) float64 {
-	o.objectiveFwd([][]float64{z})
+	lane := [1]fwdLane{{o: o, z: z}}
+	objectiveFwd(lane[:])
 	return o.tapeCost[0]
 }
 
-// objectiveBatch is objective at up to maxLanes points in one lockstep
-// rollout: fs[j] equals objective(zs[j]) bit for bit (optimize.Problem's
-// FuncBatch contract).
-func (o *OTEM) objectiveBatch(zs [][]float64, fs []float64) {
-	o.objectiveFwd(zs)
-	copy(fs, o.tapeCost[:len(zs)])
-}
-
-// tapeLane returns the lane whose tape was recorded at exactly this z in
+// tapeLane returns the slot whose tape was recorded at exactly this z in
 // the current replan, or -1.
 func (o *OTEM) tapeLane(z []float64) int {
 	for j := 0; j < o.tapeLanes; j++ {

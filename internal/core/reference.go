@@ -164,12 +164,12 @@ func (o *OTEM) PlanTrip(p *sim.Plant, forecast []float64, traj *Trajectory) ([]f
 		return o.plan, nil
 	}
 	// The solver's last objective evaluation is usually the accepted
-	// point, so a lane's tape already holds this rollout; otherwise replay
+	// point, so a slot's tape already holds this rollout; otherwise replay
 	// the forward pass at the final plan (same cost path as the line
 	// search).
 	lane := o.tapeLane(o.plan)
 	if lane < 0 {
-		o.objectiveFwd([][]float64{o.plan})
+		o.objective(o.plan)
 		lane = 0
 	}
 	tape := o.tapes[lane][:h]

@@ -36,8 +36,8 @@ func warmOTEM(tb testing.TB) (*OTEM, *sim.Plant, []float64) {
 func TestReplanReusesBuffers(t *testing.T) {
 	o, plant, forecast := warmOTEM(t)
 
-	var tape0 [maxLanes]*stepTape
-	var tapeZ0 [maxLanes]*float64
+	var tape0 [maxSpec]*stepTape
+	var tapeZ0 [maxSpec]*float64
 	for j := range o.tapes {
 		if o.tapes[j] != nil {
 			tape0[j], tapeZ0[j] = &o.tapes[j][0], &o.tapeZ[j][0]
@@ -51,7 +51,7 @@ func TestReplanReusesBuffers(t *testing.T) {
 		o.replan(plant, forecast)
 		for j := range o.tapes {
 			if tape0[j] != nil && (&o.tapes[j][0] != tape0[j] || &o.tapeZ[j][0] != tapeZ0[j]) {
-				t.Fatalf("replan %d reallocated lane %d's tape or tape key", i, j)
+				t.Fatalf("replan %d reallocated slot %d's tape or tape key", i, j)
 			}
 		}
 		if &o.plan[0] != plan0 || cap(o.plan) != planCap {

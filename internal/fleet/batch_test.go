@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/runner"
+	"repro/internal/vmath"
 )
 
 // TestBatchedIdentityAcrossWidthsAndWorkers is the tentpole's hard
@@ -67,6 +68,30 @@ func TestBatchedIdentityOtherMethods(t *testing.T) {
 				t.Errorf("%s batch=%d: digest %s != reference %s",
 					tc.method, width, got.Digest(), ref.Digest())
 			}
+		}
+	}
+}
+
+// TestBatchedOTEMIdentityPortable reruns the OTEM case of
+// TestBatchedIdentityOtherMethods with vmath forced onto its portable
+// path, where the replan packer puts one trial per vehicle into each
+// round and speculates none: the digest must still equal the reference
+// rolled on the host's default path.
+func TestBatchedOTEMIdentityPortable(t *testing.T) {
+	spec := Spec{Vehicles: 6, Days: 1, Seed: 99, Method: policy.MethodologyOTEM, RouteSeconds: 120}
+	ref, err := runReference(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vmath.UsePortable(true)
+	defer vmath.UsePortable(false)
+	for _, width := range []int{1, DefaultBatch} {
+		got, err := runWith(context.Background(), spec, Options{}, width)
+		if err != nil {
+			t.Fatalf("batch=%d: %v", width, err)
+		}
+		if got.Digest() != ref.Digest() {
+			t.Errorf("portable batch=%d: digest %s != reference %s", width, got.Digest(), ref.Digest())
 		}
 	}
 }

@@ -136,34 +136,71 @@ func (p *Planner) resetWarm() {
 // returned slice and Result alias the planner's internal state — copy them
 // if they must survive the next Plan call.
 func (p *Planner) Plan(objective func(z []float64) float64) ([]float64, *optimize.Result, error) {
-	return p.PlanGrad(objective, nil, nil)
+	return p.PlanGrad(objective, nil)
 }
 
 // PlanGrad is Plan with an optional analytic gradient (grad writes
 // ∂objective/∂z into its second argument; when nil the solver falls back
-// to finite differences) and an optional batched objective (batch sets
-// fs[i] = objective(zs[i]) bit for bit, for up to optimize.BatchWidth
-// points; see optimize.Problem.FuncBatch).
+// to finite differences).
 //
 //lint:hotpath the warm re-plan runs once per control step; allocflow proves it allocation-free
-func (p *Planner) PlanGrad(objective func(z []float64) float64, grad func(z, g []float64), batch func(zs [][]float64, fs []float64)) ([]float64, *optimize.Result, error) {
+func (p *Planner) PlanGrad(objective func(z []float64) float64, grad func(z, g []float64)) ([]float64, *optimize.Result, error) {
 	if objective == nil {
 		return nil, nil, errors.New("mpc: nil objective")
 	}
 	p.prob.Func = objective
 	p.prob.Grad = grad
-	p.prob.FuncBatch = batch
-	res, err := p.ws.Minimize(&p.prob, p.warm, &p.spec.Options)
-	p.prob.Func = nil
-	p.prob.Grad = nil
-	p.prob.FuncBatch = nil
-	if err != nil {
+	if _, err := p.ws.Minimize(&p.prob, p.warm, &p.spec.Options); err != nil {
+		p.prob.Func, p.prob.Grad = nil, nil
 		return nil, nil, err
 	}
-	p.res = res
-	copy(p.warm, res.X)
+	plan, res := p.Finish()
+	return plan, res, nil
+}
+
+// Start begins an ask/tell plan from the warm start, for a caller that
+// evaluates the objective itself — several points, or several planners'
+// points, at once. Drive it with Ask and Tell until Done, then call
+// Finish. objective and grad play their PlanGrad roles: grad (or, when
+// nil, finite differences of objective) runs synchronously inside Tell.
+func (p *Planner) Start(objective func(z []float64) float64, grad func(z, g []float64)) error {
+	if objective == nil {
+		return errors.New("mpc: nil objective")
+	}
+	p.prob.Func = objective
+	p.prob.Grad = grad
+	if err := p.ws.Start(&p.prob, p.warm, &p.spec.Options); err != nil {
+		p.prob.Func, p.prob.Grad = nil, nil
+		return err
+	}
+	return nil
+}
+
+// Ask returns the decision vectors whose objective values the plan needs
+// next (optimize.Workspace.Ask), nil once it is Done.
+func (p *Planner) Ask(budget int) [][]float64 { return p.ws.Ask(budget) }
+
+// Tell takes the objective values of the last Ask's points, in order
+// (optimize.Workspace.Tell).
+func (p *Planner) Tell(fs []float64) { p.ws.Tell(fs) }
+
+// Backtracking reports whether the next Ask continues a line search past a
+// rejected trial, where a budget above 1 is honoured.
+func (p *Planner) Backtracking() bool { return p.ws.Backtracking() }
+
+// Done reports whether the plan begun by Start has ended.
+func (p *Planner) Done() bool { return p.ws.Done() }
+
+// Finish ends the plan begun by Start: the solution becomes the warm start
+// for the next one and is returned with its Result, both aliasing the
+// planner's state as Plan's do.
+func (p *Planner) Finish() ([]float64, *optimize.Result) {
+	p.prob.Func = nil
+	p.prob.Grad = nil
+	p.res = p.ws.Result()
+	copy(p.warm, p.res.X)
 	p.haveWarm = true
-	return p.warm, &p.res, nil
+	return p.warm, &p.res
 }
 
 // Advance shifts the warm start forward by the given number of plant steps

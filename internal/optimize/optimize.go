@@ -54,11 +54,6 @@ type Problem struct {
 	// Grad writes the gradient of Func at x into grad. Optional; when nil a
 	// central finite difference of Func is used.
 	Grad func(x, grad []float64)
-	// FuncBatch, when set, evaluates Func at up to BatchWidth points at
-	// once: fs[i] = Func(xs[i]), bit for bit. Optional. The line search
-	// uses it to evaluate backtracking trials together after its first
-	// rejected trial; every Result field is the same with or without it.
-	FuncBatch func(xs [][]float64, fs []float64)
 	// Lower and Upper, when non-nil, bound each variable. A nil slice means
 	// unbounded on that side; individual entries may be ±Inf.
 	Lower, Upper []float64
@@ -113,7 +108,7 @@ type Result struct {
 	Status Status
 }
 
-// BatchWidth is the most points one Problem.FuncBatch call evaluates.
+// BatchWidth is the most trial points one Workspace.Ask returns.
 const BatchWidth = 4
 
 // ErrBadProblem is returned for structurally invalid problems (missing
@@ -166,9 +161,17 @@ func (p *Problem) project(x []float64) {
 
 // Workspace owns every buffer Minimize needs — the iterate, gradient and
 // line-search vectors, the finite-difference scratch and the L-BFGS s/y/ρ
-// history ring. A caller that keeps a Workspace across invocations (a
-// warm-started MPC planner re-solving every control step) pays for the
-// buffers once and then minimises without allocating.
+// history ring — and the state of one resumable solve. A caller that keeps
+// a Workspace across invocations (a warm-started MPC planner re-solving
+// every control step) pays for the buffers once and then minimises without
+// allocating.
+//
+// The solve is an ask/tell state machine: Start begins it, Ask hands out
+// the next points whose objective values the solver needs, Tell takes
+// those values back, and Result reports the outcome once Done. Minimize is
+// the loop over them that evaluates one point at a time; a caller that can
+// evaluate several points at once (or several problems' points at once)
+// drives Ask and Tell itself and gets the same Result.
 //
 // A Workspace is not safe for concurrent use: it is single-goroutine state,
 // exactly like a bytes.Buffer. Pools of workers (runner.Pool) need one
@@ -188,15 +191,42 @@ type Workspace struct {
 	rho          []float64
 	alpha        []float64
 
-	// Speculative line-search lanes: the trial points of one FuncBatch
-	// call, their values, step lengths and projected slopes.
+	// The points of the last Ask, their step lengths and projected slopes.
 	trials     [BatchWidth][]float64
-	trialF     [BatchWidth]float64
 	trialAlpha [BatchWidth]float64
 	trialSlope [BatchWidth]float64
 
+	// Ask/tell state: the problem and options of the running solve, where
+	// it stands, the current value, the outer iterations begun, and the
+	// line search in progress — its next step length, the raw directional
+	// derivative, the trials generated so far, the points the last Ask
+	// handed out and whether its last trial stopped moving x.
+	prob    *Problem
+	opts    Options
+	phase   phase
+	f       float64
+	iter    int
+	status  Status
+	step    int
+	asked   int
+	stalled bool
+	lsAlpha float64
+	gd      float64
+
 	evals int
 }
+
+// phase is where an ask/tell solve stands.
+type phase int
+
+const (
+	// phaseDone: no solve is running (before Start, or after it ended).
+	phaseDone phase = iota
+	// phaseStart: the objective at the projected start point is pending.
+	phaseStart
+	// phaseSearch: a backtracking line search is running.
+	phaseSearch
+)
 
 // NewWorkspace returns an empty workspace. Buffers are allocated lazily on
 // the first Minimize call and reused afterwards.
@@ -205,19 +235,16 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // ensure sizes the buffers for an n-dimensional problem with memory m and
 // resets the per-call state (history, evaluation counter). Buffers grow
 // only when the problem outgrows every earlier call, so the makes below
-// amortize to zero on a warm workspace.
+// amortize to zero on a warm workspace; the vectors share one block.
 //
 //lint:coldpath buffer growth runs once per problem size; warm calls only reslice
 func (ws *Workspace) ensure(n, m int) {
 	if n > ws.dim {
-		ws.x = make([]float64, n)
-		ws.g = make([]float64, n)
-		ws.dir = make([]float64, n)
-		ws.xNew = make([]float64, n)
-		ws.gNew = make([]float64, n)
-		ws.fdX = make([]float64, n)
+		block := make([]float64, (6+BatchWidth)*n)
+		vec := func(i int) []float64 { return block[i*n : (i+1)*n : (i+1)*n] }
+		ws.x, ws.g, ws.dir, ws.xNew, ws.gNew, ws.fdX = vec(0), vec(1), vec(2), vec(3), vec(4), vec(5)
 		for i := range ws.trials {
-			ws.trials[i] = make([]float64, n)
+			ws.trials[i] = vec(6 + i)
 		}
 		ws.dim = n
 		// Row storage is dimension-dependent; force a pool rebuild.
@@ -254,12 +281,6 @@ func (ws *Workspace) resetHistory() {
 	ws.sHist = ws.sHist[:0]
 	ws.yHist = ws.yHist[:0]
 	ws.rho = ws.rho[:0]
-}
-
-// value evaluates the objective, counting the call.
-func (ws *Workspace) value(p *Problem, x []float64) float64 {
-	ws.evals++
-	return p.Func(x)
 }
 
 // gradient writes ∇f(x) into grad: the analytic gradient when the problem
@@ -349,153 +370,243 @@ func Minimize(p *Problem, x0 []float64, opts *Options) (*Result, error) {
 }
 
 // Minimize is the workspace-reusing form of the package-level Minimize: the
-// same projected L-BFGS, but every buffer comes from the workspace, so a
-// warm workspace performs the whole minimisation without allocating.
+// ask/tell loop that evaluates one point at a time. Every buffer comes from
+// the workspace, so a warm workspace performs the whole minimisation
+// without allocating.
 //
 // The returned Result.X aliases workspace storage and is only valid until
 // the next call on the same workspace — copy it if it must survive.
 //
 //lint:hotpath the warm re-solve runs every MPC step; allocflow proves it allocation-free
 func (ws *Workspace) Minimize(p *Problem, x0 []float64, opts *Options) (Result, error) {
-	if err := p.validate(x0); err != nil {
+	if err := ws.Start(p, x0, opts); err != nil {
 		return Result{}, err
 	}
-	o := opts.withDefaults()
-	n := p.Dim
-	ws.ensure(n, o.Memory)
-
-	x := ws.x
-	copy(x, x0)
-	p.project(x)
-	f := ws.value(p, x)
-	g := ws.g
-	ws.gradient(p, x, g)
-
-	dir, xNew, gNew := ws.dir, ws.xNew, ws.gNew
-
-	res := Result{X: x, F: f}
-	status := MaxIterationsReached
-
-	for iter := 0; iter < o.MaxIterations; iter++ {
-		res.Iterations = iter + 1
-		// Convergence test on the projected gradient step.
-		if projectedGradNorm(p, x, g) < o.Tolerance {
-			status = Converged
-			break
+	var f [1]float64
+	for {
+		pts := ws.Ask(1)
+		if len(pts) == 0 {
+			return ws.Result(), nil
 		}
-
-		// Two-loop recursion for d = -H·g, restricted to free variables so
-		// bound-active coordinates do not pollute the curvature estimate.
-		twoLoop(dir, g, ws.sHist, ws.yHist, ws.rho, ws.alpha)
-		for i := range dir {
-			dir[i] = -dir[i]
-		}
-		// Ensure descent; fall back to steepest descent if the quasi-Newton
-		// direction is uphill (can happen right after history resets).
-		if dot(dir, g) >= 0 {
-			for i := range dir {
-				dir[i] = -g[i]
-			}
-		}
-
-		// A unit quasi-Newton step is the right default once curvature
-		// information exists; before that, scale by the gradient so the
-		// first probe is O(1) rather than O(‖g‖).
-		alpha0 := 1.0
-		if len(ws.sHist) == 0 {
-			if gn := normInf(g); gn > 1 {
-				alpha0 = 1 / gn
-			}
-		}
-		fNew, ok := ws.lineSearch(p, x, f, g, dir, xNew, o.MaxLineSearch, alpha0)
-		if !ok && len(ws.sHist) > 0 {
-			// The quasi-Newton model went bad; drop the history and retry
-			// with a scaled steepest-descent step.
-			ws.resetHistory()
-			for i := range dir {
-				dir[i] = -g[i]
-			}
-			if gn := normInf(g); gn > 1 {
-				alpha0 = 1 / gn
-			} else {
-				alpha0 = 1
-			}
-			fNew, ok = ws.lineSearch(p, x, f, g, dir, xNew, o.MaxLineSearch, alpha0)
-		}
-		if !ok {
-			status = LineSearchStalled
-			break
-		}
-		ws.gradient(p, xNew, gNew)
-
-		// Update curvature history with s = xNew-x, y = gNew-g.
-		ws.pushPair(x, xNew, g, gNew)
-
-		copy(x, xNew)
-		copy(g, gNew)
-		f = fNew
+		f[0] = p.Func(pts[0])
+		ws.Tell(f[:])
 	}
-
-	res.X = x
-	res.F = f
-	res.FuncEvals = ws.evals
-	res.Status = status
-	return res, nil
 }
 
-// lineSearch performs a projected backtracking Armijo line search along
-// dir, writing the accepted point to xNew and returning its value.
+// Start begins a projected L-BFGS solve of p from x0 (not modified), to be
+// driven by Ask and Tell. It replaces any solve in progress. The workspace
+// keeps p until the solve ends; p must not change meanwhile.
+func (ws *Workspace) Start(p *Problem, x0 []float64, opts *Options) error {
+	ws.phase = phaseDone
+	if err := p.validate(x0); err != nil {
+		return err
+	}
+	ws.opts = opts.withDefaults()
+	ws.ensure(p.Dim, ws.opts.Memory)
+	ws.prob = p
+	copy(ws.x, x0)
+	p.project(ws.x)
+	ws.f = 0
+	ws.iter = 0
+	ws.status = MaxIterationsReached
+	ws.asked = 0
+	ws.phase = phaseStart
+	return nil
+}
+
+// Ask returns the points whose objective values the solve needs next, nil
+// once it is Done. The first Ask of a solve returns the projected start
+// point. After that it returns trials of the current backtracking line
+// search: the search's first trial alone, then, after a rejection, up to
+// min(budget, BatchWidth) trials at once, generated exactly as the
+// one-at-a-time search would generate them (the same step halving and
+// projection, stopping at a trial that does not move x or at
+// MaxLineSearch). Trials past the one the search accepts are wasted
+// evaluations, so a budget above 1 is speculation.
 //
-// Trials halve the step from alpha0 until one is accepted, one does not
-// move x after projection, or maxSteps trials were made. The first trial
-// is evaluated alone: it is accepted often enough that evaluating more
-// with it would waste work. After a rejection, a problem with FuncBatch
-// evaluates the next up-to-BatchWidth trials in one call. They are
-// generated exactly as the one-at-a-time loop would (same step halving,
-// same projection, stopping at a trial that does not move or at
-// maxSteps) and scanned in order, and only the trials that loop would have
-// evaluated are counted, so the result and FuncEvals are the same either
-// way.
+// The returned points alias workspace storage: read them, do not modify
+// them, and pass their values to Tell, in order, before the next Ask.
 //
-//lint:hotpath runs every solver iteration; allocflow proves it allocation-free
-func (ws *Workspace) lineSearch(p *Problem, x []float64, f float64, g, dir, xNew []float64, maxSteps int, alpha0 float64) (float64, bool) {
-	alpha := alpha0
-	gd := dot(g, dir)
-	for step := 0; step < maxSteps; {
-		width := BatchWidth
-		if step == 0 || p.FuncBatch == nil {
-			width = 1
-		}
-		n, stalled := 0, false
-		for n < width && step < maxSteps {
-			t := ws.trials[n]
-			sg, moved := projectedTrial(p, x, g, dir, alpha, t)
-			if !moved {
-				stalled = true
-				break
+//lint:hotpath every replan asks once per trial round; allocflow proves it allocation-free
+func (ws *Workspace) Ask(budget int) [][]float64 {
+	ws.asked = 0
+	switch ws.phase {
+	case phaseStart:
+		copy(ws.trials[0], ws.x)
+		ws.asked = 1
+	case phaseSearch:
+		for ws.phase == phaseSearch && ws.asked == 0 {
+			ws.asked = ws.generate(budget)
+			if ws.asked == 0 {
+				// The search's next trial does not move x: it failed
+				// without another evaluation.
+				ws.searchFailed()
 			}
-			ws.trialAlpha[n], ws.trialSlope[n] = alpha, sg
-			alpha *= 0.5
-			step++
-			n++
-		}
-		if n == 1 {
-			ws.trialF[0] = p.Func(ws.trials[0])
-		} else if n > 1 {
-			p.FuncBatch(ws.trials[:n], ws.trialF[:n])
-		}
-		for i := 0; i < n; i++ {
-			ws.evals++
-			if fNew := ws.trialF[i]; armijo(f, fNew, ws.trialSlope[i], ws.trialAlpha[i], gd) {
-				copy(xNew, ws.trials[i])
-				return fNew, true
-			}
-		}
-		if stalled {
-			break
 		}
 	}
-	return f, false
+	if ws.asked == 0 {
+		return nil
+	}
+	return ws.trials[:ws.asked]
+}
+
+// Backtracking reports whether the next Ask continues a line search past
+// a rejected trial, where a budget above 1 is honoured.
+func (ws *Workspace) Backtracking() bool { return ws.phase == phaseSearch && ws.step > 0 }
+
+// Done reports whether the solve has ended (or none was started).
+func (ws *Workspace) Done() bool { return ws.phase == phaseDone }
+
+// Tell takes the objective values of the points the last Ask returned:
+// fs[i] belongs to point i. It scans them in order exactly as the
+// sequential search would, counting only the evaluations that search would
+// have made: the first trial the Armijo test accepts ends the line search,
+// and the values after it are ignored. An accepted point's gradient is
+// evaluated synchronously, through Problem.Grad or finite differences of
+// Problem.Func.
+//
+//lint:hotpath every replan tells once per trial round; allocflow proves it allocation-free
+func (ws *Workspace) Tell(fs []float64) {
+	n := ws.asked
+	ws.asked = 0
+	switch ws.phase {
+	case phaseStart:
+		ws.evals++
+		ws.f = fs[0]
+		ws.gradient(ws.prob, ws.x, ws.g)
+		ws.beginIteration()
+	case phaseSearch:
+		for i, fNew := range fs[:n] {
+			ws.evals++
+			if armijo(ws.f, fNew, ws.trialSlope[i], ws.trialAlpha[i], ws.gd) {
+				copy(ws.xNew, ws.trials[i])
+				ws.accept(fNew)
+				return
+			}
+		}
+		if ws.stalled || ws.step >= ws.opts.MaxLineSearch {
+			ws.searchFailed()
+		}
+	}
+}
+
+// Result reports the solve's outcome: the best point so far, its value,
+// the iterations begun, the evaluations counted and the status (final once
+// Done). Result.X aliases workspace storage.
+func (ws *Workspace) Result() Result {
+	return Result{X: ws.x, F: ws.f, Iterations: ws.iter, FuncEvals: ws.evals, Status: ws.status}
+}
+
+// beginIteration starts the next outer iteration from (x, f, g): the
+// iteration cap and the convergence test, then the quasi-Newton direction
+// and the first step length of its line search.
+func (ws *Workspace) beginIteration() {
+	if ws.iter >= ws.opts.MaxIterations {
+		ws.phase = phaseDone
+		return
+	}
+	ws.iter++
+	p, x, g, dir := ws.prob, ws.x, ws.g, ws.dir
+	// Convergence test on the projected gradient step.
+	if projectedGradNorm(p, x, g) < ws.opts.Tolerance {
+		ws.status = Converged
+		ws.phase = phaseDone
+		return
+	}
+
+	// Two-loop recursion for d = -H·g, restricted to free variables so
+	// bound-active coordinates do not pollute the curvature estimate.
+	twoLoop(dir, g, ws.sHist, ws.yHist, ws.rho, ws.alpha)
+	for i := range dir {
+		dir[i] = -dir[i]
+	}
+	// Ensure descent; fall back to steepest descent if the quasi-Newton
+	// direction is uphill (can happen right after history resets).
+	if dot(dir, g) >= 0 {
+		for i := range dir {
+			dir[i] = -g[i]
+		}
+	}
+
+	// A unit quasi-Newton step is the right default once curvature
+	// information exists; before that, scale by the gradient so the
+	// first probe is O(1) rather than O(‖g‖).
+	alpha0 := 1.0
+	if len(ws.sHist) == 0 {
+		if gn := normInf(g); gn > 1 {
+			alpha0 = 1 / gn
+		}
+	}
+	ws.startSearch(alpha0)
+}
+
+// startSearch begins a projected backtracking Armijo line search along dir
+// from step length alpha0.
+func (ws *Workspace) startSearch(alpha0 float64) {
+	ws.lsAlpha = alpha0
+	ws.gd = dot(ws.g, ws.dir)
+	ws.step = 0
+	ws.phase = phaseSearch
+}
+
+// generate writes the line search's next trial points into ws.trials and
+// returns how many: one for the search's first trial, else up to budget
+// (at most BatchWidth). Trials halve the step each time; generation stops
+// at a trial whose projection does not move x (setting ws.stalled) or at
+// MaxLineSearch trials in the search.
+func (ws *Workspace) generate(budget int) int {
+	width := 1
+	if ws.step > 0 {
+		width = min(max(budget, 1), BatchWidth)
+	}
+	n := 0
+	ws.stalled = false
+	for n < width && ws.step < ws.opts.MaxLineSearch {
+		sg, moved := projectedTrial(ws.prob, ws.x, ws.g, ws.dir, ws.lsAlpha, ws.trials[n])
+		if !moved {
+			ws.stalled = true
+			break
+		}
+		ws.trialAlpha[n], ws.trialSlope[n] = ws.lsAlpha, sg
+		ws.lsAlpha *= 0.5
+		ws.step++
+		n++
+	}
+	return n
+}
+
+// searchFailed handles a line search that ran out of trials: with a
+// curvature history the quasi-Newton model went bad, so it is dropped and
+// the search retried once along scaled steepest descent; without one the
+// solve stalls.
+func (ws *Workspace) searchFailed() {
+	if len(ws.sHist) == 0 {
+		ws.status = LineSearchStalled
+		ws.phase = phaseDone
+		return
+	}
+	ws.resetHistory()
+	g, dir := ws.g, ws.dir
+	for i := range dir {
+		dir[i] = -g[i]
+	}
+	alpha0 := 1.0
+	if gn := normInf(g); gn > 1 {
+		alpha0 = 1 / gn
+	}
+	ws.startSearch(alpha0)
+}
+
+// accept moves the iterate to the accepted trial in ws.xNew with value
+// fNew: its gradient, the curvature pair, then the next iteration.
+func (ws *Workspace) accept(fNew float64) {
+	ws.gradient(ws.prob, ws.xNew, ws.gNew)
+	// Update curvature history with s = xNew-x, y = gNew-g.
+	ws.pushPair(ws.x, ws.xNew, ws.g, ws.gNew)
+	copy(ws.x, ws.xNew)
+	copy(ws.g, ws.gNew)
+	ws.f = fNew
+	ws.beginIteration()
 }
 
 // projectedTrial writes the projected trial point x + alpha·dir into t and

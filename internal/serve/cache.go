@@ -27,9 +27,10 @@ type cacheEntry[T any] struct {
 
 // flight is one in-progress computation identical requests wait on.
 type flight[T any] struct {
-	done chan struct{} // closed when res/err are final
-	res  T
-	err  error
+	done      chan struct{} // closed when res/err are final
+	res       T
+	err       error
+	followers int // requests that joined it; guarded by the cache's mu
 }
 
 // cache is the deterministic result cache plus singleflight coalescer,
@@ -80,6 +81,7 @@ func (c *cache[T]) do(ctx context.Context, key string, fn func() (T, error)) (T,
 		return res, cacheHit, nil
 	}
 	if f, ok := c.flight[key]; ok {
+		f.followers++
 		c.mu.Unlock()
 		select {
 		case <-f.done:

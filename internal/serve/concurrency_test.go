@@ -62,11 +62,17 @@ func TestCoalescingUnderLoad(t *testing.T) {
 		}(i)
 	}
 
-	// Followers block inside the coalescer until the leader finishes, so
-	// the observable join signal is the inflight gauge reaching every
-	// client while the simulator has only been entered once.
-	waitFor(t, "all clients joined the flight", func() bool {
-		return s.metrics.inflightSimulate.Load() == clients
+	// Followers block inside the coalescer until the leader finishes.
+	// Each one is counted on the flight under the cache lock as it joins,
+	// so once the count reaches clients-1 no request can still miss the
+	// flight and hit the cache after the release.
+	waitFor(t, "all followers joined the flight", func() bool {
+		s.cache.mu.Lock()
+		defer s.cache.mu.Unlock()
+		for _, f := range s.cache.flight {
+			return f.followers == clients-1
+		}
+		return false
 	})
 	close(release)
 	wg.Wait()

@@ -8,6 +8,11 @@
 // each other's divide latency), and controllers that declare a
 // ForecastDepth skip the per-step horizon fill entirely.
 //
+// Lanes whose controllers implement GroupDecider are decided together, in
+// one DecideGroup call per step, so a controller can share work across
+// vehicles (core.OTEM packs every vehicle's replan trials into shared
+// rollouts); each such lane's outcome is still its solo outcome.
+//
 // Bit-identity contract: every lane's floating-point sequence is exactly
 // the one its vehicle follows when stepped alone through executeAction —
 // the fast path reuses PrepareParallel / FinishParallel / batteryFallback
@@ -40,36 +45,43 @@ type BatchVehicle struct {
 }
 
 // BatchScratch holds the worker-owned structure-of-arrays state of a
-// batched rollout — the lockstep bus solver, the per-lane accumulators and
-// traces, and the shared forecast window — so repeated batches run
-// allocation-free. Single-goroutine state: give each worker its own.
+// batched rollout — the lockstep bus solver, the per-lane accumulators,
+// traces and forecast windows, and the GroupDecider lanes — so repeated
+// batches run allocation-free. Single-goroutine state: give each worker
+// its own.
 type BatchScratch struct {
-	forecast []float64 // one shared window, refilled per lane per step
-	bus      hees.BusBatch
-	pre      []hees.ParallelPrep // per bus slot, parallel to bus lanes
-	busLane  []int               // lane index per bus slot
-	act      []Action            // per bus slot: the lane's action this step
-	depth    []int               // per-lane forecast fill depth
-	active   []int               // packed indices of lanes still driving
-	tempSum  []float64           // per-lane running T_b sum
-	results  []Result            // per-lane accumulators, returned by RunBatch
-	traces   []Trace             // per-lane trace storage when tracing
+	windows []float64 // per-lane forecast windows, horizon each, one block
+	horizon int
+	bus     hees.BusBatch
+	pre     []hees.ParallelPrep // per bus slot, parallel to bus lanes
+	busLane []int               // lane index per bus slot
+	act     []Action            // per bus slot: the lane's action this step
+	depth   []int               // per-lane forecast fill depth
+	grouped []bool              // per lane: its controller is a GroupDecider
+	group   []GroupLane         // this step's GroupDecider lanes, in lane order
+	active  []int               // packed indices of lanes still driving
+	tempSum []float64           // per-lane running T_b sum
+	results []Result            // per-lane accumulators, returned by RunBatch
+	traces  []Trace             // per-lane trace storage when tracing
 }
 
-// ensure sizes the scratch for n lanes and a horizon-length window, with
+// ensure sizes the scratch for n lanes and horizon-length windows, with
 // per-lane trace storage when trace is set.
 //
 //lint:coldpath per-batch capacity growth of the lane arrays and trace slots; warmed scratch returns at the cap checks
 func (sc *BatchScratch) ensure(n, horizon int, trace bool) {
-	if cap(sc.forecast) < horizon {
-		sc.forecast = make([]float64, horizon)
+	if cap(sc.windows) < n*horizon {
+		sc.windows = make([]float64, n*horizon)
 	}
-	sc.forecast = sc.forecast[:horizon]
+	sc.windows = sc.windows[:n*horizon]
+	sc.horizon = horizon
 	if cap(sc.results) < n {
 		sc.pre = make([]hees.ParallelPrep, n)
 		sc.busLane = make([]int, n)
 		sc.act = make([]Action, n)
 		sc.depth = make([]int, n)
+		sc.grouped = make([]bool, n)
+		sc.group = make([]GroupLane, n)
 		sc.active = make([]int, n)
 		sc.tempSum = make([]float64, n)
 		sc.results = make([]Result, n)
@@ -78,6 +90,11 @@ func (sc *BatchScratch) ensure(n, horizon int, trace bool) {
 		sc.traces = make([]Trace, n)
 	}
 	sc.bus.Ensure(n)
+}
+
+// window returns lane k's horizon-long forecast window.
+func (sc *BatchScratch) window(k int) []float64 {
+	return sc.windows[k*sc.horizon : (k+1)*sc.horizon : (k+1)*sc.horizon]
 }
 
 // forecastDepth resolves a controller's declared window consumption.
@@ -118,6 +135,7 @@ func RunBatch(ctx context.Context, lanes []BatchVehicle, cfg Config, sc *BatchSc
 			return nil, fmt.Errorf("sim: batch lane %d: empty request series", k)
 		}
 		sc.depth[k] = forecastDepth(ln.Ctrl, horizon)
+		_, sc.grouped[k] = ln.Ctrl.(GroupDecider)
 		sc.active[k] = k
 		sc.tempSum[k] = 0
 		sc.results[k] = Result{Controller: ln.Ctrl.Name(), Steps: len(ln.Requests), DT: ln.Plant.DT}
@@ -130,7 +148,6 @@ func RunBatch(ctx context.Context, lanes []BatchVehicle, cfg Config, sc *BatchSc
 		maxSteps = max(maxSteps, len(ln.Requests))
 	}
 
-	forecast := sc.forecast
 	bus := &sc.bus
 	na := len(lanes)
 	done := ctx.Done() // nil for context.Background(): the select never fires
@@ -141,20 +158,42 @@ func RunBatch(ctx context.Context, lanes []BatchVehicle, cfg Config, sc *BatchSc
 		default:
 		}
 
-		// Pass 1 — decide every lane; parallel-architecture lanes park
-		// their bus solve in the lockstep batch, everything else steps
-		// through executeAction immediately.
-		nb := 0
+		// Pass 0 — observe: mirror every lane's thermal state into its
+		// battery model and fill its forecast window, zero-padded past the
+		// route end (Algorithm 1 lines 11–12); then decide the
+		// GroupDecider lanes in one call.
+		ng := 0
 		for a := 0; a < na; a++ {
 			k := sc.active[a]
 			ln := &lanes[k]
 			plant := ln.Plant
-			// Mirror the thermal state into the battery model before deciding.
 			plant.HEES.Battery.Temp = plant.Loop.BatteryTemp
-			// The forecast window is zero-padded past the route end
-			// (Algorithm 1 lines 11–12).
-			fillForecast(forecast[:sc.depth[k]], ln.Requests, t)
-			act := ln.Ctrl.Decide(plant, forecast)
+			win := sc.window(k)
+			fillForecast(win[:sc.depth[k]], ln.Requests, t)
+			if sc.grouped[k] {
+				sc.group[ng] = GroupLane{Ctrl: ln.Ctrl, Plant: plant, Forecast: win}
+				ng++
+			}
+		}
+		if ng > 0 {
+			sc.group[0].Ctrl.(GroupDecider).DecideGroup(sc.group[:ng])
+		}
+
+		// Pass 1 — decide every other lane; parallel-architecture lanes
+		// park their bus solve in the lockstep batch, everything else
+		// steps through executeAction immediately.
+		nb, g := 0, 0
+		for a := 0; a < na; a++ {
+			k := sc.active[a]
+			ln := &lanes[k]
+			plant := ln.Plant
+			var act Action
+			if sc.grouped[k] {
+				act = sc.group[g].Action
+				g++
+			} else {
+				act = ln.Ctrl.Decide(plant, sc.window(k))
+			}
 			load := ln.Requests[t] + coolingLoad(plant, act)
 			if act.Arch == ArchParallel {
 				pre := plant.HEES.PrepareParallel()

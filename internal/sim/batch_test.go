@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -31,18 +32,42 @@ func batchTestRoute(seed int64, steps int) []float64 {
 	return out
 }
 
+// newOTEM returns a short-horizon OTEM controller: the group decider
+// whose lanes RunBatch decides in one call.
+func newOTEM(t testing.TB) sim.Controller {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.Horizon, cfg.BlockSize = 12, 4
+	o, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 // TestRunBatchMatchesRunContext is the kernel-level bit-identity gate:
 // lanes of different lengths, stepped in lockstep, must produce exactly
 // the sim.Result of the scalar reference loop for the same vehicle — every
 // field, compared with == (no tolerances) — and so must the one-lane batch
-// behind sim.RunContext. The traced variant mixes Parallel, Dual and
-// ActiveCooling lanes in one batch and compares every trace series
-// element by element.
+// behind sim.RunContext. The traced variants mix Parallel, Dual and
+// ActiveCooling lanes in one batch, or OTEM lanes (decided together
+// through sim.GroupDecider, their replans packed, dropping out as their
+// staggered routes end) between Parallel and Dual lanes, and compare every
+// trace series element by element.
 func TestRunBatchMatchesRunContext(t *testing.T) {
 	mixed := []func() sim.Controller{
 		func() sim.Controller { return policy.Parallel{} },
 		func() sim.Controller { return policy.NewDual() },
 		func() sim.Controller { return policy.NewActiveCooling() },
+	}
+	otemMixed := func(k int) sim.Controller {
+		switch k % 4 {
+		case 1:
+			return policy.Parallel{}
+		case 3:
+			return policy.NewDual()
+		}
+		return newOTEM(t)
 	}
 	for _, tc := range []struct {
 		name  string
@@ -53,6 +78,7 @@ func TestRunBatchMatchesRunContext(t *testing.T) {
 		{"dual", func(int) sim.Controller { return policy.NewDual() }, false},
 		{"cooling", func(int) sim.Controller { return policy.NewActiveCooling() }, false},
 		{"mixed/traced", func(k int) sim.Controller { return mixed[k%len(mixed)]() }, true},
+		{"otem-mixed/traced", otemMixed, true},
 	} {
 		const lanes = 9
 		cfg := sim.Config{Horizon: 5, RecordTrace: tc.trace}
@@ -130,8 +156,8 @@ func newPlant(t *testing.T) *sim.Plant {
 
 // TestRunBatchForecastDepthInvariance pins that the depth-limited forecast
 // fill cannot change outcomes: a controller reading the full window must
-// see identical results batched and in the scalar reference even when
-// other lanes' depths left stale entries in the shared buffer.
+// see identical results batched and in the scalar reference beside a lane
+// whose window is never filled.
 func TestRunBatchForecastDepthInvariance(t *testing.T) {
 	route := batchTestRoute(7, 96)
 	ref, err := sim.NewPlant(sim.PlantConfig{})
@@ -160,12 +186,17 @@ func TestRunBatchForecastDepthInvariance(t *testing.T) {
 
 // TestRunBatchWarmNoAlloc proves the batched step loop is allocation-free
 // once the scratch is warm — the allocflow gate's runtime counterpart —
-// with and without per-lane traces.
+// with and without per-lane traces, and with OTEM lanes whose replans are
+// packed together through sim.GroupDecider.
 func TestRunBatchWarmNoAlloc(t *testing.T) {
 	const lanes = 16
 	batch := make([]sim.BatchVehicle, lanes)
 	for k := range batch {
-		batch[k] = sim.BatchVehicle{Plant: newPlant(t), Ctrl: policy.Parallel{}, Requests: batchTestRoute(int64(k), 64)}
+		var ctrl sim.Controller = policy.Parallel{}
+		if k%3 == 0 {
+			ctrl = newOTEM(t)
+		}
+		batch[k] = sim.BatchVehicle{Plant: newPlant(t), Ctrl: ctrl, Requests: batchTestRoute(int64(k), 64)}
 	}
 	for _, cfg := range []sim.Config{{Horizon: 5}, {Horizon: 5, RecordTrace: true}} {
 		var sc sim.BatchScratch

@@ -121,14 +121,38 @@ type Controller interface {
 // it to fill only the prefix a controller consumes — outcome-invariant,
 // because entries past the declared depth are never read — instead of
 // writing the full horizon for every vehicle at every step. Entries beyond
-// the depth hold stale values from other lanes; a controller implementing
-// this interface must never read past its declared depth. Controllers
-// without the interface receive the fully filled window.
+// the depth hold stale values; a controller implementing this interface
+// must never read past its declared depth. Controllers without the
+// interface receive the fully filled window.
 type ForecastReader interface {
 	// ForecastDepth returns the number of leading forecast entries Decide
 	// reads: 0 for none, 1 for just the present request, a negative value
 	// for the whole window.
 	ForecastDepth() int
+}
+
+// GroupDecider is an optional Controller extension for controllers that
+// decide many vehicles faster together than one by one. RunBatch gathers
+// the lanes whose controllers implement it and, once per step, hands them
+// all to the first one's DecideGroup, each lane with its own forecast
+// window.
+type GroupDecider interface {
+	Controller
+	// DecideGroup sets every lane's Action to exactly what
+	// lane.Ctrl.Decide(lane.Plant, lane.Forecast) would return, with the
+	// same effect on each controller. The receiver is one of the lanes'
+	// controllers; lanes whose controllers it cannot decide together it
+	// decides through their own Decide.
+	DecideGroup(lanes []GroupLane)
+}
+
+// GroupLane is one lane of a GroupDecider call: Decide's inputs and, on
+// return, its Action.
+type GroupLane struct {
+	Ctrl     Controller
+	Plant    *Plant
+	Forecast []float64
+	Action   Action
 }
 
 // Trace records per-step signals for the figure-style experiments.

@@ -1,12 +1,15 @@
 package vmath
 
-// useAVX2FMA reports whether Exp4 may run the vector kernel: the CPU
+// hostAVX2FMA reports whether the vector kernel can run here: the CPU
 // advertises AVX2 and FMA and the OS saves the ymm state. math.Exp itself
 // takes its FMA path whenever AVX and FMA are present, so on every host
 // where the kernel runs it mirrors the scalar instruction sequence the
-// math package executes. Checked once at init; package tests flip it to
-// exercise the portable path on AVX2 machines.
-var useAVX2FMA = cpuHasAVX2FMA()
+// math package executes. Checked once at init.
+var hostAVX2FMA = cpuHasAVX2FMA()
+
+// useAVX2FMA reports whether Exp4 runs the vector kernel: the host's
+// capability unless UsePortable switched it off.
+var useAVX2FMA = hostAVX2FMA
 
 // exp4AVX overwrites x with the exponentials of its four lanes and reports
 // true, or leaves x untouched and reports false when any lane is not

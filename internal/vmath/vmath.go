@@ -19,6 +19,12 @@ const expLimit = 700
 // but no faster than the scalar loop it would replace.
 func Live() bool { return useAVX2FMA }
 
+// UsePortable puts Exp4 (and Live) on the portable path when on is set,
+// and back on the host's best path when it is not. No result changes
+// either way; tests use it to run the scalar path on AVX2 hosts. It is
+// not safe to call while another goroutine uses the package.
+func UsePortable(on bool) { useAVX2FMA = hostAVX2FMA && !on }
+
 // Exp4 replaces each element of x with its exponential, bit-identical to
 // math.Exp.
 func Exp4(x *[4]float64) {
