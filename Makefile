@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check race race-grids bench bench-smoke vet lint lint-sarif lint-vet lint-bench fmt serve-smoke serve-bench sim-bench fleet-bench hmpc-bench
+.PHONY: build test check race race-grids bench bench-smoke vet lint lint-sarif lint-vet lint-bench fmt serve-smoke sim-bench fleet-bench hmpc-bench
 
 build:
 	$(GO) build ./...
@@ -81,15 +81,6 @@ bench-smoke:
 # header, /metrics, and the graceful SIGTERM drain.
 serve-smoke:
 	./scripts/serve_smoke.sh
-
-# Load benchmark of the HTTP subsystem: a concurrent client fleet on the
-# bounded worker pool fires real simulations at an in-process server and
-# records throughput and cache hit ratio to BENCH_serve.json at both
-# GOMAXPROCS=1 and GOMAXPROCS=NumCPU (committed so serving regressions
-# are visible in review, and comparable across machines).
-serve-bench:
-	SERVE_BENCH_JSON=$(CURDIR)/BENCH_serve.json $(GO) test -run TestServeBenchJSON -count=1 ./internal/serve
-	cat BENCH_serve.json
 
 # Steady-state hot-path benchmark: a full UDDS drive cycle under the OTEM
 # controller, ns/step, steps/sec and allocs/step written to BENCH_sim.json

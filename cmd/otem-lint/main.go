@@ -174,12 +174,11 @@ type benchParallelRun struct {
 // benchRecord is the JSON document -benchjson writes: the sequential
 // reference driver timed once, then the parallel DAG scheduler at both
 // GOMAXPROCS=1 (scheduler overhead in isolation) and GOMAXPROCS=NumCPU
-// (real speedup), mirroring the BENCH_sim/BENCH_serve methodology.
-// Recording both keeps the numbers honest — a single measurement taken at
-// an unknown processor count is not comparable across machines. SSANs is
-// the wall-clock time spent building the per-function SSA IR during the
-// best sequential round, so the cost of the value-flow layer stays visible
-// next to the total.
+// (real speedup). Recording both keeps the numbers honest — a single
+// measurement taken at an unknown processor count is not comparable
+// across machines. SSANs is the wall-clock time spent building the
+// per-function SSA IR during the best sequential round, so the cost of
+// the value-flow layer stays visible next to the total.
 type benchRecord struct {
 	NumCPU       int                `json:"num_cpu"`
 	Packages     int                `json:"packages"`

@@ -16,6 +16,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/canon"
 	"repro/internal/core"
@@ -36,10 +37,10 @@ type Spec struct {
 	Seed int64
 	// Method is the control methodology (default OTEM).
 	Method policy.Methodology
-	// UltracapF is the bank size in farads (default 25000).
+	// UltracapF is the bank size in farads (default 25000; finite).
 	UltracapF float64
 	// RouteSeconds is the target duration of each synthesized daily route
-	// (default 600).
+	// (default 600; within [60, 7200], the bound hmpc.Spec uses).
 	RouteSeconds float64
 	// Horizon is the controller forecast window (default: the paper's MPC
 	// horizon from core.DefaultConfig).
@@ -78,10 +79,10 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("fleet: Vehicles = %d, must be >= 1", s.Vehicles)
 	case s.Days < 1:
 		return fmt.Errorf("fleet: Days = %d, must be >= 1", s.Days)
-	case s.UltracapF <= 0:
-		return fmt.Errorf("fleet: UltracapF = %g, must be > 0", s.UltracapF)
-	case s.RouteSeconds < 60:
-		return fmt.Errorf("fleet: RouteSeconds = %g, must be >= 60", s.RouteSeconds)
+	case !(s.UltracapF > 0) || math.IsInf(s.UltracapF, 1):
+		return fmt.Errorf("fleet: UltracapF = %g, must be finite and > 0", s.UltracapF)
+	case !(s.RouteSeconds >= 60 && s.RouteSeconds <= 7200):
+		return fmt.Errorf("fleet: RouteSeconds = %g outside [60, 7200]", s.RouteSeconds)
 	case s.Horizon < 1:
 		return fmt.Errorf("fleet: Horizon = %d, must be >= 1", s.Horizon)
 	}

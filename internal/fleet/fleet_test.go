@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -162,6 +163,13 @@ func TestSpecValidate(t *testing.T) {
 		{"negative-days", func(s *Spec) { s.Days = -1 }, false},
 		{"bad-ucap", func(s *Spec) { s.UltracapF = -5 }, false},
 		{"short-route", func(s *Spec) { s.RouteSeconds = 10 }, false},
+		{"nan-ucap", func(s *Spec) { s.UltracapF = math.NaN() }, false},
+		{"inf-ucap", func(s *Spec) { s.UltracapF = math.Inf(1) }, false},
+		{"longest-route-ok", func(s *Spec) { s.RouteSeconds = 7200 }, true},
+		{"long-route", func(s *Spec) { s.RouteSeconds = 7201 }, false},
+		{"huge-route", func(s *Spec) { s.RouteSeconds = 1e12 }, false},
+		{"inf-route", func(s *Spec) { s.RouteSeconds = math.Inf(1) }, false},
+		{"nan-route", func(s *Spec) { s.RouteSeconds = math.NaN() }, false},
 		{"bad-horizon", func(s *Spec) { s.Horizon = -2 }, false},
 		{"bad-method", func(s *Spec) { s.Method = "Nonsense" }, false},
 	}

@@ -2,33 +2,15 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/runner"
 	"repro/otem"
 )
-
-// benchSpecs is the load mix for the serve benchmark: the three cheap
-// (non-MPC) methodologies over two short cycles — six distinct cache
-// keys, so a load of N requests has N-6 cache-served responses once warm.
-func benchSpecs() []string {
-	var bodies []string
-	for _, method := range []string{"Parallel", "ActiveCooling", "Dual"} {
-		for _, cycle := range []string{"NYCC", "UDDS"} {
-			bodies = append(bodies, fmt.Sprintf(`{"method":%q,"cycle":%q}`, method, cycle))
-		}
-	}
-	return bodies
-}
 
 // BenchmarkSimulateColdKeys measures the uncoalesced handler path: every
 // iteration is a distinct cache key against a stubbed simulator, so the
@@ -70,135 +52,5 @@ func BenchmarkSimulateHotKey(b *testing.B) {
 		if w.Code != http.StatusOK {
 			b.Fatalf("status %d", w.Code)
 		}
-	}
-}
-
-// serveLoadRun is one load measurement at a fixed GOMAXPROCS setting,
-// against a fresh server (so cache behaviour is identical across settings
-// and the throughput numbers are comparable).
-type serveLoadRun struct {
-	GOMAXPROCS     int     `json:"gomaxprocs"`
-	Clients        int     `json:"clients"`
-	DurationNS     int64   `json:"duration_ns"`
-	ThroughputRPS  float64 `json:"throughput_rps"`
-	CacheHits      int64   `json:"cache_hits"`
-	CacheMisses    int64   `json:"cache_misses"`
-	CacheCoalesced int64   `json:"cache_coalesced"`
-	CacheHitRatio  float64 `json:"cache_hit_ratio"`
-	Rejected429    int64   `json:"rejected_429"`
-}
-
-// serveLoad fires `requests` real simulations at a fresh in-process server
-// with a `clients`-wide fleet and returns the measured run.
-func serveLoad(t *testing.T, requests, clients int) serveLoadRun {
-	t.Helper()
-	s := newTestServer(Config{MaxInflight: runtime.GOMAXPROCS(0), MaxQueue: requests})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	bodies := benchSpecs()
-	client := ts.Client()
-	fire := func(ctx context.Context, i int) (int, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/simulate",
-			strings.NewReader(bodies[i%len(bodies)]))
-		if err != nil {
-			return 0, err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		var wire otem.ResultJSON
-		if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
-			return resp.StatusCode, fmt.Errorf("decode: %w", err)
-		}
-		return resp.StatusCode, nil
-	}
-
-	pool := runner.New(runner.Workers(clients))
-	start := time.Now()
-	codes, err := runner.Map(context.Background(), pool, requests, fire)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("load run: %v", err)
-	}
-	for i, code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, code)
-		}
-	}
-
-	c := s.metrics.counters()
-	served := c.CacheHits + c.CacheMisses + c.CacheCoalesced
-	if served != int64(requests) {
-		t.Fatalf("accounting: %d outcomes for %d requests", served, requests)
-	}
-	return serveLoadRun{
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		Clients:        clients,
-		DurationNS:     elapsed.Nanoseconds(),
-		ThroughputRPS:  float64(requests) / elapsed.Seconds(),
-		CacheHits:      c.CacheHits,
-		CacheMisses:    c.CacheMisses,
-		CacheCoalesced: c.CacheCoalesced,
-		CacheHitRatio:  float64(c.CacheHits+c.CacheCoalesced) / float64(requests),
-		Rejected429:    c.AdmissionRejected,
-	}
-}
-
-// TestServeBenchJSON is the `make serve-bench` load harness: real
-// simulations over real HTTP, a concurrent client fleet on the bounded
-// worker pool, throughput and cache hit ratio written to the path in
-// SERVE_BENCH_JSON. The load is measured at both GOMAXPROCS=1 and
-// GOMAXPROCS=NumCPU — against a fresh server each time so the numbers are
-// comparable — because a single throughput figure taken at an unknown
-// processor count cannot be compared across machines. Without the
-// environment variable the test is a cheap smoke (few requests, current
-// GOMAXPROCS only, nothing written) so `go test ./...` stays fast while
-// the harness logic is still exercised.
-func TestServeBenchJSON(t *testing.T) {
-	out := os.Getenv("SERVE_BENCH_JSON")
-	if out == "" {
-		run := serveLoad(t, 24, 4)
-		t.Logf("smoke: 24 requests in %s (%.0f req/s, hit ratio %.2f)",
-			time.Duration(run.DurationNS), run.ThroughputRPS, run.CacheHitRatio)
-		return
-	}
-
-	const requests = 360
-	procSettings := []int{1, runtime.NumCPU()}
-	if procSettings[1] == 1 {
-		procSettings = procSettings[:1]
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	var runs []serveLoadRun
-	for _, procs := range procSettings {
-		runtime.GOMAXPROCS(procs)
-		runs = append(runs, serveLoad(t, requests, 3*procs))
-	}
-
-	report := struct {
-		NumCPU        int            `json:"num_cpu"`
-		Requests      int            `json:"requests"`
-		DistinctSpecs int            `json:"distinct_specs"`
-		Runs          []serveLoadRun `json:"runs"`
-	}{
-		NumCPU:        runtime.NumCPU(),
-		Requests:      requests,
-		DistinctSpecs: len(benchSpecs()),
-		Runs:          runs,
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range runs {
-		t.Logf("wrote %s: @%d procs %.0f req/s, hit ratio %.2f", out, run.GOMAXPROCS, run.ThroughputRPS, run.CacheHitRatio)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"repro/otem"
 )
 
 // cacheOutcome classifies how a request was satisfied; it feeds the
@@ -35,11 +33,11 @@ type flight[T any] struct {
 
 // cache is the deterministic result cache plus singleflight coalescer,
 // generic over the cached value: the simulate endpoints store otem.Result,
-// the fleet endpoint *otem.FleetResult. Runs are pure functions of the
-// canonical request key (detflow enforces the absence of hidden
-// nondeterminism), so a cached value is exactly what a re-run would
-// produce and coalescing identical in-flight requests onto one
-// computation is sound.
+// the fleet endpoints *otem.FleetResult and the plan endpoint *otem.Plan.
+// Runs are pure functions of the canonical request key (detflow enforces
+// the absence of hidden nondeterminism), so a cached value is exactly
+// what a re-run would produce and coalescing identical in-flight requests
+// onto one computation is sound.
 //
 // Cached values may hold shared pointers (a Result's *Trace, a whole
 // *FleetResult); everything downstream treats them as read-only.
@@ -50,12 +48,6 @@ type cache[T any] struct {
 	byKey  map[string]*list.Element
 	flight map[string]*flight[T]
 }
-
-// resultCache is the simulate-endpoint instantiation, kept as a named
-// type because tests and the Server wire it pervasively.
-type resultCache = cache[otem.Result]
-
-func newResultCache(maxEntries int) *resultCache { return newCache[otem.Result](maxEntries) }
 
 func newCache[T any](maxEntries int) *cache[T] {
 	return &cache[T]{

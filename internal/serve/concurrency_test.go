@@ -67,9 +67,9 @@ func TestCoalescingUnderLoad(t *testing.T) {
 	// so once the count reaches clients-1 no request can still miss the
 	// flight and hit the cache after the release.
 	waitFor(t, "all followers joined the flight", func() bool {
-		s.cache.mu.Lock()
-		defer s.cache.mu.Unlock()
-		for _, f := range s.cache.flight {
+		s.simCache.mu.Lock()
+		defer s.simCache.mu.Unlock()
+		for _, f := range s.simCache.flight {
 			return f.followers == clients-1
 		}
 		return false
@@ -162,7 +162,7 @@ func TestAdmissionSheds429(t *testing.T) {
 	if code := <-bCh; code != http.StatusOK {
 		t.Errorf("queued request: status %d", code)
 	}
-	if got := s.metrics.counters().AdmissionRejected; got != 1 {
+	if got := s.metrics.admissionRejected.Load(); got != 1 {
 		t.Errorf("admission_rejected = %d, want 1", got)
 	}
 }
@@ -232,61 +232,85 @@ func TestQueueWaiterCancel(t *testing.T) {
 
 // TestHammerAccounting drives a mixed key set from many clients and
 // checks the cache accounting is exact: with a generous queue nothing is
-// shed, each distinct key simulates exactly once and every other request
-// is a hit or a coalesce.
+// shed, each distinct key runs exactly once and every other request is a
+// hit or a coalesce. The stubbed case widens the coalescing window; the
+// real case runs the genuine (non-MPC) methodologies concurrently over
+// HTTP.
 func TestHammerAccounting(t *testing.T) {
-	s := newTestServer(Config{MaxInflight: 4, MaxQueue: 10_000})
-	var calls atomic.Int64
-	stubSim(s, &calls, func(_ context.Context, spec otem.RunSpec) (otem.Result, error) {
-		time.Sleep(100 * time.Microsecond) // widen the coalescing window
-		return fakeResult(spec), nil
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	cycles := []string{"US06", "UDDS", "HWFET", "NYCC", "LA92"}
-	const workers = 8
-	const perWorker = 40
-	var wg sync.WaitGroup
-	var non200 atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				cycle := cycles[(w+i)%len(cycles)]
-				resp, err := http.Post(ts.URL+"/v1/simulate", "application/json",
-					strings.NewReader(fmt.Sprintf(`{"method":"Dual","cycle":%q}`, cycle)))
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					non200.Add(1)
-				}
-				readAll(t, resp)
+	var stubbed, real []string
+	for _, cycle := range []string{"US06", "UDDS", "HWFET", "NYCC", "LA92"} {
+		stubbed = append(stubbed, fmt.Sprintf(`{"method":"Dual","cycle":%q}`, cycle))
+	}
+	for _, method := range []string{"Parallel", "ActiveCooling", "Dual"} {
+		for _, cycle := range []string{"NYCC", "UDDS"} {
+			real = append(real, fmt.Sprintf(`{"method":%q,"cycle":%q}`, method, cycle))
+		}
+	}
+	cases := []struct {
+		name               string
+		stub               bool
+		bodies             []string
+		workers, perWorker int
+	}{
+		{"stubbed", true, stubbed, 8, 40},
+		{"real runs", false, real, 4, 6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(Config{MaxInflight: 4, MaxQueue: 10_000})
+			var calls atomic.Int64
+			if tc.stub {
+				stubSim(s, &calls, func(_ context.Context, spec otem.RunSpec) (otem.Result, error) {
+					time.Sleep(100 * time.Microsecond) // widen the coalescing window
+					return fakeResult(spec), nil
+				})
+			} else {
+				stubSim(s, &calls, otem.RunContext)
 			}
-		}(w)
-	}
-	wg.Wait()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	const total = workers * perWorker
-	c := s.metrics.counters()
-	if non200.Load() != 0 {
-		t.Errorf("%d non-200 responses", non200.Load())
-	}
-	if c.AdmissionRejected != 0 {
-		t.Errorf("admission rejected %d with a generous queue", c.AdmissionRejected)
-	}
-	if got := c.CacheHits + c.CacheMisses + c.CacheCoalesced; got != total {
-		t.Errorf("cache outcomes %d (h=%d m=%d c=%d), want %d",
-			got, c.CacheHits, c.CacheMisses, c.CacheCoalesced, total)
-	}
-	if calls.Load() != int64(len(cycles)) {
-		t.Errorf("simulator ran %d times, want %d (once per distinct key)", calls.Load(), len(cycles))
-	}
-	if c.CacheMisses != int64(len(cycles)) {
-		t.Errorf("misses = %d, want %d", c.CacheMisses, len(cycles))
+			var wg sync.WaitGroup
+			var non200 atomic.Int64
+			for w := 0; w < tc.workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < tc.perWorker; i++ {
+						resp, err := http.Post(ts.URL+"/v1/simulate", "application/json",
+							strings.NewReader(tc.bodies[(w+i)%len(tc.bodies)]))
+						if err != nil {
+							t.Errorf("worker %d: %v", w, err)
+							return
+						}
+						if resp.StatusCode != http.StatusOK {
+							non200.Add(1)
+						}
+						readAll(t, resp)
+					}
+				}(w)
+			}
+			wg.Wait()
+
+			total := int64(tc.workers * tc.perWorker)
+			distinct := int64(len(tc.bodies))
+			ev := cacheEvents(t, s, "simulate")
+			if non200.Load() != 0 {
+				t.Errorf("%d non-200 responses", non200.Load())
+			}
+			if got := s.metrics.admissionRejected.Load(); got != 0 {
+				t.Errorf("admission rejected %d with a generous queue", got)
+			}
+			if got := ev[cacheHit] + ev[cacheMiss] + ev[cacheCoalesced]; got != total {
+				t.Errorf("cache outcomes %d (%v), want %d", got, ev, total)
+			}
+			if calls.Load() != distinct {
+				t.Errorf("simulator ran %d times, want %d (once per distinct key)", calls.Load(), distinct)
+			}
+			if ev[cacheMiss] != distinct {
+				t.Errorf("misses = %d, want %d", ev[cacheMiss], distinct)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,9 @@
 //	POST /v1/simulate        one run (method × cycle × repeats × ucap)
 //	POST /v1/batch           a grid of runs on the bounded worker pool
 //	GET  /v1/simulate/stream one traced run streamed as NDJSON steps
+//	POST /v1/fleet           one Monte Carlo fleet run (otem.fleet/v1)
+//	GET  /v1/fleet/stream    a fleet run as NDJSON progress lines + summary
+//	POST /v1/plan            the outer route plan of the two-layer MPC
 //	GET  /healthz            liveness plus inflight/queued gauges
 //	GET  /metrics            Prometheus text exposition (hand-written)
 //
@@ -23,13 +26,16 @@
 //     detflow analyzer enforces it), so responses are cached under a
 //     canonical encoding of the request — identical requests are served
 //     from memory, and identical in-flight requests are coalesced
-//     singleflight-style onto one computation;
+//     singleflight-style onto one computation. Every endpoint but
+//     /v1/batch runs one pipeline, cached: cache → admission → worker
+//     pool → per-endpoint outcome count;
 //   - admission control: cache misses must win an execution slot
 //     (Config.MaxInflight) or a bounded queue seat (Config.MaxQueue);
 //     beyond that the server sheds load with 429 + Retry-After instead of
 //     collapsing;
-//   - metrics: per-endpoint request/latency/inflight series plus cache
-//     and admission counters, exposed in Prometheus text format;
+//   - metrics: one record per endpoint (status codes, latency histogram,
+//     inflight gauge, cache outcome counts) plus the admission counters,
+//     exposed in Prometheus text format;
 //   - graceful drain: Server.Run serves and watches its context on the
 //     bounded worker pool; cancellation (SIGTERM in cmd/otem-serve) stops
 //     accepting and drains in-flight requests for Config.DrainTimeout.

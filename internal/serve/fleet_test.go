@@ -71,9 +71,8 @@ func TestFleetOKAndCacheHit(t *testing.T) {
 	if !strings.Contains(wire.Spec, "m=Parallel") {
 		t.Errorf("spec %q does not carry the canonical methodology", wire.Spec)
 	}
-	c := s.metrics.counters()
-	if c.CacheHits != 1 || c.CacheMisses != 1 {
-		t.Errorf("cache counters = %+v, want 1 hit / 1 miss", c)
+	if ev := cacheEvents(t, s, "fleet"); ev[cacheHit] != 1 || ev[cacheMiss] != 1 {
+		t.Errorf("fleet cache events = %v, want 1 hit / 1 miss", ev)
 	}
 }
 
@@ -93,6 +92,8 @@ func TestFleetValidation(t *testing.T) {
 		{"too many days", `{"vehicles":4,"days":4}`},
 		{"negative ultracap", `{"vehicles":4,"ultracap_farad":-1}`},
 		{"short route", `{"vehicles":4,"route_seconds":30}`},
+		{"long route", `{"vehicles":1,"route_seconds":7201}`},
+		{"unbounded route", `{"vehicles":1,"route_seconds":1e12}`},
 		{"negative horizon", `{"vehicles":4,"horizon":-1}`},
 		{"unknown method", `{"vehicles":4,"method":"bogus"}`},
 		{"malformed json", `{"vehicles":`},

@@ -116,8 +116,8 @@ func TestPlanFleetCachesAreDistinct(t *testing.T) {
 	if s.planCache.len() != 1 {
 		t.Errorf("plan cache entries = %d, want 1", s.planCache.len())
 	}
-	if s.cache.len() != 0 || s.fleetCache.len() != 0 {
-		t.Errorf("plan run leaked into other caches: sim=%d fleet=%d", s.cache.len(), s.fleetCache.len())
+	if s.simCache.len() != 0 || s.fleetCache.len() != 0 {
+		t.Errorf("plan run leaked into other caches: sim=%d fleet=%d", s.simCache.len(), s.fleetCache.len())
 	}
 }
 
@@ -222,6 +222,11 @@ func TestFleetStreamValidation(t *testing.T) {
 		"vehicles=4&days=-1",    // negative days
 		"vehicles=4&method=wat", // unknown method
 		"vehicles=4&route_seconds=nope",
+		"vehicles=1&route_seconds=Inf", // the route synthesizer would never finish
+		"vehicles=1&route_seconds=NaN",
+		"vehicles=1&route_seconds=7201",
+		"vehicles=1&ultracap_farad=NaN",
+		"vehicles=1&ultracap_farad=Inf",
 	} {
 		resp, err := http.Get(ts.URL + "/v1/fleet/stream?" + q)
 		if err != nil {

@@ -15,11 +15,20 @@ import (
 // routes (seconds).
 var latencyBuckets = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 5, 10}
 
-// endpointStats aggregates one endpoint's series. Counters are plain
-// ints guarded by the metrics mutex: the exposition has to lock for a
-// consistent snapshot anyway, and the per-request cost is one short
-// critical section.
+// cacheOutcomes lists the cache outcome kinds in exposition order.
+var cacheOutcomes = []cacheOutcome{cacheCoalesced, cacheHit, cacheMiss}
+
+// endpointStats is one instrumented endpoint's metrics record: status
+// codes, the latency histogram, the inflight gauge and the cache outcome
+// counts. Counters are plain ints guarded by mu: the exposition has to
+// lock for a consistent snapshot anyway, and the per-request cost is one
+// short critical section.
 type endpointStats struct {
+	name string
+	// inflight counts requests currently inside the endpoint's handler.
+	inflight atomic.Int64
+
+	mu sync.Mutex
 	// byCode counts completed requests per HTTP status code.
 	byCode map[int]int64
 	// buckets holds cumulative-style histogram counts per latencyBuckets
@@ -28,62 +37,15 @@ type endpointStats struct {
 	// count and sum are the histogram totals (sum in seconds).
 	count int64
 	sum   float64
-}
-
-// metrics is the hand-rolled Prometheus registry of the server. All
-// methods are safe for concurrent use.
-type metrics struct {
-	mu        sync.Mutex
-	endpoints map[string]*endpointStats
-
-	// inflight tracks requests currently inside a handler, per endpoint.
-	inflightSimulate atomic.Int64
-	inflightBatch    atomic.Int64
-	inflightStream   atomic.Int64
-	inflightFleet    atomic.Int64
-
-	// Cache outcome counters (see resultCache).
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	cacheCoalesced atomic.Int64
-
-	// admissionRejected counts requests shed with 429.
-	admissionRejected atomic.Int64
-}
-
-func newMetrics() *metrics {
-	return &metrics{endpoints: make(map[string]*endpointStats)}
-}
-
-// inflightGauge returns the gauge for an instrumented endpoint, nil when
-// the endpoint is not tracked (healthz, metrics).
-func (m *metrics) inflightGauge(endpoint string) *atomic.Int64 {
-	switch endpoint {
-	case "simulate":
-		return &m.inflightSimulate
-	case "batch":
-		return &m.inflightBatch
-	case "stream":
-		return &m.inflightStream
-	case "fleet":
-		return &m.inflightFleet
-	}
-	return nil
+	// cacheEvents counts how the endpoint's requests met the result cache.
+	cacheEvents map[cacheOutcome]int64
 }
 
 // observe records one completed request.
-func (m *metrics) observe(endpoint string, code int, elapsed time.Duration) {
+func (st *endpointStats) observe(code int, elapsed time.Duration) {
 	sec := elapsed.Seconds()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.endpoints[endpoint]
-	if st == nil {
-		st = &endpointStats{
-			byCode:  make(map[int]int64),
-			buckets: make([]int64, len(latencyBuckets)),
-		}
-		m.endpoints[endpoint] = st
-	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.byCode[code]++
 	st.count++
 	st.sum += sec
@@ -94,72 +56,78 @@ func (m *metrics) observe(endpoint string, code int, elapsed time.Duration) {
 	}
 }
 
-// snapshot is the cache/admission counter view healthz and the bench
-// harness read.
-type counterSnapshot struct {
-	CacheHits, CacheMisses, CacheCoalesced, AdmissionRejected int64
+// book records one cache outcome.
+func (st *endpointStats) book(outcome cacheOutcome) {
+	st.mu.Lock()
+	st.cacheEvents[outcome]++
+	st.mu.Unlock()
 }
 
-func (m *metrics) counters() counterSnapshot {
-	return counterSnapshot{
-		CacheHits:         m.cacheHits.Load(),
-		CacheMisses:       m.cacheMisses.Load(),
-		CacheCoalesced:    m.cacheCoalesced.Load(),
-		AdmissionRejected: m.admissionRejected.Load(),
+// metrics is the hand-rolled Prometheus registry of the server: one
+// endpointStats per instrumented route plus the admission counter. All
+// methods are safe for concurrent use once the routes are registered.
+type metrics struct {
+	// endpoints is sorted by name so the exposition is deterministic.
+	endpoints []*endpointStats
+
+	// admissionRejected counts requests shed with 429.
+	admissionRejected atomic.Int64
+}
+
+// register adds the record for one instrumented endpoint. It runs while
+// New mounts the routes, before the server handles any request.
+func (m *metrics) register(endpoint string) *endpointStats {
+	st := &endpointStats{
+		name:        endpoint,
+		byCode:      make(map[int]int64),
+		buckets:     make([]int64, len(latencyBuckets)),
+		cacheEvents: make(map[cacheOutcome]int64),
 	}
+	m.endpoints = append(m.endpoints, st)
+	sort.Slice(m.endpoints, func(i, j int) bool { return m.endpoints[i].name < m.endpoints[j].name })
+	return st
 }
 
 // writeProm renders the registry in Prometheus text exposition format
 // (version 0.0.4). Series are emitted in sorted label order so the output
 // is deterministic and diffable.
 func (m *metrics) writeProm(w io.Writer, inflightTotal, queued int64) error {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.endpoints))
-	for name := range m.endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	var b []byte
 	appendf := func(format string, args ...any) {
 		b = append(b, fmt.Sprintf(format, args...)...)
 	}
+	family := func(name, typ, help string, each func(st *endpointStats)) {
+		appendf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		for _, st := range m.endpoints {
+			st.mu.Lock()
+			each(st)
+			st.mu.Unlock()
+		}
+	}
 
-	appendf("# HELP otem_serve_requests_total Completed HTTP requests by endpoint and status code.\n")
-	appendf("# TYPE otem_serve_requests_total counter\n")
-	for _, name := range names {
-		st := m.endpoints[name]
+	family("otem_serve_requests_total", "counter", "Completed HTTP requests by endpoint and status code.", func(st *endpointStats) {
 		codes := make([]int, 0, len(st.byCode))
 		for code := range st.byCode {
 			codes = append(codes, code)
 		}
 		sort.Ints(codes)
 		for _, code := range codes {
-			appendf("otem_serve_requests_total{code=%q,endpoint=%q} %d\n", strconv.Itoa(code), name, st.byCode[code])
+			appendf("otem_serve_requests_total{code=%q,endpoint=%q} %d\n", strconv.Itoa(code), st.name, st.byCode[code])
 		}
-	}
-
-	appendf("# HELP otem_serve_request_duration_seconds Request latency by endpoint.\n")
-	appendf("# TYPE otem_serve_request_duration_seconds histogram\n")
-	for _, name := range names {
-		st := m.endpoints[name]
+	})
+	family("otem_serve_request_duration_seconds", "histogram", "Request latency by endpoint.", func(st *endpointStats) {
 		for i, le := range latencyBuckets {
 			appendf("otem_serve_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
-				name, strconv.FormatFloat(le, 'g', -1, 64), st.buckets[i])
+				st.name, strconv.FormatFloat(le, 'g', -1, 64), st.buckets[i])
 		}
-		appendf("otem_serve_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, st.count)
+		appendf("otem_serve_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", st.name, st.count)
 		appendf("otem_serve_request_duration_seconds_sum{endpoint=%q} %s\n",
-			name, strconv.FormatFloat(st.sum, 'g', -1, 64))
-		appendf("otem_serve_request_duration_seconds_count{endpoint=%q} %d\n", name, st.count)
-	}
-	m.mu.Unlock()
-
-	appendf("# HELP otem_serve_inflight Requests currently being handled, by endpoint.\n")
-	appendf("# TYPE otem_serve_inflight gauge\n")
-	appendf("otem_serve_inflight{endpoint=\"batch\"} %d\n", m.inflightBatch.Load())
-	appendf("otem_serve_inflight{endpoint=\"fleet\"} %d\n", m.inflightFleet.Load())
-	appendf("otem_serve_inflight{endpoint=\"simulate\"} %d\n", m.inflightSimulate.Load())
-	appendf("otem_serve_inflight{endpoint=\"stream\"} %d\n", m.inflightStream.Load())
+			st.name, strconv.FormatFloat(st.sum, 'g', -1, 64))
+		appendf("otem_serve_request_duration_seconds_count{endpoint=%q} %d\n", st.name, st.count)
+	})
+	family("otem_serve_inflight", "gauge", "Requests currently being handled, by endpoint.", func(st *endpointStats) {
+		appendf("otem_serve_inflight{endpoint=%q} %d\n", st.name, st.inflight.Load())
+	})
 
 	appendf("# HELP otem_serve_admitted_inflight Simulation slots currently held.\n")
 	appendf("# TYPE otem_serve_admitted_inflight gauge\n")
@@ -171,11 +139,11 @@ func (m *metrics) writeProm(w io.Writer, inflightTotal, queued int64) error {
 	appendf("# TYPE otem_serve_admission_rejected_total counter\n")
 	appendf("otem_serve_admission_rejected_total %d\n", m.admissionRejected.Load())
 
-	appendf("# HELP otem_serve_cache_events_total Result-cache outcomes by kind (hit, miss, coalesced).\n")
-	appendf("# TYPE otem_serve_cache_events_total counter\n")
-	appendf("otem_serve_cache_events_total{kind=\"coalesced\"} %d\n", m.cacheCoalesced.Load())
-	appendf("otem_serve_cache_events_total{kind=\"hit\"} %d\n", m.cacheHits.Load())
-	appendf("otem_serve_cache_events_total{kind=\"miss\"} %d\n", m.cacheMisses.Load())
+	family("otem_serve_cache_events_total", "counter", "Result-cache outcomes by endpoint and kind (hit, miss, coalesced).", func(st *endpointStats) {
+		for _, kind := range cacheOutcomes {
+			appendf("otem_serve_cache_events_total{endpoint=%q,kind=%q} %d\n", st.name, kind, st.cacheEvents[kind])
+		}
+	})
 
 	_, err := w.Write(b)
 	if err != nil {

@@ -58,17 +58,21 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// instrument wraps a handler with the per-request plumbing shared by all
-// instrumented endpoints: inflight gauge, latency/status observation and
-// panic isolation. A panicking handler is converted into a 500 (when the
-// response has not started) and the process keeps serving.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
+// endpointHandler is an instrumented handler: it receives its endpoint's
+// metrics record so it can book cache outcomes on it.
+type endpointHandler func(w http.ResponseWriter, r *http.Request, st *endpointStats)
+
+// instrument registers the endpoint's metrics record and wraps h with the
+// per-request plumbing shared by all instrumented endpoints: inflight
+// gauge, latency/status observation and panic isolation. A panicking
+// handler is converted into a 500 (when the response has not started) and
+// the process keeps serving.
+func (s *Server) instrument(endpoint string, h endpointHandler) http.Handler {
+	st := s.metrics.register(endpoint)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
-		if g := s.metrics.inflightGauge(endpoint); g != nil {
-			g.Add(1)
-			defer g.Add(-1)
-		}
+		st.inflight.Add(1)
+		defer st.inflight.Add(-1)
 		start := time.Now()
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -78,9 +82,9 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 						errorResponse{Error: "internal error: request panicked", Code: http.StatusInternalServerError})
 				}
 			}
-			s.metrics.observe(endpoint, sw.code, time.Since(start))
+			st.observe(sw.code, time.Since(start))
 		}()
-		h(sw, r)
+		h(sw, r, st)
 	})
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"strings"
@@ -69,6 +70,9 @@ func (r SimulateRequest) normalize(maxRepeats int) (otem.RunSpec, error) {
 	}
 	if r.UltracapFarad < 0 {
 		return otem.RunSpec{}, fmt.Errorf("%w: ultracap_farad %g is negative", errBadRequest, r.UltracapFarad)
+	}
+	if math.IsNaN(r.UltracapFarad) || math.IsInf(r.UltracapFarad, 0) {
+		return otem.RunSpec{}, fmt.Errorf("%w: ultracap_farad %g is not finite", errBadRequest, r.UltracapFarad)
 	}
 	spec := otem.RunSpec{
 		Method:    resolveMethod(r.Method),

@@ -40,9 +40,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// DrainTimeout bounds the graceful shutdown drain (default 15s).
 	DrainTimeout time.Duration
-	// BatchParallelism bounds the worker-pool fan-out inside one /v1/batch
-	// request (default GOMAXPROCS).
-	BatchParallelism int
 	// MaxBatchSpecs bounds the grid size of one /v1/batch request
 	// (default 64).
 	MaxBatchSpecs int
@@ -91,9 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 15 * time.Second
 	}
-	if c.BatchParallelism < 1 {
-		c.BatchParallelism = runtime.GOMAXPROCS(0)
-	}
 	if c.MaxBatchSpecs < 1 {
 		c.MaxBatchSpecs = 64
 	}
@@ -117,15 +111,16 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	metrics *metrics
-	cache   *resultCache
-	// fleetCache is the /v1/fleet instantiation of the same LRU +
-	// singleflight machinery, sharing the CacheSize bound.
+	// simCache, fleetCache and planCache are the per-result-type
+	// instantiations of one LRU + singleflight machinery, each bounded by
+	// CacheSize: simulate and its stream share simCache, the fleet and its
+	// stream share fleetCache, and route-start plans are solved once per
+	// route in planCache.
+	simCache   *cache[otem.Result]
 	fleetCache *cache[*otem.FleetResult]
-	// planCache caches /v1/plan outer solves: a plan is a pure function of
-	// its canonical spec, so route-start plans are computed once per route.
-	planCache *cache[*otem.Plan]
-	gate      *admission
-	mux       *http.ServeMux
+	planCache  *cache[*otem.Plan]
+	gate       *admission
+	mux        *http.ServeMux
 	// pool executes one admitted request's simulation with the runner's
 	// panic isolation; global concurrency is bounded by gate, not here.
 	pool *runner.Pool
@@ -146,8 +141,8 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:        cfg,
-		metrics:    newMetrics(),
-		cache:      newResultCache(cfg.CacheSize),
+		metrics:    &metrics{},
+		simCache:   newCache[otem.Result](cfg.CacheSize),
 		fleetCache: newCache[*otem.FleetResult](cfg.CacheSize),
 		planCache:  newCache[*otem.Plan](cfg.CacheSize),
 		gate:       newAdmission(cfg.MaxInflight, cfg.MaxQueue),
@@ -160,12 +155,19 @@ func New(cfg Config) *Server {
 		},
 	}
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	mux.Handle("POST /v1/batch", s.instrument("batch", s.handleBatch))
-	mux.Handle("POST /v1/fleet", s.instrument("fleet", s.handleFleet))
-	mux.Handle("POST /v1/plan", s.instrument("plan", s.handlePlan))
-	mux.Handle("GET /v1/simulate/stream", s.instrument("stream", s.handleStream))
-	mux.Handle("GET /v1/fleet/stream", s.instrument("fleetstream", s.handleFleetStream))
+	for _, rt := range []struct {
+		pattern, endpoint string
+		h                 endpointHandler
+	}{
+		{"POST /v1/simulate", "simulate", s.handleSimulate},
+		{"POST /v1/batch", "batch", s.handleBatch},
+		{"POST /v1/fleet", "fleet", s.handleFleet},
+		{"POST /v1/plan", "plan", s.handlePlan},
+		{"GET /v1/simulate/stream", "stream", s.handleStream},
+		{"GET /v1/fleet/stream", "fleetstream", s.handleFleetStream},
+	} {
+		mux.Handle(rt.pattern, s.instrument(rt.endpoint, rt.h))
+	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if cfg.EnablePprof {
@@ -225,13 +227,17 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		s.metrics.admissionRejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
 	}
-	msg := err.Error()
+	writeJSON(w, code, errorResponse{Error: clientMessage(err), Code: code})
+}
+
+// clientMessage is the error text a client sees: the error chain, except
+// that a panic value or stack never leaks.
+func clientMessage(err error) string {
 	var pe *runner.PanicError
 	if errors.As(err, &pe) {
-		// Never leak a panic value or stack to the client.
-		msg = "internal error: simulation panicked"
+		return "internal error: simulation panicked"
 	}
-	writeJSON(w, code, errorResponse{Error: msg, Code: code})
+	return err.Error()
 }
 
 // requestCtx bounds one request's simulation work by the client's
@@ -240,48 +246,32 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 }
 
-// runOne executes one admitted spec on the worker pool, so a panicking
-// simulation surfaces as a *runner.PanicError instead of tearing the
-// process down.
-func (s *Server) runOne(ctx context.Context, spec otem.RunSpec) (otem.Result, error) {
-	out, err := runner.Map(ctx, s.pool, 1, func(ctx context.Context, _ int) (otem.Result, error) {
-		return s.runSim(ctx, spec)
+// cached is the pipeline of every cached endpoint: serve key from c,
+// coalesce onto an identical in-flight request, or lead the computation —
+// win an admission slot (or be shed) and execute run on the worker pool,
+// so a panicking run surfaces as a *runner.PanicError instead of tearing
+// the process down. The outcome is booked on the endpoint's record.
+func cached[T any](ctx context.Context, s *Server, st *endpointStats, c *cache[T], key string, run func(context.Context) (T, error)) (T, cacheOutcome, error) {
+	res, outcome, err := c.do(ctx, key, func() (T, error) {
+		var zero T
+		if err := s.gate.acquire(ctx); err != nil {
+			return zero, err
+		}
+		defer s.gate.release()
+		out, err := runner.Map(ctx, s.pool, 1, func(ctx context.Context, _ int) (T, error) {
+			return run(ctx)
+		})
+		if err != nil {
+			return zero, err
+		}
+		return out[0], nil
 	})
-	if err != nil {
-		return otem.Result{}, err
-	}
-	return out[0], nil
-}
-
-// admitAndRun is the leader path of a cache miss: win an admission slot
-// (or be shed), then simulate.
-func (s *Server) admitAndRun(ctx context.Context, spec otem.RunSpec) (otem.Result, error) {
-	if err := s.gate.acquire(ctx); err != nil {
-		return otem.Result{}, err
-	}
-	defer s.gate.release()
-	return s.runOne(ctx, spec)
-}
-
-// resolve satisfies one simulation request through the cache, the
-// coalescer and the admission gate, recording the cache outcome.
-func (s *Server) resolve(ctx context.Context, spec otem.RunSpec) (otem.Result, cacheOutcome, error) {
-	res, outcome, err := s.cache.do(ctx, cacheKey(spec), func() (otem.Result, error) {
-		return s.admitAndRun(ctx, spec)
-	})
-	switch outcome {
-	case cacheHit:
-		s.metrics.cacheHits.Add(1)
-	case cacheMiss:
-		s.metrics.cacheMisses.Add(1)
-	case cacheCoalesced:
-		s.metrics.cacheCoalesced.Add(1)
-	}
+	st.book(outcome)
 	return res, outcome, err
 }
 
 // handleSimulate implements POST /v1/simulate.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	var req SimulateRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeError(w, err)
@@ -294,7 +284,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res, outcome, err := s.resolve(ctx, spec)
+	res, outcome, err := cached(ctx, s, st, s.simCache, cacheKey(spec), func(ctx context.Context) (otem.Result, error) {
+		return s.runSim(ctx, spec)
+	})
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -307,7 +299,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // the bounded worker pool under a single admission slot, with per-spec
 // cache reads and writes (coalescing applies only to single-run
 // endpoints; a grid's specs are usually distinct).
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	var req BatchRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeError(w, err)
@@ -338,13 +330,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var missIdx []int
 	for i, spec := range specs {
 		entries[i].Spec = req.Specs[i]
-		if res, ok := s.cache.get(cacheKey(spec)); ok {
-			s.metrics.cacheHits.Add(1)
+		if res, ok := s.simCache.get(cacheKey(spec)); ok {
+			st.book(cacheHit)
 			wire := otem.EncodeResult(res)
 			entries[i].Result = &wire
 			continue
 		}
-		s.metrics.cacheMisses.Add(1)
+		st.book(cacheMiss)
 		missSpecs = append(missSpecs, spec)
 		missIdx = append(missIdx, i)
 	}
@@ -354,7 +346,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, err)
 			return
 		}
-		results, err := s.runBatch(ctx, missSpecs, otem.WithParallelism(s.cfg.BatchParallelism))
+		results, err := s.runBatch(ctx, missSpecs)
 		s.gate.release()
 		if err != nil {
 			s.writeError(w, err)
@@ -366,7 +358,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				entries[i].Error = br.Err.Error()
 				continue
 			}
-			s.cache.put(cacheKey(missSpecs[j]), br.Result)
+			s.simCache.put(cacheKey(missSpecs[j]), br.Result)
 			wire := otem.EncodeResult(br.Result)
 			entries[i].Result = &wire
 		}
@@ -379,7 +371,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // FleetParallelism), cached and coalesced on the canonical spec encoding
 // — fleets are deterministic at any parallelism, so a cached result is
 // exactly what a re-run would produce.
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	var req FleetRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeError(w, err)
@@ -392,27 +384,9 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res, outcome, err := s.fleetCache.do(ctx, cacheKey(spec), func() (*otem.FleetResult, error) {
-		if err := s.gate.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer s.gate.release()
-		out, err := runner.Map(ctx, s.pool, 1, func(ctx context.Context, _ int) (*otem.FleetResult, error) {
-			return s.runFleet(ctx, spec, otem.WithParallelism(s.cfg.FleetParallelism))
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out[0], nil
+	res, outcome, err := cached(ctx, s, st, s.fleetCache, cacheKey(spec), func(ctx context.Context) (*otem.FleetResult, error) {
+		return s.runFleet(ctx, spec, otem.WithParallelism(s.cfg.FleetParallelism))
 	})
-	switch outcome {
-	case cacheHit:
-		s.metrics.cacheHits.Add(1)
-	case cacheMiss:
-		s.metrics.cacheMisses.Add(1)
-	case cacheCoalesced:
-		s.metrics.cacheCoalesced.Add(1)
-	}
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -424,7 +398,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 // handleStream implements GET /v1/simulate/stream: one traced run,
 // streamed as NDJSON — the first line is the ResultJSON summary (without
 // the trace), each following line one TraceStepJSON.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	req, err := fromQuery(r.URL.Query())
 	if err != nil {
 		s.writeError(w, err)
@@ -437,7 +411,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res, outcome, err := s.resolve(ctx, spec)
+	res, outcome, err := cached(ctx, s, st, s.simCache, cacheKey(spec), func(ctx context.Context) (otem.Result, error) {
+		return s.runSim(ctx, spec)
+	})
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -479,7 +455,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // it exactly like the simulate endpoints — a navigation frontend can
 // request the same route's schedule repeatedly and only the first request
 // pays for the solve.
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	var req PlanRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeError(w, err)
@@ -492,27 +468,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res, outcome, err := s.planCache.do(ctx, cacheKey(spec), func() (*otem.Plan, error) {
-		if err := s.gate.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer s.gate.release()
-		out, err := runner.Map(ctx, s.pool, 1, func(ctx context.Context, _ int) (*otem.Plan, error) {
-			return s.runPlan(ctx, spec)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out[0], nil
+	res, outcome, err := cached(ctx, s, st, s.planCache, cacheKey(spec), func(ctx context.Context) (*otem.Plan, error) {
+		return s.runPlan(ctx, spec)
 	})
-	switch outcome {
-	case cacheHit:
-		s.metrics.cacheHits.Add(1)
-	case cacheMiss:
-		s.metrics.cacheMisses.Add(1)
-	case cacheCoalesced:
-		s.metrics.cacheCoalesced.Add(1)
-	}
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -542,7 +500,7 @@ type fleetErrorEvent struct {
 // run shares /v1/fleet's cache: a cached or coalesced request emits the
 // final line only, and the X-Cache header tells which (the header is sent
 // with the first progress line, which only the computing leader writes).
-func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	req, err := fleetFromQuery(r.URL.Query())
 	if err != nil {
 		s.writeError(w, err)
@@ -576,43 +534,19 @@ func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	res, outcome, err := s.fleetCache.do(ctx, cacheKey(spec), func() (*otem.FleetResult, error) {
-		if err := s.gate.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer s.gate.release()
-		out, err := runner.Map(ctx, s.pool, 1, func(ctx context.Context, _ int) (*otem.FleetResult, error) {
-			return s.runFleet(ctx, spec,
-				otem.WithParallelism(s.cfg.FleetParallelism),
-				otem.WithProgress(progress))
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out[0], nil
+	res, outcome, err := cached(ctx, s, st, s.fleetCache, cacheKey(spec), func(ctx context.Context) (*otem.FleetResult, error) {
+		return s.runFleet(ctx, spec,
+			otem.WithParallelism(s.cfg.FleetParallelism),
+			otem.WithProgress(progress))
 	})
-	switch outcome {
-	case cacheHit:
-		s.metrics.cacheHits.Add(1)
-	case cacheMiss:
-		s.metrics.cacheMisses.Add(1)
-	case cacheCoalesced:
-		s.metrics.cacheCoalesced.Add(1)
-	}
 	if err != nil {
 		if !wroteProgress {
 			s.writeError(w, err)
 			return
 		}
 		// The 200 header is already on the wire; the error becomes the
-		// stream's final event instead. Same panic hygiene as writeError:
-		// never leak a panic value to the client.
-		msg := err.Error()
-		var pe *runner.PanicError
-		if errors.As(err, &pe) {
-			msg = "internal error: simulation panicked"
-		}
-		_ = enc.Encode(fleetErrorEvent{Event: "error", Error: msg, Code: statusFor(err)})
+		// stream's final event instead.
+		_ = enc.Encode(fleetErrorEvent{Event: "error", Error: clientMessage(err), Code: statusFor(err)})
 		return
 	}
 	if !wroteProgress {

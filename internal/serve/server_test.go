@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -73,6 +74,20 @@ func stubSim(s *Server, counter *atomic.Int64, fn func(ctx context.Context, spec
 	}
 }
 
+// cacheEvents copies one endpoint's cache outcome counts.
+func cacheEvents(t *testing.T, s *Server, endpoint string) map[cacheOutcome]int64 {
+	t.Helper()
+	for _, st := range s.metrics.endpoints {
+		if st.name == endpoint {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			return maps.Clone(st.cacheEvents)
+		}
+	}
+	t.Fatalf("no metrics record for endpoint %q", endpoint)
+	return nil
+}
+
 func postJSON(t *testing.T, url string, body string) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
@@ -126,9 +141,8 @@ func TestSimulateOKAndCacheHit(t *testing.T) {
 	if wires[0].Controller != string(otem.MethodologyOTEM) {
 		t.Errorf("controller = %q, want %q", wires[0].Controller, otem.MethodologyOTEM)
 	}
-	c := s.metrics.counters()
-	if c.CacheHits != 1 || c.CacheMisses != 1 || c.CacheCoalesced != 0 {
-		t.Errorf("cache counters = %+v, want 1 hit / 1 miss / 0 coalesced", c)
+	if ev := cacheEvents(t, s, "simulate"); ev[cacheHit] != 1 || ev[cacheMiss] != 1 || ev[cacheCoalesced] != 0 {
+		t.Errorf("simulate cache events = %v, want 1 hit / 1 miss / 0 coalesced", ev)
 	}
 }
 
@@ -317,8 +331,10 @@ func TestStreamBadQuery(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, q := range []string{"repeats=x", "ultracap_farad=zz"} {
-		resp, err := http.Get(ts.URL + "/v1/simulate/stream?method=OTEM&cycle=US06&" + q)
+	// NaN and Inf parse as floats but would run (and cache) a result JSON
+	// cannot encode; normalize must reject them before the cache.
+	for _, q := range []string{"repeats=x", "ultracap_farad=zz", "ultracap_farad=NaN", "ultracap_farad=Inf"} {
+		resp, err := http.Get(ts.URL + "/v1/simulate/stream?method=Parallel&cycle=NYCC&" + q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,6 +342,9 @@ func TestStreamBadQuery(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", q, resp.StatusCode)
 		}
+	}
+	if n := s.simCache.len(); n != 0 {
+		t.Errorf("rejected queries left %d cache entries", n)
 	}
 }
 
@@ -378,14 +397,28 @@ func TestMetricsExposition(t *testing.T) {
 		`otem_serve_requests_total{code="200",endpoint="simulate"} 3`,
 		`otem_serve_request_duration_seconds_count{endpoint="simulate"} 3`,
 		`otem_serve_request_duration_seconds_bucket{endpoint="simulate",le="+Inf"} 3`,
-		`otem_serve_cache_events_total{kind="hit"} 1`,
-		`otem_serve_cache_events_total{kind="miss"} 2`,
 		`otem_serve_admission_rejected_total 0`,
-		`otem_serve_inflight{endpoint="simulate"} 0`,
 		`otem_serve_admitted_inflight 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
+		}
+	}
+	// Every instrumented endpoint exports its own inflight gauge and cache
+	// outcome counts; only simulate has seen traffic.
+	for _, endpoint := range []string{"simulate", "batch", "stream", "fleet", "fleetstream", "plan"} {
+		want := map[cacheOutcome]int{}
+		if endpoint == "simulate" {
+			want = map[cacheOutcome]int{cacheHit: 1, cacheMiss: 2}
+		}
+		lines := []string{fmt.Sprintf("otem_serve_inflight{endpoint=%q} 0\n", endpoint)}
+		for _, kind := range cacheOutcomes {
+			lines = append(lines, fmt.Sprintf("otem_serve_cache_events_total{endpoint=%q,kind=%q} %d\n", endpoint, kind, want[kind]))
+		}
+		for _, line := range lines {
+			if !strings.Contains(text, line) {
+				t.Errorf("metrics missing %q", line)
+			}
 		}
 	}
 	// Every non-comment line must be "name{...} value" shaped.
@@ -501,7 +534,7 @@ func TestRunGracefulDrain(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2)
+	c := newCache[otem.Result](2)
 	c.put("a", otem.Result{Steps: 1})
 	c.put("b", otem.Result{Steps: 2})
 	c.put("c", otem.Result{Steps: 3}) // evicts a
@@ -539,8 +572,8 @@ func TestCacheDisabledStillCoalesces(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Errorf("disabled cache: simulator ran %d times, want 2", calls.Load())
 	}
-	if s.cache.len() != 0 {
-		t.Errorf("disabled cache stored %d entries", s.cache.len())
+	if s.simCache.len() != 0 {
+		t.Errorf("disabled cache stored %d entries", s.simCache.len())
 	}
 }
 

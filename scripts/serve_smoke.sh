@@ -102,6 +102,7 @@ curl -fsS "$base/metrics" | grep -q '^otem_serve_requests_total{code="200",endpo
 curl -fsS "$base/metrics" | grep -q '^otem_serve_requests_total{code="200",endpoint="fleet"} 2$'
 curl -fsS "$base/metrics" | grep -q '^otem_serve_requests_total{code="200",endpoint="plan"} 2$'
 curl -fsS "$base/metrics" | grep -q '^otem_serve_requests_total{code="200",endpoint="fleetstream"} 1$'
+curl -fsS "$base/metrics" | grep -q '^otem_serve_cache_events_total{endpoint="plan",kind="hit"} 1$'
 echo "serve-smoke: metrics ok"
 
 kill -TERM "$pid"
