@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check race race-grids bench bench-smoke vet lint lint-sarif lint-vet lint-bench fmt serve-smoke sim-bench fleet-bench hmpc-bench
+.PHONY: build test check race race-grids bench bench-smoke vet lint lint-sarif lint-vet lint-bench fmt serve-smoke fleet-bench hmpc-bench
 
 build:
 	$(GO) build ./...
@@ -81,15 +81,6 @@ bench-smoke:
 # header, /metrics, and the graceful SIGTERM drain.
 serve-smoke:
 	./scripts/serve_smoke.sh
-
-# Steady-state hot-path benchmark: a full UDDS drive cycle under the OTEM
-# controller, ns/step, steps/sec and allocs/step written to BENCH_sim.json
-# (committed so hot-path regressions are visible in review). The harness
-# also fails if allocs/step exceeds the committed budget — the zero-alloc
-# replan contract enforced end to end.
-sim-bench:
-	SIM_BENCH_JSON=$(CURDIR)/BENCH_sim.json $(GO) test -run TestSimBenchJSON -count=1 -timeout 20m ./internal/core
-	cat BENCH_sim.json
 
 # Monte Carlo fleet benchmark: 10k vehicles under the Parallel baseline,
 # rolled once on 1 worker and once on GOMAXPROCS workers, vehicles/sec and

@@ -49,10 +49,27 @@ func (e Pow) normalX(x float64) bool {
 // or 0 where the direct form does not apply (FromExp then ignores the
 // exponential).
 func (e Pow) ExpArg(x float64) float64 {
+	return e.ExpArgFromLog(x, math.Log(e.LogArg(x)))
+}
+
+// LogArg returns the base whose logarithm ExpArg takes at x: x itself, or
+// 1 where the direct form does not apply. A caller that evaluates several
+// bases at once can batch the logarithms (vmath.Log4) and finish each
+// with ExpArgFromLog.
+func (e Pow) LogArg(x float64) float64 {
+	if !e.normalX(x) {
+		return 1
+	}
+	return x
+}
+
+// ExpArgFromLog returns ExpArg(x) given lx = Log(LogArg(x)): yf·lx, or 0
+// where the direct form does not apply.
+func (e Pow) ExpArgFromLog(x, lx float64) float64 {
 	if !e.normalX(x) {
 		return 0
 	}
-	return e.yf * math.Log(x)
+	return e.yf * lx
 }
 
 // FromExp returns x^y given ex = exp(ExpArg(x)).

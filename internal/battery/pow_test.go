@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core/floats"
 	"repro/internal/units"
+	"repro/internal/vmath"
 )
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -42,6 +43,32 @@ func TestPowMatchesMathPow(t *testing.T) {
 		for i := 0; i < 1<<20; i++ {
 			check(math.Ldexp(1+r.Float64(), r.Intn(2100)-1075))
 			check(20 * r.Float64())
+		}
+	}
+}
+
+// TestPowLogSplitMatchesExpArg pins the batched form the rollout uses:
+// LogArg through vmath.Log4, four bases a call, then ExpArgFromLog, equals
+// ExpArg bit for bit, for the presets' exponents and a fallback one.
+func TestPowLogSplitMatchesExpArg(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	xs := append([]float64(nil), powSpecials...)
+	for i := 0; i < 1<<16; i++ {
+		xs = append(xs, math.Ldexp(1+r.Float64(), r.Intn(2100)-1075), 20*r.Float64())
+	}
+	for _, y := range []float64{NCR18650A().L[2], LFP26650().L[2], 2.3} {
+		pw := NewPow(y)
+		for i := 0; i+4 <= len(xs); i += 4 {
+			var lx [4]float64
+			for j := range lx {
+				lx[j] = pw.LogArg(xs[i+j])
+			}
+			vmath.Log4(&lx)
+			for j, x := range xs[i : i+4] {
+				if got, want := pw.ExpArgFromLog(x, lx[j]), pw.ExpArg(x); !sameBits(got, want) {
+					t.Fatalf("Pow(%v) at %v: split %v, ExpArg %v", y, x, got, want)
+				}
+			}
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/battery"
+	"repro/internal/core/floats"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -50,10 +52,12 @@ type laneBranches struct {
 	soeLow, soeHigh, socLow, socHigh, pmax, c6 int
 	battDiscZero, capDiscZero, vcapClamp, sag  int
 	capClamp, overTemp, regen, noKr, tracking  int
+	noCurrent, coldPack, powFallback           int
 }
 
 func (c *laneBranches) add(o *OTEM, tp *stepTape) {
 	r := &o.roll
+	ai := math.Abs(tp.cellI)
 	flags := []struct {
 		hit bool
 		n   *int
@@ -73,6 +77,11 @@ func (c *laneBranches) add(o *OTEM, tp *stepTape) {
 		{tp.battBus < 0, &c.regen},
 		{r.cell.Kr == 0, &c.noKr},
 		{o.trackSoC && o.trackTb, &c.tracking},
+		// Eq. 5 does not age the cell, for either of its two reasons.
+		{floats.Zero(ai), &c.noCurrent},
+		{tp.tb0 <= 0, &c.coldPack},
+		// The aging power law leaves its direct form for math.Pow.
+		{battery.Ages(ai, tp.tb0) && r.agingPow.LogArg(ai) != ai, &c.powFallback},
 	}
 	for _, f := range flags {
 		if f.hit {
@@ -87,7 +96,9 @@ func (c *laneBranches) add(o *OTEM, tp *stepTape) {
 // pack's power and current limits, a cell without a temperature
 // correction, tracking terms (when tracking is set), and (as degenerate
 // model parameters) a zero open-circuit scale and a zero capacitor bus
-// voltage, whose discriminants come out exactly zero. Controllers built
+// voltage, whose discriminants come out exactly zero, a pack starting at
+// or below 0 K, where Eq. 5 does not age the cell, and an aging exponent
+// whose power law falls back to math.Pow. Controllers built
 // with the same tracking flag share one Config, so they may share a
 // rollout.
 func laneScenario(t *testing.T, rng *rand.Rand, tracking bool) *OTEM {
@@ -135,6 +146,11 @@ func laneScenario(t *testing.T, rng *rand.Rand, tracking bool) *OTEM {
 		o.roll.cellOCVScale = 0
 	case 2:
 		o.roll.capBusV = 0
+	case 3:
+		o.roll.tb = -5 * rng.Float64()
+	case 4:
+		o.roll.cell.L[2] = 2.3
+		o.roll.agingPow = battery.NewPow(o.roll.cell.L[2])
 	}
 	return o
 }
@@ -180,15 +196,18 @@ func packedLanes(t *testing.T, rng *rand.Rand, n int, tracking bool) []fwdLane {
 }
 
 // TestLockstepRolloutMatchesSingleLane is the lockstep rollout's
-// bit-identity contract: for every lane count up to laneBudget, each lane's
-// cost and every field of every tape row equal a single-lane rollout of its
-// own controller at the same z, over packed calls mixing controllers on
-// seeded random plants, forecasts and decisions that reach every clamp.
+// bit-identity contract: for every lane count from 1 to laneBudget, each
+// lane's cost and every field of every tape row equal a single-lane
+// rollout of its own controller at the same z, over packed calls mixing
+// controllers on seeded random plants, forecasts and decisions that reach
+// every clamp, both reasons Eq. 5 does not age and the power law's
+// math.Pow fallback. Below four lanes the state exponentials of different
+// sites share Exp4 calls.
 func TestLockstepRolloutMatchesSingleLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var seen laneBranches
 	for trial := 0; trial < 400; trial++ {
-		n := 2 + trial%(laneBudget-1)
+		n := 1 + trial%laneBudget
 		lanes := packedLanes(t, rng, n, rng.Intn(3) == 0)
 		wantTape := make([][]stepTape, n)
 		wantCost := make([]float64, n)

@@ -122,7 +122,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports an error for an unusable configuration.
+// Validate reports an error for an unusable configuration. Each check is
+// written so that NaN fails it, and every weight must be finite.
 func (c Config) Validate() error {
 	switch {
 	case c.Horizon <= 0:
@@ -131,21 +132,28 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: BlockSize = %d invalid for horizon %d", c.BlockSize, c.Horizon)
 	case c.ReplanInterval <= 0:
 		return fmt.Errorf("core: ReplanInterval = %d, must be > 0", c.ReplanInterval)
-	case c.W1 < 0 || c.W2 < 0 || c.W3 < 0:
-		return fmt.Errorf("core: negative cost weights (%g, %g, %g)", c.W1, c.W2, c.W3)
-	case c.CapPowerScale <= 0:
-		return fmt.Errorf("core: CapPowerScale = %g, must be > 0", c.CapPowerScale)
-	case c.TargetTemp <= 0:
+	case !finiteNonNeg(c.W1) || !finiteNonNeg(c.W2) || !finiteNonNeg(c.W3):
+		return fmt.Errorf("core: cost weights (%g, %g, %g) must be finite and >= 0", c.W1, c.W2, c.W3)
+	case !(c.CapPowerScale > 0) || math.IsInf(c.CapPowerScale, 1):
+		return fmt.Errorf("core: CapPowerScale = %g, must be finite and > 0", c.CapPowerScale)
+	case !(c.TargetTemp > 0) || math.IsInf(c.TargetTemp, 1):
 		return fmt.Errorf("core: TargetTemp = %g K invalid", c.TargetTemp)
-	case c.TempPressureWeight < 0 || c.TEBWeight < 0:
-		return fmt.Errorf("core: negative TempPressureWeight/TEBWeight")
-	case c.CoolingOnThreshold < 0 || c.CoolingOnThreshold >= 1:
+	case !finiteNonNeg(c.TempPressureWeight) || !finiteNonNeg(c.TEBWeight):
+		return fmt.Errorf("core: TempPressureWeight/TEBWeight (%g, %g) must be finite and >= 0", c.TempPressureWeight, c.TEBWeight)
+	case math.IsNaN(c.TEBTargetSoE) || math.IsInf(c.TEBTargetSoE, 0):
+		return fmt.Errorf("core: TEBTargetSoE = %g, must be finite", c.TEBTargetSoE)
+	case !finiteNonNeg(c.SafeTempWeight) || !finiteNonNeg(c.StateWeight):
+		return fmt.Errorf("core: SafeTempWeight/StateWeight (%g, %g) must be finite and >= 0", c.SafeTempWeight, c.StateWeight)
+	case !(c.CoolingOnThreshold >= 0 && c.CoolingOnThreshold < 1):
 		return fmt.Errorf("core: CoolingOnThreshold = %g, must be in [0, 1)", c.CoolingOnThreshold)
-	case c.SoCRefWeight < 0 || c.TempRefWeight < 0:
-		return fmt.Errorf("core: negative reference-tracking weights (%g, %g)", c.SoCRefWeight, c.TempRefWeight)
+	case !finiteNonNeg(c.SoCRefWeight) || !finiteNonNeg(c.TempRefWeight):
+		return fmt.Errorf("core: reference-tracking weights (%g, %g) must be finite and >= 0", c.SoCRefWeight, c.TempRefWeight)
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether w is a usable cost weight: finite and >= 0.
+func finiteNonNeg(w float64) bool { return w >= 0 && !math.IsInf(w, 1) }
 
 // OTEM is the controller. It implements sim.Controller. Construct with New.
 type OTEM struct {

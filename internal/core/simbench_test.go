@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/drivecycle"
@@ -55,109 +52,51 @@ func BenchmarkSimStep(b *testing.B) {
 }
 
 const (
-	// simBenchAllocBudget is the committed ceiling on steady-state heap
-	// allocations per simulated step. The hot path (replan + plant step)
-	// allocates nothing once warm, so per-run allocations are dominated by
-	// the fixed plant/controller construction; 0.05 allocs/step leaves room
-	// for measurement noise while still failing on a single stray
-	// per-replan allocation (≈0.25/step at ReplanInterval 4).
-	simBenchAllocBudget = 0.05
-	// simBenchSetupAllowance covers the one-time construction cost per
-	// benchmark iteration (plant, controller, solver buffers — ≈44 allocs
-	// measured) that is independent of the step count.
-	simBenchSetupAllowance = 120
+	// driveAllocsPerStep is the ceiling on steady-state heap allocations
+	// per simulated step. The hot path (replan + plant step) allocates
+	// nothing once warm, so per-run allocations are dominated by the fixed
+	// plant/controller construction; 0.05 allocs/step leaves room for
+	// measurement noise while still failing on a single stray per-replan
+	// allocation (≈0.25/step at ReplanInterval 4).
+	driveAllocsPerStep = 0.05
+	// driveSetupAllocs covers the one-time construction cost per run
+	// (plant, controller, solver buffers) that is independent of the step
+	// count.
+	driveSetupAllocs = 120
 )
 
-// simBenchReport is the BENCH_sim.json schema produced by `make sim-bench`.
-type simBenchReport struct {
-	Benchmark     string  `json:"benchmark"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	Steps         int     `json:"steps"`
-	Runs          int     `json:"runs"`
-	NsPerStep     float64 `json:"ns_per_step"`
-	StepsPerSec   float64 `json:"steps_per_sec"`
-	AllocsPerStep float64 `json:"allocs_per_step"`
-	BytesPerStep  float64 `json:"bytes_per_step"`
-	AllocBudget   float64 `json:"alloc_budget_allocs_per_step"`
-}
-
-// TestSimBenchJSON is the `make sim-bench` harness: a full UDDS drive cycle
-// under the OTEM controller, timed with testing.Benchmark, per-step cost and
-// allocation numbers written to the path in SIM_BENCH_JSON. Without the
-// environment variable the test runs a short smoke window (nothing written)
-// so plain `go test ./...` stays fast. In both modes it fails if the
-// per-step allocation count exceeds the committed budget — the CI guard
-// against hot-path regressions.
-func TestSimBenchJSON(t *testing.T) {
-	out := os.Getenv("SIM_BENCH_JSON")
+// TestDriveCycleAllocBudget is the end-to-end zero-allocation contract of
+// the OTEM hot path: a full UDDS route under OTEM, plant and controller
+// built fresh each run, allocates at most driveSetupAllocs plus
+// driveAllocsPerStep per step. allocflow proves the replan and step loops
+// allocation-free at compile time; this counts what a whole run really
+// allocates.
+func TestDriveCycleAllocBudget(t *testing.T) {
 	requests := uddsRequests(t)
-	name := "DriveCycleUDDS"
-	if out == "" {
-		requests = requests[:120]
-		name = "DriveCycleUDDS/smoke"
-	}
 	cfg := DefaultConfig()
-
-	var steps int
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			plant := benchPlant(b)
-			o, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := sim.Run(plant, o, requests, sim.Config{Horizon: cfg.Horizon})
-			if err != nil {
-				b.Fatal(err)
-			}
-			steps = r.Steps
+	steps := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		o, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		r, err := sim.Run(benchPlant(t), o, requests, sim.Config{Horizon: cfg.Horizon})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = r.Steps
 	})
-	if steps == 0 || res.N == 0 {
-		t.Fatal("benchmark did not run")
+	limit := driveSetupAllocs + driveAllocsPerStep*float64(steps)
+	t.Logf("UDDS under OTEM: %d steps, %.0f allocs/run (%.3f/step), limit %.1f", steps, allocs, allocs/float64(steps), limit)
+	if allocs > limit {
+		t.Errorf("allocation regression: %.0f allocs/run over %d steps, limit %.1f (%.2f allocs/step + %d setup)",
+			allocs, steps, limit, driveAllocsPerStep, driveSetupAllocs)
 	}
-
-	allocsPerRun := float64(res.MemAllocs) / float64(res.N)
-	bytesPerRun := float64(res.MemBytes) / float64(res.N)
-	nsPerStep := float64(res.NsPerOp()) / float64(steps)
-	report := simBenchReport{
-		Benchmark:     name,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Steps:         steps,
-		Runs:          res.N,
-		NsPerStep:     nsPerStep,
-		StepsPerSec:   1e9 / nsPerStep,
-		AllocsPerStep: allocsPerRun / float64(steps),
-		BytesPerStep:  bytesPerRun / float64(steps),
-		AllocBudget:   simBenchAllocBudget,
-	}
-	t.Logf("%s: %d steps, %.0f ns/step, %.0f steps/sec, %.3f allocs/step",
-		name, steps, report.NsPerStep, report.StepsPerSec, report.AllocsPerStep)
-
-	// The regression gate: per-run allocations are a fixed construction cost
-	// plus the steady-state per-step budget. A single stray allocation on
-	// the replan path blows through this immediately.
-	if limit := simBenchSetupAllowance + simBenchAllocBudget*float64(steps); allocsPerRun > limit {
-		t.Errorf("allocation regression: %.1f allocs/run over %d steps, limit %.1f (budget %.2f allocs/step + %d setup)",
-			allocsPerRun, steps, limit, simBenchAllocBudget, simBenchSetupAllowance)
-	}
-
-	if out == "" {
-		return
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }
 
-// BenchmarkDriveCycle measures a full UDDS route (≈1369 steps) under OTEM —
-// the number `make sim-bench` tracks in BENCH_sim.json.
+// BenchmarkDriveCycle measures a full UDDS route under OTEM, the route
+// TestDriveCycleAllocBudget counts allocations on; ns/op ÷ steps/op is the
+// per-step cost.
 func BenchmarkDriveCycle(b *testing.B) {
 	requests := uddsRequests(b)
 	cfg := DefaultConfig()

@@ -42,6 +42,20 @@ func TestSpecValidate(t *testing.T) {
 		{AmbientK: 100},
 		{BlockSeconds: 0.25},
 		{MaxBlocks: 1000},
+		{RouteSeconds: math.NaN()},
+		{RouteSeconds: math.Inf(1)},
+		{UltracapF: math.NaN()},
+		{UltracapF: math.Inf(1)},
+		{AmbientK: math.NaN()},
+		{AmbientK: math.Inf(1)},
+		{BlockSeconds: math.NaN()},
+		{BlockSeconds: math.Inf(1)},
+		{SoCRefWeight: math.NaN()},
+		{TempRefWeight: math.Inf(1)},
+		{SoCTol: math.NaN()},
+		{TempTolK: math.Inf(-1)},
+		{OuterSoCTol: math.NaN()},
+		{OuterTempTolK: math.Inf(1)},
 	}
 	for i, s := range bad {
 		if err := s.withDefaults().Validate(); err == nil {
@@ -50,6 +64,10 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := (Spec{}).withDefaults().Validate(); err != nil {
 		t.Fatalf("zero spec must validate after defaults: %v", err)
+	}
+	off := Spec{SoCRefWeight: -1, TempRefWeight: -1, SoCTol: -1, TempTolK: -1, OuterSoCTol: -1, OuterTempTolK: -1}
+	if err := off.withDefaults().Validate(); err != nil {
+		t.Fatalf("negative (off) tunables must validate: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package hmpc
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/canon"
 	"repro/internal/core"
@@ -113,29 +114,39 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// Validate reports an error for an unusable spec (after defaults).
+// Validate reports an error for an unusable spec (after defaults). Each
+// check is written so that NaN fails it, and every float must be finite;
+// a negative offable tunable is still the off switch.
 func (s Spec) Validate() error {
 	switch {
 	case s.Cycle == "" && s.Usage != string(fleet.UsageCommuter) &&
 		s.Usage != string(fleet.UsageDelivery) && s.Usage != string(fleet.UsageHighway):
 		return fmt.Errorf("%w: unknown usage class %q", ErrBadSpec, s.Usage)
-	case s.Cycle == "" && (s.RouteSeconds < 60 || s.RouteSeconds > 7200):
+	case s.Cycle == "" && !(s.RouteSeconds >= 60 && s.RouteSeconds <= 7200):
 		return fmt.Errorf("%w: RouteSeconds = %g outside [60, 7200]", ErrBadSpec, s.RouteSeconds)
 	case s.Repeats < 1 || s.Repeats > 50:
 		return fmt.Errorf("%w: Repeats = %d outside [1, 50]", ErrBadSpec, s.Repeats)
-	case s.UltracapF <= 0:
-		return fmt.Errorf("%w: UltracapF = %g, must be > 0", ErrBadSpec, s.UltracapF)
-	case s.AmbientK < 230 || s.AmbientK > 330:
+	case !(s.UltracapF > 0) || math.IsInf(s.UltracapF, 1):
+		return fmt.Errorf("%w: UltracapF = %g, must be finite and > 0", ErrBadSpec, s.UltracapF)
+	case !(s.AmbientK >= 230 && s.AmbientK <= 330):
 		return fmt.Errorf("%w: AmbientK = %g outside [230, 330]", ErrBadSpec, s.AmbientK)
 	case s.Horizon < 1:
 		return fmt.Errorf("%w: Horizon = %d, must be >= 1", ErrBadSpec, s.Horizon)
-	case s.BlockSeconds < 1:
-		return fmt.Errorf("%w: BlockSeconds = %g, must be >= 1", ErrBadSpec, s.BlockSeconds)
+	case !(s.BlockSeconds >= 1) || math.IsInf(s.BlockSeconds, 1):
+		return fmt.Errorf("%w: BlockSeconds = %g, must be finite and >= 1", ErrBadSpec, s.BlockSeconds)
 	case s.MaxBlocks < 1 || s.MaxBlocks > 256:
 		return fmt.Errorf("%w: MaxBlocks = %d outside [1, 256]", ErrBadSpec, s.MaxBlocks)
+	case !finite(s.SoCRefWeight) || !finite(s.TempRefWeight):
+		return fmt.Errorf("%w: tracking weights (%g, %g) must be finite (negative is off)", ErrBadSpec, s.SoCRefWeight, s.TempRefWeight)
+	case !finite(s.SoCTol) || !finite(s.TempTolK) || !finite(s.OuterSoCTol) || !finite(s.OuterTempTolK):
+		return fmt.Errorf("%w: divergence tolerances (%g, %g, %g, %g) must be finite (negative is off)",
+			ErrBadSpec, s.SoCTol, s.TempTolK, s.OuterSoCTol, s.OuterTempTolK)
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // AppendCanonical implements canon.Spec: every field that influences the
 // outer plan or the hierarchical run, post-defaults and in fixed order.

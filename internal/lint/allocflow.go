@@ -32,8 +32,8 @@ func (*AllocFact) AFact() {}
 
 func (f *AllocFact) String() string { return f.Reason }
 
-// AllocFlow is the compile-time version of the BENCH_sim.json allocs/step
-// budget: functions reachable from a `//lint:hotpath <reason>` root must
+// AllocFlow is the compile-time version of the allocs/step budget that
+// internal/core's TestDriveCycleAllocBudget counts at run time: functions reachable from a `//lint:hotpath <reason>` root must
 // be provably allocation-free, transitively.
 //
 // The analysis computes a per-function allocation summary bottom-up over

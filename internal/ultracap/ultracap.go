@@ -68,22 +68,27 @@ func MaxwellBC(nameplateF float64) BankParams {
 
 // Validate reports an error for physically inconsistent parameters.
 func (p BankParams) Validate() error {
+	// Each check is written so that NaN fails it.
 	switch {
-	case p.NameplateF <= 0:
-		return fmt.Errorf("ultracap: NameplateF = %g, must be > 0", p.NameplateF)
-	case p.ModuleVoltage <= 0:
-		return fmt.Errorf("ultracap: ModuleVoltage = %g, must be > 0", p.ModuleVoltage)
-	case p.BusVoltage <= 0:
-		return fmt.Errorf("ultracap: BusVoltage = %g, must be > 0", p.BusVoltage)
-	case p.ESR < 0:
-		return fmt.Errorf("ultracap: ESR = %g, must be >= 0", p.ESR)
-	case p.MaxPower <= 0:
-		return fmt.Errorf("ultracap: MaxPower = %g, must be > 0", p.MaxPower)
-	case p.MinSoE < 0 || p.MaxSoE > 1 || p.MinSoE >= p.MaxSoE:
+	case !positiveFinite(p.NameplateF):
+		return fmt.Errorf("ultracap: NameplateF = %g, must be finite and > 0", p.NameplateF)
+	case !positiveFinite(p.ModuleVoltage):
+		return fmt.Errorf("ultracap: ModuleVoltage = %g, must be finite and > 0", p.ModuleVoltage)
+	case !positiveFinite(p.BusVoltage):
+		return fmt.Errorf("ultracap: BusVoltage = %g, must be finite and > 0", p.BusVoltage)
+	case !(p.ESR >= 0) || math.IsInf(p.ESR, 1):
+		return fmt.Errorf("ultracap: ESR = %g, must be finite and >= 0", p.ESR)
+	case !positiveFinite(p.MaxPower):
+		return fmt.Errorf("ultracap: MaxPower = %g, must be finite and > 0", p.MaxPower)
+	case !(p.MinSoE >= 0 && p.MaxSoE <= 1 && p.MinSoE < p.MaxSoE):
 		return fmt.Errorf("ultracap: SoE window [%g, %g] invalid", p.MinSoE, p.MaxSoE)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a finite number above zero; NaN is
+// not.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // EnergyCapacity returns E_cap = ½·C·V_r² in joules (Eq. 6). The value is
 // invariant under bus referral.

@@ -26,6 +26,18 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"negative ESR", func(p *BankParams) { p.ESR = -0.1 }},
 		{"zero max power", func(p *BankParams) { p.MaxPower = 0 }},
 		{"inverted SoE window", func(p *BankParams) { p.MinSoE = 0.9; p.MaxSoE = 0.3 }},
+		{"NaN capacitance", func(p *BankParams) { p.NameplateF = math.NaN() }},
+		{"infinite capacitance", func(p *BankParams) { p.NameplateF = math.Inf(1) }},
+		{"NaN module voltage", func(p *BankParams) { p.ModuleVoltage = math.NaN() }},
+		{"infinite module voltage", func(p *BankParams) { p.ModuleVoltage = math.Inf(1) }},
+		{"NaN bus voltage", func(p *BankParams) { p.BusVoltage = math.NaN() }},
+		{"infinite bus voltage", func(p *BankParams) { p.BusVoltage = math.Inf(1) }},
+		{"NaN ESR", func(p *BankParams) { p.ESR = math.NaN() }},
+		{"infinite ESR", func(p *BankParams) { p.ESR = math.Inf(1) }},
+		{"NaN max power", func(p *BankParams) { p.MaxPower = math.NaN() }},
+		{"infinite max power", func(p *BankParams) { p.MaxPower = math.Inf(1) }},
+		{"NaN SoE floor", func(p *BankParams) { p.MinSoE = math.NaN() }},
+		{"NaN SoE ceiling", func(p *BankParams) { p.MaxSoE = math.NaN() }},
 	}
 	for _, m := range mutations {
 		p := MaxwellBC(25000)

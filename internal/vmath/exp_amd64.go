@@ -23,6 +23,15 @@ var useAVX2FMA = hostAVX2FMA
 //go:noescape
 func exp4AVX(x *[4]float64) bool
 
+// log4AVX overwrites x with the natural logarithms of its four lanes and
+// reports true, or leaves x untouched and reports false when any lane lies
+// outside [MinNormal, MaxFloat64]: zero, subnormal, negative, infinite or
+// NaN. It is math.archLog widened to four lanes, op for op; archLog uses
+// no FMA, so neither does the kernel.
+//
+//go:noescape
+func log4AVX(x *[4]float64) bool
+
 // cpuHasAVX2FMA reports CPUID AVX2 (leaf 7) and FMA+AVX+OSXSAVE (leaf 1)
 // with the xmm and ymm state enabled in XCR0.
 func cpuHasAVX2FMA() bool

@@ -1,8 +1,8 @@
 // Package vmath holds vector forms of math functions that reproduce the
-// scalar math package bit for bit. Exp4 evaluates four exponentials in one
-// AVX2 pass on amd64 and equals four math.Exp calls on every input, so a
-// caller may batch independent evaluations without changing a single
-// result bit.
+// scalar math package bit for bit. Exp4 and Log4 evaluate four
+// exponentials or logarithms in one AVX2 pass on amd64 and equal four
+// math.Exp or math.Log calls on every input, so a caller may batch
+// independent evaluations without changing a single result bit.
 package vmath
 
 import "math"
@@ -14,13 +14,14 @@ import "math"
 // the scalar path.
 const expLimit = 700
 
-// Live reports whether Exp4 runs the vector kernel on this host. Without
-// AVX2 and FMA it falls back to four math.Exp calls: still bit-identical,
-// but no faster than the scalar loop it would replace.
+// Live reports whether Exp4 and Log4 run their vector kernels on this
+// host. Without AVX2 and FMA they fall back to four math.Exp or math.Log
+// calls: still bit-identical, but no faster than the scalar loop they
+// would replace.
 func Live() bool { return useAVX2FMA }
 
-// UsePortable puts Exp4 (and Live) on the portable path when on is set,
-// and back on the host's best path when it is not. No result changes
+// UsePortable puts Exp4, Log4 (and Live) on the portable path when on is
+// set, and back on the host's best path when it is not. No result changes
 // either way; tests use it to run the scalar path on AVX2 hosts. It is
 // not safe to call while another goroutine uses the package.
 func UsePortable(on bool) { useAVX2FMA = hostAVX2FMA && !on }
@@ -38,5 +39,23 @@ func Exp4(x *[4]float64) {
 func exp4Scalar(x *[4]float64) {
 	for i := range x {
 		x[i] = math.Exp(x[i])
+	}
+}
+
+// Log4 replaces each element of x with its natural logarithm,
+// bit-identical to math.Log. The vector kernel takes a call only when
+// every lane is a positive normal finite number; any other lane (zero,
+// subnormal, negative, ±Inf, NaN) sends all four to math.Log.
+func Log4(x *[4]float64) {
+	if useAVX2FMA && log4AVX(x) {
+		return
+	}
+	log4Scalar(x)
+}
+
+// log4Scalar is the portable path: one math.Log per lane.
+func log4Scalar(x *[4]float64) {
+	for i := range x {
+		x[i] = math.Log(x[i])
 	}
 }
