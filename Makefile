@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check race race-grids bench bench-smoke vet lint lint-sarif lint-vet lint-bench fmt serve-smoke fleet-bench hmpc-bench
+.PHONY: build test check cross race race-grids bench bench-smoke vet lint lint-sarif lint-vet lint-bench fmt serve-smoke fleet-bench hmpc-bench
 
 build:
 	$(GO) build ./...
@@ -48,11 +48,20 @@ fmt:
 test: build
 	$(GO) test ./...
 
-# Tier-1: everything compiles, vet and otem-lint are clean, the full
-# suite passes under the race detector, and the benchmark driver's smoke
-# test still reproduces its pinned results.
-check: vet lint build bench-smoke
+# Tier-1: everything compiles, vet and otem-lint are clean, the portable
+# and GOAMD64=v3 builds hold (cross), the full suite passes under the race
+# detector, and the benchmark driver's smoke test still reproduces its
+# pinned results.
+check: vet lint build cross bench-smoke
 	$(GO) test -race ./...
+
+# The builds the host's default does not exercise: the portable (non-amd64)
+# build of every package that carries assembly must compile, and the
+# goldens and the vector-vs-portable identity tests must still hold when
+# the compiler may use v3 instructions.
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/vmath ./internal/hees ./internal/core
+	GOAMD64=v3 $(GO) test ./internal/core ./internal/vmath ./otem
 
 # The full suite under the race detector (slow: MPC-heavy tests included).
 race:

@@ -15,60 +15,55 @@ import (
 // just made (the line search evaluates the point whose gradient it then
 // asks for, and the tape is reused), and one backward sweep that costs
 // about a third of a rollout: 2.4 µs against 7.9 µs for a single-lane
-// rollout on a 2-vCPU Xeon.
+// rollout on a 2-vCPU Xeon (four lanes in lockstep take 14.4 µs).
 // Correctness is pinned by TestAnalyticGradientMatchesNumeric, which
 // compares against central differences over random states and decisions.
 
 // stepTape records the intermediates of one forward step that the backward
-// sweep needs.
+// sweep needs. The branch flags sit at the end, where they share one
+// 16-byte tail instead of an 8-byte slot each.
 type stepTape struct {
-	soc0, soe0, tb0, tc0 float64
+	soc0, soe0, tb0 float64
+	pcool, qx       float64
 
-	capU, coolU float64
-	pcool, qx   float64
-
-	vcap        float64
-	vcapClamped bool // soe0 ≤ 1e-6 → d(vcap)/d(soe) = 0
-	sagBranch   bool // capMax came from the 0.97·v²/4R sag limit
-	capMax      float64
-	etaCapBus   float64 // η(vcap) used by BusPower for capMaxBus
-	etaCapBusP  bool    // derivative of that η w.r.t. v is nonzero
-	capMaxBus   float64
-	capClamped  bool // capBus = capMaxBus taken
-	capBus      float64
-	etaCapSto   float64 // η(vcap) used by StoragePower
-	etaCapStoP  bool
-	capStorage  float64
-	sCap        float64 // sqrt of the capacitor discriminant
-	capDiscZero bool
-	capI        float64
-	dEcap       float64
-	soePre      float64
-	soeClampHi  bool
+	vcap      float64
+	capMax    float64 // capC7, or the 0.97·v²/4R sag limit (sagBranch)
+	etaCapBus float64 // η(vcap), used by BusPower for the clamp limit and by StoragePower
+	capBus    float64
+	sCap      float64 // sqrt of the capacitor discriminant
+	capI      float64
+	dEcap     float64
+	soePre    float64
 
 	voc, res float64
-	cellR    float64 // single-cell resistance R(soc0, tb0) behind res/heat
+	cellR    float64 // single-cell resistance R(soc0, tb0) behind res and the heat
 	// The exponentials behind voc and cellR — exp(V[1]·z), exp(R[1]·z) and
 	// the Arrhenius factor at (soc0, tb0) — kept so the adjoint's dVoc/dz
 	// and dR/dz need no exp of their own.
 	ocvExp, resZExp, resTExp float64
 	battBus                  float64
 	etaBatt                  float64
-	etaBattP                 bool
 	bsPre                    float64 // battery storage power before the pmax clamp
 	pmax                     float64
-	bsClamped                bool
 	battStorage              float64
 	sBatt                    float64
-	battDiscZero             bool
 	i, cellI                 float64
 	overC6                   float64 // max(0, i − packMaxI)
-	heat                     float64
 	aging                    float64
 	socPre                   float64
-	socClampHi               bool
 
 	tb1, tc1 float64
+
+	vcapClamped  bool // soe0 ≤ 1e-6 → d(vcap)/d(soe) = 0
+	sagBranch    bool // capMax came from the 0.97·v²/4R sag limit
+	etaCapBusP   bool // derivative of etaCapBus w.r.t. v is nonzero
+	capClamped   bool // capBus clamped to (capMax − idle)·etaCapBus
+	capDiscZero  bool
+	soeClampHi   bool
+	etaBattP     bool
+	bsClamped    bool
+	battDiscZero bool
+	socClampHi   bool
 }
 
 // cnCoef holds the precomputed Crank–Nicolson coefficients and inverse used
@@ -130,6 +125,22 @@ type fwdLane struct {
 	z    []float64
 }
 
+// sweep is the state sweep of one objectiveFwd call: its lanes, each
+// lane's captured plant, tape and carried state, and the blocked-input
+// cursor's constants.
+type sweep struct {
+	lanes   []fwdLane
+	rs      [laneBudget]*rollout
+	tapes   [laneBudget][]stepTape
+	st      [laneBudget]laneState
+	horizon int
+	// bs, mIn and lastBase walk z one block every bs steps: the same
+	// indexing as Spec.InputAt, without the per-step division.
+	bs, mIn, lastBase int
+	// capPowerScale is the lanes' common Config's.
+	capPowerScale float64
+}
+
 // objectiveFwd is the single source of truth for the MPC cost. It rolls
 // the model forward over the horizon for up to laneBudget lanes in
 // lockstep. The lanes may belong to different controllers (different
@@ -144,20 +155,29 @@ type fwdLane struct {
 //
 //   - the state sweep steps every lane through the horizon in lockstep:
 //     cooling, capacitor and SoE, the battery up to its cell current and
-//     heat, SoC and the thermal network. Each step splits once, where the
-//     battery formulas need Eq. 2's and Eq. 3's exponentials: every lane
-//     writes its three arguments site-major into one buffer, ⌈3n/4⌉
-//     vmath.Exp4 calls evaluate them, and the lanes carry on;
+//     heat, SoC and the thermal network. Each step runs in the eight
+//     stages of DESIGN.md §10, each over every lane before the next
+//     begins, so the lanes' independent chains of divisions and square
+//     roots overlap. Where vmath's vector kernels are live, a call of two
+//     or more lanes runs the stages four lanes per AVX2 instruction
+//     (sweepKernel); a lone lane, vmath.UsePortable and other
+//     architectures run them as Go loops (stepStages). Eq. 2's and
+//     Eq. 3's exponentials go four at a time through vmath.Exp4, or
+//     through its kernel inlined in the sweep's;
 //   - the aging sweep (agingSweep) fills each lane's Eq. 5 rates from its
 //     finished tape, four steps per vmath.Log4/Exp4 call;
 //   - the cost sweep (laneCost) adds each lane's cost terms from its tape
 //     in the order the state recurrences produce them.
 //
 // No state recurrence reads the cost or the aging rate, so deferring them
-// changes no operation: each lane performs exactly the operations a
-// single-lane call performs on its controller and z, a lane's cost and
-// tape rows do not depend on which lanes ran beside it, and the
-// single-lane call is the plain objective.
+// changes no operation, and running the lanes side by side reorders only
+// operations of different lanes: each lane performs exactly the
+// operations a single-lane call performs on its controller and z, a
+// lane's cost and tape rows do not depend on which lanes ran beside it,
+// and the single-lane call is the plain objective. That holds bit for
+// bit except for NaN payloads: where an operation meets two different
+// NaNs, the kernel and the Go stages may return either one (DESIGN.md
+// §10), and a lone lane runs the Go stages.
 //
 // Rows are written in full — every conditionally-set field is explicitly
 // reset — so a dirty, reused tape is fine and the hot path never zeroes or
@@ -165,212 +185,242 @@ type fwdLane struct {
 //
 //lint:hotpath every trial of every replan rolls through here; allocflow proves it allocation-free
 func objectiveFwd(lanes []fwdLane) {
-	n := len(lanes)
 	lead := lanes[0].o
 	cfg := &lead.cfg
 	spec := lead.planner.Spec()
-	bs, nb, mIn := spec.BlockSize, spec.Blocks(), spec.InputsPerStep
-	horizon := cfg.Horizon
-	// Hoisted out of the tape-writing loops: the tape writes go through a
-	// pointer, so without this the compiler must reload the field after
-	// every store. The captured plants differ per lane and are read
-	// through rs.
-	capPowerScale := cfg.CapPowerScale
-
-	var (
-		rs    [laneBudget]*rollout
-		tapes [laneBudget][]stepTape
-		st    [laneBudget]laneState
-	)
+	s := sweep{
+		lanes:         lanes,
+		horizon:       cfg.Horizon,
+		bs:            spec.BlockSize,
+		mIn:           spec.InputsPerStep,
+		lastBase:      (spec.Blocks() - 1) * spec.InputsPerStep,
+		capPowerScale: cfg.CapPowerScale,
+	}
 	for j := range lanes {
 		o := lanes[j].o
 		r := &o.roll
-		rs[j] = r
-		tapes[j] = o.tapes[lanes[j].slot][:horizon]
-		st[j] = laneState{soc: r.soc, soe: r.soe, tb: r.tb, tc: r.tc}
+		s.rs[j] = r
+		s.tapes[j] = o.tapes[lanes[j].slot][:s.horizon]
+		s.st[j] = laneState{soc: r.soc, soe: r.soe, tb: r.tb, tc: r.tc}
 	}
-	// The state exponentials' arguments, site-major and overwritten in
-	// place by Exp4: lane j's Eq. 2 argument at j, Eq. 3's at n+j and
-	// 2n+j. The entries from 3n up to the next multiple of four are reset
-	// to 0 every step: Exp4 overwrites them too, and a value left to grow
-	// step after step would push every later call onto the kernel's scalar
-	// fallback.
-	var e [3 * laneBudget]float64
-	ne := (3*n + 3) &^ 3
-
-	// Blocked-input cursor: base walks z one block every bs steps (same
-	// indexing as Spec.InputAt, without the per-step division).
-	base, nextBlockAt, lastBase := 0, bs, (nb-1)*mIn
-	for k := 0; k < horizon; k++ {
-		if k == nextBlockAt && base < lastBase {
-			base += mIn
-			nextBlockAt += bs
-		}
-
-		// Cooling, ultracapacitor and SoE; then the arguments of the
-		// battery formulas' exponentials at this step's (soc, tb).
-		for j := 0; j < n; j++ {
-			r := rs[j]
-			cc := &r.capConv
-			capBusV, capESR, dt := r.capBusV, r.capESR, r.dt
-			s := &st[j]
-			tp := &tapes[j][k]
-			soc, soe, tb := s.soc, s.soe, s.tb
-			tp.soc0, tp.soe0, tp.tb0, tp.tc0 = soc, soe, tb, s.tc
-			z := lanes[j].z
-			tp.capU = z[base]
-			tp.coolU = z[base+1]
-
-			// --- Cooling: linear intensity model ---
-			tp.pcool = tp.coolU * (r.coolerMax + r.pump)
-			tp.qx = -tp.coolU * r.coolEff * r.coolerMax
-
-			// --- Ultracapacitor branch ---
-			capBus0 := tp.capU * capPowerScale
-			if soe > 1e-6 {
-				tp.vcap = capBusV * math.Sqrt(soe)
-				tp.vcapClamped = false
-			} else {
-				tp.vcap = capBusV * math.Sqrt(1e-6)
-				tp.vcapClamped = true
-			}
-			tp.capMax = r.capC7
-			tp.sagBranch = false
-			if capESR > 0 {
-				if sag := 0.97 * tp.vcap * tp.vcap / (4 * capESR); sag < tp.capMax {
-					tp.capMax = sag
-					tp.sagBranch = true
-				}
-			}
-			tp.etaCapBus, tp.etaCapBusP = etaAt(cc.PeakEfficiency, cc.MinEfficiency, cc.NominalVoltage, cc.Droop, tp.vcap)
-			// BusPower for a non-negative storage power (capMax ≥ 0, idle 0).
-			tp.capMaxBus = (tp.capMax - cc.IdleLoss) * tp.etaCapBus
-			tp.capBus = capBus0
-			tp.capClamped = false
-			if tp.capBus > tp.capMaxBus {
-				tp.capBus = tp.capMaxBus
-				tp.capClamped = true
-			}
-			tp.etaCapSto, tp.etaCapStoP = tp.etaCapBus, tp.etaCapBusP
-			if tp.capBus >= 0 {
-				tp.capStorage = tp.capBus/tp.etaCapSto + cc.IdleLoss
-			} else {
-				tp.capStorage = tp.capBus*tp.etaCapSto + cc.IdleLoss
-			}
-			tp.sCap = 0
-			tp.capDiscZero = false
-			tp.capI = 0
-			if capESR > 0 {
-				disc := tp.vcap*tp.vcap - 4*capESR*tp.capStorage
-				if disc < 0 {
-					disc = 0
-					tp.capDiscZero = true
-				}
-				tp.sCap = math.Sqrt(disc)
-				tp.capI = (tp.vcap - tp.sCap) / (2 * capESR)
-			} else if tp.vcap > 0 {
-				tp.capI = tp.capStorage / tp.vcap
-			}
-			tp.dEcap = (tp.capStorage + tp.capI*tp.capI*capESR) * dt
-			tp.soePre = soe - tp.dEcap/r.capEnergy
-			soe = tp.soePre
-			tp.soeClampHi = false
-			if soe > 1 {
-				soe = 1
-				tp.soeClampHi = true
-			}
-			s.soe = soe
-
-			cell := &r.cell
-			zc := units.Clamp(soc, 0, 1)
-			e[j] = cell.OCVExpArg(zc)
-			e[n+j], e[2*n+j] = cell.ResistanceExpArgs(zc, tb)
-		}
-		for i := 3 * n; i < ne; i++ {
-			e[i] = 0
-		}
-		for i := 0; i < ne; i += 4 {
-			vmath.Exp4((*[4]float64)(e[i : i+4]))
-		}
-
-		// Battery branch up to the cell current and heat, SoC and the
-		// thermal network.
-		for j := 0; j < n; j++ {
-			r := rs[j]
-			cell := &r.cell
-			bc := &r.battConv
-			cn := &r.cnc
-			dt := r.dt
-			s := &st[j]
-			tp := &tapes[j][k]
-			soc, tb, tc := s.soc, s.tb, s.tc
-			tp.ocvExp, tp.resZExp, tp.resTExp = e[j], e[n+j], e[2*n+j]
-
-			tp.battBus = lanes[j].o.fc[k] + tp.pcool - tp.capBus
-			tp.voc = r.cellOCVScale * cell.OCVFromExp(units.Clamp(tp.soc0, 0, 1), tp.ocvExp)
-			cellR := cell.ResistanceFromExp(tp.resZExp, tp.resTExp)
-			tp.cellR = cellR
-			tp.res = r.packResScale * cellR
-			tp.etaBatt, tp.etaBattP = etaAt(bc.PeakEfficiency, bc.MinEfficiency, bc.NominalVoltage, bc.Droop, tp.voc)
-			if tp.battBus >= 0 {
-				tp.bsPre = tp.battBus/tp.etaBatt + bc.IdleLoss
-			} else {
-				tp.bsPre = tp.battBus*tp.etaBatt + bc.IdleLoss
-			}
-			tp.pmax = tp.voc * tp.voc / (4 * tp.res) * 0.98
-			tp.battStorage = tp.bsPre
-			tp.bsClamped = false
-			if tp.bsPre > tp.pmax {
-				tp.battStorage = tp.pmax
-				tp.bsClamped = true
-			}
-			disc := tp.voc*tp.voc - 4*tp.res*tp.battStorage
-			tp.battDiscZero = false
-			if disc < 0 {
-				disc = 0
-				tp.battDiscZero = true
-			}
-			tp.sBatt = math.Sqrt(disc)
-			tp.i = (tp.voc - tp.sBatt) / (2 * tp.res)
-			tp.overC6 = tp.i - r.packMaxI
-			if !(tp.overC6 > 0) {
-				tp.overC6 = 0
-			}
-			tp.cellI = tp.i / r.parallel
-			// Inlined HeatRate: i²·R + i·T·dVoc/dT, reusing cellR (the same
-			// R(soc, tb) the method would recompute).
-			tp.heat = (tp.cellI*tp.cellI*cellR + tp.cellI*tb*cell.DVocDT) * r.cells
-
-			tp.socPre = soc - tp.i*dt/r.packCapC
-			soc = tp.socPre
-			tp.socClampHi = false
-			if soc > 1 {
-				soc = 1
-				tp.socClampHi = true
-			}
-
-			// --- Thermal network (closed-form CN, identical to CNStep2) ---
-			r0 := cn.r0tb*tb + cn.r0tc*tc + tp.heat
-			r1 := cn.r1tb*tb + cn.r1tc*tc + cn.w*r.ambient + tp.qx
-			tb = cn.i00*r0 + cn.i01*r1
-			tc = cn.i10*r0 + cn.i11*r1
-			tp.tb1, tp.tc1 = tb, tc
-			s.soc, s.tb, s.tc = soc, tb, tc
-		}
+	// A lone lane stays on the portable stages: the kernel would spend a
+	// whole four-lane group on it, and take longer (DESIGN.md §10).
+	if len(lanes) > 1 && useKernel() {
+		s.sweepKernel()
+	} else {
+		s.sweepStages()
 	}
 
 	for j := range lanes {
 		ln := &lanes[j]
 		o := ln.o
-		agingSweep(rs[j], tapes[j])
-		cost := o.laneCost(tapes[j])
-		if d := cfg.TEBTargetSoE - st[j].soe; d > 0 {
+		agingSweep(s.rs[j], s.tapes[j])
+		cost := o.laneCost(s.tapes[j])
+		if d := cfg.TEBTargetSoE - s.st[j].soe; d > 0 {
 			cost += cfg.TEBWeight * o.roll.capEnergy * d * d
 		}
 		o.tapeZ[ln.slot] = o.tapeZ[ln.slot][:len(ln.z)]
 		copy(o.tapeZ[ln.slot], ln.z)
 		o.tapeCost[ln.slot] = cost
 		o.tapeLanes = ln.slot + 1
+	}
+}
+
+// sweepStages is the portable state sweep: every step runs stepStages.
+func (s *sweep) sweepStages() {
+	// The state exponentials' arguments, site-major and overwritten in
+	// place by Exp4: lane j's Eq. 2 argument at j, Eq. 3's at n+j and
+	// 2n+j.
+	var e [3 * laneBudget]float64
+	base, nextBlockAt := 0, s.bs
+	for k := 0; k < s.horizon; k++ {
+		if k == nextBlockAt && base < s.lastBase {
+			base += s.mIn
+			nextBlockAt += s.bs
+		}
+		s.stepStages(k, base, &e)
+	}
+}
+
+// stepStages advances every lane by step k, whose inputs start at
+// z[base], in the eight stages of DESIGN.md §10. Each stage runs over all
+// lanes before the next starts; a stage reads what the earlier ones wrote
+// into the tape rows, or the per-lane arrays below for what the tape does
+// not keep.
+func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
+	n := len(s.lanes)
+	var (
+		rows   [laneBudget]*stepTape
+		capSto [laneBudget]float64 // the capacitor's storage power
+	)
+
+	// 1. Tape head, cooling (linear intensity model) and the capacitor
+	// voltage.
+	for j := 0; j < n; j++ {
+		r, ls, tp := s.rs[j], &s.st[j], &s.tapes[j][k]
+		rows[j] = tp
+		tp.soc0, tp.soe0, tp.tb0 = ls.soc, ls.soe, ls.tb
+		coolU := s.lanes[j].z[base+1]
+		tp.pcool = coolU * (r.coolerMax + r.pump)
+		tp.qx = -coolU * r.coolEff * r.coolerMax
+		if ls.soe > 1e-6 {
+			tp.vcap = r.capBusV * math.Sqrt(ls.soe)
+			tp.vcapClamped = false
+		} else {
+			tp.vcap = r.capBusV * math.Sqrt(1e-6)
+			tp.vcapClamped = true
+		}
+	}
+
+	// 2. The sag limit, η, the clamped bus power and the storage power.
+	for j := 0; j < n; j++ {
+		r, tp := s.rs[j], rows[j]
+		cc := &r.capConv
+		tp.capMax = r.capC7
+		tp.sagBranch = false
+		if capESR := r.capESR; capESR > 0 {
+			if sag := 0.97 * tp.vcap * tp.vcap / (4 * capESR); sag < tp.capMax {
+				tp.capMax = sag
+				tp.sagBranch = true
+			}
+		}
+		tp.etaCapBus, tp.etaCapBusP = etaAt(cc.PeakEfficiency, cc.MinEfficiency, cc.NominalVoltage, cc.Droop, tp.vcap)
+		// BusPower for a non-negative storage power (capMax ≥ 0, idle 0).
+		capMaxBus := (tp.capMax - cc.IdleLoss) * tp.etaCapBus
+		tp.capBus = s.lanes[j].z[base] * s.capPowerScale
+		tp.capClamped = false
+		if tp.capBus > capMaxBus {
+			tp.capBus = capMaxBus
+			tp.capClamped = true
+		}
+		if tp.capBus >= 0 {
+			capSto[j] = tp.capBus/tp.etaCapBus + cc.IdleLoss
+		} else {
+			capSto[j] = tp.capBus*tp.etaCapBus + cc.IdleLoss
+		}
+	}
+
+	// 3. The discriminant, its square root and the capacitor current.
+	for j := 0; j < n; j++ {
+		r, tp := s.rs[j], rows[j]
+		capESR := r.capESR
+		tp.sCap = 0
+		tp.capDiscZero = false
+		tp.capI = 0
+		if capESR > 0 {
+			disc := tp.vcap*tp.vcap - 4*capESR*capSto[j]
+			if disc < 0 {
+				disc = 0
+				tp.capDiscZero = true
+			}
+			tp.sCap = math.Sqrt(disc)
+			tp.capI = (tp.vcap - tp.sCap) / (2 * capESR)
+		} else if tp.vcap > 0 {
+			tp.capI = capSto[j] / tp.vcap
+		}
+	}
+
+	// 4. The energy drawn, the SoE and its clamp; then the arguments of
+	// the battery formulas' exponentials at this step's (soc, tb).
+	for j := 0; j < n; j++ {
+		r, ls, tp := s.rs[j], &s.st[j], rows[j]
+		tp.dEcap = (capSto[j] + tp.capI*tp.capI*r.capESR) * r.dt
+		tp.soePre = ls.soe - tp.dEcap/r.capEnergy
+		soe := tp.soePre
+		tp.soeClampHi = false
+		if soe > 1 {
+			soe = 1
+			tp.soeClampHi = true
+		}
+		ls.soe = soe
+
+		cell := &r.cell
+		zc := units.Clamp(ls.soc, 0, 1)
+		e[j] = cell.OCVExpArg(zc)
+		e[n+j], e[2*n+j] = cell.ResistanceExpArgs(zc, ls.tb)
+	}
+
+	// 5. The exponentials, ⌈3n/4⌉ Exp4 calls. The entries from 3n up to
+	// the next multiple of four are reset to 0 every step: Exp4
+	// overwrites them too, and a value left to grow step after step would
+	// push every later call onto the kernel's scalar fallback.
+	ne := (3*n + 3) &^ 3
+	for i := 3 * n; i < ne; i++ {
+		e[i] = 0
+	}
+	for i := 0; i < ne; i += 4 {
+		vmath.Exp4((*[4]float64)(e[i : i+4]))
+	}
+
+	// 6. The open-circuit voltage, the resistance, η, the storage power
+	// before its clamp and the power limit.
+	for j := 0; j < n; j++ {
+		r, tp := s.rs[j], rows[j]
+		cell := &r.cell
+		bc := &r.battConv
+		tp.ocvExp, tp.resZExp, tp.resTExp = e[j], e[n+j], e[2*n+j]
+		tp.battBus = s.lanes[j].o.fc[k] + tp.pcool - tp.capBus
+		tp.voc = r.cellOCVScale * cell.OCVFromExp(units.Clamp(tp.soc0, 0, 1), tp.ocvExp)
+		tp.cellR = cell.ResistanceFromExp(tp.resZExp, tp.resTExp)
+		tp.res = r.packResScale * tp.cellR
+		tp.etaBatt, tp.etaBattP = etaAt(bc.PeakEfficiency, bc.MinEfficiency, bc.NominalVoltage, bc.Droop, tp.voc)
+		if tp.battBus >= 0 {
+			tp.bsPre = tp.battBus/tp.etaBatt + bc.IdleLoss
+		} else {
+			tp.bsPre = tp.battBus*tp.etaBatt + bc.IdleLoss
+		}
+		tp.pmax = tp.voc * tp.voc / (4 * tp.res) * 0.98
+	}
+
+	// 7. The power clamp, the discriminant's square root and the pack
+	// current.
+	for j := 0; j < n; j++ {
+		tp := rows[j]
+		tp.battStorage = tp.bsPre
+		tp.bsClamped = false
+		if tp.bsPre > tp.pmax {
+			tp.battStorage = tp.pmax
+			tp.bsClamped = true
+		}
+		disc := tp.voc*tp.voc - 4*tp.res*tp.battStorage
+		tp.battDiscZero = false
+		if disc < 0 {
+			disc = 0
+			tp.battDiscZero = true
+		}
+		tp.sBatt = math.Sqrt(disc)
+		tp.i = (tp.voc - tp.sBatt) / (2 * tp.res)
+	}
+
+	// 8. The C6 excess, the cell current and heat, the SoC and the
+	// thermal network (closed-form CN, identical to CNStep2).
+	for j := 0; j < n; j++ {
+		r, ls, tp := s.rs[j], &s.st[j], rows[j]
+		cn := &r.cnc
+		soc, tb, tc := ls.soc, ls.tb, ls.tc
+		tp.overC6 = tp.i - r.packMaxI
+		if !(tp.overC6 > 0) {
+			tp.overC6 = 0
+		}
+		tp.cellI = tp.i / r.parallel
+		// Inlined HeatRate: i²·R + i·T·dVoc/dT, reusing cellR (the same
+		// R(soc, tb) the method would recompute).
+		heat := (tp.cellI*tp.cellI*tp.cellR + tp.cellI*tb*r.cell.DVocDT) * r.cells
+
+		tp.socPre = soc - tp.i*r.dt/r.packCapC
+		soc = tp.socPre
+		tp.socClampHi = false
+		if soc > 1 {
+			soc = 1
+			tp.socClampHi = true
+		}
+
+		r0 := cn.r0tb*tb + cn.r0tc*tc + heat
+		r1 := cn.r1tb*tb + cn.r1tc*tc + cn.w*r.ambient + tp.qx
+		tb = cn.i00*r0 + cn.i01*r1
+		tc = cn.i10*r0 + cn.i11*r1
+		tp.tb1, tp.tc1 = tb, tc
+		ls.soc, ls.tb, ls.tc = soc, tb, tc
 	}
 }
 
@@ -678,13 +728,13 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 		// --- capacitor converter (StoragePower) ---
 		droopTerm := r.capConv.Droop / r.capConv.NominalVoltage
 		if tp.capBus >= 0 {
-			acapBus += acs / tp.etaCapSto
-			if tp.etaCapStoP {
-				avcap += -acs * tp.capBus * droopTerm / (tp.etaCapSto * tp.etaCapSto)
+			acapBus += acs / tp.etaCapBus
+			if tp.etaCapBusP {
+				avcap += -acs * tp.capBus * droopTerm / (tp.etaCapBus * tp.etaCapBus)
 			}
 		} else {
-			acapBus += acs * tp.etaCapSto
-			if tp.etaCapStoP {
+			acapBus += acs * tp.etaCapBus
+			if tp.etaCapBusP {
 				avcap += acs * tp.capBus * droopTerm
 			}
 		}

@@ -17,12 +17,12 @@ import (
 // evaluations — so packing changes how fast a plan is found, never which.
 
 const (
-	// laneBudget is the widest lockstep rollout: six vmath.Exp4 calls
-	// for the state exponentials of a step. On a 2-vCPU Xeon,
-	// BenchmarkObjectiveLanes reads about 4.7 µs per lane at 8 lanes,
-	// less than the 6.3 at 4, against about 7.9 µs for a lane alone
-	// (DESIGN.md §7, §9). A round of fewer trials is topped up with
-	// speculative ones up to it.
+	// laneBudget is the widest lockstep rollout: the two four-lane
+	// groups of the state sweep's kernel. On a 2-vCPU Xeon,
+	// BenchmarkObjectiveLanes reads about 3.8 µs per lane at 8 lanes, as
+	// at 4, against about 7.8 µs for a lane alone (DESIGN.md §9, §10).
+	// A round of fewer trials is topped up with speculative ones up to
+	// it.
 	laneBudget = 8
 	// maxSpec is the most trials one vehicle puts into a round: one Ask's
 	// optimize.BatchWidth, and the number of tape slots that needs. A

@@ -24,14 +24,15 @@ func withAllSlots(o *OTEM) {
 	o.slots = maxSpec
 }
 
-// sameRow reports whether two tape rows hold the same bits in every field.
-func sameRow(a, b *stepTape) bool {
+// sameRow reports whether two tape rows agree in every flag and, by same,
+// in every field.
+func sameRow(a, b *stepTape, same func(x, y float64) bool) bool {
 	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
 	for i := 0; i < va.NumField(); i++ {
 		fa, fb := va.Field(i), vb.Field(i)
 		switch fa.Kind() {
 		case reflect.Float64:
-			if math.Float64bits(fa.Float()) != math.Float64bits(fb.Float()) {
+			if !same(fa.Float(), fb.Float()) {
 				return false
 			}
 		case reflect.Bool:
@@ -44,6 +45,9 @@ func sameRow(a, b *stepTape) bool {
 	}
 	return true
 }
+
+// sameFloatBits reports whether x and y hold the same bits.
+func sameFloatBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 // laneBranches counts how often the rollout's clamps, penalties and
 // special cases fired across every recorded row, so the identity test can
@@ -225,7 +229,7 @@ func TestLockstepRolloutMatchesSingleLane(t *testing.T) {
 			}
 			for k := range wantTape[j] {
 				got := &o.tapes[ln.slot][k]
-				if !sameRow(got, &wantTape[j][k]) {
+				if !sameRow(got, &wantTape[j][k], sameFloatBits) {
 					t.Fatalf("trial %d lane %d/%d step %d: tape row differs\n got %+v\nwant %+v", trial, j, n, k, *got, wantTape[j][k])
 				}
 				seen.add(o, got)
