@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check cross race race-grids bench bench-smoke vet lint lint-sarif lint-vet lint-bench fmt serve-smoke fleet-bench hmpc-bench
+.PHONY: build test check cross race race-grids bench bench-smoke vet lint lint-sarif lint-vet fmt serve-smoke fleet-bench hmpc-bench
 
 build:
 	$(GO) build ./...
@@ -34,13 +34,6 @@ lint-sarif:
 lint-vet:
 	$(GO) build -o bin/otem-lint ./cmd/otem-lint
 	$(GO) vet -vettool=bin/otem-lint ./...
-
-# Sequential reference driver vs parallel DAG scheduler over the whole
-# module; records best-of-three times and the speedup at both GOMAXPROCS=1
-# and GOMAXPROCS=NumCPU to BENCH_lint.json (committed so scheduler
-# regressions are visible in review, and comparable across machines).
-lint-bench:
-	$(GO) run ./cmd/otem-lint -benchjson BENCH_lint.json ./...
 
 fmt:
 	gofmt -l .

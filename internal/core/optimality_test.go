@@ -40,10 +40,16 @@ func TestPlannerBeatsExhaustiveGrid(t *testing.T) {
 		}
 	}
 
-	plan, _, err := o.planner.Plan(o.objective)
-	if err != nil {
+	// One plan on finite-difference gradients, one trial per Ask.
+	if err := o.planner.Start(o.objective, nil); err != nil {
 		t.Fatal(err)
 	}
+	var f [1]float64
+	for pts := o.planner.Ask(1); len(pts) > 0; pts = o.planner.Ask(1) {
+		f[0] = o.objective(pts[0])
+		o.planner.Tell(f[:])
+	}
+	plan, _ := o.planner.Finish()
 	planCost := o.objective(plan)
 
 	// Exhaustive grid: 7 capU levels × 5 coolU levels per block = 35³

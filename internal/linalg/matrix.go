@@ -1,8 +1,11 @@
+// Package linalg provides the small dense linear-algebra kernel of the
+// distributed thermal network (internal/thermal): a dense matrix and its
+// pivoted LU factorisation, reusable across solves without allocating.
 package linalg
 
 // This file follows the BLAS/gonum kernel conventions: dimension misuse
 // panics are the documented API contract (callers hold the invariants, and
-// the MPC hot loop cannot afford error plumbing per Dot), and exact
+// the thermal stepper cannot afford error plumbing per Set), and exact
 // floating-point zero tests implement sparsity fast paths and
 // division-by-zero singularity guards whose semantics an epsilon would
 // change.
@@ -13,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense, row-major matrix of float64.
@@ -30,100 +32,12 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// MatrixFromRows builds a matrix from row slices. All rows must have equal
-// length; the data is copied.
-func MatrixFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			panic(fmt.Sprintf("linalg: ragged rows: row %d has %d cols, want %d", i, len(r), cols))
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// Dims returns the row and column counts.
-func (m *Matrix) Dims() (rows, cols int) { return m.rows, m.cols }
-
-// At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 {
-	m.check(i, j)
-	return m.data[i*m.cols+j]
-}
-
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, x float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] = x
-}
-
-// Add accumulates x into the element at row i, column j.
-func (m *Matrix) Add(i, j int, x float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] += x
-}
-
-func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("linalg: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
 	}
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.rows, m.cols)
-	copy(out.data, m.data)
-	return out
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) Vector {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("linalg: row %d out of range %d", i, m.rows))
-	}
-	out := make(Vector, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// MulVec returns m·v as a new vector. It panics on dimension mismatch.
-func (m *Matrix) MulVec(v Vector) Vector {
-	out := make(Vector, m.rows)
-	m.MulVecTo(out, v)
-	return out
-}
-
-// MulVecTo writes m·v into dst without allocating. dst must have length
-// m.rows and must not alias v; it panics on dimension mismatch.
-func (m *Matrix) MulVecTo(dst, v Vector) {
-	if len(v) != m.cols {
-		panic(dimErr("MulVec", m.cols, len(v)))
-	}
-	if len(dst) != m.rows {
-		panic(dimErr("MulVecTo dst", m.rows, len(dst)))
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, x := range row {
-			s += x * v[j]
-		}
-		dst[i] = s
-	}
+	m.data[i*m.cols+j] = x
 }
 
 // Zero sets every element of m to zero, keeping the backing storage.
@@ -133,78 +47,18 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Mul returns the matrix product m·b as a new matrix.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(dimErr("Mul", m.cols, b.rows))
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for j, x := range brow {
-				orow[j] += a * x
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return out
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%g", m.At(i, j))
-		}
-	}
-	return b.String()
-}
-
-// ErrSingular is returned when a factorisation or solve encounters a
-// (numerically) singular matrix.
+// ErrSingular is returned when a factorisation encounters a (numerically)
+// singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular")
 
-// LUFactor holds an LU factorisation with partial pivoting (PA = LU).
+// LUFactor holds an LU factorisation with partial pivoting (PA = LU). The
+// zero value is ready for Factorize.
 type LUFactor struct {
 	lu   *Matrix
 	perm []int
-	sign int
 }
 
-// LU computes the LU factorisation of the square matrix a with partial
-// pivoting. It returns ErrSingular if a pivot underflows.
-func LU(a *Matrix) (*LUFactor, error) {
-	f := &LUFactor{}
-	if err := f.Factorize(a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Factorize recomputes the factorisation for a new matrix a, reusing the
+// Factorize computes the factorisation of the square matrix a, reusing the
 // receiver's storage when the dimensions match (so a solver stepping a
 // fixed-size system allocates only on the first call). It returns
 // ErrSingular if a pivot underflows; the factor contents are then undefined.
@@ -223,7 +77,6 @@ func (f *LUFactor) Factorize(a *Matrix) error {
 	for i := range perm {
 		perm[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: find the largest |value| in column k at or below row k.
 		p, best := k, math.Abs(lu.data[k*n+k])
@@ -242,7 +95,6 @@ func (f *LUFactor) Factorize(a *Matrix) error {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			perm[k], perm[p] = perm[p], perm[k]
-			sign = -sign
 		}
 		piv := lu.data[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -256,24 +108,16 @@ func (f *LUFactor) Factorize(a *Matrix) error {
 			}
 		}
 	}
-	f.sign = sign
 	return nil
-}
-
-// Solve solves A·x = b for the factored matrix, returning a new vector.
-func (f *LUFactor) Solve(b Vector) Vector {
-	x := make(Vector, f.lu.rows)
-	f.SolveTo(x, b)
-	return x
 }
 
 // SolveTo solves A·x = b for the factored matrix, writing the solution into
 // dst without allocating. dst must have length n and must not alias b; it
 // panics on dimension mismatch.
-func (f *LUFactor) SolveTo(dst, b Vector) {
+func (f *LUFactor) SolveTo(dst, b []float64) {
 	n := f.lu.rows
 	if len(b) != n {
-		panic(dimErr("LUFactor.Solve", n, len(b)))
+		panic(dimErr("LUFactor.SolveTo b", n, len(b)))
 	}
 	if len(dst) != n {
 		panic(dimErr("LUFactor.SolveTo dst", n, len(dst)))
@@ -301,164 +145,6 @@ func (f *LUFactor) SolveTo(dst, b Vector) {
 	}
 }
 
-// Dim returns the order n of the factored matrix.
-func (f *LUFactor) Dim() int { return f.lu.rows }
-
-// Det returns the determinant of the factored matrix.
-func (f *LUFactor) Det() float64 {
-	n := f.lu.rows
-	d := float64(f.sign)
-	for i := 0; i < n; i++ {
-		d *= f.lu.data[i*n+i]
-	}
-	return d
-}
-
-// SolveLinear is a convenience wrapper that factors a and solves a·x = b.
-func SolveLinear(a *Matrix, b Vector) (Vector, error) {
-	f, err := LU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
-// Cholesky computes the lower-triangular Cholesky factor L of a symmetric
-// positive-definite matrix a (a = L·Lᵀ). Only the lower triangle of a is
-// read. It returns ErrSingular if a is not positive definite.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.rows != a.cols {
-		panic(dimErr("Cholesky", a.rows, a.cols))
-	}
-	n := a.rows
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.data[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= l.data[i*n+k] * l.data[j*n+k]
-			}
-			if i == j {
-				if s <= 0 || math.IsNaN(s) {
-					return nil, ErrSingular
-				}
-				l.data[i*n+i] = math.Sqrt(s)
-			} else {
-				l.data[i*n+j] = s / l.data[j*n+j]
-			}
-		}
-	}
-	return l, nil
-}
-
-// CholeskySolve solves A·x = b given the lower Cholesky factor L of A.
-func CholeskySolve(l *Matrix, b Vector) Vector {
-	x := make(Vector, l.rows)
-	CholeskySolveTo(l, x, b)
-	return x
-}
-
-// CholeskySolveTo solves A·x = b given the lower Cholesky factor L of A,
-// writing the solution into dst without allocating. dst must have length n;
-// aliasing b is allowed (the forward sweep consumes b[i] before writing
-// dst[i]). It panics on dimension mismatch.
-func CholeskySolveTo(l *Matrix, dst, b Vector) {
-	n := l.rows
-	if len(b) != n {
-		panic(dimErr("CholeskySolve", n, len(b)))
-	}
-	if len(dst) != n {
-		panic(dimErr("CholeskySolveTo dst", n, len(dst)))
-	}
-	// Solve L·y = b (y shares dst's storage).
-	y := dst
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.data[i*n+k] * y[k]
-		}
-		y[i] = s / l.data[i*n+i]
-	}
-	// Solve Lᵀ·x = y.
-	x := y
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.data[k*n+i] * x[k]
-		}
-		x[i] = s / l.data[i*n+i]
-	}
-}
-
-// SolveTridiag solves a tridiagonal system using the Thomas algorithm.
-// sub, diag and sup are the sub-, main- and super-diagonals; len(diag) == n,
-// len(sub) == len(sup) == n-1 (they may be length n with the unused entry
-// ignored for convenience). It returns ErrSingular on a zero pivot.
-func SolveTridiag(sub, diag, sup, rhs Vector) (Vector, error) {
-	n := len(diag)
-	if len(rhs) != n {
-		panic(dimErr("SolveTridiag", n, len(rhs)))
-	}
-	if n == 0 {
-		return Vector{}, nil
-	}
-	if len(sub) < n-1 || len(sup) < n-1 {
-		panic("linalg: SolveTridiag off-diagonals too short")
-	}
-	c := make(Vector, n)
-	d := make(Vector, n)
-	if diag[0] == 0 {
-		return nil, ErrSingular
-	}
-	c[0] = 0
-	if n > 1 {
-		c[0] = sup[0] / diag[0]
-	}
-	d[0] = rhs[0] / diag[0]
-	for i := 1; i < n; i++ {
-		den := diag[i] - sub[i-1]*c[i-1]
-		if den == 0 || math.IsNaN(den) {
-			return nil, ErrSingular
-		}
-		if i < n-1 {
-			c[i] = sup[i] / den
-		}
-		d[i] = (rhs[i] - sub[i-1]*d[i-1]) / den
-	}
-	x := d
-	for i := n - 2; i >= 0; i-- {
-		x[i] -= c[i] * x[i+1]
-	}
-	return x, nil
-}
-
-// LeastSquares solves min‖A·x − b‖₂ via the normal equations AᵀA·x = Aᵀb
-// (Cholesky). A tiny ridge term is added automatically when AᵀA is not
-// positive definite (rank-deficient designs), which regularises instead of
-// failing.
-func LeastSquares(a *Matrix, b Vector) (Vector, error) {
-	if a.rows != len(b) {
-		panic(dimErr("LeastSquares", a.rows, len(b)))
-	}
-	at := a.Transpose()
-	ata := at.Mul(a)
-	atb := at.MulVec(b)
-	l, err := Cholesky(ata)
-	if err != nil {
-		// Ridge fallback: AᵀA + λI with λ scaled to the diagonal magnitude.
-		var trace float64
-		n := ata.rows
-		for i := 0; i < n; i++ {
-			trace += ata.At(i, i)
-		}
-		lambda := 1e-10 * (trace/float64(n) + 1)
-		for i := 0; i < n; i++ {
-			ata.Add(i, i, lambda)
-		}
-		l, err = Cholesky(ata)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return CholeskySolve(l, atb), nil
+func dimErr(op string, a, b int) string {
+	return fmt.Sprintf("linalg: %s dimension mismatch: %d vs %d", op, a, b)
 }

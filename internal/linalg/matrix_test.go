@@ -7,99 +7,99 @@ import (
 	"testing/quick"
 )
 
+// matrixFromRows builds a matrix from equal-length row slices.
+func matrixFromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		for j, x := range r {
+			m.Set(i, j, x)
+		}
+	}
+	return m
+}
+
+// mulVec returns m·v, for residual checks.
+func mulVec(m *Matrix, v []float64) []float64 {
+	out := make([]float64, m.rows)
+	for i := range out {
+		for j, x := range v {
+			out[i] += m.data[i*m.cols+j] * x
+		}
+	}
+	return out
+}
+
+// randomSystem builds a random diagonally dominant n×n matrix (nonsingular)
+// and a random right-hand side from the given source.
+func randomSystem(rng *rand.Rand, n int) (*Matrix, []float64) {
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			x := rng.NormFloat64()
+			if i == j {
+				x += float64(n)
+			}
+			a.Set(i, j, x)
+		}
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	return a, b
+}
+
+// solveFresh factors a into a new LUFactor and solves a·x = b.
+func solveFresh(a *Matrix, b []float64) ([]float64, error) {
+	var f LUFactor
+	if err := f.Factorize(a); err != nil {
+		return nil, err
+	}
+	x := make([]float64, len(b))
+	f.SolveTo(x, b)
+	return x, nil
+}
+
 func TestMatrixBasicAccess(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 0, 1)
-	m.Set(1, 2, 5)
-	m.Add(1, 2, 2)
-	if m.At(0, 0) != 1 || m.At(1, 2) != 7 {
-		t.Errorf("matrix contents wrong: %v", m)
+	m.Set(1, 2, 7)
+	want := []float64{1, 0, 0, 0, 0, 7}
+	for i, x := range want {
+		if m.data[i] != x {
+			t.Fatalf("matrix contents %v, want %v", m.data, want)
+		}
 	}
-	r, c := m.Dims()
-	if r != 2 || c != 3 {
-		t.Errorf("Dims = %d,%d", r, c)
+	m.Zero()
+	for i, x := range m.data {
+		if x != 0 {
+			t.Fatalf("after Zero, element %d = %v", i, x)
+		}
 	}
 }
 
-func TestMatrixAtPanicsOutOfRange(t *testing.T) {
+func TestMatrixSetPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMatrix(2, 2).At(2, 0)
-}
-
-func TestMatrixFromRowsAndRow(t *testing.T) {
-	m := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	row := m.Row(1)
-	if row[0] != 3 || row[1] != 4 {
-		t.Errorf("Row(1) = %v", row)
-	}
-	row[0] = 99
-	if m.At(1, 0) != 3 {
-		t.Error("Row should return a copy")
-	}
-}
-
-func TestMatrixMulVec(t *testing.T) {
-	m := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	got := m.MulVec(Vector{1, 1})
-	if got[0] != 3 || got[1] != 7 {
-		t.Errorf("MulVec = %v", got)
-	}
-}
-
-func TestMatrixMul(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b := MatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	got := a.Mul(b)
-	want := MatrixFromRows([][]float64{{19, 22}, {43, 50}})
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if got.At(i, j) != want.At(i, j) {
-				t.Fatalf("Mul =\n%v\nwant\n%v", got, want)
-			}
-		}
-	}
-}
-
-func TestMatrixTranspose(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	at := a.Transpose()
-	r, c := at.Dims()
-	if r != 3 || c != 2 {
-		t.Fatalf("Transpose dims %dx%d", r, c)
-	}
-	if at.At(2, 1) != 6 || at.At(0, 1) != 4 {
-		t.Errorf("Transpose contents wrong:\n%v", at)
-	}
-}
-
-func TestIdentity(t *testing.T) {
-	id := Identity(3)
-	v := Vector{1, 2, 3}
-	got := id.MulVec(v)
-	for i := range v {
-		if got[i] != v[i] {
-			t.Fatalf("I*v = %v", got)
-		}
-	}
+	NewMatrix(2, 2).Set(2, 0, 1)
 }
 
 func TestLUSolveKnownSystem(t *testing.T) {
-	a := MatrixFromRows([][]float64{
+	a := matrixFromRows([][]float64{
 		{2, 1, 1},
 		{4, -6, 0},
 		{-2, 7, 2},
 	})
-	b := Vector{5, -2, 9}
-	x, err := SolveLinear(a, b)
+	b := []float64{5, -2, 9}
+	x, err := solveFresh(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Verify A·x = b.
-	ax := a.MulVec(x)
+	ax := mulVec(a, x)
 	for i := range b {
 		if math.Abs(ax[i]-b[i]) > 1e-10 {
 			t.Errorf("A·x[%d] = %v, want %v", i, ax[i], b[i])
@@ -108,20 +108,10 @@ func TestLUSolveKnownSystem(t *testing.T) {
 }
 
 func TestLUSingular(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := LU(a); err != ErrSingular {
-		t.Errorf("LU of singular matrix: err = %v, want ErrSingular", err)
-	}
-}
-
-func TestLUDeterminant(t *testing.T) {
-	a := MatrixFromRows([][]float64{{3, 8}, {4, 6}})
-	f, err := LU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Det(); math.Abs(got-(-14)) > 1e-12 {
-		t.Errorf("Det = %v, want -14", got)
+	a := matrixFromRows([][]float64{{1, 2}, {2, 4}})
+	var f LUFactor
+	if err := f.Factorize(a); err != ErrSingular {
+		t.Errorf("Factorize of singular matrix: err = %v, want ErrSingular", err)
 	}
 }
 
@@ -129,19 +119,8 @@ func TestLURandomRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(8)
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, rng.NormFloat64())
-			}
-			a.Add(i, i, float64(n)) // diagonally dominant => nonsingular
-		}
-		want := make(Vector, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		b := a.MulVec(want)
-		got, err := SolveLinear(a, b)
+		a, want := randomSystem(rng, n)
+		got, err := solveFresh(a, mulVec(a, want))
 		if err != nil {
 			return false
 		}
@@ -157,186 +136,117 @@ func TestLURandomRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCholeskySolve(t *testing.T) {
-	// SPD matrix.
-	a := MatrixFromRows([][]float64{
-		{4, 2, 0},
-		{2, 5, 1},
-		{0, 1, 3},
-	})
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// L·Lᵀ must reproduce a.
-	llt := l.Mul(l.Transpose())
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if math.Abs(llt.At(i, j)-a.At(i, j)) > 1e-12 {
-				t.Fatalf("L·Lᵀ =\n%v\nwant\n%v", llt, a)
-			}
-		}
-	}
-	b := Vector{1, 2, 3}
-	x := CholeskySolve(l, b)
-	ax := a.MulVec(x)
-	for i := range b {
-		if math.Abs(ax[i]-b[i]) > 1e-10 {
-			t.Errorf("Cholesky solve residual at %d: %v", i, ax[i]-b[i])
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err != ErrSingular {
-		t.Errorf("Cholesky of indefinite matrix: err = %v, want ErrSingular", err)
-	}
-}
-
-func TestSolveTridiag(t *testing.T) {
-	// System:
-	// [ 2 -1  0] [x0]   [1]
-	// [-1  2 -1] [x1] = [0]
-	// [ 0 -1  2] [x2]   [1]
-	sub := Vector{-1, -1}
-	diag := Vector{2, 2, 2}
-	sup := Vector{-1, -1}
-	rhs := Vector{1, 0, 1}
-	x, err := SolveTridiag(sub, diag, sup, rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Vector{1, 1, 1}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-12 {
-			t.Fatalf("SolveTridiag = %v, want %v", x, want)
-		}
-	}
-}
-
-func TestSolveTridiagSizes(t *testing.T) {
-	// n=1 system.
-	x, err := SolveTridiag(Vector{}, Vector{4}, Vector{}, Vector{8})
-	if err != nil || math.Abs(x[0]-2) > 1e-15 {
-		t.Errorf("1x1 tridiag: x=%v err=%v", x, err)
-	}
-	// n=0 system.
-	x, err = SolveTridiag(Vector{}, Vector{}, Vector{}, Vector{})
-	if err != nil || len(x) != 0 {
-		t.Errorf("0x0 tridiag: x=%v err=%v", x, err)
-	}
-}
-
-func TestSolveTridiagSingular(t *testing.T) {
-	_, err := SolveTridiag(Vector{0}, Vector{0, 1}, Vector{0}, Vector{1, 1})
-	if err != ErrSingular {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-}
-
-func TestSolveTridiagMatchesLU(t *testing.T) {
-	f := func(seed int64) bool {
+// TestSolveToMatchesSolve: a reused LUFactor must reproduce a fresh
+// factor's solve bit-for-bit on random nonsingular systems of varying
+// order, and SolveTo must overwrite dst rather than accumulate into it.
+func TestSolveToMatchesSolve(t *testing.T) {
+	var f LUFactor // reused across all property iterations
+	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(10)
-		sub := make(Vector, n-1)
-		diag := make(Vector, n)
-		sup := make(Vector, n-1)
-		rhs := make(Vector, n)
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			diag[i] = 4 + rng.Float64()
-			a.Set(i, i, diag[i])
-			rhs[i] = rng.NormFloat64()
-			if i < n-1 {
-				sup[i] = rng.NormFloat64()
-				sub[i] = rng.NormFloat64()
-				a.Set(i, i+1, sup[i])
-				a.Set(i+1, i, sub[i])
-			}
-		}
-		x1, err := SolveTridiag(sub, diag, sup, rhs)
+		n := 1 + rng.Intn(8)
+		a, b := randomSystem(rng, n)
+		want, err := solveFresh(a, b)
 		if err != nil {
 			return false
 		}
-		x2, err := SolveLinear(a, rhs)
-		if err != nil {
+		if err := f.Factorize(a); err != nil {
 			return false
 		}
-		for i := range x1 {
-			if math.Abs(x1[i]-x2[i]) > 1e-8*(1+math.Abs(x2[i])) {
+		got := make([]float64, n)
+		for i := range got {
+			got[i] = 1e300
+		}
+		f.SolveTo(got, b)
+		for i := range want {
+			if got[i] != want[i] {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestLeastSquaresExact(t *testing.T) {
-	// Overdetermined consistent system: y = 2x + 1 sampled at 5 points.
-	a := NewMatrix(5, 2)
-	b := make(Vector, 5)
-	for i := 0; i < 5; i++ {
-		x := float64(i)
-		a.Set(i, 0, x)
-		a.Set(i, 1, 1)
-		b[i] = 2*x + 1
+// TestLUFactorReusesStorage: refactorising with the same dimension must not
+// reallocate the factor's backing storage, and refactorising after a larger
+// system must still produce correct results.
+func TestLUFactorReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var f LUFactor
+	a, _ := randomSystem(rng, 5)
+	if err := f.Factorize(a); err != nil {
+		t.Fatal(err)
 	}
-	coef, err := LeastSquares(a, b)
+	lu0 := &f.lu.data[0]
+	piv0 := &f.perm[0]
+	x := make([]float64, 5)
+	for round := 0; round < 3; round++ {
+		a2, b2 := randomSystem(rng, 5)
+		if err := f.Factorize(a2); err != nil {
+			t.Fatal(err)
+		}
+		if &f.lu.data[0] != lu0 || &f.perm[0] != piv0 {
+			t.Fatalf("round %d: Factorize reallocated same-dimension storage", round)
+		}
+		f.SolveTo(x, b2)
+		want, err := solveFresh(a2, b2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if x[i] != want[i] {
+				t.Fatalf("round %d: reused SolveTo diverged from a fresh factor at %d", round, i)
+			}
+		}
+	}
+	// Dimension change: correctness must survive a grow.
+	a3, b3 := randomSystem(rng, 8)
+	if err := f.Factorize(a3); err != nil {
+		t.Fatal(err)
+	}
+	x3 := make([]float64, 8)
+	f.SolveTo(x3, b3)
+	want, err := solveFresh(a3, b3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(coef[0]-2) > 1e-9 || math.Abs(coef[1]-1) > 1e-9 {
-		t.Errorf("coef = %v, want [2, 1]", coef)
-	}
-}
-
-func TestLeastSquaresNoisy(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 200
-	a := NewMatrix(n, 3)
-	b := make(Vector, n)
-	for i := 0; i < n; i++ {
-		x := rng.Float64()*4 - 2
-		a.Set(i, 0, x*x)
-		a.Set(i, 1, x)
-		a.Set(i, 2, 1)
-		b[i] = 0.5*x*x - 1.5*x + 3 + 0.01*rng.NormFloat64()
-	}
-	coef, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.5, -1.5, 3}
 	for i := range want {
-		if math.Abs(coef[i]-want[i]) > 0.01 {
-			t.Errorf("coef[%d] = %v, want %v", i, coef[i], want[i])
+		if x3[i] != want[i] {
+			t.Fatalf("after grow: SolveTo diverged from a fresh factor at %d", i)
 		}
 	}
 }
 
-func TestLeastSquaresRankDeficientRegularised(t *testing.T) {
-	// Two identical columns: the ridge fallback must return a finite answer
-	// that still fits the data.
-	a := NewMatrix(4, 2)
-	b := make(Vector, 4)
-	for i := 0; i < 4; i++ {
-		x := float64(i + 1)
-		a.Set(i, 0, x)
-		a.Set(i, 1, x)
-		b[i] = 3 * x
-	}
-	coef, err := LeastSquares(a, b)
-	if err != nil {
+// TestFactorizeSolveToSteadyStateAllocsZero: the thermal stepper's inner
+// pattern — Zero, refill, Factorize, SolveTo on owned storage — must not
+// allocate once warm.
+func TestFactorizeSolveToSteadyStateAllocsZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a, b := randomSystem(rng, 6)
+	var f LUFactor
+	x := make([]float64, 6)
+	if err := f.Factorize(a); err != nil {
 		t.Fatal(err)
 	}
-	pred := a.MulVec(coef)
-	for i := range b {
-		if math.Abs(pred[i]-b[i]) > 1e-3 {
-			t.Errorf("rank-deficient fit residual %v at %d", pred[i]-b[i], i)
+	allocs := testing.AllocsPerRun(10, func() {
+		a.Zero()
+		for i := 0; i < 6; i++ {
+			for j := 0; j < 6; j++ {
+				v := float64(i*6 + j)
+				if i == j {
+					v += 100
+				}
+				a.Set(i, j, v)
+			}
 		}
+		if err := f.Factorize(a); err != nil {
+			t.Fatal(err)
+		}
+		f.SolveTo(x, b)
+	})
+	if allocs > 0 {
+		t.Errorf("warm Factorize+SolveTo allocated %.1f times per run, want 0", allocs)
 	}
 }

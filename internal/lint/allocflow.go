@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-	"time"
 
 	"repro/internal/lint/callgraph"
 )
@@ -94,7 +93,6 @@ type allocInfo struct {
 
 func runAllocFlow(pass *Pass) error {
 	g := pass.CallGraph()
-	t0 := time.Now()
 
 	infos := make(map[*callgraph.Node]*allocInfo, len(g.Nodes))
 	cold := make(map[*callgraph.Node]bool)
@@ -152,7 +150,6 @@ func runAllocFlow(pass *Pass) error {
 			pass.ExportObjectFact(n.Fn, &AllocFact{Reason: reason[n]})
 		}
 	}
-	addSummaryNanos(time.Since(t0))
 
 	// Hot-region enforcement: walk the static local closure of every
 	// hotpath root, reporting each node's own sites exactly once even

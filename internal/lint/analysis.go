@@ -6,8 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/lint/callgraph"
 	"repro/internal/lint/ir"
@@ -103,10 +101,8 @@ func (c *cgCache) get(p *Pass) *callgraph.Graph {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.g == nil {
-		t0 := time.Now()
 		c.g = callgraph.Build(p.TypesInfo, p.Files, p.FuncIR)
-		c.g.SCCs() // condense eagerly so the timing covers both
-		callGraphNanos.Add(time.Since(t0).Nanoseconds())
+		c.g.SCCs() // condense under the lock: SCCs caches without synchronisation
 	}
 	return c.g
 }
@@ -127,42 +123,10 @@ func (c *irCache) get(info *types.Info, fd *ast.FuncDecl) *ir.Func {
 	if f, ok := c.funcs[fd]; ok {
 		return f
 	}
-	t0 := time.Now()
 	f := ir.Build(info, fd)
-	ssaBuildNanos.Add(time.Since(t0).Nanoseconds())
 	c.funcs[fd] = f
 	return f
 }
-
-// ssaBuildNanos accumulates wall-clock time spent lowering functions to
-// SSA across the whole process, for the lint benchmark's ssa_ns field.
-var ssaBuildNanos atomic.Int64
-
-// SSABuildNanos returns the cumulative nanoseconds this process has spent
-// building per-function SSA/CFG IR. The -benchjson path records the delta
-// across a measured run as ssa_ns.
-func SSABuildNanos() int64 { return ssaBuildNanos.Load() }
-
-// callGraphNanos accumulates wall-clock time spent building package call
-// graphs (including SCC condensation), for the benchmark's callgraph_ns.
-var callGraphNanos atomic.Int64
-
-// CallGraphNanos returns the cumulative nanoseconds spent building call
-// graphs. The -benchjson path records the delta as callgraph_ns.
-func CallGraphNanos() int64 { return callGraphNanos.Load() }
-
-// summaryNanos accumulates wall-clock time the interprocedural analyzers
-// (detflow, errflow, allocflow) spend computing bottom-up per-function
-// summaries over the SCC condensation, for the benchmark's summary_ns.
-var summaryNanos atomic.Int64
-
-// SummaryNanos returns the cumulative nanoseconds spent computing
-// per-function summaries. The -benchjson path records the delta as
-// summary_ns.
-func SummaryNanos() int64 { return summaryNanos.Load() }
-
-// addSummaryNanos lets analyzers attribute a summary-computation span.
-func addSummaryNanos(d time.Duration) { summaryNanos.Add(d.Nanoseconds()) }
 
 // Reportf reports a finding at pos with a Sprintf-formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {

@@ -2,35 +2,17 @@ package lint
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"repro/internal/runner"
 )
 
-// The driver benchmarks behind `make lint-bench`: the same whole-module
-// analysis on the sequential reference driver and on the parallel DAG
-// scheduler. The module is loaded once and shared — loading shells out to
-// `go list` and would otherwise dominate every iteration.
-
-var (
-	benchOnce sync.Once
-	benchMod  *Module
-	benchErr  error
-)
-
-func benchModule(b *testing.B) *Module {
-	benchOnce.Do(func() {
-		benchMod, benchErr = Load("../..", "./...")
-	})
-	if benchErr != nil {
-		b.Fatalf("loading module: %v", benchErr)
-	}
-	return benchMod
-}
+// The driver benchmarks (`go test -bench LintDriver ./internal/lint`): the
+// same whole-module analysis on the sequential reference driver and on the
+// parallel DAG scheduler, over the module repoModule loads once.
 
 func BenchmarkLintDriverSequential(b *testing.B) {
-	mod := benchModule(b)
+	mod := repoModule(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mod.Run(All())
@@ -38,7 +20,7 @@ func BenchmarkLintDriverSequential(b *testing.B) {
 }
 
 func BenchmarkLintDriverParallel(b *testing.B) {
-	mod := benchModule(b)
+	mod := repoModule(b)
 	pool := runner.New()
 	ctx := context.Background()
 	b.ResetTimer()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"time"
 
 	"repro/internal/lint/ir"
 )
@@ -140,7 +139,6 @@ func runDetFlow(pass *Pass) error {
 	// objTaint only grows, so the whole loop terminates without a round
 	// bound; memos are dropped whenever either set changed, because a
 	// cached "clean" may be stale.
-	t0 := time.Now()
 	sccs := pass.CallGraph().SCCs()
 	for {
 		changed := false
@@ -184,7 +182,6 @@ func runDetFlow(pass *Pass) error {
 			break
 		}
 	}
-	addSummaryNanos(time.Since(t0))
 
 	// Export facts so dependents see through this package.
 	for _, obj := range order {

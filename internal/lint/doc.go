@@ -107,8 +107,7 @@
 // fixpoint, and the resulting facts (NondetFact, NilErrorFact,
 // AllocFact) carry the summaries across package boundaries. detflow
 // alone keeps an outer loop, because taint stored into fields feeds back
-// into function summaries. `make lint-bench` reports the graph and
-// summary costs as callgraph_ns and summary_ns in BENCH_lint.json.
+// into function summaries.
 //
 // # Hot-path annotations
 //

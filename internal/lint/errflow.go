@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-	"time"
 
 	"repro/internal/lint/ir"
 )
@@ -150,7 +149,6 @@ func runErrFlow(pass *Pass) error {
 	// settled — or in this one, which iterates to its own fixpoint. The
 	// result is the same least fixpoint the old whole-package rounds
 	// converged to, reached in one sweep.
-	t0 := time.Now()
 	for _, scc := range pass.CallGraph().SCCs() {
 		for again := true; again; {
 			again = false
@@ -169,7 +167,6 @@ func runErrFlow(pass *Pass) error {
 			}
 		}
 	}
-	addSummaryNanos(time.Since(t0))
 	for _, fn := range order {
 		if infos[fn].alwaysNil {
 			pass.ExportObjectFact(fn, &NilErrorFact{})

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/runner"
@@ -40,21 +41,61 @@ func TestAllocFlowFixture(t *testing.T)      { RunFixture(t, AllocFlow, "allocfl
 // directives, using floatcompare as the probe analyzer.
 func TestDirectives(t *testing.T) { RunFixture(t, FloatCompare, "directives") }
 
+var (
+	repoOnce sync.Once
+	repoMod  *Module
+	repoErr  error
+)
+
+// repoModule loads the whole module once per test binary and shares it:
+// loading shells out to `go list` and dominates a whole-module test, and a
+// loaded Module may be run any number of times.
+func repoModule(tb testing.TB) *Module {
+	tb.Helper()
+	repoOnce.Do(func() {
+		repoMod, repoErr = Load("../..", "./...")
+	})
+	if repoErr != nil {
+		tb.Fatalf("loading module: %v", repoErr)
+	}
+	return repoMod
+}
+
 // TestRepoClean is the gate in test form: the full module must produce
 // zero findings, the same bar `make lint` enforces in CI.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
 	}
-	mod, err := Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
+	mod := repoModule(t)
 	if len(mod.Packages) < 20 {
 		t.Fatalf("loaded only %d packages; the module walk looks broken", len(mod.Packages))
 	}
 	for _, f := range mod.Run(All()) {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestNoOrphanPackages holds the module free of dead packages: every
+// repro/internal package must be imported by the non-test code of some
+// other package in the module, or nothing outside its own tests runs it.
+func TestNoOrphanPackages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module load in -short mode")
+	}
+	mod := repoModule(t)
+	imported := make(map[string]bool)
+	for _, p := range mod.Packages {
+		for _, imp := range p.Imports {
+			if imp != p.Path {
+				imported[imp] = true
+			}
+		}
+	}
+	for _, p := range mod.Packages {
+		if strings.HasPrefix(p.Path, "repro/internal/") && !imported[p.Path] {
+			t.Errorf("%s has no non-test importer in the module", p.Path)
+		}
 	}
 }
 
@@ -66,10 +107,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
 	}
-	mod, err := Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
+	mod := repoModule(t)
 	render := func(fs []Finding) string {
 		var sb strings.Builder
 		for _, f := range fs {

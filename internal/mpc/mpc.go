@@ -1,7 +1,7 @@
 // Package mpc provides the model-predictive-control scaffolding of paper
 // §III-B: a finite horizon, move blocking, box bounds on the control
 // inputs, warm-started re-planning, all layered on the optimize package's
-// projected quasi-Newton solver.
+// projected quasi-Newton solver and driven through its ask/tell interface.
 //
 // The package is deliberately model-agnostic: the caller supplies an
 // objective over the blocked decision vector (typically a single-shooting
@@ -74,9 +74,10 @@ func (s Spec) InputAt(z []float64, step, input int) float64 {
 // Planner carries a warm start between successive plans.
 //
 // A Planner also owns the solver state — bound vectors, the optimize
-// Workspace, and result storage — so a warm-started PlanGrad call performs
-// the whole replan without allocating. That makes a Planner single-goroutine
-// state; concurrent simulations need one Planner each.
+// Workspace, and result storage — so a warm-started plan (Start, Ask and
+// Tell until Done, then Finish) runs without allocating. That makes a
+// Planner single-goroutine state; concurrent simulations need one Planner
+// each.
 type Planner struct {
 	spec Spec
 	warm []float64
@@ -84,7 +85,7 @@ type Planner struct {
 	haveWarm bool
 
 	// Reusable solver state: the per-block bounds expanded over the full
-	// decision vector, the problem shell PlanGrad fills in, the optimizer
+	// decision vector, the problem shell Start fills in, the optimizer
 	// workspace, the last result, and the Advance pad scratch.
 	lower, upper []float64
 	prob         optimize.Problem
@@ -106,6 +107,9 @@ func NewPlanner(spec Spec) (*Planner, error) {
 	for b := 0; b < spec.Blocks(); b++ {
 		copy(p.lower[b*m:], spec.Lower)
 		copy(p.upper[b*m:], spec.Upper)
+		for i := 0; i < m; i++ {
+			p.warm[b*m+i] = (spec.Lower[i] + spec.Upper[i]) / 2
+		}
 	}
 	p.prob = optimize.Problem{
 		Dim:   spec.Dim(),
@@ -113,56 +117,19 @@ func NewPlanner(spec Spec) (*Planner, error) {
 		Upper: p.upper,
 	}
 	p.lastBlock = make([]float64, m)
-	p.resetWarm()
 	return p, nil
 }
 
 // Spec returns the planner's decision geometry.
 func (p *Planner) Spec() Spec { return p.spec }
 
-func (p *Planner) resetWarm() {
-	m := p.spec.InputsPerStep
-	for b := 0; b < p.spec.Blocks(); b++ {
-		for i := 0; i < m; i++ {
-			lo, hi := p.spec.Lower[i], p.spec.Upper[i]
-			p.warm[b*m+i] = (lo + hi) / 2
-		}
-	}
-	p.haveWarm = false
-}
-
-// Plan minimises the objective over the blocked decision vector, starting
-// from the warm start, and retains the solution for the next call. The
-// returned slice and Result alias the planner's internal state — copy them
-// if they must survive the next Plan call.
-func (p *Planner) Plan(objective func(z []float64) float64) ([]float64, *optimize.Result, error) {
-	return p.PlanGrad(objective, nil)
-}
-
-// PlanGrad is Plan with an optional analytic gradient (grad writes
-// ∂objective/∂z into its second argument; when nil the solver falls back
-// to finite differences).
-//
-//lint:hotpath the warm re-plan runs once per control step; allocflow proves it allocation-free
-func (p *Planner) PlanGrad(objective func(z []float64) float64, grad func(z, g []float64)) ([]float64, *optimize.Result, error) {
-	if objective == nil {
-		return nil, nil, errors.New("mpc: nil objective")
-	}
-	p.prob.Func = objective
-	p.prob.Grad = grad
-	if _, err := p.ws.Minimize(&p.prob, p.warm, &p.spec.Options); err != nil {
-		p.prob.Func, p.prob.Grad = nil, nil
-		return nil, nil, err
-	}
-	plan, res := p.Finish()
-	return plan, res, nil
-}
-
-// Start begins an ask/tell plan from the warm start, for a caller that
-// evaluates the objective itself — several points, or several planners'
-// points, at once. Drive it with Ask and Tell until Done, then call
-// Finish. objective and grad play their PlanGrad roles: grad (or, when
-// nil, finite differences of objective) runs synchronously inside Tell.
+// Start begins a plan from the warm start: minimising objective over the
+// blocked decision vector. The caller evaluates the objective itself — one
+// point, several, or several planners' points at once — driving the plan
+// with Ask and Tell until Done, then calls Finish. grad, when non-nil,
+// writes ∂objective/∂z into its second argument; when nil the solver falls
+// back to finite differences of objective. Either runs synchronously
+// inside Tell.
 func (p *Planner) Start(objective func(z []float64) float64, grad func(z, g []float64)) error {
 	if objective == nil {
 		return errors.New("mpc: nil objective")
@@ -192,8 +159,8 @@ func (p *Planner) Backtracking() bool { return p.ws.Backtracking() }
 func (p *Planner) Done() bool { return p.ws.Done() }
 
 // Finish ends the plan begun by Start: the solution becomes the warm start
-// for the next one and is returned with its Result, both aliasing the
-// planner's state as Plan's do.
+// for the next one and is returned with its Result. Both alias the
+// planner's state; copy them if they must survive the next plan.
 func (p *Planner) Finish() ([]float64, *optimize.Result) {
 	p.prob.Func = nil
 	p.prob.Grad = nil
@@ -232,6 +199,3 @@ func (p *Planner) Advance(steps int) {
 		copy(p.warm[b*m:(b+1)*m], last)
 	}
 }
-
-// Reset discards the warm start (e.g. after a plant discontinuity).
-func (p *Planner) Reset() { p.resetWarm() }

@@ -3,6 +3,8 @@ package mpc
 import (
 	"math"
 	"testing"
+
+	"repro/internal/optimize"
 )
 
 func spec2() Spec {
@@ -13,6 +15,21 @@ func spec2() Spec {
 		Lower:         []float64{-1, 0},
 		Upper:         []float64{1, 10},
 	}
+}
+
+// plan runs one plan the way a caller that evaluates one point at a time
+// drives it: Start, then Ask and Tell until Done, then Finish.
+func plan(p *Planner, objective func(z []float64) float64) ([]float64, *optimize.Result, error) {
+	if err := p.Start(objective, nil); err != nil {
+		return nil, nil, err
+	}
+	var f [1]float64
+	for pts := p.Ask(1); len(pts) > 0; pts = p.Ask(1) {
+		f[0] = objective(pts[0])
+		p.Tell(f[:])
+	}
+	z, res := p.Finish()
+	return z, res, nil
 }
 
 func TestSpecValidate(t *testing.T) {
@@ -109,7 +126,7 @@ func TestPlannerSolvesSeparableQuadratic(t *testing.T) {
 		}
 		return f
 	}
-	z, res, err := p.Plan(obj)
+	z, res, err := plan(p, obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +149,7 @@ func TestPlannerRespectsBounds(t *testing.T) {
 		}
 		return f
 	}
-	z, _, err := p.Plan(obj)
+	z, _, err := plan(p, obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +169,11 @@ func TestPlannerWarmStartSpeedsReplan(t *testing.T) {
 		}
 		return f
 	}
-	_, first, err := p.Plan(obj)
+	_, first, err := plan(p, obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, second, err := p.Plan(obj)
+	_, second, err := plan(p, obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +192,7 @@ func TestPlannerAdvanceShiftsBlocks(t *testing.T) {
 		}
 		return f
 	}
-	z, _, err := p.Plan(obj)
+	z, _, err := plan(p, obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +218,7 @@ func TestPlannerAdvancePartialBlockNoop(t *testing.T) {
 		}
 		return f
 	}
-	if _, _, err := p.Plan(obj); err != nil {
+	if _, _, err := plan(p, obj); err != nil {
 		t.Fatal(err)
 	}
 	before := append([]float64(nil), p.warm...)
@@ -223,7 +240,7 @@ func TestPlannerAdvanceBeyondHorizon(t *testing.T) {
 		}
 		return f
 	}
-	if _, _, err := p.Plan(obj); err != nil {
+	if _, _, err := plan(p, obj); err != nil {
 		t.Fatal(err)
 	}
 	p.Advance(100)
@@ -235,33 +252,24 @@ func TestPlannerAdvanceBeyondHorizon(t *testing.T) {
 	}
 }
 
-func TestPlannerReset(t *testing.T) {
+func TestPlannerColdStartAtMidpoint(t *testing.T) {
 	p, _ := NewPlanner(spec2())
-	obj := func(z []float64) float64 {
-		var f float64
-		for i := range z {
-			f += (z[i] - 1) * (z[i] - 1)
+	// Midpoint of bounds: (0, 5) in every block.
+	for b := 0; b < 4; b++ {
+		if p.warm[2*b] != 0 || p.warm[2*b+1] != 5 {
+			t.Errorf("cold warm start block %d = (%v, %v), want (0, 5)", b, p.warm[2*b], p.warm[2*b+1])
 		}
-		return f
 	}
-	if _, _, err := p.Plan(obj); err != nil {
-		t.Fatal(err)
-	}
-	p.Reset()
-	// Midpoint of bounds: (0, 5).
-	if p.warm[0] != 0 || p.warm[1] != 5 {
-		t.Errorf("Reset warm = (%v, %v), want (0, 5)", p.warm[0], p.warm[1])
-	}
-	// Advance after reset must be a no-op (no plan to shift).
+	// Advance before any plan must be a no-op (no plan to shift).
 	p.Advance(10)
 	if p.warm[0] != 0 || p.warm[1] != 5 {
-		t.Error("Advance after Reset mutated the default warm start")
+		t.Error("Advance before a plan mutated the default warm start")
 	}
 }
 
 func TestPlanNilObjective(t *testing.T) {
 	p, _ := NewPlanner(spec2())
-	if _, _, err := p.Plan(nil); err == nil {
+	if err := p.Start(nil, nil); err == nil {
 		t.Error("nil objective accepted")
 	}
 }

@@ -13,7 +13,7 @@ func BenchmarkMinimizeRosenbrock(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Minimize(p, []float64{-1.2, 1}, &Options{MaxIterations: 100}); err != nil {
+		if _, err := minimize(new(Workspace), p, []float64{-1.2, 1}, &Options{MaxIterations: 100}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,7 +37,7 @@ func BenchmarkMinimizeBoxQuadratic10D(b *testing.B) {
 	x0 := fillSlice(n, 0.9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Minimize(p, x0, nil); err != nil {
+		if _, err := minimize(new(Workspace), p, x0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,7 @@
 // Package optimize implements the numerical optimisation kernel used by the
 // OTEM model-predictive controller: box-constrained quasi-Newton minimisation
-// (a projected L-BFGS in the spirit of L-BFGS-B), backtracking line search,
-// finite-difference gradients and an augmented-Lagrangian wrapper for
-// nonlinear inequality constraints.
+// (a projected L-BFGS in the spirit of L-BFGS-B), backtracking line search
+// and finite-difference gradients, driven through an ask/tell interface.
 //
 // The paper solves its MPC problem (Eqs. 18–19) with a MATLAB NLP solver;
 // this package is the from-scratch substitute. It is deterministic and
@@ -159,7 +158,7 @@ func (p *Problem) project(x []float64) {
 	}
 }
 
-// Workspace owns every buffer Minimize needs — the iterate, gradient and
+// Workspace owns every buffer a solve needs — the iterate, gradient and
 // line-search vectors, the finite-difference scratch and the L-BFGS s/y/ρ
 // history ring — and the state of one resumable solve. A caller that keeps
 // a Workspace across invocations (a warm-started MPC planner re-solving
@@ -168,10 +167,10 @@ func (p *Problem) project(x []float64) {
 //
 // The solve is an ask/tell state machine: Start begins it, Ask hands out
 // the next points whose objective values the solver needs, Tell takes
-// those values back, and Result reports the outcome once Done. Minimize is
-// the loop over them that evaluates one point at a time; a caller that can
-// evaluate several points at once (or several problems' points at once)
-// drives Ask and Tell itself and gets the same Result.
+// those values back, and Result reports the outcome once Done. The Result
+// does not depend on the Ask budget, so a caller that evaluates several
+// points at once (or several problems' points at once) gets the Result of
+// one evaluation at a time.
 //
 // A Workspace is not safe for concurrent use: it is single-goroutine state,
 // exactly like a bytes.Buffer. Pools of workers (runner.Pool) need one
@@ -227,10 +226,6 @@ const (
 	// phaseSearch: a backtracking line search is running.
 	phaseSearch
 )
-
-// NewWorkspace returns an empty workspace. Buffers are allocated lazily on
-// the first Minimize call and reused afterwards.
-func NewWorkspace() *Workspace { return &Workspace{} }
 
 // ensure sizes the buffers for an n-dimensional problem with memory m and
 // resets the per-call state (history, evaluation counter). Buffers grow
@@ -351,45 +346,6 @@ func (ws *Workspace) pushPair(x, xNew, g, gNew []float64) {
 	for i := range srow {
 		srow[i] = xNew[i] - x[i]
 		yrow[i] = gNew[i] - g[i]
-	}
-}
-
-// Minimize finds a local minimiser of p starting at x0 using projected
-// L-BFGS. x0 is not modified. The returned Result always carries the best
-// point seen, even on MaxIterationsReached or LineSearchStalled.
-//
-// Minimize allocates a fresh workspace per call; hot paths that re-solve
-// repeatedly should hold a Workspace and call its Minimize method instead.
-func Minimize(p *Problem, x0 []float64, opts *Options) (*Result, error) {
-	var ws Workspace
-	res, err := ws.Minimize(p, x0, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-// Minimize is the workspace-reusing form of the package-level Minimize: the
-// ask/tell loop that evaluates one point at a time. Every buffer comes from
-// the workspace, so a warm workspace performs the whole minimisation
-// without allocating.
-//
-// The returned Result.X aliases workspace storage and is only valid until
-// the next call on the same workspace — copy it if it must survive.
-//
-//lint:hotpath the warm re-solve runs every MPC step; allocflow proves it allocation-free
-func (ws *Workspace) Minimize(p *Problem, x0 []float64, opts *Options) (Result, error) {
-	if err := ws.Start(p, x0, opts); err != nil {
-		return Result{}, err
-	}
-	var f [1]float64
-	for {
-		pts := ws.Ask(1)
-		if len(pts) == 0 {
-			return ws.Result(), nil
-		}
-		f[0] = p.Func(pts[0])
-		ws.Tell(f[:])
 	}
 }
 

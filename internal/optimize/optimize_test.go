@@ -21,7 +21,7 @@ func quadratic(center []float64) func([]float64) float64 {
 func TestMinimizeQuadratic(t *testing.T) {
 	center := []float64{1, -2, 3}
 	p := &Problem{Dim: 3, Func: quadratic(center)}
-	r, err := Minimize(p, []float64{0, 0, 0}, nil)
+	r, err := minimize(new(Workspace), p, []float64{0, 0, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestMinimizeWithAnalyticGradient(t *testing.T) {
 			}
 		},
 	}
-	r, err := Minimize(p, []float64{-3, 8}, nil)
+	r, err := minimize(new(Workspace), p, []float64{-3, 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestMinimizeRosenbrock(t *testing.T) {
 			return a*a + 100*b*b
 		},
 	}
-	r, err := Minimize(p, []float64{-1.2, 1}, &Options{MaxIterations: 500, Tolerance: 1e-8})
+	r, err := minimize(new(Workspace), p, []float64{-1.2, 1}, &Options{MaxIterations: 500, Tolerance: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestMinimizeBoxActiveConstraint(t *testing.T) {
 		Lower: []float64{-1, -1},
 		Upper: []float64{1, 1},
 	}
-	r, err := Minimize(p, []float64{0, 0}, nil)
+	r, err := minimize(new(Workspace), p, []float64{0, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMinimizeStartOutsideBoxIsProjected(t *testing.T) {
 		Lower: []float64{-2},
 		Upper: []float64{2},
 	}
-	r, err := Minimize(p, []float64{50}, nil)
+	r, err := minimize(new(Workspace), p, []float64{50}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestMinimizeMixedBounds(t *testing.T) {
 		Func:  quadratic([]float64{-5}),
 		Lower: []float64{-1},
 	}
-	r, err := Minimize(p, []float64{4}, nil)
+	r, err := minimize(new(Workspace), p, []float64{4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,17 +124,17 @@ func TestMinimizeMixedBounds(t *testing.T) {
 }
 
 func TestMinimizeValidation(t *testing.T) {
-	if _, err := Minimize(&Problem{Dim: 2, Func: nil}, []float64{0, 0}, nil); err == nil {
+	if _, err := minimize(new(Workspace), &Problem{Dim: 2, Func: nil}, []float64{0, 0}, nil); err == nil {
 		t.Error("nil Func accepted")
 	}
 	f := quadratic([]float64{0})
-	if _, err := Minimize(&Problem{Dim: 2, Func: f}, []float64{0}, nil); err == nil {
+	if _, err := minimize(new(Workspace), &Problem{Dim: 2, Func: f}, []float64{0}, nil); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if _, err := Minimize(&Problem{Dim: 1, Func: f, Lower: []float64{1}, Upper: []float64{0}}, []float64{0}, nil); err == nil {
+	if _, err := minimize(new(Workspace), &Problem{Dim: 1, Func: f, Lower: []float64{1}, Upper: []float64{0}}, []float64{0}, nil); err == nil {
 		t.Error("inverted bounds accepted")
 	}
-	if _, err := Minimize(&Problem{Dim: 0, Func: f}, nil, nil); err == nil {
+	if _, err := minimize(new(Workspace), &Problem{Dim: 0, Func: f}, nil, nil); err == nil {
 		t.Error("zero dim accepted")
 	}
 }
@@ -147,7 +147,7 @@ func TestMinimizeIllConditionedQuadratic(t *testing.T) {
 			return x[0]*x[0] + 1000*x[1]*x[1]
 		},
 	}
-	r, err := Minimize(p, []float64{1, 1}, &Options{MaxIterations: 300})
+	r, err := minimize(new(Workspace), p, []float64{1, 1}, &Options{MaxIterations: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMinimizeQuadraticRandomProperty(t *testing.T) {
 			x0[i] = rng.NormFloat64() * 5
 		}
 		p := &Problem{Dim: n, Func: quadratic(center)}
-		r, err := Minimize(p, x0, nil)
+		r, err := minimize(new(Workspace), p, x0, nil)
 		if err != nil {
 			return false
 		}
@@ -224,7 +224,7 @@ func TestStatusString(t *testing.T) {
 func TestMinimizeDoesNotMutateX0(t *testing.T) {
 	x0 := []float64{3, 3}
 	p := &Problem{Dim: 2, Func: quadratic([]float64{0, 0})}
-	if _, err := Minimize(p, x0, nil); err != nil {
+	if _, err := minimize(new(Workspace), p, x0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if x0[0] != 3 || x0[1] != 3 {

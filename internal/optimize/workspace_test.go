@@ -30,25 +30,25 @@ func rosenbrockProblem(analytic bool) *Problem {
 }
 
 func TestWorkspaceMinimizeMatchesMinimize(t *testing.T) {
-	// The workspace-reusing solver must produce bit-identical results to the
-	// allocating wrapper, on both the analytic and finite-difference paths,
-	// and stay identical across repeated reuse of the same workspace.
+	// A reused workspace must produce bit-identical results to a fresh one,
+	// on both the analytic and finite-difference paths, and stay identical
+	// across repeated reuse.
 	for _, analytic := range []bool{false, true} {
 		p := rosenbrockProblem(analytic)
 		x0 := []float64{-1.2, 1}
-		want, err := Minimize(p, x0, nil)
+		want, err := minimize(new(Workspace), p, x0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := NewWorkspace()
+		ws := new(Workspace)
 		for round := 0; round < 3; round++ {
-			got, err := ws.Minimize(p, x0, nil)
+			got, err := minimize(ws, p, x0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.F != want.F || got.Iterations != want.Iterations ||
 				got.FuncEvals != want.FuncEvals || got.Status != want.Status {
-				t.Fatalf("analytic=%v round %d: got %+v want %+v", analytic, round, got, *want)
+				t.Fatalf("analytic=%v round %d: got %+v want %+v", analytic, round, got, want)
 			}
 			for i := range want.X {
 				if got.X[i] != want.X[i] {
@@ -61,8 +61,8 @@ func TestWorkspaceMinimizeMatchesMinimize(t *testing.T) {
 
 func TestWorkspaceMinimizeHandlesDimensionChange(t *testing.T) {
 	// A workspace reused across problems of different dimensions must match
-	// the one-shot solver on each (buffers are views over grow-only backing).
-	ws := NewWorkspace()
+	// a fresh one on each (buffers are views over grow-only backing).
+	ws := new(Workspace)
 	for _, dim := range []int{5, 2, 8, 3} {
 		center := make([]float64, dim)
 		for i := range center {
@@ -70,47 +70,47 @@ func TestWorkspaceMinimizeHandlesDimensionChange(t *testing.T) {
 		}
 		p := &Problem{Dim: dim, Func: quadratic(center)}
 		x0 := make([]float64, dim)
-		want, err := Minimize(p, x0, nil)
+		want, err := minimize(new(Workspace), p, x0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ws.Minimize(p, x0, nil)
+		got, err := minimize(ws, p, x0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.F != want.F || got.FuncEvals != want.FuncEvals {
-			t.Fatalf("dim %d: got %+v want %+v", dim, got, *want)
+			t.Fatalf("dim %d: got %+v want %+v", dim, got, want)
 		}
 	}
 }
 
 func TestWorkspaceMinimizeSteadyStateAllocsZero(t *testing.T) {
-	// The tentpole contract: a warm workspace performs a whole minimisation
-	// without allocating, on both gradient paths.
+	// A warm workspace performs a whole minimisation without allocating,
+	// on both gradient paths.
 	for _, analytic := range []bool{false, true} {
 		p := rosenbrockProblem(analytic)
 		x0 := []float64{-1.2, 1}
-		ws := NewWorkspace()
-		if _, err := ws.Minimize(p, x0, nil); err != nil {
+		ws := new(Workspace)
+		if _, err := minimize(ws, p, x0, nil); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := ws.Minimize(p, x0, nil); err != nil {
+			if _, err := minimize(ws, p, x0, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs > 0 {
-			t.Errorf("analytic=%v: warm workspace Minimize allocated %.1f times per run, want 0", analytic, allocs)
+			t.Errorf("analytic=%v: warm workspace solve allocated %.1f times per run, want 0", analytic, allocs)
 		}
 	}
 }
 
 func TestWorkspaceResultAliasesWorkspace(t *testing.T) {
-	// Documented contract: Result.X from the workspace form is only valid
-	// until the next call — it aliases ws.x.
-	ws := NewWorkspace()
+	// Documented contract: Result.X is only valid until the workspace's
+	// next solve — it aliases ws.x.
+	ws := new(Workspace)
 	p := rosenbrockProblem(true)
-	res, err := ws.Minimize(p, []float64{-1.2, 1}, nil)
+	res, err := minimize(ws, p, []float64{-1.2, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +123,9 @@ func TestWorkspaceHistoryRingReusesRows(t *testing.T) {
 	// Force enough iterations to wrap the L-BFGS ring (Memory defaults to 8
 	// on a 2-dim Rosenbrock run with many iterations) and verify the row
 	// storage is drawn from the preallocated pools, not fresh allocations.
-	ws := NewWorkspace()
+	ws := new(Workspace)
 	p := rosenbrockProblem(true)
-	if _, err := ws.Minimize(p, []float64{-1.2, 1}, nil); err != nil {
+	if _, err := minimize(ws, p, []float64{-1.2, 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(ws.sHist) == 0 {
@@ -153,7 +153,7 @@ func TestWorkspaceGradientMatchesNumericGradient(t *testing.T) {
 	// The inlined finite-difference path must agree bit-for-bit with the
 	// exported NumericGradient helper.
 	p := rosenbrockProblem(false)
-	ws := NewWorkspace()
+	ws := new(Workspace)
 	ws.ensure(p.Dim, 8)
 	x := []float64{0.3, -0.7}
 	got := make([]float64, 2)

@@ -45,8 +45,8 @@ type PackNetwork struct {
 	// right-hand-side / solution vectors.
 	a   *linalg.Matrix
 	lu  linalg.LUFactor
-	rhs linalg.Vector
-	x   linalg.Vector
+	rhs []float64
+	x   []float64
 
 	// Coefficient signature of the factorisation currently held in lu.
 	// The system matrix depends only on (cb, cc, h, w, advect) — not on the
@@ -113,8 +113,8 @@ func (net *PackNetwork) step(qb, w, tin, dt float64, advect bool) error {
 	dim := 2 * n
 	if net.a == nil {
 		net.a = linalg.NewMatrix(dim, dim)
-		net.rhs = make(linalg.Vector, dim)
-		net.x = make(linalg.Vector, dim)
+		net.rhs = make([]float64, dim)
+		net.x = make([]float64, dim)
 	}
 
 	// The coolant coupling entering the matrix: the advection rate in active
