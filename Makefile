@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check cross race race-grids bench bench-smoke vet lint lint-sarif lint-vet fmt serve-smoke fleet-bench hmpc-bench
+.PHONY: build test check cross race race-grids bench bench-smoke vet lint lint-sarif lint-vet fmt fuzz-smoke serve-smoke fleet-bench hmpc-bench
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,19 @@ bench:
 bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# Every native fuzz target for 5 s beyond its seeds (which plain `go test`
+# already runs): the AVX2 state sweep against its portable stages, the
+# vector exp and log against math.Exp and math.Log, and the lint suite's
+# directive parser, call graph and SSA builder. A failing input is written
+# under the package's testdata/fuzz and fails the target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzStateSweep$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzExp4$$' -fuzztime 5s ./internal/vmath
+	$(GO) test -run '^$$' -fuzz '^FuzzLog4$$' -fuzztime 5s ./internal/vmath
+	$(GO) test -run '^$$' -fuzz '^FuzzCollectDirectives$$' -fuzztime 5s ./internal/lint
+	$(GO) test -run '^$$' -fuzz '^FuzzCallGraph$$' -fuzztime 5s ./internal/lint
+	$(GO) test -run '^$$' -fuzz '^FuzzSSABuild$$' -fuzztime 5s ./internal/lint/ir
 
 # End-to-end smoke of the HTTP subsystem: boots cmd/otem-serve on an
 # ephemeral port, checks /healthz, a real /v1/simulate, the cache-hit

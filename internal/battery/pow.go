@@ -39,6 +39,13 @@ func NewPow(y float64) Pow {
 	return e
 }
 
+// Direct returns the fraction yf of the direct form a1 = Exp(yf·Log(x))
+// and whether that form applies at all, for a caller that evaluates it
+// several bases at a time. Where it applies, it applies at exactly the
+// bases in [MinNormal, MaxFloat64], and FromExp keeps the product a1·x
+// exactly where it lies in [2⁻¹⁰²⁰, 2¹⁰²⁰].
+func (e Pow) Direct() (yf float64, ok bool) { return e.yf, e.fast }
+
 // normalX reports whether the direct form applies at x: a finite, positive,
 // normal base.
 func (e Pow) normalX(x float64) bool {

@@ -14,8 +14,9 @@ import (
 // adjoint needs one taped forward pass, which the solver has nearly always
 // just made (the line search evaluates the point whose gradient it then
 // asks for, and the tape is reused), and one backward sweep that costs
-// about a third of a rollout: 2.4 µs against 7.9 µs for a single-lane
-// rollout on a 2-vCPU Xeon (four lanes in lockstep take 14.4 µs).
+// about a quarter of a rollout: 1.4 µs against 5.1 µs for a single-lane
+// rollout on a 2-vCPU Xeon (four lanes in lockstep take 7.4 µs, their
+// aging rates recorded by the state kernel).
 // Correctness is pinned by TestAnalyticGradientMatchesNumeric, which
 // compares against central differences over random states and decisions.
 
@@ -151,21 +152,24 @@ type sweep struct {
 // solver accepts. A controller's slots in one call must run from 0 up;
 // its tapeLanes ends as their count.
 //
-// It runs in three sweeps, each filling what the next reads:
+// It runs in up to three sweeps, each filling what the next reads:
 //
 //   - the state sweep steps every lane through the horizon in lockstep:
 //     cooling, capacitor and SoE, the battery up to its cell current and
 //     heat, SoC and the thermal network. Each step runs in the eight
 //     stages of DESIGN.md §10, each over every lane before the next
 //     begins, so the lanes' independent chains of divisions and square
-//     roots overlap. Where vmath's vector kernels are live, a call of two
-//     or more lanes runs the stages four lanes per AVX2 instruction
-//     (sweepKernel); a lone lane, vmath.UsePortable and other
-//     architectures run them as Go loops (stepStages). Eq. 2's and
-//     Eq. 3's exponentials go four at a time through vmath.Exp4, or
-//     through its kernel inlined in the sweep's;
-//   - the aging sweep (agingSweep) fills each lane's Eq. 5 rates from its
-//     finished tape, four steps per vmath.Log4/Exp4 call;
+//     roots overlap. Where vmath's vector kernels are live, every group
+//     of three or four lanes (kernelLanes) runs the stages four lanes per
+//     AVX2 instruction (sweepKernel), with a ninth stage that records the
+//     lanes' Eq. 5 aging rates; one or two lanes, alone or after whole
+//     groups of four, vmath.UsePortable and other architectures run them
+//     as Go loops (stepStages). Eq. 2's and Eq. 3's exponentials go
+//     four at a time through vmath.Exp4, or through its kernel inlined
+//     in the sweep's;
+//   - the aging sweep (agingSweep) fills the Eq. 5 rates of each lane the
+//     Go loops ran from its finished tape, four steps per vmath.Log4/Exp4
+//     call;
 //   - the cost sweep (laneCost) adds each lane's cost terms from its tape
 //     in the order the state recurrences produce them.
 //
@@ -203,18 +207,20 @@ func objectiveFwd(lanes []fwdLane) {
 		s.tapes[j] = o.tapes[lanes[j].slot][:s.horizon]
 		s.st[j] = laneState{soc: r.soc, soe: r.soe, tb: r.tb, tc: r.tc}
 	}
-	// A lone lane stays on the portable stages: the kernel would spend a
-	// whole four-lane group on it, and take longer (DESIGN.md §10).
-	if len(lanes) > 1 && useKernel() {
-		s.sweepKernel()
-	} else {
-		s.sweepStages()
+	// Lanes [0, nk) run on the kernel, which records their aging rates
+	// too; the rest run on the Go stages and then agingSweep.
+	nk := kernelLanes(len(lanes))
+	s.sweepKernel(nk)
+	if nk < len(lanes) {
+		s.sweepStages(nk)
 	}
 
 	for j := range lanes {
 		ln := &lanes[j]
 		o := ln.o
-		agingSweep(s.rs[j], s.tapes[j])
+		if j >= nk {
+			agingSweep(s.rs[j], s.tapes[j])
+		}
 		cost := o.laneCost(s.tapes[j])
 		if d := cfg.TEBTargetSoE - s.st[j].soe; d > 0 {
 			cost += cfg.TEBWeight * o.roll.capEnergy * d * d
@@ -226,11 +232,28 @@ func objectiveFwd(lanes []fwdLane) {
 	}
 }
 
-// sweepStages is the portable state sweep: every step runs stepStages.
-func (s *sweep) sweepStages() {
+// kernelLanes returns how many of a call's n lanes run on the vector
+// kernel: none where it is not live, and otherwise all but a tail of one
+// or two lanes after the call's whole groups of four (all of a call of
+// one or two). A group that holds one or two real lanes costs the kernel
+// as much as four, and the Go stages run one or two lanes faster
+// (DESIGN.md §10).
+func kernelLanes(n int) int {
+	if !useKernel() {
+		return 0
+	}
+	if r := n % 4; r == 1 || r == 2 {
+		return n - r
+	}
+	return n
+}
+
+// sweepStages is the portable state sweep of lanes lo and up: every step
+// runs stepStages.
+func (s *sweep) sweepStages(lo int) {
 	// The state exponentials' arguments, site-major and overwritten in
-	// place by Exp4: lane j's Eq. 2 argument at j, Eq. 3's at n+j and
-	// 2n+j.
+	// place by Exp4: with m = n − lo lanes, lane lo+i's Eq. 2 argument at
+	// i, Eq. 3's at m+i and 2m+i.
 	var e [3 * laneBudget]float64
 	base, nextBlockAt := 0, s.bs
 	for k := 0; k < s.horizon; k++ {
@@ -238,17 +261,18 @@ func (s *sweep) sweepStages() {
 			base += s.mIn
 			nextBlockAt += s.bs
 		}
-		s.stepStages(k, base, &e)
+		s.stepStages(lo, k, base, &e)
 	}
 }
 
-// stepStages advances every lane by step k, whose inputs start at
+// stepStages advances lanes lo and up by step k, whose inputs start at
 // z[base], in the eight stages of DESIGN.md §10. Each stage runs over all
-// lanes before the next starts; a stage reads what the earlier ones wrote
-// into the tape rows, or the per-lane arrays below for what the tape does
-// not keep.
-func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
+// those lanes before the next starts; a stage reads what the earlier ones
+// wrote into the tape rows, or the per-lane arrays below for what the
+// tape does not keep.
+func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 	n := len(s.lanes)
+	m := n - lo
 	var (
 		rows   [laneBudget]*stepTape
 		capSto [laneBudget]float64 // the capacitor's storage power
@@ -256,7 +280,7 @@ func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
 
 	// 1. Tape head, cooling (linear intensity model) and the capacitor
 	// voltage.
-	for j := 0; j < n; j++ {
+	for j := lo; j < n; j++ {
 		r, ls, tp := s.rs[j], &s.st[j], &s.tapes[j][k]
 		rows[j] = tp
 		tp.soc0, tp.soe0, tp.tb0 = ls.soc, ls.soe, ls.tb
@@ -273,7 +297,7 @@ func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
 	}
 
 	// 2. The sag limit, η, the clamped bus power and the storage power.
-	for j := 0; j < n; j++ {
+	for j := lo; j < n; j++ {
 		r, tp := s.rs[j], rows[j]
 		cc := &r.capConv
 		tp.capMax = r.capC7
@@ -301,7 +325,7 @@ func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
 	}
 
 	// 3. The discriminant, its square root and the capacitor current.
-	for j := 0; j < n; j++ {
+	for j := lo; j < n; j++ {
 		r, tp := s.rs[j], rows[j]
 		capESR := r.capESR
 		tp.sCap = 0
@@ -322,7 +346,7 @@ func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
 
 	// 4. The energy drawn, the SoE and its clamp; then the arguments of
 	// the battery formulas' exponentials at this step's (soc, tb).
-	for j := 0; j < n; j++ {
+	for j := lo; j < n; j++ {
 		r, ls, tp := s.rs[j], &s.st[j], rows[j]
 		tp.dEcap = (capSto[j] + tp.capI*tp.capI*r.capESR) * r.dt
 		tp.soePre = ls.soe - tp.dEcap/r.capEnergy
@@ -336,16 +360,17 @@ func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
 
 		cell := &r.cell
 		zc := units.Clamp(ls.soc, 0, 1)
-		e[j] = cell.OCVExpArg(zc)
-		e[n+j], e[2*n+j] = cell.ResistanceExpArgs(zc, ls.tb)
+		i := j - lo
+		e[i] = cell.OCVExpArg(zc)
+		e[m+i], e[2*m+i] = cell.ResistanceExpArgs(zc, ls.tb)
 	}
 
-	// 5. The exponentials, ⌈3n/4⌉ Exp4 calls. The entries from 3n up to
+	// 5. The exponentials, ⌈3m/4⌉ Exp4 calls. The entries from 3m up to
 	// the next multiple of four are reset to 0 every step: Exp4
 	// overwrites them too, and a value left to grow step after step would
 	// push every later call onto the kernel's scalar fallback.
-	ne := (3*n + 3) &^ 3
-	for i := 3 * n; i < ne; i++ {
+	ne := (3*m + 3) &^ 3
+	for i := 3 * m; i < ne; i++ {
 		e[i] = 0
 	}
 	for i := 0; i < ne; i += 4 {
@@ -354,11 +379,12 @@ func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
 
 	// 6. The open-circuit voltage, the resistance, η, the storage power
 	// before its clamp and the power limit.
-	for j := 0; j < n; j++ {
+	for j := lo; j < n; j++ {
 		r, tp := s.rs[j], rows[j]
 		cell := &r.cell
 		bc := &r.battConv
-		tp.ocvExp, tp.resZExp, tp.resTExp = e[j], e[n+j], e[2*n+j]
+		i := j - lo
+		tp.ocvExp, tp.resZExp, tp.resTExp = e[i], e[m+i], e[2*m+i]
 		tp.battBus = s.lanes[j].o.fc[k] + tp.pcool - tp.capBus
 		tp.voc = r.cellOCVScale * cell.OCVFromExp(units.Clamp(tp.soc0, 0, 1), tp.ocvExp)
 		tp.cellR = cell.ResistanceFromExp(tp.resZExp, tp.resTExp)
@@ -374,7 +400,7 @@ func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
 
 	// 7. The power clamp, the discriminant's square root and the pack
 	// current.
-	for j := 0; j < n; j++ {
+	for j := lo; j < n; j++ {
 		tp := rows[j]
 		tp.battStorage = tp.bsPre
 		tp.bsClamped = false
@@ -394,7 +420,7 @@ func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
 
 	// 8. The C6 excess, the cell current and heat, the SoC and the
 	// thermal network (closed-form CN, identical to CNStep2).
-	for j := 0; j < n; j++ {
+	for j := lo; j < n; j++ {
 		r, ls, tp := s.rs[j], &s.st[j], rows[j]
 		cn := &r.cnc
 		soc, tb, tc := ls.soc, ls.tb, ls.tc
@@ -435,27 +461,28 @@ func agingSweep(r *rollout, tape []stepTape) {
 	for k0 := 0; k0 < len(tape); k0 += 4 {
 		blk := tape[k0:min(k0+4, len(tape))]
 		lx := [4]float64{1, 1, 1, 1}
-		var ep, ea [4]float64
+		var ai, ep, ea [4]float64
+		var ages [4]bool
 		for i := range blk {
-			lx[i] = pw.LogArg(math.Abs(blk[i].cellI))
+			ai[i] = math.Abs(blk[i].cellI)
+			ages[i] = battery.Ages(ai[i], blk[i].tb0)
+			lx[i] = pw.LogArg(ai[i])
 		}
 		vmath.Log4(&lx)
 		for i := range blk {
-			tp := &blk[i]
-			if ai := math.Abs(tp.cellI); battery.Ages(ai, tp.tb0) {
-				ep[i] = pw.ExpArgFromLog(ai, lx[i])
-				ea[i] = cell.AgingExpArg(tp.tb0)
+			if ages[i] {
+				ep[i] = pw.ExpArgFromLog(ai[i], lx[i])
+				ea[i] = cell.AgingExpArg(blk[i].tb0)
 			}
 		}
 		vmath.Exp4(&ep)
 		vmath.Exp4(&ea)
 		for i := range blk {
-			tp := &blk[i]
 			aging := 0.0
-			if ai := math.Abs(tp.cellI); battery.Ages(ai, tp.tb0) {
-				aging = cell.AgingRateFromExp(ea[i], pw.FromExp(ai, ep[i]))
+			if ages[i] {
+				aging = cell.AgingRateFromExp(ea[i], pw.FromExp(ai[i], ep[i]))
 			}
-			tp.aging = aging * dt
+			blk[i].aging = aging * dt
 		}
 	}
 }

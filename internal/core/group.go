@@ -19,8 +19,8 @@ import (
 const (
 	// laneBudget is the widest lockstep rollout: the two four-lane
 	// groups of the state sweep's kernel. On a 2-vCPU Xeon,
-	// BenchmarkObjectiveLanes reads about 3.8 µs per lane at 8 lanes, as
-	// at 4, against about 7.8 µs for a lane alone (DESIGN.md §9, §10).
+	// BenchmarkObjectiveLanes reads about 1.9 µs per lane at 8 lanes, as
+	// at 4, against about 5.1 µs for a lane alone (DESIGN.md §9, §10).
 	// A round of fewer trials is topped up with speculative ones up to
 	// it.
 	laneBudget = 8

@@ -61,6 +61,18 @@ type laneGroup struct {
 	packCapC                          [4]float64
 	r0tb, r0tc, r1tb, r1tc, wAmb      [4]float64
 	i00, i01, i10, i11                [4]float64
+
+	// Eq. 5: L[0], −L[1], and the aging power law's direct form, its
+	// fraction yf and whether it applies (battery.Pow.Direct).
+	agL0, agNegL1, powYf [4]float64
+	powDirect            [4]uint64
+
+	// agingMiss has bit j set once a row of lane j needed Eq. 5 where the
+	// kernel's form does not reproduce it: a base outside the power law's
+	// direct form, a product beyond its exact range or an Arrhenius
+	// argument beyond the vector exp's. The caller records that lane's
+	// rates again with agingSweep.
+	agingMiss uint64
 }
 
 // mask returns a lane mask: all ones when on.
@@ -99,14 +111,17 @@ func (g *laneGroup) setLane(j int, r *rollout, st *laneState, capPowerScale floa
 	cn := &r.cnc
 	g.r0tb[j], g.r0tc[j], g.r1tb[j], g.r1tc[j], g.wAmb[j] = cn.r0tb, cn.r0tc, cn.r1tb, cn.r1tc, cn.w*r.ambient
 	g.i00[j], g.i01[j], g.i10[j], g.i11[j] = cn.i00, cn.i01, cn.i10, cn.i11
+	yf, direct := r.agingPow.Direct()
+	g.agL0[j], g.agNegL1[j], g.powYf[j], g.powDirect[j] = cell.L[0], -cell.L[1], yf, mask(direct)
 }
 
-// sweepKernel is the state sweep on the vector kernel: the lanes run in
-// groups of four, each group through the whole horizon in one sweepGroup
-// call. A call returns early only at a step whose exponentials its vector
-// exp cannot take; math.Exp evaluates them there and the call resumes.
-func (s *sweep) sweepKernel() {
-	n := len(s.lanes)
+// sweepKernel is the state sweep of lanes 0 to n−1 on the vector kernel,
+// their aging rates included: the lanes run in groups of four, each group
+// through the whole horizon in one sweepGroup call. A call returns early
+// only at a step whose exponentials its vector exp cannot take; math.Exp
+// evaluates them there and the call resumes. A lane whose aging the
+// kernel could not finish has it recorded again by agingSweep.
+func (s *sweep) sweepKernel(n int) {
 	var g laneGroup
 	for l0 := 0; l0 < n; l0 += 4 {
 		for j := 0; j < 4; j++ {
@@ -122,7 +137,7 @@ func (s *sweep) sweepKernel() {
 			g.setLane(j, s.rs[l], &s.st[l], s.capPowerScale)
 		}
 		g.horizon, g.bs, g.mIn, g.lastBase = s.horizon, s.bs, s.mIn, s.lastBase
-		g.base, g.nextBlockAt, g.resume = 0, s.bs, 0
+		g.base, g.nextBlockAt, g.resume, g.agingMiss = 0, s.bs, 0, 0
 		for k := sweepGroup(&g, 0); k < s.horizon; k = sweepGroup(&g, k) {
 			// A lane's exponential argument at step k is not finite or
 			// beyond the vector exp's range.
@@ -133,6 +148,9 @@ func (s *sweep) sweepKernel() {
 		}
 		for j := 0; j < 4 && l0+j < n; j++ {
 			s.st[l0+j] = laneState{soc: g.soc[j], soe: g.soe[j], tb: g.tb[j], tc: g.tc[j]}
+			if g.agingMiss&(1<<j) != 0 {
+				agingSweep(s.rs[l0+j], s.tapes[l0+j])
+			}
 		}
 	}
 }
@@ -142,10 +160,12 @@ func (s *sweep) sweepKernel() {
 // take: lg.e then holds their twelve arguments, Eq. 2's at e[0:4] and
 // Eq. 3's at e[4:8] and e[8:12], and the caller overwrites them with
 // their exponentials, sets lg.resume and calls again at that step. Each
-// step records the lanes' tape rows and carries their state in lg, in the
-// stages of DESIGN.md §10; the exponentials are vmath's exp4AVX inlined,
-// op for op. Every comparison takes the branch the portable stage takes on
-// every input, NaN included.
+// step records the lanes' tape rows, their Eq. 5 aging rates included, and
+// carries their state in lg, in the stages of DESIGN.md §10; the
+// exponentials and the aging law's logarithm are vmath's exp4AVX and
+// log4AVX inlined, op for op. Every comparison takes the branch the
+// portable stage takes on every input, NaN included. Rows whose aging
+// rate the kernel's form does not reproduce are flagged in lg.agingMiss.
 //
 //go:noescape
 func sweepGroup(lg *laneGroup, k int) int

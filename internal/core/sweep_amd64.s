@@ -15,10 +15,13 @@
 // The exponentials are vmath's exp4AVX (internal/vmath/exp_amd64.s), which
 // is math.Exp's FMA path widened op for op, inlined with its constants
 // written the same way; like it, the loop hands a step back to Go when a
-// lane's argument is not finite or has |x| ≥ 700.
+// lane's argument is not finite or has |x| ≥ 700. The aging stage's
+// logarithm is vmath's log4AVX (internal/vmath/log_amd64.s), math.Log
+// widened op for op, inlined the same way; it only ever sees positive
+// normal bases.
 //
 // One call runs the whole horizon for one group of four lanes: the group
-// at DI, the step's tape rows at R8–R11, Y0–Y6 and the scatter scratch
+// at DI, the step's tape rows at R8–R11, Y0–Y11 and the scatter scratch
 // X14, with the step in BX. The capacitor stages (1–4) do not read the
 // battery's state, so step k+1's capacitor chain overlaps step k's battery
 // chain in the out-of-order window. Results go to each lane's tape row at
@@ -71,6 +74,41 @@ DATA expBias<>+4(SB)/4, $0x3ff
 DATA expBias<>+8(SB)/4, $0x3ff
 DATA expBias<>+12(SB)/4, $0x3ff
 GLOBL expBias<>(SB), RODATA|NOPTR, $16
+
+// vmath's log4AVX constants.
+BCAST4(logHSqrt2, 7.07106781186547524401e-01)
+BCAST4(logLn2Hi, 6.93147180369123816490e-01)
+BCAST4(logLn2Lo, 1.90821492927058770002e-10)
+BCAST4(logL1, 6.666666666666735130e-01)
+BCAST4(logL2, 3.999999999940941908e-01)
+BCAST4(logL3, 2.857142874366239149e-01)
+BCAST4(logL4, 2.222219843214978396e-01)
+BCAST4(logL5, 1.818357216161805012e-01)
+BCAST4(logL6, 1.531383769920937332e-01)
+BCAST4(logL7, 1.479819860511658591e-01)
+BCAST4(logMinNormal, 0x0010000000000000)
+BCAST4(logMaxFloat, 0x7FEFFFFFFFFFFFFF)
+BCAST4(logMantMask, 0x000FFFFFFFFFFFFF)
+BCAST4(logBias, 0x3FE)
+
+// The even dwords of a ymm register: the low halves of its four qwords.
+DATA logEvenDwords<>+0(SB)/4, $0
+DATA logEvenDwords<>+4(SB)/4, $2
+DATA logEvenDwords<>+8(SB)/4, $4
+DATA logEvenDwords<>+12(SB)/4, $6
+DATA logEvenDwords<>+16(SB)/4, $0
+DATA logEvenDwords<>+20(SB)/4, $0
+DATA logEvenDwords<>+24(SB)/4, $0
+DATA logEvenDwords<>+28(SB)/4, $0
+GLOBL logEvenDwords<>(SB), RODATA|NOPTR, $32
+
+// Eq. 5's constants: floats.Eps, up to which battery.Ages sees no
+// current; the gas constant R̄ (units.GasConstant); and the bounds 2⁻¹⁰²⁰
+// and 2¹⁰²⁰ within which battery.Pow keeps its direct product (as bits).
+BCAST4(agingEps, 1.0e-9)
+BCAST4(agingGas, 8.314462618)
+BCAST4(agingPowLo, 0x0030000000000000)
+BCAST4(agingPowHi, 0x7FB0000000000000)
 
 DATA sweepSign<>+0(SB)/8, $0x8000000000000000
 DATA sweepSign<>+8(SB)/8, $0x8000000000000000
@@ -190,6 +228,53 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VPSLLQ       $52, KI, KI; \
 	VMULPD       KI, X, X
 
+// LOG leaves in A (XA its low half) the natural logarithms of the four
+// lanes of X, each a positive normal finite number: log4AVX's sequence
+// after its range check, with X and B–F scratch. Like math.Log on amd64
+// it uses no FMA.
+#define LOG(X, A, XA, B, C, D, E, F) \
+	VANDPD    logMantMask<>(SB), X, B; \
+	VORPD     expHalf<>(SB), B, B; \
+	VPSRLQ    $52, X, A; \
+	VPSUBQ    logBias<>(SB), A, A; \
+	VMOVDQU   logEvenDwords<>(SB), C; \
+	VPERMD    A, C, A; \
+	VCVTDQ2PD XA, A; \
+	VMOVUPD   logHSqrt2<>(SB), X; \
+	VCMPPD    $5, B, X, X; \
+	VANDPD    sweepOne<>(SB), X, C; \
+	VSUBPD    C, A, A; \
+	VADDPD    sweepOne<>(SB), C, C; \
+	VMULPD    C, B, B; \
+	VSUBPD    sweepOne<>(SB), B, B; \
+	VADDPD    sweepTwo<>(SB), B, X; \
+	VDIVPD    X, B, C; \
+	VMULPD    C, C, D; \
+	VMULPD    D, D, E; \
+	VMULPD    logL7<>(SB), E, F; \
+	VADDPD    logL5<>(SB), F, F; \
+	VMULPD    E, F, F; \
+	VADDPD    logL3<>(SB), F, F; \
+	VMULPD    E, F, F; \
+	VADDPD    logL1<>(SB), F, F; \
+	VMULPD    F, D, D; \
+	VMULPD    logL6<>(SB), E, F; \
+	VADDPD    logL4<>(SB), F, F; \
+	VMULPD    E, F, F; \
+	VADDPD    logL2<>(SB), F, F; \
+	VMULPD    F, E, E; \
+	VADDPD    E, D, D; \
+	VMULPD    expHalf<>(SB), B, X; \
+	VMULPD    B, X, X; \
+	VADDPD    X, D, D; \
+	VMULPD    D, C, C; \
+	VMULPD    logLn2Lo<>(SB), A, D; \
+	VADDPD    D, C, C; \
+	VSUBPD    C, X, X; \
+	VSUBPD    B, X, X; \
+	VMULPD    logLn2Hi<>(SB), A, A; \
+	VSUBPD    X, A, A
+
 // INRANGE ands into M the lanes of X with |x| < 700 (LT_OQ: NaN and ±Inf
 // fail); T is scratch.
 #define INRANGE(X, M, T) \
@@ -198,7 +283,7 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VANDPD T, M, M
 
 // The stages of one step for the four lanes of the group at DI, whose rows
-// of the step R8–R11 point at, with X14 the xmm scratch of PUT and Y0–Y6
+// of the step R8–R11 point at, with X14 the xmm scratch of PUT and Y0–Y11
 // the ymm registers they use. A stage hands the next one values in the
 // registers noted under each and everything else through the group.
 
@@ -459,18 +544,18 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 // BAT4 (stage 8): overC6 = i − packMaxI where that is > 0, else 0; cellI
 // = i/parallel; heat = (cellI·cellI·cellR + cellI·tb·dVocdT)·cells;
 // socPre = soc − i·dt/packCapC and the SoC clamped at 1 into lg. Hands on
-// the heat in Y2 and tb in Y3.
+// the heat in Y2, cellI in Y7 and tb in Y8.
 #define BAT4 \
 	VSUBPD    laneGroup_packMaxI(DI), Y0, Y1; \
 	VCMPPD    GT, Y6, Y1, Y2; \
 	VANDPD    Y2, Y1, Y1; \
 	PUT(Y1, X1, stepTape_overC6, R8, R9, R10, R11, X14); \
-	VDIVPD    laneGroup_parallel(DI), Y0, Y1; \
-	PUT(Y1, X1, stepTape_cellI, R8, R9, R10, R11, X14); \
-	VMULPD    Y1, Y1, Y2; \
+	VDIVPD    laneGroup_parallel(DI), Y0, Y7; \
+	PUT(Y7, X7, stepTape_cellI, R8, R9, R10, R11, X14); \
+	VMULPD    Y7, Y7, Y2; \
 	VMULPD    laneGroup_cellR(DI), Y2, Y2; \
-	VMOVUPD   laneGroup_tb(DI), Y3; \
-	VMULPD    Y3, Y1, Y4; \
+	VMOVUPD   laneGroup_tb(DI), Y8; \
+	VMULPD    Y8, Y7, Y4; \
 	VMULPD    laneGroup_dVocDT(DI), Y4, Y4; \
 	VADDPD    Y4, Y2, Y2; \
 	VMULPD    laneGroup_cells(DI), Y2, Y2; \
@@ -491,13 +576,13 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 #define BAT5 \
 	VMOVUPD laneGroup_tc(DI), Y4; \
 	VMOVUPD laneGroup_r0tb(DI), Y0; \
-	VMULPD  Y3, Y0, Y0; \
+	VMULPD  Y8, Y0, Y0; \
 	VMOVUPD laneGroup_r0tc(DI), Y1; \
 	VMULPD  Y4, Y1, Y1; \
 	VADDPD  Y1, Y0, Y0; \
 	VADDPD  Y2, Y0, Y0; \
 	VMOVUPD laneGroup_r1tb(DI), Y1; \
-	VMULPD  Y3, Y1, Y1; \
+	VMULPD  Y8, Y1, Y1; \
 	VMOVUPD laneGroup_r1tc(DI), Y5; \
 	VMULPD  Y4, Y5, Y5; \
 	VADDPD  Y5, Y1, Y1; \
@@ -517,6 +602,56 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VMOVUPD Y3, laneGroup_tc(DI); \
 	PUT(Y2, X2, stepTape_tb1, R8, R9, R10, R11, X14); \
 	PUT(Y3, X3, stepTape_tc1, R8, R9, R10, R11, X14)
+
+// AGING (stage 9): Eq. 5 as agingSweep records it, from cellI in Y7 and
+// tb0 in Y8. With ai = |cellI|, where battery.Ages holds (ai above
+// floats.Eps, tb0 > 0) the row's aging is L[0]·exp(−L[1]/(R̄·tb0)) times
+// the power law's direct form exp(yf·log ai)·ai, then times dt; elsewhere
+// 0·dt. The power law's base is ai where its direct form applies (ai in
+// [MinNormal, MaxFloat64]) and 1 elsewhere, as battery.Pow.LogArg gives
+// it, so the logarithm never meets a base it declines; yf·log ai is then
+// within ±355, inside the vector exp's range. A lane that ages where the
+// direct form does not apply, its product leaves [2⁻¹⁰²⁰, 2¹⁰²⁰] or the
+// Arrhenius argument is not finite or has |x| ≥ 700 (zeroed before its
+// exp) stores a value the caller replaces: the lane's bit of lg.agingMiss
+// is set. No state recurrence reads these registers.
+#define AGING \
+	VANDPD    expAbsMask<>(SB), Y7, Y7; \
+	VXORPD    Y6, Y6, Y6; \
+	VCMPPD    GT, Y6, Y8, Y9; \
+	VCMPPD    LE, agingEps<>(SB), Y7, Y10; \
+	VANDNPD   Y9, Y10, Y9; \
+	VCMPPD    GE, logMinNormal<>(SB), Y7, Y10; \
+	VCMPPD    LE, logMaxFloat<>(SB), Y7, Y11; \
+	VANDPD    Y11, Y10, Y10; \
+	VANDPD    laneGroup_powDirect(DI), Y10, Y10; \
+	VMOVUPD   sweepOne<>(SB), Y0; \
+	VBLENDVPD Y10, Y7, Y0, Y0; \
+	LOG(Y0, Y1, X1, Y2, Y3, Y4, Y5, Y6); \
+	VMULPD    laneGroup_powYf(DI), Y1, Y1; \
+	VANDPD    Y10, Y1, Y1; \
+	VMULPD    agingGas<>(SB), Y8, Y2; \
+	VMOVUPD   laneGroup_agNegL1(DI), Y3; \
+	VDIVPD    Y2, Y3, Y3; \
+	VANDPD    expAbsMask<>(SB), Y3, Y4; \
+	VCMPPD    LT, expLimit<>(SB), Y4, Y4; \
+	VANDPD    Y4, Y3, Y3; \
+	EXP(Y1, Y0, Y2, X2, Y5); \
+	EXP(Y3, Y0, Y2, X2, Y5); \
+	VMULPD    Y7, Y1, Y1; \
+	VCMPPD    GE, agingPowLo<>(SB), Y1, Y5; \
+	VCMPPD    LE, agingPowHi<>(SB), Y1, Y6; \
+	VANDPD    Y6, Y5, Y5; \
+	VANDPD    Y10, Y5, Y5; \
+	VANDPD    Y4, Y5, Y5; \
+	VANDNPD   Y9, Y5, Y5; \
+	VMOVMSKPD Y5, AX; \
+	ORQ       AX, laneGroup_agingMiss(DI); \
+	VMULPD    laneGroup_agL0(DI), Y3, Y3; \
+	VMULPD    Y1, Y3, Y3; \
+	VANDPD    Y9, Y3, Y3; \
+	VMULPD    laneGroup_dt(DI), Y3, Y3; \
+	PUT(Y3, X3, stepTape_aging, R8, R9, R10, R11, X14)
 
 // func sweepGroup(lg *laneGroup, k int) int
 TEXT ·sweepGroup(SB), NOSPLIT, $0-24
@@ -561,6 +696,7 @@ stages:
 	BAT3
 	BAT4
 	BAT5
+	AGING
 	INCQ BX
 	JMP  step
 

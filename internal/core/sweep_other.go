@@ -6,5 +6,6 @@ package core
 // stages.
 func useKernel() bool { return false }
 
-// sweepKernel is unreachable when useKernel is false.
-func (s *sweep) sweepKernel() { s.sweepStages() }
+// sweepKernel has no lanes to run: kernelLanes gives it none when
+// useKernel is false.
+func (s *sweep) sweepKernel(int) {}

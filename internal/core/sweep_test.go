@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/battery"
+	"repro/internal/core/floats"
 	"repro/internal/vmath"
 )
 
@@ -12,7 +14,8 @@ import (
 // decision to one of the state sweep's edge cases: a zero ESR, an SoE at
 // or below the 1e-6 floor, converters that saturate η at its floor or at
 // its peak, an idle loss or a negative resistance (neither physical) that
-// drives a discriminant below zero, or a non-finite state, load or input.
+// drives a discriminant below zero, a non-finite state, load or input,
+// or a pack a few kelvin above 0 K.
 func sweepEdges(rng *rand.Rand, ln fwdLane) {
 	r := &ln.o.roll
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
@@ -43,6 +46,12 @@ func sweepEdges(rng *rand.Rand, ln fwdLane) {
 		r.capConv.IdleLoss = 1e7
 	case 11:
 		r.packResScale = -r.packResScale
+	case 12:
+		// Eq. 5's Arrhenius argument is beyond the vector exp's range
+		// below about 10 K. Without Kr the resistance stays finite there,
+		// so the cell still carries the current that ages it.
+		r.tb = 1 + 9*rng.Float64()
+		r.cell.Kr = 0
 	}
 }
 
@@ -77,6 +86,16 @@ func (c sweepBranches) add(r *rollout, tp *stepTape) {
 	both("tb0>0", tp.tb0 > 0)
 	both("Kr!=0", r.cell.Kr != 0)
 	both("nan", math.IsNaN(tp.soc0+tp.soe0+tp.tb0+tp.voc+tp.i+tp.tb1+tp.tc1))
+	// Eq. 5: whether it ages the cell, for each of its reasons, and where
+	// it does, whether the power law keeps its direct form and the
+	// Arrhenius argument lies within the vector exp's range.
+	ai := math.Abs(tp.cellI)
+	ages := battery.Ages(ai, tp.tb0)
+	both("ages", ages)
+	both("cellI=0", floats.Zero(ai))
+	both("cellI=NaN", math.IsNaN(tp.cellI))
+	both("!ages||powDirect", !ages || r.agingPow.LogArg(ai) == ai)
+	both("!ages||arrhenius<700", !ages || math.Abs(r.cell.AgingExpArg(tp.tb0)) < 700)
 	if r.capESR <= 0 {
 		both("capESR=0,vcap>0", tp.vcap > 0)
 	}
@@ -99,10 +118,11 @@ func sameValue(x, y float64) bool {
 
 // checkSweepKernel rolls lanes once on the vector kernel and once on the
 // portable stages and fails unless every lane's cost and every field and
-// flag of every tape row agree (sameValue). The rows are counted into
-// seen.
+// flag of every tape row agree (sameValue). The rows of the lanes that
+// ran on the kernel are counted into seen.
 func checkSweepKernel(t *testing.T, lanes []fwdLane, seen sweepBranches) {
 	t.Helper()
+	nk := kernelLanes(len(lanes))
 	objectiveFwd(lanes)
 	type lane struct {
 		rows []stepTape
@@ -124,7 +144,7 @@ func checkSweepKernel(t *testing.T, lanes []fwdLane, seen sweepBranches) {
 			if !sameRow(got, want, sameValue) {
 				t.Fatalf("lane %d/%d step %d: kernel row differs\n got %+v\nwant %+v", j, len(lanes), k, *got, *want)
 			}
-			if seen != nil {
+			if seen != nil && j < nk {
 				seen.add(&ln.o.roll, want)
 			}
 		}
@@ -133,10 +153,13 @@ func checkSweepKernel(t *testing.T, lanes []fwdLane, seen sweepBranches) {
 
 // TestStateSweepKernelMatchesPortable pins the vector kernel to the
 // portable stages it replaces: at every lane count from 1 to laneBudget
-// (a lone lane runs the portable stages either way), over packed calls on random plants pushed to every clamp, both η
-// saturations, a zero ESR, an SoE at or below 1e-6 and non-finite states,
-// loads and inputs, the two sweeps record the same bits (NaN as one
-// value). Every way of every branch must be reached.
+// (one or two lanes, alone or after whole groups of four, run the
+// portable stages either way), over packed calls on random plants pushed
+// to every clamp, both η saturations, a zero ESR, an SoE at or below
+// 1e-6, a pack a few kelvin above 0 K and non-finite states, loads and
+// inputs, the two sweeps record the same bits (NaN as one value), Eq. 5's
+// aging rates included. Every way of every branch must be reached, the
+// aging law's rows that the kernel hands back to Go among them.
 func TestStateSweepKernelMatchesPortable(t *testing.T) {
 	if !useKernel() {
 		t.Skip("the state sweep's vector kernel is not live on this host")
@@ -172,6 +195,11 @@ func FuzzStateSweep(f *testing.F) {
 	f.Add(int64(3), uint8(2), math.NaN(), 0.3, 310.0, 1e6, 1.0)
 	f.Add(int64(4), uint8(8), 0.4, math.Inf(1), math.Inf(-1), math.NaN(), 0.0)
 	f.Add(int64(5), uint8(5), -0.1, 0.0, 0.0, 0.0, math.Inf(1))
+	// A pack 3 K above 0 K, whose resistance starves the cell of
+	// current, and a −1e300 W regen load, whose cell current reaches
+	// about −1e149 A before the lane turns NaN.
+	f.Add(int64(6), uint8(3), 0.6, 0.5, 3.0, 40e3, 0.2)
+	f.Add(int64(7), uint8(6), 0.5, 0.5, 300.0, -1e300, -0.5)
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, soc, soe, tb, load, u float64) {
 		if !useKernel() {
 			t.Skip("the state sweep's vector kernel is not live on this host")
