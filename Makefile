@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check cross race race-grids bench bench-smoke vet lint lint-sarif lint-vet fmt fuzz-smoke serve-smoke fleet-bench hmpc-bench
+.PHONY: build test check cross race race-grids bench bench-smoke vet lint lint-sarif lint-vet fmt fuzz-smoke serve-smoke fleet-bench
 
 build:
 	$(GO) build ./...
@@ -80,8 +80,9 @@ bench-smoke:
 
 # Every native fuzz target for 5 s beyond its seeds (which plain `go test`
 # already runs): the AVX2 state sweep against its portable stages, the
-# vector exp and log against math.Exp and math.Log, and the lint suite's
-# directive parser, call graph and SSA builder. A failing input is written
+# vector exp and log against math.Exp and math.Log, the lint suite's
+# directive parser, call graph and SSA builder, and the canonical float
+# encoding's bit-faithful round trip. A failing input is written
 # under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStateSweep$$' -fuzztime 5s ./internal/core
@@ -90,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCollectDirectives$$' -fuzztime 5s ./internal/lint
 	$(GO) test -run '^$$' -fuzz '^FuzzCallGraph$$' -fuzztime 5s ./internal/lint
 	$(GO) test -run '^$$' -fuzz '^FuzzSSABuild$$' -fuzztime 5s ./internal/lint/ir
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonFloat$$' -fuzztime 5s ./internal/canon
 
 # End-to-end smoke of the HTTP subsystem: boots cmd/otem-serve on an
 # ephemeral port, checks /healthz, a real /v1/simulate, the cache-hit
@@ -107,13 +109,3 @@ serve-smoke:
 fleet-bench:
 	FLEET_BENCH_JSON=$(CURDIR)/BENCH_fleet.json $(GO) test -run TestFleetBenchJSON -count=1 -timeout 20m ./internal/fleet
 	cat BENCH_fleet.json
-
-# Hierarchical MPC benchmark: cold outer-plan latency (the POST /v1/plan
-# cache-miss cost), the warm per-block outer replan on a drifting plant,
-# and end-to-end two-layer throughput on UDDS, written to BENCH_hmpc.json
-# (committed so planner regressions are visible in review). The harness
-# fails if the warm outer replan allocates — the zero-alloc hot-path
-# contract of the scheduling layer.
-hmpc-bench:
-	HMPC_BENCH_JSON=$(CURDIR)/BENCH_hmpc.json $(GO) test -run TestHMPCBenchJSON -count=1 -timeout 20m ./internal/hmpc
-	cat BENCH_hmpc.json

@@ -17,6 +17,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/experiments"
@@ -48,10 +49,14 @@ func BenchmarkFig6TemperatureTraces(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		otem, _ := r.ResultFor(experiments.MethodOTEM)
-		parallel, _ := r.ResultFor(experiments.MethodParallel)
-		b.ReportMetric(units.KToC(otem.MaxBatteryTemp), "otem-maxT-C")
-		b.ReportMetric(units.KToC(parallel.MaxBatteryTemp), "parallel-maxT-C")
+		for j, m := range r.MethodsList {
+			switch m {
+			case experiments.MethodOTEM:
+				b.ReportMetric(units.KToC(r.Results[j].MaxBatteryTemp), "otem-maxT-C")
+			case experiments.MethodParallel:
+				b.ReportMetric(units.KToC(r.Results[j].MaxBatteryTemp), "parallel-maxT-C")
+			}
+		}
 	}
 }
 
@@ -117,7 +122,7 @@ func BenchmarkTableIUltracapSizing(b *testing.B) {
 func BenchmarkAblationHorizon(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationHorizon()
+		r, err := experiments.AblationHorizonContext(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +135,7 @@ func BenchmarkAblationHorizon(b *testing.B) {
 func BenchmarkAblationWeights(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationWeights()
+		r, err := experiments.AblationWeightsContext(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +147,7 @@ func BenchmarkAblationWeights(b *testing.B) {
 func BenchmarkAblationNoise(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationNoise()
+		r, err := experiments.AblationNoiseContext(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +162,7 @@ func BenchmarkAblationNoise(b *testing.B) {
 func BenchmarkAblationPredictor(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationPredictor()
+		r, err := experiments.AblationPredictorContext(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +178,7 @@ func BenchmarkAblationPredictor(b *testing.B) {
 func BenchmarkHotspotStudy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Hotspot()
+		r, err := experiments.HotspotContext(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,7 +196,7 @@ func BenchmarkHotspotStudy(b *testing.B) {
 func BenchmarkAblationSensing(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationSensing()
+		r, err := experiments.AblationSensingContext(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +210,7 @@ func BenchmarkAblationSensing(b *testing.B) {
 func BenchmarkAblationChemistry(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationChemistry()
+		r, err := experiments.AblationChemistryContext(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

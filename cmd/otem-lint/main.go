@@ -5,7 +5,7 @@
 //
 //	otem-lint [flags] [packages]     # packages default to ./...
 //	otem-lint -list                  # describe the analyzers
-//	otem-lint -floatcompare -detrand ./internal/...   # subset
+//	otem-lint -floatcompare -detflow ./internal/...   # subset
 //	otem-lint -format=sarif ./... > findings.sarif    # SARIF 2.1.0
 //
 // The driver schedules analyzers over the package-dependency DAG on the

@@ -9,6 +9,22 @@ import (
 	"repro/internal/units"
 )
 
+// teslaPack returns an NCR18650A pack in the Tesla-Model-S-like 96S74P
+// topology the paper references (§II-A).
+func teslaPack(soc, temp float64) *Pack {
+	p, err := NewPack(NCR18650A(), 96, 74, soc, temp)
+	if err != nil {
+		panic("battery: Tesla pack defaults invalid: " + err.Error())
+	}
+	return p
+}
+
+// cellHeat is Eq. 4 for one cell, recomputed from scratch: the Joule
+// term I·(Voc−Vterm) = I²R plus the entropic term I·T·dVoc/dT.
+func cellHeat(p CellParams, i, z, T float64) float64 {
+	return i*i*p.Resistance(z, T) + i*T*p.DVocDT
+}
+
 func TestNCR18650AValid(t *testing.T) {
 	if err := NCR18650A().Validate(); err != nil {
 		t.Fatal(err)
@@ -92,21 +108,21 @@ func TestHeatRateEntropySigns(t *testing.T) {
 	jouleOnly := func(i float64) float64 { return i * i * r }
 
 	// Discharge: exothermic entropy (dVoc/dT > 0) adds to the Joule term.
-	qDis := p.HeatRate(3, 0.5, T)
+	qDis := cellHeat(p, 3, 0.5, T)
 	if qDis <= jouleOnly(3) {
 		t.Errorf("discharge heat %v should exceed pure Joule %v", qDis, jouleOnly(3))
 	}
 	// Charge: the entropic term is endothermic; at low current the cell
 	// cools on net (regenerative braking absorbs heat).
-	qChg := p.HeatRate(-1, 0.5, T)
+	qChg := cellHeat(p, -1, 0.5, T)
 	if qChg >= jouleOnly(1) {
 		t.Errorf("charge heat %v should be below pure Joule %v", qChg, jouleOnly(1))
 	}
 	// At high charge current Joule dominates again.
-	if q := p.HeatRate(-10, 0.5, T); q <= 0 {
+	if q := cellHeat(p, -10, 0.5, T); q <= 0 {
 		t.Errorf("high-rate charge heat %v, want > 0 (Joule dominated)", q)
 	}
-	if p.HeatRate(0, 0.5, T) != 0 {
+	if cellHeat(p, 0, 0.5, T) != 0 {
 		t.Error("zero current must generate zero heat")
 	}
 }
@@ -175,7 +191,7 @@ func TestNewPackValidation(t *testing.T) {
 }
 
 func TestTeslaPackAggregates(t *testing.T) {
-	b := MustTeslaModelSPack(1.0, units.CToK(25))
+	b := teslaPack(1.0, units.CToK(25))
 	if got := b.CellCount(); got != 96*74 {
 		t.Errorf("CellCount = %d", got)
 	}
@@ -196,11 +212,11 @@ func TestTeslaPackAggregates(t *testing.T) {
 }
 
 func TestCurrentForPowerRoundTrip(t *testing.T) {
-	b := MustTeslaModelSPack(0.8, units.CToK(25))
+	b := teslaPack(0.8, units.CToK(25))
 	for _, p := range []float64{-50e3, -10e3, 0, 5e3, 40e3, 120e3} {
-		i, err := b.CurrentForPower(p)
+		i, err := currentForPowerPrepared(b.PrepareStep(), p)
 		if err != nil {
-			t.Fatalf("CurrentForPower(%v): %v", p, err)
+			t.Fatalf("currentForPowerPrepared(%v): %v", p, err)
 		}
 		got := (b.OCV() - b.Resistance()*i) * i
 		if math.Abs(got-p) > 1e-6*(1+math.Abs(p)) {
@@ -216,15 +232,15 @@ func TestCurrentForPowerRoundTrip(t *testing.T) {
 }
 
 func TestCurrentForPowerInfeasible(t *testing.T) {
-	b := MustTeslaModelSPack(0.8, units.CToK(25))
-	_, err := b.CurrentForPower(b.MaxDischargePower() * 1.01)
+	b := teslaPack(0.8, units.CToK(25))
+	_, err := currentForPowerPrepared(b.PrepareStep(), b.MaxDischargePower()*1.01)
 	if !errors.Is(err, ErrPowerInfeasible) {
 		t.Errorf("err = %v, want ErrPowerInfeasible", err)
 	}
 }
 
 func TestStepDischargeDrainsSoC(t *testing.T) {
-	b := MustTeslaModelSPack(0.9, units.CToK(25))
+	b := teslaPack(0.9, units.CToK(25))
 	soc0 := b.SoC
 	res, err := b.Step(50e3, 1.0)
 	if err != nil {
@@ -251,7 +267,7 @@ func TestStepDischargeDrainsSoC(t *testing.T) {
 }
 
 func TestStepChargeRaisesSoC(t *testing.T) {
-	b := MustTeslaModelSPack(0.5, units.CToK(25))
+	b := teslaPack(0.5, units.CToK(25))
 	soc0 := b.SoC
 	res, err := b.Step(-30e3, 1.0)
 	if err != nil {
@@ -272,7 +288,7 @@ func TestStepChargeRaisesSoC(t *testing.T) {
 }
 
 func TestStepRejectsBadDt(t *testing.T) {
-	b := MustTeslaModelSPack(0.5, units.CToK(25))
+	b := teslaPack(0.5, units.CToK(25))
 	if _, err := b.Step(1000, 0); err == nil {
 		t.Error("dt=0 accepted")
 	}
@@ -283,7 +299,7 @@ func TestStepRejectsBadDt(t *testing.T) {
 
 func TestStepCoulombCounting(t *testing.T) {
 	// Discharging at exactly 1C for one hour should drain 100 % SoC.
-	b := MustTeslaModelSPack(1.0, units.CToK(25))
+	b := teslaPack(1.0, units.CToK(25))
 	iC := b.CapacityAh() // amperes for 1C
 	dt := 1.0
 	for s := 0; s < 3600; s++ {
@@ -298,7 +314,7 @@ func TestStepCoulombCounting(t *testing.T) {
 
 func TestStepEnergyConservation(t *testing.T) {
 	// Chemical energy = delivered energy + Joule loss for one step.
-	b := MustTeslaModelSPack(0.8, units.CToK(25))
+	b := teslaPack(0.8, units.CToK(25))
 	power := 60e3
 	dt := 1.0
 	res, err := b.Step(power, dt)
@@ -313,7 +329,7 @@ func TestStepEnergyConservation(t *testing.T) {
 }
 
 func TestSoCClampAtEmpty(t *testing.T) {
-	b := MustTeslaModelSPack(0.001, units.CToK(25))
+	b := teslaPack(0.001, units.CToK(25))
 	for s := 0; s < 100; s++ {
 		if _, err := b.StepCurrent(b.MaxCurrent(), 10); err != nil {
 			t.Fatal(err)
@@ -325,7 +341,7 @@ func TestSoCClampAtEmpty(t *testing.T) {
 }
 
 func TestCloneIsIndependent(t *testing.T) {
-	b := MustTeslaModelSPack(0.7, units.CToK(25))
+	b := teslaPack(0.7, units.CToK(25))
 	c := b.Clone()
 	if _, err := c.Step(50e3, 5); err != nil {
 		t.Fatal(err)
@@ -336,7 +352,7 @@ func TestCloneIsIndependent(t *testing.T) {
 }
 
 func TestEffectiveCapacityReflectsAging(t *testing.T) {
-	b := MustTeslaModelSPack(0.7, units.CToK(25))
+	b := teslaPack(0.7, units.CToK(25))
 	b.CapacityLossPct = 20
 	want := b.CapacityAh() * 0.8
 	if got := b.EffectiveCapacityAh(); math.Abs(got-want) > 1e-9 {
@@ -347,14 +363,14 @@ func TestEffectiveCapacityReflectsAging(t *testing.T) {
 func TestHeatConsistencyStepVsCellModel(t *testing.T) {
 	// Pack heat rate must equal cellcount × per-cell heat at the same
 	// operating point.
-	b := MustTeslaModelSPack(0.6, units.CToK(30))
+	b := teslaPack(0.6, units.CToK(30))
 	res, err := b.StepCurrent(148, 1) // 2 A per string
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Recompute from pre-step state: per-cell current 148/74 = 2 A.
 	p := NCR18650A()
-	want := p.HeatRate(2, 0.6, units.CToK(30)) * 96 * 74
+	want := cellHeat(p, 2, 0.6, units.CToK(30)) * 96 * 74
 	if math.Abs(res.HeatRate-want) > 1e-9*math.Abs(want) {
 		t.Errorf("HeatRate = %v, want %v", res.HeatRate, want)
 	}

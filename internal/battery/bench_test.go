@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkPackStep(b *testing.B) {
-	pack := MustTeslaModelSPack(0.8, units.CToK(25))
+	pack := teslaPack(0.8, units.CToK(25))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := pack.Step(40e3, 1); err != nil {

@@ -59,15 +59,6 @@ func (p *CellParams) ResistanceFromExp(ez, et float64) float64 {
 	return (p.R[0]*ez + p.R[2]) * et
 }
 
-// HeatRate returns the internal heat generation of one cell in watts per
-// paper Eq. 4 for cell current i (amperes, discharge positive), state of
-// charge z and temperature T. Both the Joule term I·(Voc−Vterm) = I²R and
-// the entropic term I·T·dVoc/dT are included.
-func (p *CellParams) HeatRate(i, z, T float64) float64 {
-	r := p.Resistance(z, T)
-	return i*i*r + i*T*p.DVocDT
-}
-
 // AgingRate returns the capacity-loss rate of one cell in percent of rated
 // capacity per second, per paper Eq. 5, for cell current i (amperes) and
 // temperature T (kelvin). The rate is zero at zero current and grows

@@ -49,17 +49,6 @@ func NewPack(cell CellParams, series, parallel int, soc, temp float64) (*Pack, e
 	return &Pack{Cell: cell, Series: series, Parallel: parallel, SoC: soc, Temp: temp}, nil
 }
 
-// MustTeslaModelSPack returns an NCR18650A pack in the Tesla-Model-S-like 96S74P
-// topology the paper references (§II-A), at the given initial SoC and
-// temperature.
-func MustTeslaModelSPack(soc, temp float64) *Pack {
-	p, err := NewPack(NCR18650A(), 96, 74, soc, temp)
-	if err != nil {
-		panic("battery: MustTeslaModelSPack defaults invalid: " + err.Error())
-	}
-	return p
-}
-
 // CellCount returns the total number of cells.
 func (b *Pack) CellCount() int { return b.Series * b.Parallel }
 
@@ -129,14 +118,10 @@ func (b *Pack) PrepareStep() StepPrep {
 	}
 }
 
-// CurrentForPower solves the terminal power balance P = (Voc − R·I)·I for
-// the pack current I (discharge positive). For charging, pass power < 0.
-// It returns ErrPowerInfeasible when |power| exceeds the pack capability.
-func (b *Pack) CurrentForPower(power float64) (float64, error) {
-	return currentForPowerPrepared(b.PrepareStep(), power)
-}
-
-// currentForPowerPrepared is CurrentForPower on hoisted state quantities.
+// currentForPowerPrepared solves the terminal power balance
+// P = (Voc − R·I)·I for the pack current I (discharge positive; pass
+// power < 0 for charging) on the hoisted state quantities. It returns
+// ErrPowerInfeasible when |power| exceeds the pack capability.
 func currentForPowerPrepared(pre StepPrep, power float64) (float64, error) {
 	voc := pre.VOC
 	r := pre.R
@@ -215,8 +200,7 @@ func (b *Pack) StepCurrentPrepared(pre StepPrep, i, dt float64) StepResult {
 	vterm := voc - i*r
 
 	cellI := i / float64(b.Parallel)
-	// Eq. 4 with the hoisted cell resistance — the expression tree of
-	// CellParams.HeatRate with pre.CellR substituted for the recomputation.
+	// Eq. 4 per cell, I²·R + I·T·dVoc/dT, with the hoisted cell resistance.
 	heat := (cellI*cellI*pre.CellR + cellI*b.Temp*b.Cell.DVocDT) * float64(b.CellCount())
 	joule := i * i * r
 	aging := b.Cell.AgingRate(cellI, b.Temp) * dt

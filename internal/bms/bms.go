@@ -1,8 +1,7 @@
 // Package bms implements the battery-management-system substrate the paper
 // builds on (§I cites BMS monitoring [9, 10]): an extended Kalman filter
 // that estimates the pack state of charge from the measurable terminal
-// quantities (pack current, terminal voltage, temperature), plus a safety
-// monitor that tracks the paper's operating-limit violations (C1, C4, C6).
+// quantities (pack current, terminal voltage, temperature).
 //
 // The controller experiments use oracle state by default (as the paper
 // does); the estimator quantifies what a deployed system would actually
@@ -12,10 +11,8 @@ package bms
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/battery"
-	"repro/internal/core/floats"
 	"repro/internal/units"
 )
 
@@ -99,63 +96,4 @@ func (e *SoCEstimator) Step(packCurrent, packVoltage, temp, dt float64) float64 
 		e.P = 1e-12
 	}
 	return e.SoC
-}
-
-// Sigma returns the current 1-σ estimate uncertainty (fraction).
-func (e *SoCEstimator) Sigma() float64 { return math.Sqrt(e.P) }
-
-// Monitor tracks the paper's operating-limit violations over a drive.
-type Monitor struct {
-	// Limits.
-	SafeTemp   float64 // C1 upper bound, kelvin
-	MinSoC     float64 // C4 lower bound, fraction
-	MaxCurrent float64 // C6 pack discharge limit, amperes
-
-	// Counters.
-	TempViolationSec    float64
-	SoCViolationSec     float64
-	CurrentViolationSec float64
-	PeakTemp            float64
-	PeakCurrent         float64
-	Samples             int
-}
-
-// NewMonitor builds a monitor from the pack's own limits.
-func NewMonitor(pack *battery.Pack) *Monitor {
-	return &Monitor{
-		SafeTemp:   pack.Cell.SafeTemp,
-		MinSoC:     pack.Cell.MinSoC,
-		MaxCurrent: pack.MaxCurrent(),
-	}
-}
-
-// Observe records one step of dt seconds.
-func (m *Monitor) Observe(soc, temp, current, dt float64) {
-	m.Samples++
-	if temp > m.SafeTemp {
-		m.TempViolationSec += dt
-	}
-	if soc < m.MinSoC {
-		m.SoCViolationSec += dt
-	}
-	if current > m.MaxCurrent {
-		m.CurrentViolationSec += dt
-	}
-	if temp > m.PeakTemp {
-		m.PeakTemp = temp
-	}
-	if current > m.PeakCurrent {
-		m.PeakCurrent = current
-	}
-}
-
-// Healthy reports whether no limit was ever violated.
-func (m *Monitor) Healthy() bool {
-	return floats.Zero(m.TempViolationSec) && floats.Zero(m.SoCViolationSec) && floats.Zero(m.CurrentViolationSec)
-}
-
-// String summarises the monitor.
-func (m *Monitor) String() string {
-	return fmt.Sprintf("bms: %d samples, violations temp=%.0fs soc=%.0fs current=%.0fs, peaks T=%.1fK I=%.0fA",
-		m.Samples, m.TempViolationSec, m.SoCViolationSec, m.CurrentViolationSec, m.PeakTemp, m.PeakCurrent)
 }

@@ -123,9 +123,6 @@ type StepResult struct {
 	InletTemp float64
 }
 
-// TotalPower returns the electrical power of the cooling system for the step.
-func (r StepResult) TotalPower() float64 { return r.CoolerPower + r.PumpPower }
-
 // CoolerPowerFor returns the electrical power (Eq. 16) required to supply
 // coolant at inlet temperature ti given the current loop state:
 // P_c = (ṁc_p/η_c)·(T_o − T_i), with T_o the coolant temperature returning

@@ -429,8 +429,7 @@ func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 			tp.overC6 = 0
 		}
 		tp.cellI = tp.i / r.parallel
-		// Inlined HeatRate: i²·R + i·T·dVoc/dT, reusing cellR (the same
-		// R(soc, tb) the method would recompute).
+		// Eq. 4 per cell, i²·R + i·T·dVoc/dT, reusing cellR = R(soc, tb).
 		heat := (tp.cellI*tp.cellI*tp.cellR + tp.cellI*tb*r.cell.DVocDT) * r.cells
 
 		tp.socPre = soc - tp.i*r.dt/r.packCapC

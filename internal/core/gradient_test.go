@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/optimize"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -64,6 +63,32 @@ func TestObjectiveFwdMatchesObjective(t *testing.T) {
 	}
 }
 
+// numericGradient writes a central-difference approximation of the
+// gradient of f at x into grad. x is used as scratch but restored before
+// returning.
+func numericGradient(f func([]float64) float64, x, grad []float64) {
+	const hBase = 6.055454452393343e-06 // cbrt(2^-52)
+	for i := range x {
+		xi := x[i]
+		h := hBase * (1 + math.Abs(xi))
+		x[i] = xi + h
+		fp := f(x)
+		x[i] = xi - h
+		fm := f(x)
+		x[i] = xi
+		grad[i] = (fp - fm) / (2 * h)
+	}
+}
+
+// fdGrad is a gradient of central differences of f over its own scratch.
+func fdGrad(f func([]float64) float64, dim int) func(z, g []float64) {
+	scratch := make([]float64, dim)
+	return func(z, g []float64) {
+		copy(scratch, z)
+		numericGradient(f, scratch, g)
+	}
+}
+
 func TestAnalyticGradientMatchesNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	worstRel := 0.0
@@ -86,7 +111,7 @@ func TestAnalyticGradientMatchesNumeric(t *testing.T) {
 		}
 		numeric := make([]float64, dim)
 		zCopy := append([]float64(nil), z...)
-		optimize.NumericGradient(o.objective, zCopy, numeric)
+		numericGradient(o.objective, zCopy, numeric)
 
 		scale := 0.0
 		for i := range numeric {
@@ -132,7 +157,7 @@ func TestAnalyticGradientMatchesOnRegenAndSaturation(t *testing.T) {
 		analytic := make([]float64, dim)
 		o.objectiveGrad(z, analytic)
 		numeric := make([]float64, dim)
-		optimize.NumericGradient(o.objective, z, numeric)
+		numericGradient(o.objective, z, numeric)
 		scale := 0.0
 		for i := range numeric {
 			scale = math.Max(scale, math.Abs(numeric[i]))
@@ -159,7 +184,6 @@ func TestAnalyticGradientProducesSameControl(t *testing.T) {
 		cfg.Horizon = 20
 		cfg.BlockSize = 5
 		cfg.ReplanInterval = 5
-		cfg.NumericGradient = numeric
 		plant, err := sim.NewPlant(sim.PlantConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -167,6 +191,9 @@ func TestAnalyticGradientProducesSameControl(t *testing.T) {
 		ctrl, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if numeric {
+			ctrl.gradFn = fdGrad(ctrl.objective, ctrl.planner.Spec().Dim())
 		}
 		res, err := sim.Run(plant, ctrl, requests, sim.Config{Horizon: 20})
 		if err != nil {

@@ -41,7 +41,7 @@ func TestPlannerBeatsExhaustiveGrid(t *testing.T) {
 	}
 
 	// One plan on finite-difference gradients, one trial per Ask.
-	if err := o.planner.Start(o.objective, nil); err != nil {
+	if err := o.planner.Start(o.objective, fdGrad(o.objective, o.planner.Spec().Dim())); err != nil {
 		t.Fatal(err)
 	}
 	var f [1]float64

@@ -88,12 +88,6 @@ type Config struct {
 	TempRefWeight float64
 	// Optimizer tunes the inner solver.
 	Optimizer optimize.Options
-	// NumericGradient forces finite-difference gradients instead of the
-	// hand-derived adjoint (with the adjoint a default-configuration replan
-	// is about 2.3× faster — 174 µs against 390–450 µs on a 2-vCPU Xeon —
-	// and it is validated against finite differences in the tests; this
-	// switch exists for debugging).
-	NumericGradient bool
 }
 
 // DefaultConfig returns the configuration used for the paper experiments.
@@ -261,9 +255,7 @@ func New(cfg Config) (*OTEM, error) {
 		o.tapeZ[j] = keys[j*dim : (j+1)*dim : (j+1)*dim]
 	}
 	o.objFn = o.objective
-	if !cfg.NumericGradient {
-		o.gradFn = func(z, g []float64) { o.objectiveGrad(z, g) }
-	}
+	o.gradFn = func(z, g []float64) { o.objectiveGrad(z, g) }
 	return o, nil
 }
 

@@ -41,17 +41,9 @@ type Reference struct {
 
 // SetReference installs (or, with nil, removes) the reference trajectory
 // the tracking terms follow. The absolute step clock keeps running across
-// calls so an outer layer can refresh the trajectory mid-route; use
-// ResetClock when reusing the controller for a fresh route.
+// calls so an outer layer can refresh the trajectory mid-route; a fresh
+// route takes a fresh controller.
 func (o *OTEM) SetReference(ref *Reference) { o.ref = ref }
-
-// ResetClock rewinds the absolute step counter and invalidates the
-// current plan, for reusing one controller instance across routes.
-func (o *OTEM) ResetClock() {
-	o.stepAbs = 0
-	o.planValid = false
-	o.cursor = 0
-}
 
 // Replans reports how many horizon problems the controller has solved.
 func (o *OTEM) Replans() int { return o.replans }

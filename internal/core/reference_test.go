@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/optimize"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -74,7 +73,7 @@ func TestTrackingGradientMatchesNumeric(t *testing.T) {
 		}
 		numeric := make([]float64, dim)
 		zCopy := append([]float64(nil), z...)
-		optimize.NumericGradient(o.objective, zCopy, numeric)
+		numericGradient(o.objective, zCopy, numeric)
 		scale := 0.0
 		for i := range numeric {
 			scale = math.Max(scale, math.Abs(numeric[i]))

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"repro/internal/core/floats"
 )
 
 // WriteCSV serialises the cycle as two columns, "time_s,speed_ms", with a
@@ -28,60 +26,4 @@ func (c *Cycle) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a cycle written by WriteCSV (or any two-column
-// time/speed CSV with a header and uniform sampling). The name is taken
-// from the argument since CSV carries none.
-func ReadCSV(r io.Reader, name string) (*Cycle, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("drivecycle: read csv: %w", err)
-	}
-	if len(rows) < 2 {
-		return nil, fmt.Errorf("drivecycle: csv has no data rows")
-	}
-	body := rows[1:] // skip header
-	c := &Cycle{Name: name, Speed: make([]float64, 0, len(body))}
-	var prevT float64
-	for i, rec := range body {
-		if len(rec) < 2 {
-			return nil, fmt.Errorf("drivecycle: row %d has %d columns, want 2", i+1, len(rec))
-		}
-		t, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("drivecycle: row %d time: %w", i+1, err)
-		}
-		v, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("drivecycle: row %d speed: %w", i+1, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("drivecycle: row %d negative speed %g", i+1, v)
-		}
-		if i == 1 {
-			c.DT = t - prevT
-			if c.DT <= 0 {
-				return nil, fmt.Errorf("drivecycle: non-increasing time at row %d", i+1)
-			}
-		} else if i > 1 {
-			if dt := t - prevT; dt <= 0 || absDiff(dt, c.DT) > 1e-6*c.DT {
-				return nil, fmt.Errorf("drivecycle: non-uniform sampling at row %d (dt=%g, want %g)", i+1, dt, c.DT)
-			}
-		}
-		prevT = t
-		c.Speed = append(c.Speed, v)
-	}
-	if floats.Zero(c.DT) {
-		c.DT = 1
-	}
-	return c, nil
-}
-
-func absDiff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }

@@ -113,37 +113,6 @@ func (c *Cycle) Repeat(n int) *Cycle {
 	return out
 }
 
-// Resample returns the cycle linearly interpolated onto sampling period dt.
-func (c *Cycle) Resample(dt float64) (*Cycle, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("drivecycle: non-positive dt %g", dt)
-	}
-	if len(c.Speed) == 0 {
-		return &Cycle{Name: c.Name, DT: dt}, nil
-	}
-	dur := c.Duration()
-	n := int(math.Floor(dur/dt + 1e-9))
-	out := &Cycle{Name: c.Name, DT: dt, Speed: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		t := float64(i) * dt
-		j := t / c.DT
-		k := int(j)
-		if k >= len(c.Speed)-1 {
-			out.Speed[i] = c.Speed[len(c.Speed)-1]
-			continue
-		}
-		out.Speed[i] = units.Lerp(c.Speed[k], c.Speed[k+1], j-float64(k))
-	}
-	return out, nil
-}
-
-// Clone returns a deep copy of the cycle.
-func (c *Cycle) Clone() *Cycle {
-	out := &Cycle{Name: c.Name, DT: c.DT, Speed: make([]float64, len(c.Speed))}
-	copy(out.Speed, c.Speed)
-	return out
-}
-
 // microTrip is one accelerate–cruise–brake–idle phase of a synthetic cycle.
 type microTrip struct {
 	peakKmh float64 // peak speed, km/h

@@ -1,13 +1,5 @@
 package drivecycle
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/core/floats"
-	"repro/internal/units"
-)
-
 // This file adds the non-EPA cycles: the worldwide harmonised WLTC
 // (class 3b), Japan's JC08 and the European Artemis Urban cycle, built with
 // the same micro-trip synthesis calibrated to their published statistics.
@@ -47,36 +39,4 @@ func ArtemisUrban() *Cycle {
 		{peakKmh: 40, accel: 1.2, decel: 1.3, cruise: 22, idle: 20, repeat: 6},
 		{peakKmh: 25, accel: 1.0, decel: 1.2, cruise: 14, idle: 22, repeat: 8},
 	})
-}
-
-// Concat joins cycles back to back into one route (e.g. a commute =
-// UDDS + HWFET + UDDS). All cycles must share the sampling period.
-func Concat(name string, cycles ...*Cycle) (*Cycle, error) {
-	if len(cycles) == 0 {
-		return nil, fmt.Errorf("drivecycle: Concat needs at least one cycle")
-	}
-	out := &Cycle{Name: name, DT: cycles[0].DT}
-	for _, c := range cycles {
-		if !floats.Eq(c.DT, out.DT) {
-			return nil, fmt.Errorf("drivecycle: Concat sampling mismatch: %g vs %g", c.DT, out.DT)
-		}
-		out.Speed = append(out.Speed, c.Speed...)
-	}
-	return out, nil
-}
-
-// ScaleSpeed returns a copy of the cycle with every speed multiplied by the
-// factor (clamped to physical driving speeds) — a simple severity knob for
-// robustness studies.
-func (c *Cycle) ScaleSpeed(factor float64) *Cycle {
-	if factor <= 0 {
-		//lint:ignore nopanic tested argument contract (TestScaleSpeedPanicsOnNonPositive): a non-positive severity factor is a programmer error
-		panic("drivecycle: ScaleSpeed factor must be > 0")
-	}
-	out := c.Clone()
-	limit := units.KmhToMs(160)
-	for i, v := range out.Speed {
-		out.Speed[i] = math.Min(v*factor, limit)
-	}
-	return out
 }

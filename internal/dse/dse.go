@@ -123,12 +123,6 @@ type Result struct {
 	Config Config
 }
 
-// Explore evaluates the grid under the OTEM controller with the default
-// pool. See ExploreContext.
-func Explore(cfg Config) (*Result, error) {
-	return ExploreContext(context.Background(), cfg, nil)
-}
-
 // ExploreContext evaluates the size×cooler grid on the batch runner: every
 // design point is an independent simulation job, results land in grid
 // order, and canceling ctx aborts the exploration mid-grid with an error

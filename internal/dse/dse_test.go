@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -78,12 +79,12 @@ func TestExploreSmallGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MPC grid; skipped in -short")
 	}
-	res, err := Explore(Config{
+	res, err := ExploreContext(context.Background(), Config{
 		UltracapSizesF: []float64{5000, 25000},
 		CoolerPowersW:  []float64{4e3, 8e3},
 		Cycle:          "US06",
 		Repeats:        2,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestExploreSmallGrid(t *testing.T) {
 }
 
 func TestExploreUnknownCycle(t *testing.T) {
-	if _, err := Explore(Config{Cycle: "MOON"}); err == nil {
+	if _, err := ExploreContext(context.Background(), Config{Cycle: "MOON"}, nil); err == nil {
 		t.Error("unknown cycle accepted")
 	}
 }

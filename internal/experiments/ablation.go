@@ -93,14 +93,10 @@ func runStudy(ctx context.Context, pool *runner.Pool, title string, n int, varia
 	return &AblationResult{Title: title, Rows: rows}, nil
 }
 
-// AblationHorizon sweeps the MPC control-window size (paper Alg. 1 line 4):
+// AblationHorizonContext sweeps the MPC control-window size (paper Alg. 1 line 4):
 // too short a window cannot prepare TEB; longer windows cost compute for
 // diminishing returns.
-func AblationHorizon() (*AblationResult, error) {
-	return AblationHorizonContext(context.Background(), nil)
-}
-
-// AblationHorizonContext is AblationHorizon on the batch runner.
+// It runs on the batch runner; a nil pool uses the defaults.
 func AblationHorizonContext(ctx context.Context, pool *runner.Pool) (*AblationResult, error) {
 	requests := ablationWorkload()
 	horizons := []int{8, 16, 40, 80}
@@ -116,13 +112,9 @@ func AblationHorizonContext(ctx context.Context, pool *runner.Pool) (*AblationRe
 		})
 }
 
-// AblationWeights disables each Eq. 19 cost term in turn, showing what each
+// AblationWeightsContext disables each Eq. 19 cost term in turn, showing what each
 // contributes to the joint optimisation.
-func AblationWeights() (*AblationResult, error) {
-	return AblationWeightsContext(context.Background(), nil)
-}
-
-// AblationWeightsContext is AblationWeights on the batch runner.
+// It runs on the batch runner; a nil pool uses the defaults.
 func AblationWeightsContext(ctx context.Context, pool *runner.Pool) (*AblationResult, error) {
 	requests := ablationWorkload()
 	variants := []struct {
@@ -181,12 +173,8 @@ func (n *NoisyForecast) Decide(p *sim.Plant, forecast []float64) sim.Action {
 	return n.Inner.Decide(p, noisy)
 }
 
-// AblationNoise measures OTEM's sensitivity to forecast error.
-func AblationNoise() (*AblationResult, error) {
-	return AblationNoiseContext(context.Background(), nil)
-}
-
-// AblationNoiseContext is AblationNoise on the batch runner.
+// AblationNoiseContext measures OTEM's sensitivity to forecast error.
+// It runs on the batch runner; a nil pool uses the defaults.
 func AblationNoiseContext(ctx context.Context, pool *runner.Pool) (*AblationResult, error) {
 	requests := ablationWorkload()
 	sigmas := []float64{0, 0.1, 0.3, 0.6}
@@ -204,15 +192,11 @@ func AblationNoiseContext(ctx context.Context, pool *runner.Pool) (*AblationResu
 		})
 }
 
-// AblationPredictor replaces the oracle forecast with realistic predictors
+// AblationPredictorContext replaces the oracle forecast with realistic predictors
 // (see the forecast package) and measures how much of OTEM's advantage
 // survives: the paper's evaluation assumes perfect P̂_e; a deployed system
 // would not have it.
-func AblationPredictor() (*AblationResult, error) {
-	return AblationPredictorContext(context.Background(), nil)
-}
-
-// AblationPredictorContext is AblationPredictor on the batch runner.
+// It runs on the batch runner; a nil pool uses the defaults.
 func AblationPredictorContext(ctx context.Context, pool *runner.Pool) (*AblationResult, error) {
 	requests := ablationWorkload()
 	// Train the Markov predictor on different cycles than the evaluation
@@ -247,13 +231,9 @@ func AblationPredictorContext(ctx context.Context, pool *runner.Pool) (*Ablation
 		})
 }
 
-// AblationSensing replaces the oracle SoC with the EKF estimate (see the
+// AblationSensingContext replaces the oracle SoC with the EKF estimate (see the
 // bms package): a deployed OTEM would plan against an estimated state.
-func AblationSensing() (*AblationResult, error) {
-	return AblationSensingContext(context.Background(), nil)
-}
-
-// AblationSensingContext is AblationSensing on the batch runner.
+// It runs on the batch runner; a nil pool uses the defaults.
 func AblationSensingContext(ctx context.Context, pool *runner.Pool) (*AblationResult, error) {
 	requests := ablationWorkload()
 	variants := []struct {
@@ -286,14 +266,10 @@ func AblationSensingContext(ctx context.Context, pool *runner.Pool) (*AblationRe
 		})
 }
 
-// AblationChemistry runs OTEM on the NCA-class default pack versus an
+// AblationChemistryContext runs OTEM on the NCA-class default pack versus an
 // LFP-class pack of comparable bus voltage, showing the methodology is
 // chemistry-agnostic (the paper: "will not contradict our methodology").
-func AblationChemistry() (*AblationResult, error) {
-	return AblationChemistryContext(context.Background(), nil)
-}
-
-// AblationChemistryContext is AblationChemistry on the batch runner.
+// It runs on the batch runner; a nil pool uses the defaults.
 func AblationChemistryContext(ctx context.Context, pool *runner.Pool) (*AblationResult, error) {
 	requests := ablationWorkload()
 	variants := []struct {

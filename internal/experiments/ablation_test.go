@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestAblationHorizonShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4 MPC runs; skipped in -short")
 	}
-	r, err := AblationHorizon()
+	r, err := AblationHorizonContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestAblationNoiseShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4 MPC runs; skipped in -short")
 	}
-	r, err := AblationNoise()
+	r, err := AblationNoiseContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestAblationPredictorShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4 MPC runs; skipped in -short")
 	}
-	r, err := AblationPredictor()
+	r, err := AblationPredictorContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestAblationSensingShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3 MPC runs; skipped in -short")
 	}
-	r, err := AblationSensing()
+	r, err := AblationSensingContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestAblationChemistryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2 MPC runs; skipped in -short")
 	}
-	r, err := AblationChemistry()
+	r, err := AblationChemistryContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

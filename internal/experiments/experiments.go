@@ -10,8 +10,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
-	"io"
 
 	"repro/internal/canon"
 	"repro/internal/core"
@@ -135,13 +133,4 @@ func toCelsius(k []float64) []float64 {
 		out[i] = units.KToC(v)
 	}
 	return out
-}
-
-// writeTempSeries renders a downsampled temperature series as rows of
-// "t  temp°C" for terminal display.
-func writeTempSeries(w io.Writer, label string, tr *sim.Trace, every int) {
-	fmt.Fprintf(w, "# %s\n", label)
-	for i := 0; i < len(tr.Time); i += every {
-		fmt.Fprintf(w, "%6.0f s  %6.2f °C\n", tr.Time[i], units.KToC(tr.BatteryTemp[i]))
-	}
 }

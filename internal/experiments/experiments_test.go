@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/units"
 )
 
 func TestMethodsAndControllers(t *testing.T) {
@@ -79,6 +78,16 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
+// resultFor returns Fig. 6's run for a methodology, or false.
+func resultFor(r *Fig6Result, method Methodology) (sim.Result, bool) {
+	for i, m := range r.MethodsList {
+		if m == method {
+			return r.Results[i], true
+		}
+	}
+	return sim.Result{}, false
+}
+
 func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the MPC controller; skipped in -short")
@@ -87,12 +96,12 @@ func TestFig6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	otem, ok := r.ResultFor(MethodOTEM)
+	otem, ok := resultFor(r, MethodOTEM)
 	if !ok {
 		t.Fatal("OTEM missing from Fig6")
 	}
-	parallel, _ := r.ResultFor(MethodParallel)
-	dual, _ := r.ResultFor(MethodDual)
+	parallel, _ := resultFor(r, MethodParallel)
+	dual, _ := resultFor(r, MethodDual)
 	// Paper Fig. 6: OTEM keeps the battery cooler than the unmanaged and
 	// dual architectures and inside the safe zone.
 	if otem.MaxBatteryTemp >= dual.MaxBatteryTemp {
@@ -104,8 +113,8 @@ func TestFig6Shape(t *testing.T) {
 	if otem.ThermalViolationSec != 0 {
 		t.Errorf("OTEM violated the safe zone for %v s", otem.ThermalViolationSec)
 	}
-	if _, ok := r.ResultFor("nope"); ok {
-		t.Error("ResultFor accepted unknown name")
+	if _, ok := resultFor(r, "nope"); ok {
+		t.Error("resultFor accepted unknown name")
 	}
 	var sb strings.Builder
 	r.Write(&sb)
@@ -259,17 +268,4 @@ func (b *traceBuilder) add(p, soe float64) {
 
 func (b *traceBuilder) trace() *sim.Trace {
 	return &sim.Trace{PowerRequest: b.power, SoE: b.soe}
-}
-
-func TestWriteTempSeriesSmoke(t *testing.T) {
-	res, err := Run(RunSpec{Method: MethodParallel, Cycle: "NYCC", Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	writeTempSeries(&sb, "x", res.Trace, 120)
-	if !strings.Contains(sb.String(), "°C") {
-		t.Error("temperature series missing")
-	}
-	_ = units.ZeroCelsius
 }

@@ -49,16 +49,6 @@ func Fig6Context(ctx context.Context, pool *runner.Pool) (*Fig6Result, error) {
 	return out, nil
 }
 
-// ResultFor returns the run for a methodology name, or false.
-func (r *Fig6Result) ResultFor(method Methodology) (sim.Result, bool) {
-	for i, m := range r.MethodsList {
-		if m == method {
-			return r.Results[i], true
-		}
-	}
-	return sim.Result{}, false
-}
-
 // Write renders peak/average temperatures per methodology plus series.
 func (r *Fig6Result) Write(w io.Writer) {
 	fmt.Fprintln(w, "Fig. 6 — Battery temperature per methodology, US06 ×5, 25 kF")

@@ -107,11 +107,6 @@ func collapse(s hmpc.Spec) hmpc.Spec {
 	return s
 }
 
-// HMPCCompare runs the comparison with the default pool and scenarios.
-func HMPCCompare() (*HMPCResult, error) {
-	return HMPCCompareContext(context.Background(), nil, HMPCScenarios())
-}
-
 // HMPCCompareContext runs flat and hierarchical simulations for every
 // scenario on the batch runner; a nil pool uses the defaults.
 func HMPCCompareContext(ctx context.Context, pool *runner.Pool, scenarios []HMPCScenario) (*HMPCResult, error) {

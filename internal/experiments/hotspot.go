@@ -40,14 +40,9 @@ type HotspotResult struct {
 	Rows []HotspotRow
 }
 
-// Hotspot runs the study for the parallel baseline and OTEM on US06 ×3
-// with the default pool. See HotspotContext.
-func Hotspot() (*HotspotResult, error) {
-	return HotspotContext(context.Background(), nil)
-}
-
-// HotspotContext runs the per-methodology simulate-then-replay chains on
-// the batch runner; a nil pool uses the defaults.
+// HotspotContext runs the study for the parallel baseline and OTEM on
+// US06 ×3: the per-methodology simulate-then-replay chains run on the
+// batch runner; a nil pool uses the defaults.
 func HotspotContext(ctx context.Context, pool *runner.Pool) (*HotspotResult, error) {
 	const modules = 8
 	methods := []Methodology{MethodParallel, MethodOTEM}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestHotspotStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the MPC controller; skipped in -short")
 	}
-	r, err := Hotspot()
+	r, err := HotspotContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,14 +36,7 @@ type Options struct {
 	Progress func(vehiclesDone, vehiclesTotal int)
 }
 
-// Run executes the fleet on the pool and returns the merged result.
-// progress, when non-nil, is called after each finished chunk with the
-// cumulative number of completed vehicles; calls are serialized.
-func Run(ctx context.Context, spec Spec, pool *runner.Pool, progress func(vehiclesDone, vehiclesTotal int)) (*Result, error) {
-	return RunWith(ctx, spec, Options{Pool: pool, Progress: progress})
-}
-
-// RunWith is Run with the options in a struct.
+// RunWith executes the fleet on opts.Pool and returns the merged result.
 func RunWith(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	return runWith(ctx, spec, opts, DefaultBatch)
 }

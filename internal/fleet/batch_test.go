@@ -105,7 +105,7 @@ func TestRunUsesBatchedDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(context.Background(), spec, nil, nil)
+	got, err := RunWith(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

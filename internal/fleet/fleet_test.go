@@ -30,11 +30,11 @@ func testSpec() Spec {
 // state) at one worker and at NumCPU workers.
 func TestRunParallelIdentity(t *testing.T) {
 	spec := testSpec()
-	seq, err := Run(context.Background(), spec, runner.New(runner.Workers(1)), nil)
+	seq, err := RunWith(context.Background(), spec, Options{Pool: runner.New(runner.Workers(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(context.Background(), spec, runner.New(runner.Workers(runtime.NumCPU())), nil)
+	par, err := RunWith(context.Background(), spec, Options{Pool: runner.New(runner.Workers(runtime.NumCPU()))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRunParallelIdentity(t *testing.T) {
 // metrics land in plausible ranges.
 func TestRunAggregates(t *testing.T) {
 	spec := testSpec()
-	r, err := Run(context.Background(), spec, runner.New(), nil)
+	r, err := RunWith(context.Background(), spec, Options{Pool: runner.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRunMemoryBound(t *testing.T) {
 	spec.Vehicles = 600
 	spec.Days = 1
 	spec.SketchK = 16
-	r, err := Run(context.Background(), spec, runner.New(), nil)
+	r, err := RunWith(context.Background(), spec, Options{Pool: runner.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunMemoryBound(t *testing.T) {
 func TestRunCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, testSpec(), runner.New(), nil)
+	_, err := RunWith(ctx, testSpec(), Options{Pool: runner.New()})
 	if !errors.Is(err, runner.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -130,12 +130,12 @@ func TestRunProgress(t *testing.T) {
 	spec := testSpec()
 	spec.Vehicles = 33
 	var dones []int
-	_, err := Run(context.Background(), spec, runner.New(runner.Workers(1)), func(done, total int) {
+	_, err := RunWith(context.Background(), spec, Options{Pool: runner.New(runner.Workers(1)), Progress: func(done, total int) {
 		if total != spec.Vehicles {
 			t.Fatalf("progress total = %d, want %d", total, spec.Vehicles)
 		}
 		dones = append(dones, done)
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,12 +72,6 @@ type scenario struct {
 	days     []dayKind
 }
 
-// family renders the scenario-family label ("commuter/hot") the result
-// breakdowns group by.
-func (sc *scenario) family() string {
-	return string(sc.usage) + "/" + string(sc.climate)
-}
-
 // usageMix and climateMix are the family sampling weights (cumulative
 // form). A 60/25/15 usage split and a 25/50/25 climate split keep every
 // family populated at small fleet sizes without hiding the extremes.

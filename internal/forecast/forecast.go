@@ -1,9 +1,9 @@
 // Package forecast provides EV power-request predictors. The paper assumes
 // the estimated future requests P̂_e are available to the controller
 // ("predicted by modeling the power train and driving route [3]"); this
-// package supplies that component for deployments without an oracle:
+// package supplies that component for deployments without an oracle (the
+// simulator's exact future, which the paper's evaluation uses):
 //
-//   - Oracle: the exact future (what the paper's evaluation uses).
 //   - Persistence: hold the last measured request (the weakest baseline).
 //   - Decay: persistence decaying toward a running mean — a driver
 //     releasing the pedal more often than not.
@@ -36,34 +36,6 @@ type Predictor interface {
 	// Predict writes estimates into dst: dst[0] the present (already
 	// measured) request, dst[1:] the future estimates.
 	Predict(dst []float64, present float64)
-}
-
-// Oracle passes the simulator's exact future through — the paper's
-// assumption. It needs the full request series and a cursor.
-type Oracle struct {
-	series []float64
-	cursor int
-}
-
-// NewOracle wraps the exact request series.
-func NewOracle(series []float64) *Oracle { return &Oracle{series: series} }
-
-// Name implements Predictor.
-func (*Oracle) Name() string { return "oracle" }
-
-// Observe implements Predictor (advances the cursor).
-func (o *Oracle) Observe(float64) { o.cursor++ }
-
-// Predict implements Predictor.
-func (o *Oracle) Predict(dst []float64, present float64) {
-	dst[0] = present
-	for k := 1; k < len(dst); k++ {
-		if i := o.cursor + k; i < len(o.series) {
-			dst[k] = o.series[i]
-		} else {
-			dst[k] = 0
-		}
-	}
 }
 
 // Persistence predicts that the present request continues unchanged.
@@ -288,28 +260,3 @@ func (w *WithPredictor) Decide(p *sim.Plant, forecast []float64) sim.Action {
 func (w *WithPredictor) ForecastDepth() int { return 1 }
 
 var _ sim.ForecastReader = (*WithPredictor)(nil)
-
-// RMSE measures a predictor's error against a series at the given window
-// length: the root-mean-square error over all (step, lead) pairs, watts.
-func RMSE(p Predictor, series []float64, window int) float64 {
-	if window < 2 || len(series) == 0 {
-		return 0
-	}
-	buf := make([]float64, window)
-	var sum float64
-	var n int
-	for t := 0; t < len(series); t++ {
-		p.Predict(buf, series[t])
-		for k := 1; k < window; k++ {
-			var truth float64
-			if t+k < len(series) {
-				truth = series[t+k]
-			}
-			d := buf[k] - truth
-			sum += d * d
-			n++
-		}
-		p.Observe(series[t])
-	}
-	return math.Sqrt(sum / float64(n))
-}

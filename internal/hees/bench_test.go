@@ -28,14 +28,14 @@ func benchSystem(b *testing.B) *System {
 
 func BenchmarkStepParallel(b *testing.B) {
 	s := benchSystem(b)
-	s.Cap.SoE = s.Cap.Params.SoEForVoltage(s.Battery.OCV())
+	s.Cap.SoE = soeForVoltage(s.Cap.Params, s.Battery.OCV())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.StepParallel(30e3, 1); err != nil {
 			b.Fatal(err)
 		}
 		s.Battery.SoC = 0.8
-		s.Cap.SoE = s.Cap.Params.SoEForVoltage(s.Battery.OCV())
+		s.Cap.SoE = soeForVoltage(s.Cap.Params, s.Battery.OCV())
 	}
 }
 

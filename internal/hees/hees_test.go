@@ -13,6 +13,16 @@ import (
 	"repro/internal/units"
 )
 
+// soeForVoltage inverts Eq. 8: the state of energy at which the bank's
+// open-circuit voltage equals v (bus-referred), clamped to [0, 1].
+func soeForVoltage(p ultracap.BankParams, v float64) float64 {
+	if v <= 0 {
+		return 0
+	}
+	r := v / p.BusVoltage
+	return units.Clamp(r*r, 0, 1)
+}
+
 func newSystem(t *testing.T, capF, soc, soe float64) *System {
 	t.Helper()
 	b, err := battery.NewPack(battery.NCR18650A(), 96, 40, soc, units.CToK(25))
@@ -47,7 +57,7 @@ func TestParallelSplitSharesLoad(t *testing.T) {
 	s := newSystem(t, 25000, 0.9, 0)
 	// Start the capacitor at the battery's open-circuit voltage so the
 	// split is purely resistive.
-	s.Cap.SoE = s.Cap.Params.SoEForVoltage(s.Battery.OCV())
+	s.Cap.SoE = soeForVoltage(s.Cap.Params, s.Battery.OCV())
 	rep, err := s.StepParallel(50e3, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +82,7 @@ func TestParallelIdleEqualisation(t *testing.T) {
 	// With no load, a depleted capacitor is recharged by the battery — the
 	// recharge behaviour the paper's Fig. 1 discussion highlights.
 	s := newSystem(t, 25000, 0.9, 0)
-	s.Cap.SoE = s.Cap.Params.SoEForVoltage(s.Battery.OCV() * 0.8)
+	s.Cap.SoE = soeForVoltage(s.Cap.Params, s.Battery.OCV()*0.8)
 	soc0 := s.Battery.SoC
 	soe0 := s.Cap.SoE
 	for i := 0; i < 60; i++ {
@@ -90,7 +100,7 @@ func TestParallelIdleEqualisation(t *testing.T) {
 
 func TestParallelRegenChargesBoth(t *testing.T) {
 	s := newSystem(t, 25000, 0.7, 0)
-	s.Cap.SoE = s.Cap.Params.SoEForVoltage(s.Battery.OCV())
+	s.Cap.SoE = soeForVoltage(s.Cap.Params, s.Battery.OCV())
 	rep, err := s.StepParallel(-40e3, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +327,7 @@ func TestParallelVersusDualHeatShape(t *testing.T) {
 	// battery heat than parallel (which always works the battery) — the
 	// premise of the paper's thermal baseline comparison.
 	par := newSystem(t, 25000, 0.9, 0)
-	par.Cap.SoE = par.Cap.Params.SoEForVoltage(par.Battery.OCV())
+	par.Cap.SoE = soeForVoltage(par.Cap.Params, par.Battery.OCV())
 	dual := newSystem(t, 25000, 0.9, 1.0)
 
 	var heatPar, heatDual float64

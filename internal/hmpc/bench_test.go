@@ -1,10 +1,6 @@
 package hmpc
 
 import (
-	"context"
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -53,111 +49,4 @@ func buildBenchPlanner(tb testing.TB, spec Spec) (*Planner, *sim.Plant) {
 		tb.Fatal(err)
 	}
 	return ctrl.planner, plant
-}
-
-// hmpcBenchReport is the BENCH_hmpc.json schema produced by `make
-// hmpc-bench`.
-type hmpcBenchReport struct {
-	Benchmark        string  `json:"benchmark"`
-	GOMAXPROCS       int     `json:"gomaxprocs"`
-	Blocks           int     `json:"outer_blocks"`
-	Steps            int     `json:"steps"`
-	PlanNs           float64 `json:"outer_plan_ns"`
-	PlanAllocs       float64 `json:"outer_plan_allocs"`
-	WarmReplanNs     float64 `json:"warm_outer_replan_ns"`
-	WarmReplanAllocs float64 `json:"warm_outer_replan_allocs"`
-	RunNsPerStep     float64 `json:"hier_ns_per_step"`
-	RunStepsPerSec   float64 `json:"hier_steps_per_sec"`
-	AllocBudget      float64 `json:"warm_replan_alloc_budget"`
-}
-
-// TestHMPCBenchJSON is the `make hmpc-bench` harness: cold outer-plan
-// latency, warm outer-replan cost on a drifting plant, and end-to-end
-// hierarchical throughput, written to the path in HMPC_BENCH_JSON.
-// Without the environment variable a short smoke route runs (nothing
-// written) so plain `go test ./...` stays fast. In both modes it fails
-// if the warm outer replan allocates — the zero-alloc contract of the
-// //lint:hotpath gate, re-checked at benchmark scale.
-func TestHMPCBenchJSON(t *testing.T) {
-	out := os.Getenv("HMPC_BENCH_JSON")
-	spec := Spec{Cycle: "UDDS", AmbientK: 308}
-	name := "HierUDDS"
-	if out == "" {
-		spec = Spec{Usage: "commuter", RouteSeconds: 120, AmbientK: 305}
-		name = "HierCommuter/smoke"
-	}
-
-	// Cold solve: the /v1/plan cache-miss latency.
-	planRes := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := PlanRoute(spec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// Warm replan: per-block steady-state cost, plant drifting under it.
-	pl, plant := buildBenchPlanner(t, spec)
-	step := 0
-	replanRes := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			step += pl.blockSteps
-			plant.HEES.Battery.SoC -= 1e-6
-			plant.Loop.BatteryTemp += 0.0002
-			if err := pl.Replan(plant, step); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	warmAllocs := float64(replanRes.MemAllocs) / float64(replanRes.N)
-	if warmAllocs > 0 {
-		t.Errorf("warm outer replan allocates %.2f times per call, want 0", warmAllocs)
-	}
-
-	// End-to-end: the full two-layer simulation.
-	var steps, blocks int
-	runRes := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r, err := Run(context.Background(), spec, sim.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			steps, blocks = r.Steps, r.Plan.Blocks
-		}
-	})
-	if steps == 0 || runRes.N == 0 {
-		t.Fatal("benchmark did not run")
-	}
-
-	nsPerStep := float64(runRes.NsPerOp()) / float64(steps)
-	report := hmpcBenchReport{
-		Benchmark:        name,
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		Blocks:           blocks,
-		Steps:            steps,
-		PlanNs:           float64(planRes.NsPerOp()),
-		PlanAllocs:       float64(planRes.MemAllocs) / float64(planRes.N),
-		WarmReplanNs:     float64(replanRes.NsPerOp()),
-		WarmReplanAllocs: warmAllocs,
-		RunNsPerStep:     nsPerStep,
-		RunStepsPerSec:   1e9 / nsPerStep,
-		AllocBudget:      0,
-	}
-	t.Logf("%s: plan %.2f ms, warm replan %.2f ms (%.2f allocs), run %.0f steps/sec",
-		name, report.PlanNs/1e6, report.WarmReplanNs/1e6, warmAllocs, report.RunStepsPerSec)
-
-	if out == "" {
-		return
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

@@ -120,9 +120,6 @@ func NewPlanner(spec Spec, preview []float64, plantCfg sim.PlantConfig) (*Planne
 // slices are rewritten in place by Replan.
 func (pl *Planner) Reference() *core.Reference { return &pl.ref }
 
-// Blocks reports the outer horizon length.
-func (pl *Planner) Blocks() int { return pl.blocks }
-
 // Replans reports how many outer solves have run.
 func (pl *Planner) Replans() int { return pl.replans }
 

@@ -110,7 +110,7 @@ type Point struct {
 	LossPerRoutePct float64
 }
 
-// Projection is the outcome of Project.
+// Projection is the outcome of ProjectContext.
 type Projection struct {
 	// Points samples the fade trajectory (one per simulated block).
 	Points []Point
@@ -149,14 +149,10 @@ func DefaultPlantFactory(cfg sim.PlantConfig) PlantFactory {
 	}
 }
 
-// Project runs the fade trajectory to end of life.
-func Project(newPlant PlantFactory, newController ControllerFactory, requests []float64, cfg Config) (*Projection, error) {
-	return ProjectContext(context.Background(), newPlant, newController, requests, cfg)
-}
-
-// ProjectContext is Project with cooperative cancellation. The projection
-// is inherently sequential — each simulated block depends on the health
-// state accumulated by its predecessors — so the batching lever here is
+// ProjectContext runs the fade trajectory to end of life, with
+// cooperative cancellation. The projection is inherently sequential —
+// each simulated block depends on the health state accumulated by its
+// predecessors — so the batching lever here is
 // cancellation: the route simulation inside each block aborts mid-route
 // when ctx fires (with an error matching runner.ErrCanceled), which lets
 // callers fan a projection per methodology out on the batch runner and

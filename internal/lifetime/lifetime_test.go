@@ -1,6 +1,7 @@
 package lifetime
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,20 +24,20 @@ func shortRoute(t *testing.T) []float64 {
 func TestProjectValidation(t *testing.T) {
 	requests := shortRoute(t)
 	pf := DefaultPlantFactory(sim.PlantConfig{})
-	if _, err := Project(nil, baselineFactory(), requests, Config{}); err == nil {
+	if _, err := ProjectContext(context.Background(), nil, baselineFactory(), requests, Config{}); err == nil {
 		t.Error("nil plant factory accepted")
 	}
-	if _, err := Project(pf, nil, requests, Config{}); err == nil {
+	if _, err := ProjectContext(context.Background(), pf, nil, requests, Config{}); err == nil {
 		t.Error("nil controller factory accepted")
 	}
-	if _, err := Project(pf, baselineFactory(), nil, Config{}); err == nil {
+	if _, err := ProjectContext(context.Background(), pf, baselineFactory(), nil, Config{}); err == nil {
 		t.Error("empty route accepted")
 	}
 }
 
 func TestProjectReachesEndOfLife(t *testing.T) {
 	requests := shortRoute(t)
-	proj, err := Project(DefaultPlantFactory(sim.PlantConfig{}), baselineFactory(), requests, Config{
+	proj, err := ProjectContext(context.Background(), DefaultPlantFactory(sim.PlantConfig{}), baselineFactory(), requests, Config{
 		EndOfLifePct: 20,
 		BlockRoutes:  2500,
 		MaxRoutes:    200000,
@@ -73,7 +74,7 @@ func TestProjectReachesEndOfLife(t *testing.T) {
 
 func TestProjectRespectsMaxRoutes(t *testing.T) {
 	requests := shortRoute(t)
-	proj, err := Project(DefaultPlantFactory(sim.PlantConfig{}), baselineFactory(), requests, Config{
+	proj, err := ProjectContext(context.Background(), DefaultPlantFactory(sim.PlantConfig{}), baselineFactory(), requests, Config{
 		EndOfLifePct: 20,
 		BlockRoutes:  100,
 		MaxRoutes:    300,
@@ -93,11 +94,11 @@ func TestDualOutlivesParallel(t *testing.T) {
 	// US06 is over before the pack warms up).
 	requests := vehicle.MidSizeEV().PowerSeries(drivecycle.US06().Repeat(3))
 	cfg := Config{EndOfLifePct: 20, BlockRoutes: 4000, MaxRoutes: 200000}
-	par, err := Project(DefaultPlantFactory(sim.PlantConfig{}), baselineFactory(), requests, cfg)
+	par, err := ProjectContext(context.Background(), DefaultPlantFactory(sim.PlantConfig{}), baselineFactory(), requests, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dual, err := Project(DefaultPlantFactory(sim.PlantConfig{}),
+	dual, err := ProjectContext(context.Background(), DefaultPlantFactory(sim.PlantConfig{}),
 		func() (sim.Controller, error) { return policy.NewDual(), nil }, requests, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -146,14 +147,14 @@ func TestWriteRendersProjection(t *testing.T) {
 func TestChargingShortensProjectedLife(t *testing.T) {
 	requests := shortRoute(t)
 	base := Config{EndOfLifePct: 20, BlockRoutes: 5000, MaxRoutes: 300000}
-	without, err := Project(DefaultPlantFactory(sim.PlantConfig{}), baselineFactory(), requests, base)
+	without, err := ProjectContext(context.Background(), DefaultPlantFactory(sim.PlantConfig{}), baselineFactory(), requests, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chg := charger.Default()
 	withCfg := base
 	withCfg.Charger = &chg
-	with, err := Project(DefaultPlantFactory(sim.PlantConfig{}), baselineFactory(), requests, withCfg)
+	with, err := ProjectContext(context.Background(), DefaultPlantFactory(sim.PlantConfig{}), baselineFactory(), requests, withCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

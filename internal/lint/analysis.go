@@ -154,23 +154,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.facts.get(factKey{analyzer: p.Analyzer.Name, pkg: obj.Pkg().Path(), obj: objectKey(obj)}, fact)
 }
 
-// ExportPackageFact records a fact about the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.facts == nil || p.Pkg == nil {
-		return
-	}
-	p.facts.set(factKey{analyzer: p.Analyzer.Name, pkg: p.Pkg.Path()}, fact)
-}
-
-// ImportPackageFact copies the fact this analyzer exported about pkg into
-// fact and reports whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if p.facts == nil || pkg == nil {
-		return false
-	}
-	return p.facts.get(factKey{analyzer: p.Analyzer.Name, pkg: pkg.Path()}, fact)
-}
-
 // Diagnostic is one finding, mirroring analysis.Diagnostic.
 type Diagnostic struct {
 	Pos     token.Pos

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"io/fs"
 	"path/filepath"
 	"regexp"
@@ -36,7 +37,7 @@ func RunFixture(t *testing.T, a *Analyzer, name string) {
 	if len(patterns) == 0 {
 		t.Fatalf("fixture %s has no Go packages", name)
 	}
-	mod, err := Load("", patterns...)
+	mod, err := LoadContext(context.Background(), nil, "", patterns...)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}

@@ -6,7 +6,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AllocFlow,
 		DetFlow,
-		DetRand,
 		ErrFlow,
 		ErrWrapCheck,
 		FloatCompare,
@@ -16,14 +15,4 @@ func All() []*Analyzer {
 		UnitMix,
 		UnusedWrite,
 	}
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"repro/internal/lint/ir"
 )
@@ -25,18 +26,23 @@ func (*NondetFact) AFact() {}
 
 func (f *NondetFact) String() string { return f.Reason }
 
-// DetFlow extends detrand across package boundaries and across value flow.
+// DetFlow forbids nondeterminism sources in the deterministic packages.
 //
-// detrand is intraprocedural and syntactic: it flags a time.Now literally
-// written inside internal/sim. But determinism is a whole-program property
-// of *values*, not call sites. DetFlow tracks it two ways, both over the
-// shared SSA IR (internal/lint/ir):
+// Replaying a route must be bit-identical regardless of worker count or
+// wall clock: the golden-file experiments, the fleet's parallel-identity
+// test and the plan cache depend on it. Inside the deterministic scope
+// (detScopes) the global math/rand source and time.Now are banned;
+// randomness must arrive as a seeded *rand.Rand and time as plant/step
+// state. A direct use is reported where it is written. But determinism
+// is a whole-program property of *values*, not call sites, so DetFlow
+// also tracks it two ways, both over the shared SSA IR
+// (internal/lint/ir):
 //
-//   - Call-graph closure (as before): every package exports a NondetFact
+//   - Call-graph closure: every package exports a NondetFact
 //     for each function that reaches the global math/rand source or
 //     time.Now, and the deterministic packages report calls to marked
 //     functions.
-//   - Value flow (new): nondeterminism is a property carried by values. A
+//   - Value flow: nondeterminism is a property carried by values. A
 //     *rand.Rand seeded from a constant or a SplitMix64-mixed vehicle
 //     index is clean wherever it flows — through locals, struct fields
 //     and branch joins. A handle on the global source or the wall clock
@@ -46,19 +52,22 @@ func (f *NondetFact) String() string { return f.Reason }
 //     function values and draws from tainted generators are reported.
 var DetFlow = &Analyzer{
 	Name: "detflow",
-	Doc: `forbid transitive nondeterminism in the deterministic packages
+	Doc: `forbid global math/rand and time.Now, direct or transitive, in deterministic packages
 
-A function in a deterministic package (the detrand scope: internal/sim,
-internal/mpc, internal/policy, internal/fleet, internal/hmpc,
-internal/hees, internal/battery, internal/core, internal/optimize and
-internal/vmath) must not reach — at any depth, across packages, or laundered through
-struct fields, closures and function values — the global math/rand source
-or time.Now. detrand catches the direct uses; detflow propagates
-"reaches nondeterminism" facts along the package DAG and tracks tainted
-values through the SSA-based value-flow IR, flagging the call sites that
-import them. A *rand.Rand seeded from a constant or a per-vehicle
-SplitMix64 hash is deterministic and passes wherever it flows. Thread a
-seeded *rand.Rand (or simulated time) down the call chain instead.`,
+A function in a deterministic package (internal/sim, internal/mpc,
+internal/policy, internal/fleet, internal/hmpc, internal/hees,
+internal/battery, internal/core, internal/optimize and internal/vmath)
+must be replayable: identical seeds and inputs give identical traces
+whether the batch runs on 1 worker or 8. It must not use — directly, at
+any depth, across packages, or laundered through struct fields, closures
+and function values — the global math/rand source (shared mutable state
+across goroutines) or time.Now (the wall clock leaking into physics).
+detflow reports the direct uses, propagates "reaches nondeterminism"
+facts along the package DAG and tracks tainted values through the
+SSA-based value-flow IR, flagging the call sites that import them. A
+*rand.Rand seeded from a constant or a per-vehicle SplitMix64 hash is
+deterministic and passes wherever it flows. Thread a seeded *rand.Rand
+(or simulated time) down the call chain instead.`,
 	Run:       runDetFlow,
 	FactTypes: []Fact{(*NondetFact)(nil), (*TaintFact)(nil)},
 }
@@ -193,10 +202,9 @@ func runDetFlow(pass *Pass) error {
 		pass.ExportObjectFact(obj, &TaintFact{Reason: reason})
 	}
 
-	// Inside the deterministic scope, report every call that performs or
-	// launders nondeterminism. Direct uses of the banned functions are
-	// detrand's findings, not repeated here.
-	if !inDetrandScope(pass.Pkg.Path()) {
+	// Inside the deterministic scope, report every direct use of a banned
+	// function and every call that launders nondeterminism.
+	if !inDetScope(pass.Pkg.Path()) {
 		return nil
 	}
 	eng.resetMemos()
@@ -207,14 +215,32 @@ func runDetFlow(pass *Pass) error {
 				irf = pass.FuncIR(fd)
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					reportNondetCall(pass, eng, irf, call, funcReason)
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					reportDirectNondet(pass, n)
+				case *ast.CallExpr:
+					reportNondetCall(pass, eng, irf, n, funcReason)
 				}
 				return true
 			})
 		}
 	}
 	return nil
+}
+
+// reportDirectNondet files the finding for a direct use of the global
+// math/rand source or time.Now, called or taken as a value. Methods on
+// *rand.Rand are the sanctioned replacement and pass.
+func reportDirectNondet(pass *Pass, sel *ast.SelectorExpr) {
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || directNondetReason(fn) == "" {
+		return
+	}
+	if fn.Pkg().Path() == "time" {
+		pass.Reportf(sel.Pos(), "time.Now in deterministic package %s; derive time from simulated step state instead", pass.Pkg.Path())
+		return
+	}
+	pass.Reportf(sel.Pos(), "global math/rand source (%s.%s) in deterministic package %s; thread a seeded *rand.Rand instead", fn.Pkg().Path(), fn.Name(), pass.Pkg.Path())
 }
 
 // reportNondetCall files the detflow finding for one call site in a
@@ -234,7 +260,7 @@ func reportNondetCall(pass *Pass, eng *taintEngine, fn *ir.Func, call *ast.CallE
 	callee := staticCallee(pass.TypesInfo, call)
 	if callee != nil {
 		if directNondetReason(callee) != "" {
-			return // detrand reports direct uses
+			return // reportDirectNondet reports direct uses
 		}
 		if r := funcReason(callee); r != "" {
 			pass.Reportf(call.Pos(), "call to nondeterministic %s in deterministic package %s: %s %s; thread a seeded *rand.Rand or simulated time instead", callee.Name(), pass.Pkg.Path(), callee.Name(), r)
@@ -291,4 +317,48 @@ func directNondetReason(fn *types.Func) string {
 		}
 	}
 	return ""
+}
+
+// detScopes are the package-path suffixes where determinism is a tested
+// invariant: the 1-vs-8-worker sweep-determinism test requires the
+// physics (sim), the controller (mpc) and the policy layer to be pure
+// functions of their seeds and inputs, the fleet simulator promises
+// bit-identical sketches at any worker count, and the hierarchical
+// planner's outer plans are cache keys (POST /v1/plan) — the same spec
+// must solve to the same plan forever. The storage kernels (hees,
+// battery) carry the batched rollout's bit-identity contract: the
+// lockstep bus solver and the prepared battery step must reproduce the
+// scalar path exactly, which no wall-clock or global-source draw may
+// perturb. The controller and its solver (core, optimize) and the vector
+// math kernels (vmath) carry the speculative line search's contract: the
+// lockstep rollout lanes and the batched trials must give the same plan,
+// bit for bit, as one trial at a time.
+var detScopes = []string{
+	"internal/sim", "internal/mpc", "internal/policy", "internal/fleet",
+	"internal/hmpc", "internal/hees", "internal/battery",
+	"internal/core", "internal/optimize", "internal/vmath",
+}
+
+// globalRandFuncs are the math/rand package-level functions backed by the
+// shared global source. rand.New / rand.NewSource construct seeded,
+// injectable generators and stay legal.
+var globalRandFuncs = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "NormFloat64": true,
+	"ExpFloat64": true, "Perm": true, "Shuffle": true, "Seed": true,
+	"Read": true,
+	// math/rand/v2 additions, same hazard.
+	"N": true, "IntN": true, "Int32": true, "Int32N": true,
+	"Int64N": true, "Uint32N": true, "Uint64N": true, "UintN": true,
+	"Uint": true,
+}
+
+func inDetScope(path string) bool {
+	for _, s := range detScopes {
+		if path == "repro/"+s || strings.HasSuffix(path, "/"+s) || strings.Contains(path, "/"+s+"/") {
+			return true
+		}
+	}
+	return false
 }

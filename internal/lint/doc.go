@@ -24,15 +24,15 @@
 //   - nopanic: library packages return errors; panic is for init and
 //     Must* constructors (the linalg kernels opt out file-by-file with a
 //     documented contract).
-//   - detrand: no global math/rand or time.Now inside internal/sim,
-//     internal/mpc, internal/policy — replay determinism is a tested
-//     property.
-//   - detflow: the same determinism contract, transitively and as a
-//     value property — a helper anywhere in the module that reaches
-//     global rand or time.Now (at any call depth) must not be called
-//     from the deterministic scope, and neither may a *rand.Rand or
-//     func value derived from those sources, even laundered through a
-//     struct field, closure or function value.
+//   - detflow: no global math/rand or time.Now in the deterministic
+//     packages (internal/sim, mpc, policy, fleet, hmpc, hees, battery,
+//     core, optimize, vmath) — replay determinism is a tested property —
+//     directly, transitively and as a value property: a helper anywhere
+//     in the module that reaches global rand or time.Now (at any call
+//     depth) must not be called from the deterministic scope, and
+//     neither may a *rand.Rand or func value derived from those
+//     sources, even laundered through a struct field, closure or
+//     function value.
 //   - errflow: errors returned by this module's own APIs must not be
 //     discarded — as bare call / defer / go statements, or as dead
 //     stores no path reads before overwrite; functions proven always-nil
@@ -166,9 +166,9 @@
 // order so its output is byte-identical to the sequential reference
 // driver (Module.Run).
 //
-// Entry points: Load / LoadContext + (*Module).Run or RunParallel for
+// Entry points: LoadContext + (*Module).Run or RunParallel for
 // the standalone cmd/otem-lint multichecker (`make lint`), RunUnit for
 // `go vet -vettool=$(otem-lint)`, ToSARIF / WriteSARIF / WriteJSON /
-// WriteText for rendering, and RunFixture for analysistest-style
-// fixture tests under testdata/src.
+// WriteText for rendering. The analysistest-style fixtures under
+// testdata/src run through the package tests' RunFixture.
 package lint

@@ -27,7 +27,7 @@ type Fact interface {
 }
 
 // factKey identifies one stored fact: which analyzer produced it, about
-// which object of which package. obj is "" for package-level facts.
+// which object of which package.
 type factKey struct {
 	analyzer string
 	pkg      string

@@ -22,7 +22,7 @@ func FuzzCollectDirectives(f *testing.F) {
 	seeds := []string{
 		"ignore floatcompare reason text",
 		"file-ignore all whole file is exempt",
-		"ignore floatcompare,detrand two checks one reason",
+		"ignore floatcompare,detflow two checks one reason",
 		"ignore floatcmp typoed name",
 		"ignore",
 		"ignore floatcompare",

@@ -38,15 +38,6 @@ type Block struct {
 	rpo      int // reverse-postorder number; -1 when unreachable
 }
 
-// Idom returns the immediate dominator (nil for the entry block and for
-// unreachable blocks).
-func (b *Block) Idom() *Block {
-	if b.idom == b {
-		return nil
-	}
-	return b.idom
-}
-
 func (b *Block) String() string { return fmt.Sprintf("b%d(%s)", b.Index, b.Comment) }
 
 // Func is the IR of one function declaration: its CFG, dominator tree and
@@ -66,7 +57,6 @@ type Func struct {
 	tracked  map[*types.Var]bool
 	params   map[*types.Var]*Param
 	uses     map[*ast.Ident]Value
-	defs     map[*ast.Ident]*Def
 	allDefs  []*Def
 	allPhis  []*Phi
 	observed map[Value]bool

@@ -32,7 +32,7 @@ func (f *Func) computeDom() {
 	}
 
 	// Iterative idom fixpoint. The entry is its own idom (the sentinel the
-	// intersection walk terminates on); Idom() reports it as nil.
+	// intersection walk terminates on).
 	entry.idom = entry
 	for changed := true; changed; {
 		changed = false

@@ -99,15 +99,9 @@ func (u *Unknown) String() string  { return "unknown(" + u.V.Name() + ")" }
 // when the identifier is not a tracked-variable use.
 func (f *Func) ValueAt(id *ast.Ident) Value { return f.uses[id] }
 
-// DefAt returns the Def created at the given defining identifier, or nil.
-func (f *Func) DefAt(id *ast.Ident) *Def { return f.defs[id] }
-
 // Defs returns every definition in the function, in deterministic
 // (block, program) order.
 func (f *Func) Defs() []*Def { return f.allDefs }
-
-// Phis returns every phi value, in deterministic order.
-func (f *Func) Phis() []*Phi { return f.allPhis }
 
 // Tracked reports whether v participates in SSA construction. Untracked
 // variables (address taken, captured) resolve every use to Unknown.
@@ -133,7 +127,6 @@ func (f *Func) buildSSA() {
 	f.tracked = make(map[*types.Var]bool)
 	f.params = make(map[*types.Var]*Param)
 	f.uses = make(map[*ast.Ident]Value)
-	f.defs = make(map[*ast.Ident]*Def)
 	f.observed = make(map[Value]bool)
 	f.atReturn = make(map[*ast.ReturnStmt]map[*types.Var]Value)
 
@@ -524,7 +517,6 @@ func (r *renamer) defs(n ast.Node, b *Block, pushed map[*types.Var]int) {
 			return
 		}
 		d := &Def{V: v, Ident: id, Rhs: rhs, Stmt: n, Block: b, Kind: kind, Tok: tok}
-		f.defs[id] = d
 		f.allDefs = append(f.allDefs, d)
 		pushed[v] += r.push(v, d)
 	})

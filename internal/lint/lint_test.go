@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -13,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +30,6 @@ func TestFloatCompareFixture(t *testing.T)   { RunFixture(t, FloatCompare, "floa
 func TestNakedGoroutineFixture(t *testing.T) { RunFixture(t, NakedGoroutine, "nakedgoroutine") }
 func TestErrWrapCheckFixture(t *testing.T)   { RunFixture(t, ErrWrapCheck, "errwrapcheck") }
 func TestNoPanicFixture(t *testing.T)        { RunFixture(t, NoPanic, "nopanic") }
-func TestDetRandFixture(t *testing.T)        { RunFixture(t, DetRand, "detrand") }
 func TestDetFlowFixture(t *testing.T)        { RunFixture(t, DetFlow, "detflow") }
 func TestErrFlowFixture(t *testing.T)        { RunFixture(t, ErrFlow, "errflow") }
 func TestUnitMixFixture(t *testing.T)        { RunFixture(t, UnitMix, "unitmix") }
@@ -53,7 +54,7 @@ var (
 func repoModule(tb testing.TB) *Module {
 	tb.Helper()
 	repoOnce.Do(func() {
-		repoMod, repoErr = Load("../..", "./...")
+		repoMod, repoErr = LoadContext(context.Background(), nil, "../..", "./...")
 	})
 	if repoErr != nil {
 		tb.Fatalf("loading module: %v", repoErr)
@@ -96,6 +97,109 @@ func TestNoOrphanPackages(t *testing.T) {
 		if strings.HasPrefix(p.Path, "repro/internal/") && !imported[p.Path] {
 			t.Errorf("%s has no non-test importer in the module", p.Path)
 		}
+	}
+}
+
+// testHooks are the non-test functions that only other packages' tests
+// call. Each stays for the reason given; keep the list short.
+var testHooks = map[string]string{
+	"repro/internal/vmath.UsePortable":                 "core's and fleet's tests force the portable path to pin it against the vector kernels",
+	"(*repro/internal/lint/callgraph.Graph).NodeOf":    "fuzz_test.go maps a fuzzed function declaration to its call-graph node",
+	"(*repro/internal/lint/callgraph.Graph).NodeOfLit": "fuzz_test.go maps a fuzzed function literal to its call-graph node",
+}
+
+// stdIfaceMethods are the method names of standard-library interfaces
+// that reach a method through an `any` parameter or a type assertion the
+// loaded code never spells out (fmt, encoding/json, errors, flag, sort,
+// container/heap, net/http, io).
+var stdIfaceMethods = []string{
+	"Error", "Unwrap", "Is", "As", "String", "GoString", "Format",
+	"MarshalJSON", "UnmarshalJSON", "MarshalText", "UnmarshalText",
+	"Set", "Get", "ServeHTTP", "Len", "Less", "Swap", "Push", "Pop",
+	"Write", "Read",
+}
+
+// TestNoTestOnlyFuncs holds the module free of dead functions: every
+// function and method declared in a non-test file under repro/internal
+// must be referenced by some non-test file of the module or of the
+// bench/ module, or nothing outside tests runs it. Imports are
+// type-checked from export data, so objects are matched across packages
+// by their full name. A method that shares its name with an interface
+// method is exempt, since it may be called only through the interface.
+func TestNoTestOnlyFuncs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module load in -short mode")
+	}
+	mod := repoModule(t)
+	bench, err := LoadContext(context.Background(), nil, "../../bench", "./...")
+	if err != nil {
+		t.Fatalf("loading bench module: %v", err)
+	}
+	pkgs := append(append([]*Package(nil), mod.Packages...), bench.Packages...)
+
+	used := make(map[string]bool)
+	ifaceMethods := make(map[string]bool)
+	for _, name := range stdIfaceMethods {
+		ifaceMethods[name] = true
+	}
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				ifaceMethods[it.Method(i).Name()] = true
+			}
+		}
+	}
+	for _, p := range pkgs {
+		for _, obj := range p.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin().FullName()] = true
+			}
+		}
+		for _, obj := range p.Info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, tv := range p.Info.Types {
+			if tv.Type != nil {
+				addIface(tv.Type)
+			}
+		}
+	}
+
+	declared := make(map[string]bool)
+	var dead []string
+	for _, p := range mod.Packages {
+		if !strings.HasPrefix(p.Path, "repro/internal/") {
+			continue
+		}
+		for id, obj := range p.Info.Defs {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Name() == "init" || fn.Name() == "_" {
+				continue
+			}
+			if fn.Type().(*types.Signature).Recv() != nil && ifaceMethods[fn.Name()] {
+				continue
+			}
+			name := fn.FullName()
+			declared[name] = true
+			if used[name] {
+				continue
+			}
+			if _, hook := testHooks[name]; hook {
+				continue
+			}
+			dead = append(dead, fmt.Sprintf("%s: %s has no caller outside tests", mod.Fset.Position(id.Pos()), name))
+		}
+	}
+	for name := range testHooks {
+		if used[name] || !declared[name] {
+			t.Errorf("testHooks lists %s, which non-test code now calls or which no longer exists", name)
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Error(d)
 	}
 }
 
@@ -167,7 +271,7 @@ func TestPartialFindingsDropped(t *testing.T) {
 			return errors.New("boom")
 		},
 	}
-	got := RunForTypes(fset, files, pkg, info, []*Analyzer{crashing})
+	got := runForTypes(fset, files, pkg, info, []*Analyzer{crashing}, newFactStore())
 	if len(got) != 1 {
 		t.Fatalf("got %d findings, want exactly 1 failure marker: %v", len(got), got)
 	}
@@ -185,7 +289,7 @@ func TestPartialFindingsDropped(t *testing.T) {
 		Doc:  "faily\n\nfails without reporting",
 		Run:  func(p *Pass) error { return errors.New("bang") },
 	}
-	got = RunForTypes(fset, files, pkg, info, []*Analyzer{failing})
+	got = runForTypes(fset, files, pkg, info, []*Analyzer{failing}, newFactStore())
 	if len(got) != 1 || strings.Contains(got[0].Message, "dropped") {
 		t.Fatalf("failure without partials = %v, want a single marker without a drop note", got)
 	}
@@ -375,7 +479,7 @@ func TestSARIFRoundTrip(t *testing.T) {
 }
 
 // TestLoadContextParallel loads a multi-package fixture tree on a wide
-// worker pool and checks the result matches the sequential loader:
+// worker pool and checks the result matches a one-worker load:
 // package set, order and import edges (the race detector rides along in
 // `make race`).
 func TestLoadContextParallel(t *testing.T) {
@@ -384,7 +488,7 @@ func TestLoadContextParallel(t *testing.T) {
 		"./testdata/src/errflow", "./testdata/src/errflow/dep",
 		"./testdata/src/unitmix", "./testdata/src/unitmix/uts",
 	}
-	seqMod, err := Load("", patterns...)
+	seqMod, err := LoadContext(context.Background(), runner.New(runner.Workers(1)), "", patterns...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,16 +663,5 @@ func TestParseVerbs(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("parseVerbs(%q) = %v, want %v", c.format, got, c.want)
 		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, a := range All() {
-		if ByName(a.Name) != a {
-			t.Errorf("ByName(%q) did not return the registered analyzer", a.Name)
-		}
-	}
-	if ByName("nosuch") != nil {
-		t.Error("ByName(nosuch) != nil")
 	}
 }

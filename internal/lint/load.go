@@ -65,11 +65,12 @@ type listPkg struct {
 	Error      *struct{ Err string }
 }
 
-// Load lists the packages matching patterns (relative to dir, "" meaning
-// the current directory), then parses and type-checks every non-test file
-// of the matched packages. Dependencies — including in-module ones — are
-// resolved from compiled export data, so a whole-module load costs one
-// `go list -export -deps` plus a source type-check of only the targets.
+// LoadContext lists the packages matching patterns (relative to dir, ""
+// meaning the current directory), then parses and type-checks every
+// non-test file of the matched packages. Dependencies — including
+// in-module ones — are resolved from compiled export data, so a
+// whole-module load costs one `go list -export -deps` plus a source
+// type-check of only the targets.
 //
 // Test files are deliberately excluded: the lint gate covers production
 // code, and table-driven tests legitimately use constructs (exact float
@@ -79,16 +80,12 @@ type listPkg struct {
 // all of its in-module dependencies, with lexicographic order breaking
 // ties. That ordering is what lets the sequential driver propagate facts
 // in a single pass and the parallel driver schedule the DAG in waves.
-func Load(dir string, patterns ...string) (*Module, error) {
-	return LoadContext(context.Background(), nil, dir, patterns...)
-}
-
-// LoadContext is Load with cooperative cancellation and bounded
-// parallelism: the per-package parse + type-check jobs — independent of
-// one another because in-module dependencies resolve from compiled export
-// data, not source — run on the given worker pool (nil selects the
-// default GOMAXPROCS-bounded pool). The result is identical to Load's at
-// any worker count.
+//
+// The per-package parse + type-check jobs — independent of one another
+// because in-module dependencies resolve from compiled export data, not
+// source — run on the given worker pool (nil selects the default
+// GOMAXPROCS-bounded pool), and ctx cancels them. The result is the same
+// at any worker count.
 func LoadContext(ctx context.Context, pool *runner.Pool, dir string, patterns ...string) (*Module, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

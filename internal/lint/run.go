@@ -177,16 +177,11 @@ func sortFindings(out []Finding) {
 	})
 }
 
-// RunForTypes runs analyzers over an already type-checked package — the
-// entry point shared by the unitchecker (`go vet -vettool`) path, which
-// gets its type information from vet's config file rather than Load.
-func RunForTypes(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Finding {
-	registerFactTypes(analyzers)
-	return runForTypes(fset, files, pkg, info, analyzers, newFactStore())
-}
-
-// runForTypes is RunForTypes with an externally owned fact store, so the
-// vetx path can pre-load dependency facts and harvest the exports.
+// runForTypes runs analyzers over an already type-checked package — the
+// unitchecker (`go vet -vettool`) path, which gets its type information
+// from vet's config file rather than Load. The fact store is owned by the
+// caller, so the vetx path can pre-load dependency facts and harvest the
+// exports.
 func runForTypes(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, store *factStore) []Finding {
 	var goFiles []string
 	for _, f := range files {

@@ -16,7 +16,7 @@ func NoisyOCV(ocv float64) float64 {
 
 // AgeByWallClock makes degradation depend on when the simulation ran.
 func AgeByWallClock(start time.Time) float64 {
-	return time.Now().Sub(start).Hours() // want `time\.Now in deterministic package`
+	return time.Now().Sub(start).Hours() // want `time\.Now in deterministic package` `call to Hours on a nondeterministically derived receiver` `call to Sub on a nondeterministically derived receiver`
 }
 
 // CellLot shows the sanctioned pattern: per-cell parameter scatter drawn

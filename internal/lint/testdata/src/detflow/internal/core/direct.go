@@ -20,7 +20,7 @@ func PerturbWarmStart(z []float64) {
 // ReplanDeadline caps the solve by wall time, so a loaded machine would
 // stop the solver at a different iterate.
 func ReplanDeadline() time.Time {
-	return time.Now().Add(5 * time.Millisecond) // want `time\.Now in deterministic package`
+	return time.Now().Add(5 * time.Millisecond) // want `time\.Now in deterministic package` `call to Add on a nondeterministically derived receiver`
 }
 
 // SeededRestart shows the sanctioned pattern: a restart point drawn from

@@ -20,7 +20,7 @@ func PickFamily(n int) int {
 }
 
 func Stamp() int64 {
-	return time.Now().UnixNano() // want `time\.Now in deterministic package`
+	return time.Now().UnixNano() // want `time\.Now in deterministic package` `call to UnixNano on a nondeterministically derived receiver`
 }
 
 // RollVehicle shows the sanctioned pattern: every draw comes from a

@@ -17,7 +17,7 @@ func JitterBlock(seconds float64) float64 {
 
 // PlanStamp leaks the wall clock into the plan.
 func PlanStamp() int64 {
-	return time.Now().Unix() // want `time\.Now in deterministic package`
+	return time.Now().Unix() // want `time\.Now in deterministic package` `call to Unix on a nondeterministically derived receiver`
 }
 
 // SynthRoute shows the sanctioned pattern: the route generator is seeded

@@ -18,7 +18,7 @@ func ShuffleCoordinates(n int) []int {
 // TimeBudget stops the line search by wall time, so the accepted step
 // would depend on the machine's load.
 func TimeBudget(start time.Time) bool {
-	return time.Now().Sub(start) > time.Millisecond // want `time\.Now in deterministic package`
+	return time.Now().Sub(start) > time.Millisecond // want `time\.Now in deterministic package` `call to Sub on a nondeterministically derived receiver`
 }
 
 // SeededProbe shows the sanctioned pattern: a locally seeded generator

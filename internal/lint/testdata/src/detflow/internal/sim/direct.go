@@ -21,7 +21,7 @@ func Reseed(seed int64) {
 }
 
 func Stamp() int64 {
-	return time.Now().Unix() // want `time\.Now in deterministic package`
+	return time.Now().Unix() // want `time\.Now in deterministic package` `call to Unix on a nondeterministically derived receiver`
 }
 
 // Seeded shows the sanctioned pattern: an injectable generator built from

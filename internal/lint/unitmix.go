@@ -55,7 +55,7 @@ var UnitMix = &Analyzer{
 Identifiers ending in a unit token (tempK, limitC, powerW, energyWh, ...)
 declare their unit; a + - == < <= > >= != between two operands whose
 declared units differ is a dimensional or scale error (K vs C, J vs Wh).
-Convert explicitly (units.CToK, units.WhToJoule) so the suffixes agree,
+Convert explicitly (units.CToK, units.JouleToKWh) so the suffixes agree,
 or suppress with //lint:ignore unitmix <reason> where the mix is
 intentional.`,
 	Run:       runUnitMix,

@@ -126,10 +126,9 @@ func (p *Planner) Spec() Spec { return p.spec }
 // Start begins a plan from the warm start: minimising objective over the
 // blocked decision vector. The caller evaluates the objective itself — one
 // point, several, or several planners' points at once — driving the plan
-// with Ask and Tell until Done, then calls Finish. grad, when non-nil,
-// writes ∂objective/∂z into its second argument; when nil the solver falls
-// back to finite differences of objective. Either runs synchronously
-// inside Tell.
+// with Ask and Tell until Done, then calls Finish. grad writes
+// ∂objective/∂z into its second argument; it runs synchronously inside
+// Tell.
 func (p *Planner) Start(objective func(z []float64) float64, grad func(z, g []float64)) error {
 	if objective == nil {
 		return errors.New("mpc: nil objective")

@@ -17,10 +17,23 @@ func spec2() Spec {
 	}
 }
 
-// plan runs one plan the way a caller that evaluates one point at a time
-// drives it: Start, then Ask and Tell until Done, then Finish.
-func plan(p *Planner, objective func(z []float64) float64) ([]float64, *optimize.Result, error) {
-	if err := p.Start(objective, nil); err != nil {
+// plan minimises Σ (z_i − target_i)² the way a caller that evaluates one
+// point at a time drives it: Start, then Ask and Tell until Done, then
+// Finish.
+func plan(p *Planner, target []float64) ([]float64, *optimize.Result, error) {
+	objective := func(z []float64) float64 {
+		var f float64
+		for i := range z {
+			f += (z[i] - target[i]) * (z[i] - target[i])
+		}
+		return f
+	}
+	grad := func(z, g []float64) {
+		for i := range z {
+			g[i] = 2 * (z[i] - target[i])
+		}
+	}
+	if err := p.Start(objective, grad); err != nil {
 		return nil, nil, err
 	}
 	var f [1]float64
@@ -117,16 +130,7 @@ func TestPlannerSolvesSeparableQuadratic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Optimal: input0 = 0.5 in every block, input1 = 3.
-	obj := func(z []float64) float64 {
-		var f float64
-		for b := 0; b < 4; b++ {
-			d0 := z[2*b] - 0.5
-			d1 := z[2*b+1] - 3
-			f += d0*d0 + d1*d1
-		}
-		return f
-	}
-	z, res, err := plan(p, obj)
+	z, res, err := plan(p, []float64{0.5, 3, 0.5, 3, 0.5, 3, 0.5, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,16 +144,7 @@ func TestPlannerSolvesSeparableQuadratic(t *testing.T) {
 func TestPlannerRespectsBounds(t *testing.T) {
 	p, _ := NewPlanner(spec2())
 	// Unconstrained optimum outside the box at (5, -5).
-	obj := func(z []float64) float64 {
-		var f float64
-		for i := 0; i < len(z); i += 2 {
-			d0 := z[i] - 5
-			d1 := z[i+1] + 5
-			f += d0*d0 + d1*d1
-		}
-		return f
-	}
-	z, _, err := plan(p, obj)
+	z, _, err := plan(p, []float64{5, -5, 5, -5, 5, -5, 5, -5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,18 +157,12 @@ func TestPlannerRespectsBounds(t *testing.T) {
 
 func TestPlannerWarmStartSpeedsReplan(t *testing.T) {
 	p, _ := NewPlanner(spec2())
-	obj := func(z []float64) float64 {
-		var f float64
-		for i := range z {
-			f += (z[i] - 0.25) * (z[i] - 0.25)
-		}
-		return f
-	}
-	_, first, err := plan(p, obj)
+	target := []float64{0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25}
+	_, first, err := plan(p, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, second, err := plan(p, obj)
+	_, second, err := plan(p, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +173,7 @@ func TestPlannerWarmStartSpeedsReplan(t *testing.T) {
 
 func TestPlannerAdvanceShiftsBlocks(t *testing.T) {
 	p, _ := NewPlanner(spec2())
-	target := []float64{1, 1, -1, 2, 0.5, 3, -0.5, 4}
-	obj := func(z []float64) float64 {
-		var f float64
-		for i := range z {
-			f += (z[i] - target[i]) * (z[i] - target[i])
-		}
-		return f
-	}
-	z, _, err := plan(p, obj)
+	z, _, err := plan(p, []float64{1, 1, -1, 2, 0.5, 3, -0.5, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +192,7 @@ func TestPlannerAdvanceShiftsBlocks(t *testing.T) {
 
 func TestPlannerAdvancePartialBlockNoop(t *testing.T) {
 	p, _ := NewPlanner(spec2())
-	obj := func(z []float64) float64 {
-		var f float64
-		for i := range z {
-			f += z[i] * z[i]
-		}
-		return f
-	}
-	if _, _, err := plan(p, obj); err != nil {
+	if _, _, err := plan(p, make([]float64, 8)); err != nil {
 		t.Fatal(err)
 	}
 	before := append([]float64(nil), p.warm...)
@@ -232,15 +206,7 @@ func TestPlannerAdvancePartialBlockNoop(t *testing.T) {
 
 func TestPlannerAdvanceBeyondHorizon(t *testing.T) {
 	p, _ := NewPlanner(spec2())
-	target := []float64{0, 0, 0, 0, 0, 0, 0.9, 7}
-	obj := func(z []float64) float64 {
-		var f float64
-		for i := range z {
-			f += (z[i] - target[i]) * (z[i] - target[i])
-		}
-		return f
-	}
-	if _, _, err := plan(p, obj); err != nil {
+	if _, _, err := plan(p, []float64{0, 0, 0, 0, 0, 0, 0.9, 7}); err != nil {
 		t.Fatal(err)
 	}
 	p.Advance(100)
@@ -271,5 +237,8 @@ func TestPlanNilObjective(t *testing.T) {
 	p, _ := NewPlanner(spec2())
 	if err := p.Start(nil, nil); err == nil {
 		t.Error("nil objective accepted")
+	}
+	if err := p.Start(func([]float64) float64 { return 0 }, nil); err == nil {
+		t.Error("nil gradient accepted")
 	}
 }

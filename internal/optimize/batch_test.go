@@ -17,12 +17,11 @@ type batchProblem struct {
 	a                  [][]float64
 	c, lo, hi          []float64
 	kink, quant, slope float64
-	numeric            bool
 }
 
 func newBatchProblem(rng *rand.Rand) *batchProblem {
 	dim := 2 + rng.Intn(9)
-	bp := &batchProblem{dim: dim, numeric: rng.Intn(4) == 0}
+	bp := &batchProblem{dim: dim}
 	bp.a = make([][]float64, dim)
 	for i := range bp.a {
 		bp.a[i] = make([]float64, dim)
@@ -68,11 +67,7 @@ func (bp *batchProblem) f(x []float64) float64 {
 }
 
 func (bp *batchProblem) problem() *Problem {
-	p := &Problem{Dim: bp.dim, Func: bp.f, Lower: bp.lo, Upper: bp.hi}
-	if !bp.numeric {
-		p.Grad = func(x, g []float64) { NumericGradient(bp.f, append([]float64(nil), x...), g) }
-	}
-	return p
+	return fd(&Problem{Dim: bp.dim, Func: bp.f, Lower: bp.lo, Upper: bp.hi})
 }
 
 // referenceMinimize is the one-evaluation-at-a-time projected L-BFGS loop
@@ -87,7 +82,7 @@ func referenceMinimize(ws *Workspace, p *Problem, x0 []float64, opts *Options) R
 	p.project(x)
 	ws.evals++
 	f := p.Func(x)
-	ws.gradient(p, x, g)
+	p.Grad(x, g)
 	res := Result{}
 	status := MaxIterationsReached
 	lineSearch := func(alpha float64) (float64, bool) {
@@ -146,7 +141,7 @@ func referenceMinimize(ws *Workspace, p *Problem, x0 []float64, opts *Options) R
 			status = LineSearchStalled
 			break
 		}
-		ws.gradient(p, xNew, gNew)
+		p.Grad(xNew, gNew)
 		ws.pushPair(x, xNew, g, gNew)
 		copy(x, xNew)
 		copy(g, gNew)

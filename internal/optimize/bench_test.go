@@ -3,14 +3,14 @@ package optimize
 import "testing"
 
 func BenchmarkMinimizeRosenbrock(b *testing.B) {
-	p := &Problem{
+	p := fd(&Problem{
 		Dim: 2,
 		Func: func(x []float64) float64 {
 			a := 1 - x[0]
 			c := x[1] - x[0]*x[0]
 			return a*a + 100*c*c
 		},
-	}
+	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := minimize(new(Workspace), p, []float64{-1.2, 1}, &Options{MaxIterations: 100}); err != nil {
@@ -21,7 +21,7 @@ func BenchmarkMinimizeRosenbrock(b *testing.B) {
 
 func BenchmarkMinimizeBoxQuadratic10D(b *testing.B) {
 	n := 10
-	p := &Problem{
+	p := fd(&Problem{
 		Dim: n,
 		Func: func(x []float64) float64 {
 			var s float64
@@ -33,7 +33,7 @@ func BenchmarkMinimizeBoxQuadratic10D(b *testing.B) {
 		},
 		Lower: make([]float64, n),
 		Upper: fillSlice(n, 1),
-	}
+	})
 	x0 := fillSlice(n, 0.9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,7 @@
 // Package optimize implements the numerical optimisation kernel used by the
 // OTEM model-predictive controller: box-constrained quasi-Newton minimisation
-// (a projected L-BFGS in the spirit of L-BFGS-B), backtracking line search
-// and finite-difference gradients, driven through an ask/tell interface.
+// (a projected L-BFGS in the spirit of L-BFGS-B) with a backtracking line
+// search, driven through an ask/tell interface.
 //
 // The paper solves its MPC problem (Eqs. 18–19) with a MATLAB NLP solver;
 // this package is the from-scratch substitute. It is deterministic and
@@ -43,15 +43,14 @@ func (s Status) String() string {
 	}
 }
 
-// Problem defines an objective to minimise, optionally with analytic
-// gradients and a box constraint l ≤ x ≤ u.
+// Problem defines an objective to minimise, its gradient, and optionally a
+// box constraint l ≤ x ≤ u.
 type Problem struct {
 	// Dim is the number of decision variables.
 	Dim int
 	// Func evaluates the objective at x. Required.
 	Func func(x []float64) float64
-	// Grad writes the gradient of Func at x into grad. Optional; when nil a
-	// central finite difference of Func is used.
+	// Grad writes the gradient of Func at x into grad. Required.
 	Grad func(x, grad []float64)
 	// Lower and Upper, when non-nil, bound each variable. A nil slice means
 	// unbounded on that side; individual entries may be ±Inf.
@@ -100,8 +99,7 @@ type Result struct {
 	F float64
 	// Iterations is the number of outer iterations performed.
 	Iterations int
-	// FuncEvals counts objective evaluations (including those used for
-	// finite-difference gradients).
+	// FuncEvals counts objective evaluations.
 	FuncEvals int
 	// Status describes why iteration stopped.
 	Status Status
@@ -111,12 +109,15 @@ type Result struct {
 const BatchWidth = 4
 
 // ErrBadProblem is returned for structurally invalid problems (missing
-// objective, dimension mismatch, inconsistent bounds).
+// objective or gradient, dimension mismatch, inconsistent bounds).
 var ErrBadProblem = errors.New("optimize: invalid problem definition")
 
 func (p *Problem) validate(x0 []float64) error {
 	if p.Func == nil {
 		return fmt.Errorf("%w: nil Func", ErrBadProblem)
+	}
+	if p.Grad == nil {
+		return fmt.Errorf("%w: nil Grad", ErrBadProblem)
 	}
 	if p.Dim <= 0 {
 		return fmt.Errorf("%w: Dim = %d", ErrBadProblem, p.Dim)
@@ -159,11 +160,10 @@ func (p *Problem) project(x []float64) {
 }
 
 // Workspace owns every buffer a solve needs — the iterate, gradient and
-// line-search vectors, the finite-difference scratch and the L-BFGS s/y/ρ
-// history ring — and the state of one resumable solve. A caller that keeps
-// a Workspace across invocations (a warm-started MPC planner re-solving
-// every control step) pays for the buffers once and then minimises without
-// allocating.
+// line-search vectors and the L-BFGS s/y/ρ history ring — and the state
+// of one resumable solve. A caller that keeps a Workspace across
+// invocations (a warm-started MPC planner re-solving every control step)
+// pays for the buffers once and then minimises without allocating.
 //
 // The solve is an ask/tell state machine: Start begins it, Ask hands out
 // the next points whose objective values the solver needs, Tell takes
@@ -181,7 +181,7 @@ type Workspace struct {
 	// once the high-water mark is reached.
 	dim, mem int
 
-	x, g, dir, xNew, gNew, fdX []float64
+	x, g, dir, xNew, gNew []float64
 
 	// L-BFGS curvature history: sPool/yPool own the row storage, sHist/yHist
 	// are the ordered live views (oldest first), rho the matching 1/sᵀy.
@@ -235,11 +235,11 @@ const (
 //lint:coldpath buffer growth runs once per problem size; warm calls only reslice
 func (ws *Workspace) ensure(n, m int) {
 	if n > ws.dim {
-		block := make([]float64, (6+BatchWidth)*n)
+		block := make([]float64, (5+BatchWidth)*n)
 		vec := func(i int) []float64 { return block[i*n : (i+1)*n : (i+1)*n] }
-		ws.x, ws.g, ws.dir, ws.xNew, ws.gNew, ws.fdX = vec(0), vec(1), vec(2), vec(3), vec(4), vec(5)
+		ws.x, ws.g, ws.dir, ws.xNew, ws.gNew = vec(0), vec(1), vec(2), vec(3), vec(4)
 		for i := range ws.trials {
-			ws.trials[i] = vec(6 + i)
+			ws.trials[i] = vec(5 + i)
 		}
 		ws.dim = n
 		// Row storage is dimension-dependent; force a pool rebuild.
@@ -263,7 +263,6 @@ func (ws *Workspace) ensure(n, m int) {
 	ws.dir = ws.dir[:n]
 	ws.xNew = ws.xNew[:n]
 	ws.gNew = ws.gNew[:n]
-	ws.fdX = ws.fdX[:n]
 	for i := range ws.trials {
 		ws.trials[i] = ws.trials[i][:n]
 	}
@@ -276,31 +275,6 @@ func (ws *Workspace) resetHistory() {
 	ws.sHist = ws.sHist[:0]
 	ws.yHist = ws.yHist[:0]
 	ws.rho = ws.rho[:0]
-}
-
-// gradient writes ∇f(x) into grad: the analytic gradient when the problem
-// has one, otherwise the same central differences as NumericGradient,
-// inlined over the workspace scratch so no closure escapes per call.
-func (ws *Workspace) gradient(p *Problem, x, grad []float64) {
-	if p.Grad != nil {
-		p.Grad(x, grad)
-		return
-	}
-	fd := ws.fdX
-	copy(fd, x)
-	const hBase = 6.055454452393343e-06 // cbrt(2^-52), as in NumericGradient
-	for i := range fd {
-		xi := fd[i]
-		h := hBase * (1 + math.Abs(xi))
-		fd[i] = xi + h
-		ws.evals++
-		fp := p.Func(fd)
-		fd[i] = xi - h
-		ws.evals++
-		fm := p.Func(fd)
-		fd[i] = xi
-		grad[i] = (fp - fm) / (2 * h)
-	}
 }
 
 // pushPair appends the curvature pair s = xNew−x, y = gNew−g to the history
@@ -418,8 +392,7 @@ func (ws *Workspace) Done() bool { return ws.phase == phaseDone }
 // sequential search would, counting only the evaluations that search would
 // have made: the first trial the Armijo test accepts ends the line search,
 // and the values after it are ignored. An accepted point's gradient is
-// evaluated synchronously, through Problem.Grad or finite differences of
-// Problem.Func.
+// evaluated synchronously, through Problem.Grad.
 //
 //lint:hotpath every replan tells once per trial round; allocflow proves it allocation-free
 func (ws *Workspace) Tell(fs []float64) {
@@ -429,7 +402,7 @@ func (ws *Workspace) Tell(fs []float64) {
 	case phaseStart:
 		ws.evals++
 		ws.f = fs[0]
-		ws.gradient(ws.prob, ws.x, ws.g)
+		ws.prob.Grad(ws.x, ws.g)
 		ws.beginIteration()
 	case phaseSearch:
 		for i, fNew := range fs[:n] {
@@ -556,7 +529,7 @@ func (ws *Workspace) searchFailed() {
 // accept moves the iterate to the accepted trial in ws.xNew with value
 // fNew: its gradient, the curvature pair, then the next iteration.
 func (ws *Workspace) accept(fNew float64) {
-	ws.gradient(ws.prob, ws.xNew, ws.gNew)
+	ws.prob.Grad(ws.xNew, ws.gNew)
 	// Update curvature history with s = xNew-x, y = gNew-g.
 	ws.pushPair(ws.x, ws.xNew, ws.g, ws.gNew)
 	copy(ws.x, ws.xNew)
@@ -647,28 +620,6 @@ func projectedGradNorm(p *Problem, x, g []float64) float64 {
 		}
 	}
 	return m
-}
-
-// NumericGradient writes a central-difference approximation of the gradient
-// of f at x into grad. x is used as scratch but restored before returning.
-func NumericGradient(f func([]float64) float64, x, grad []float64) {
-	if len(x) != len(grad) {
-		//lint:ignore nopanic argument contract shared with the gonum-style kernels: mismatched scratch lengths are programmer errors
-		panic("optimize: NumericGradient length mismatch")
-	}
-	// h ~ cbrt(eps) balances truncation and rounding error for central
-	// differences.
-	const hBase = 6.055454452393343e-06 // cbrt(2^-52)
-	for i := range x {
-		xi := x[i]
-		h := hBase * (1 + math.Abs(xi))
-		x[i] = xi + h
-		fp := f(x)
-		x[i] = xi - h
-		fm := f(x)
-		x[i] = xi
-		grad[i] = (fp - fm) / (2 * h)
-	}
 }
 
 func dot(a, b []float64) float64 {

@@ -18,9 +18,44 @@ func quadratic(center []float64) func([]float64) float64 {
 	}
 }
 
+// numericGradient writes a central-difference approximation of the
+// gradient of f at x into grad. x is used as scratch but restored before
+// returning.
+func numericGradient(f func([]float64) float64, x, grad []float64) {
+	// h ~ cbrt(eps) balances truncation and rounding error for central
+	// differences.
+	const hBase = 6.055454452393343e-06 // cbrt(2^-52)
+	for i := range x {
+		xi := x[i]
+		h := hBase * (1 + math.Abs(xi))
+		x[i] = xi + h
+		fp := f(x)
+		x[i] = xi - h
+		fm := f(x)
+		x[i] = xi
+		grad[i] = (fp - fm) / (2 * h)
+	}
+}
+
+// fdGrad is a Problem.Grad of central differences of f, over its own
+// scratch so a warm solve stays allocation-free.
+func fdGrad(f func([]float64) float64, dim int) func(x, grad []float64) {
+	scratch := make([]float64, dim)
+	return func(x, grad []float64) {
+		copy(scratch, x)
+		numericGradient(f, scratch, grad)
+	}
+}
+
+// fd fills p.Grad with central differences of p.Func.
+func fd(p *Problem) *Problem {
+	p.Grad = fdGrad(p.Func, p.Dim)
+	return p
+}
+
 func TestMinimizeQuadratic(t *testing.T) {
 	center := []float64{1, -2, 3}
-	p := &Problem{Dim: 3, Func: quadratic(center)}
+	p := fd(&Problem{Dim: 3, Func: quadratic(center)})
 	r, err := minimize(new(Workspace), p, []float64{0, 0, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -57,14 +92,14 @@ func TestMinimizeWithAnalyticGradient(t *testing.T) {
 
 func TestMinimizeRosenbrock(t *testing.T) {
 	// The classic banana function; minimum at (1, 1).
-	p := &Problem{
+	p := fd(&Problem{
 		Dim: 2,
 		Func: func(x []float64) float64 {
 			a := 1 - x[0]
 			b := x[1] - x[0]*x[0]
 			return a*a + 100*b*b
 		},
-	}
+	})
 	r, err := minimize(new(Workspace), p, []float64{-1.2, 1}, &Options{MaxIterations: 500, Tolerance: 1e-8})
 	if err != nil {
 		t.Fatal(err)
@@ -76,12 +111,12 @@ func TestMinimizeRosenbrock(t *testing.T) {
 
 func TestMinimizeBoxActiveConstraint(t *testing.T) {
 	// Unconstrained minimum at (3, 3); the box caps it at (1, 1).
-	p := &Problem{
+	p := fd(&Problem{
 		Dim:   2,
 		Func:  quadratic([]float64{3, 3}),
 		Lower: []float64{-1, -1},
 		Upper: []float64{1, 1},
-	}
+	})
 	r, err := minimize(new(Workspace), p, []float64{0, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -92,12 +127,12 @@ func TestMinimizeBoxActiveConstraint(t *testing.T) {
 }
 
 func TestMinimizeStartOutsideBoxIsProjected(t *testing.T) {
-	p := &Problem{
+	p := fd(&Problem{
 		Dim:   1,
 		Func:  quadratic([]float64{0}),
 		Lower: []float64{-2},
 		Upper: []float64{2},
-	}
+	})
 	r, err := minimize(new(Workspace), p, []float64{50}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +144,11 @@ func TestMinimizeStartOutsideBoxIsProjected(t *testing.T) {
 
 func TestMinimizeMixedBounds(t *testing.T) {
 	// Only a lower bound; minimum of (x-(-5))² at the bound -1.
-	p := &Problem{
+	p := fd(&Problem{
 		Dim:   1,
 		Func:  quadratic([]float64{-5}),
 		Lower: []float64{-1},
-	}
+	})
 	r, err := minimize(new(Workspace), p, []float64{4}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -127,26 +162,29 @@ func TestMinimizeValidation(t *testing.T) {
 	if _, err := minimize(new(Workspace), &Problem{Dim: 2, Func: nil}, []float64{0, 0}, nil); err == nil {
 		t.Error("nil Func accepted")
 	}
+	if _, err := minimize(new(Workspace), &Problem{Dim: 1, Func: quadratic([]float64{0})}, []float64{0}, nil); err == nil {
+		t.Error("nil Grad accepted")
+	}
 	f := quadratic([]float64{0})
-	if _, err := minimize(new(Workspace), &Problem{Dim: 2, Func: f}, []float64{0}, nil); err == nil {
+	if _, err := minimize(new(Workspace), fd(&Problem{Dim: 2, Func: f}), []float64{0}, nil); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if _, err := minimize(new(Workspace), &Problem{Dim: 1, Func: f, Lower: []float64{1}, Upper: []float64{0}}, []float64{0}, nil); err == nil {
+	if _, err := minimize(new(Workspace), fd(&Problem{Dim: 1, Func: f, Lower: []float64{1}, Upper: []float64{0}}), []float64{0}, nil); err == nil {
 		t.Error("inverted bounds accepted")
 	}
-	if _, err := minimize(new(Workspace), &Problem{Dim: 0, Func: f}, nil, nil); err == nil {
+	if _, err := minimize(new(Workspace), fd(&Problem{Dim: 0, Func: f}), nil, nil); err == nil {
 		t.Error("zero dim accepted")
 	}
 }
 
 func TestMinimizeIllConditionedQuadratic(t *testing.T) {
 	// f = x² + 1000 y²: steep valley, tests curvature adaptation.
-	p := &Problem{
+	p := fd(&Problem{
 		Dim: 2,
 		Func: func(x []float64) float64 {
 			return x[0]*x[0] + 1000*x[1]*x[1]
 		},
-	}
+	})
 	r, err := minimize(new(Workspace), p, []float64{1, 1}, &Options{MaxIterations: 300})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +204,7 @@ func TestMinimizeQuadraticRandomProperty(t *testing.T) {
 			center[i] = rng.NormFloat64() * 5
 			x0[i] = rng.NormFloat64() * 5
 		}
-		p := &Problem{Dim: n, Func: quadratic(center)}
+		p := fd(&Problem{Dim: n, Func: quadratic(center)})
 		r, err := minimize(new(Workspace), p, x0, nil)
 		if err != nil {
 			return false
@@ -189,7 +227,7 @@ func TestNumericGradientMatchesAnalytic(t *testing.T) {
 	}
 	x := []float64{0.7, -1.3, 2.1}
 	grad := make([]float64, 3)
-	NumericGradient(f, x, grad)
+	numericGradient(f, x, grad)
 	want := []float64{
 		math.Cos(x[0]) + x[1]*x[1],
 		2 * x[1] * x[0],
@@ -202,7 +240,7 @@ func TestNumericGradientMatchesAnalytic(t *testing.T) {
 	}
 	// x must be restored.
 	if x[0] != 0.7 || x[1] != -1.3 || x[2] != 2.1 {
-		t.Errorf("NumericGradient mutated x: %v", x)
+		t.Errorf("numericGradient mutated x: %v", x)
 	}
 }
 
@@ -223,7 +261,7 @@ func TestStatusString(t *testing.T) {
 
 func TestMinimizeDoesNotMutateX0(t *testing.T) {
 	x0 := []float64{3, 3}
-	p := &Problem{Dim: 2, Func: quadratic([]float64{0, 0})}
+	p := fd(&Problem{Dim: 2, Func: quadratic([]float64{0, 0})})
 	if _, err := minimize(new(Workspace), p, x0, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
 package optimize
 
 import (
-	"math"
 	"testing"
 )
 
 // rosenbrockProblem returns the classic banana function with box bounds and
-// an analytic gradient toggle.
+// either its analytic gradient or central differences.
 func rosenbrockProblem(analytic bool) *Problem {
 	p := &Problem{
 		Dim: 2,
@@ -25,6 +24,8 @@ func rosenbrockProblem(analytic bool) *Problem {
 			g[0] = -2*a - 400*b*x[0]
 			g[1] = 200 * b
 		}
+	} else {
+		fd(p)
 	}
 	return p
 }
@@ -68,7 +69,7 @@ func TestWorkspaceMinimizeHandlesDimensionChange(t *testing.T) {
 		for i := range center {
 			center[i] = float64(i) - 1.5
 		}
-		p := &Problem{Dim: dim, Func: quadratic(center)}
+		p := fd(&Problem{Dim: dim, Func: quadratic(center)})
 		x0 := make([]float64, dim)
 		want, err := minimize(new(Workspace), p, x0, nil)
 		if err != nil {
@@ -146,27 +147,5 @@ func TestWorkspaceHistoryRingReusesRows(t *testing.T) {
 		if !inPool(ws.yHist[i], ws.yPool) {
 			t.Errorf("yHist[%d] is not backed by the workspace pool", i)
 		}
-	}
-}
-
-func TestWorkspaceGradientMatchesNumericGradient(t *testing.T) {
-	// The inlined finite-difference path must agree bit-for-bit with the
-	// exported NumericGradient helper.
-	p := rosenbrockProblem(false)
-	ws := new(Workspace)
-	ws.ensure(p.Dim, 8)
-	x := []float64{0.3, -0.7}
-	got := make([]float64, 2)
-	ws.gradient(p, x, got)
-	want := make([]float64, 2)
-	fd := append([]float64(nil), x...)
-	NumericGradient(p.Func, fd, want)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("grad[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if math.IsNaN(got[0]) {
-		t.Fatal("NaN gradient")
 	}
 }

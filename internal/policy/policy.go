@@ -50,16 +50,6 @@ const (
 // String implements fmt.Stringer.
 func (m Methodology) String() string { return string(m) }
 
-// Valid reports whether m is one of the defined methodologies.
-func (m Methodology) Valid() bool {
-	switch m {
-	case MethodologyParallel, MethodologyCooling, MethodologyDual,
-		MethodologyOTEM, MethodologyBattery:
-		return true
-	}
-	return false
-}
-
 // ErrUnknown reports a baseline or methodology name this package does not
 // recognise. Match it with errors.Is; the public facade re-exports it as
 // otem.ErrUnknownBaseline.

@@ -137,10 +137,3 @@ func (c *cache[T]) store(key string, res T) {
 		delete(c.byKey, oldest.Value.(*cacheEntry[T]).key)
 	}
 }
-
-// len reports the number of stored entries (test hook).
-func (c *cache[T]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}

@@ -22,6 +22,13 @@ import (
 // newTestServer builds a quiet Server; tests reassign runSim/runBatch to
 // deterministic stubs where the real simulator would be slow or where
 // failure modes must be forced.
+// len reports the number of stored entries.
+func (c *cache[T]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
+}
+
 func newTestServer(cfg Config) *Server {
 	cfg.Log = log.New(io.Discard, "", 0)
 	return New(cfg)

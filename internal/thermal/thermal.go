@@ -183,16 +183,6 @@ func (net *PackNetwork) MaxBatteryTemp() float64 {
 	return m
 }
 
-// MeanBatteryTemp returns the average module temperature (the quantity the
-// lumped model tracks).
-func (net *PackNetwork) MeanBatteryTemp() float64 {
-	var s float64
-	for _, t := range net.Tb {
-		s += t
-	}
-	return s / float64(net.N)
-}
-
 // Gradient returns the spread between the hottest and coldest modules,
 // kelvin — the quantity the lumped model hides.
 func (net *PackNetwork) Gradient() float64 {

@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/core/floats"
-	"repro/internal/units"
 )
 
 // BankParams describes an ultracapacitor bank.
@@ -94,13 +93,6 @@ func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 // invariant under bus referral.
 func (p BankParams) EnergyCapacity() float64 {
 	return 0.5 * p.NameplateF * p.ModuleVoltage * p.ModuleVoltage
-}
-
-// ReferredCapacitance returns the bank capacitance referred to the bus:
-// C·(V_module/V_bus)².
-func (p BankParams) ReferredCapacitance() float64 {
-	r := p.ModuleVoltage / p.BusVoltage
-	return p.NameplateF * r * r
 }
 
 // ErrEmpty is returned when a discharge request cannot be met because the
@@ -233,25 +225,8 @@ func (b *Bank) HeadroomEnergy() float64 {
 	return math.Max(0, (b.Params.MaxSoE-b.SoE)*b.Params.EnergyCapacity())
 }
 
-// AvailableEnergy returns the energy available above the usable minimum, in
-// joules (constraint C5).
-func (b *Bank) AvailableEnergy() float64 {
-	return math.Max(0, (b.SoE-b.Params.MinSoE)*b.Params.EnergyCapacity())
-}
-
 // Clone returns an independent copy, used by predictive controllers.
 func (b *Bank) Clone() *Bank {
 	cp := *b
 	return &cp
-}
-
-// SoEForVoltage inverts Eq. 8: the state of energy at which the bank's
-// open-circuit voltage equals v (bus-referred). Values outside the physical
-// range are clamped to [0, 1].
-func (p BankParams) SoEForVoltage(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	r := v / p.BusVoltage
-	return units.Clamp(r*r, 0, 1)
 }

@@ -60,15 +60,6 @@ func TestEnergyCapacityScalesWithSize(t *testing.T) {
 	}
 }
 
-func TestReferralPreservesEnergy(t *testing.T) {
-	p := MaxwellBC(20000)
-	// ½·C_ref·V_bus² must equal ½·C·V_module².
-	refE := 0.5 * p.ReferredCapacitance() * p.BusVoltage * p.BusVoltage
-	if math.Abs(refE-p.EnergyCapacity()) > 1e-6*p.EnergyCapacity() {
-		t.Errorf("referred energy %v != module energy %v", refE, p.EnergyCapacity())
-	}
-}
-
 func TestNewBankValidation(t *testing.T) {
 	if _, err := NewBank(MaxwellBC(25000), 1.2); err == nil {
 		t.Error("accepted SoE > 1")
@@ -98,24 +89,6 @@ func TestVoltageSquareRootLaw(t *testing.T) {
 	b.SoE = 0
 	if got := b.Voltage(); got != 0 {
 		t.Errorf("Voltage at empty = %v", got)
-	}
-}
-
-func TestSoEForVoltageInverse(t *testing.T) {
-	p := MaxwellBC(10000)
-	f := func(soe float64) bool {
-		soe = math.Abs(math.Mod(soe, 1))
-		b := &Bank{Params: p, SoE: soe}
-		return math.Abs(p.SoEForVoltage(b.Voltage())-soe) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if p.SoEForVoltage(-5) != 0 {
-		t.Error("negative voltage should map to SoE 0")
-	}
-	if p.SoEForVoltage(2*p.BusVoltage) != 1 {
-		t.Error("over-voltage should clamp to SoE 1")
 	}
 }
 
@@ -237,13 +210,6 @@ func TestHeadroomAndAvailableEnergy(t *testing.T) {
 	eCap := b.Params.EnergyCapacity()
 	if got, want := b.HeadroomEnergy(), 0.4*eCap; math.Abs(got-want) > 1e-6 {
 		t.Errorf("HeadroomEnergy = %v, want %v", got, want)
-	}
-	if got, want := b.AvailableEnergy(), 0.4*eCap; math.Abs(got-want) > 1e-6 {
-		t.Errorf("AvailableEnergy = %v, want %v", got, want)
-	}
-	b.SoE = 0.1 // below MinSoE
-	if got := b.AvailableEnergy(); got != 0 {
-		t.Errorf("AvailableEnergy below window = %v, want 0", got)
 	}
 }
 

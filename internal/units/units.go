@@ -4,8 +4,6 @@
 // power in watts, charge in coulombs.
 package units
 
-import "math"
-
 // Physical constants.
 const (
 	// GasConstant is the ideal gas constant R in J/(mol·K), used by the
@@ -23,11 +21,8 @@ const (
 	ZeroCelsius = 273.15
 )
 
-// Common time conversions.
-const (
-	SecondsPerHour = 3600.0
-	HoursPerSecond = 1.0 / 3600.0
-)
+// SecondsPerHour converts hours to seconds.
+const SecondsPerHour = 3600.0
 
 // CToK converts a temperature from degrees Celsius to kelvin.
 func CToK(c float64) float64 { return c + ZeroCelsius }
@@ -41,23 +36,8 @@ func KmhToMs(kmh float64) float64 { return kmh / 3.6 }
 // MsToKmh converts a speed from m/s to km/h.
 func MsToKmh(ms float64) float64 { return ms * 3.6 }
 
-// MphToMs converts a speed from miles/hour to m/s.
-func MphToMs(mph float64) float64 { return mph * 0.44704 }
-
-// MsToMph converts a speed from m/s to miles/hour.
-func MsToMph(ms float64) float64 { return ms / 0.44704 }
-
 // AhToCoulomb converts a charge from ampere-hours to coulombs.
 func AhToCoulomb(ah float64) float64 { return ah * SecondsPerHour }
-
-// CoulombToAh converts a charge from coulombs to ampere-hours.
-func CoulombToAh(c float64) float64 { return c * HoursPerSecond }
-
-// WhToJoule converts energy from watt-hours to joules.
-func WhToJoule(wh float64) float64 { return wh * SecondsPerHour }
-
-// JouleToWh converts energy from joules to watt-hours.
-func JouleToWh(j float64) float64 { return j * HoursPerSecond }
 
 // JouleToKWh converts energy from joules to kilowatt-hours.
 func JouleToKWh(j float64) float64 { return j / 3.6e6 }
@@ -80,17 +60,3 @@ func Clamp(x, lo, hi float64) float64 {
 // Lerp linearly interpolates between a and b with parameter t in [0, 1].
 // Values of t outside [0, 1] extrapolate.
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// ApproxEqual reports whether a and b are equal within a combined
-// absolute/relative tolerance tol. It treats NaN as unequal to everything.
-func ApproxEqual(a, b, tol float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	diff := math.Abs(a - b)
-	if diff <= tol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*scale
-}

@@ -44,26 +44,11 @@ func TestSpeedConversions(t *testing.T) {
 	if got := MsToKmh(10); math.Abs(got-36) > 1e-12 {
 		t.Errorf("MsToKmh(10) = %v, want 36", got)
 	}
-	if got := MphToMs(60); math.Abs(got-26.8224) > 1e-9 {
-		t.Errorf("MphToMs(60) = %v, want 26.8224", got)
-	}
-	if got := MsToMph(MphToMs(55)); math.Abs(got-55) > 1e-9 {
-		t.Errorf("mph round trip = %v, want 55", got)
-	}
 }
 
 func TestChargeAndEnergyConversions(t *testing.T) {
 	if got := AhToCoulomb(3.1); math.Abs(got-11160) > 1e-9 {
 		t.Errorf("AhToCoulomb(3.1) = %v, want 11160", got)
-	}
-	if got := CoulombToAh(3600); math.Abs(got-1) > 1e-12 {
-		t.Errorf("CoulombToAh(3600) = %v, want 1", got)
-	}
-	if got := WhToJoule(1); got != 3600 {
-		t.Errorf("WhToJoule(1) = %v, want 3600", got)
-	}
-	if got := JouleToWh(7200); got != 2 {
-		t.Errorf("JouleToWh(7200) = %v, want 2", got)
 	}
 	if got := JouleToKWh(3.6e6); got != 1 {
 		t.Errorf("JouleToKWh(3.6e6) = %v, want 1", got)
@@ -121,26 +106,6 @@ func TestLerp(t *testing.T) {
 	}
 	if got := Lerp(0, 10, 1); got != 10 {
 		t.Errorf("Lerp(0,10,1) = %v, want 10", got)
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	cases := []struct {
-		a, b, tol float64
-		want      bool
-	}{
-		{1, 1, 1e-9, true},
-		{1, 1 + 1e-12, 1e-9, true},
-		{1e9, 1e9 + 1, 1e-6, true}, // relative tolerance
-		{1, 2, 1e-9, false},
-		{math.NaN(), 1, 1, false},
-		{1, math.NaN(), 1, false},
-		{0, 1e-12, 1e-9, true}, // absolute tolerance near zero
-	}
-	for _, tc := range cases {
-		if got := ApproxEqual(tc.a, tc.b, tc.tol); got != tc.want {
-			t.Errorf("ApproxEqual(%v, %v, %v) = %v, want %v", tc.a, tc.b, tc.tol, got, tc.want)
-		}
 	}
 }
 

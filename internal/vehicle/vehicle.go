@@ -9,7 +9,6 @@
 package vehicle
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/drivecycle"
@@ -59,31 +58,6 @@ func MidSizeEV() Params {
 		AuxPower:          1200,
 		HVACPerKelvin:     120,
 	}
-}
-
-// Validate reports an error for inconsistent parameters.
-func (p Params) Validate() error {
-	switch {
-	case p.Mass <= 0:
-		return fmt.Errorf("vehicle: Mass = %g, must be > 0", p.Mass)
-	case p.CdA <= 0:
-		return fmt.Errorf("vehicle: CdA = %g, must be > 0", p.CdA)
-	case p.RollingResistance < 0:
-		return fmt.Errorf("vehicle: RollingResistance = %g, must be >= 0", p.RollingResistance)
-	case p.DrivetrainEff <= 0 || p.DrivetrainEff > 1:
-		return fmt.Errorf("vehicle: DrivetrainEff = %g, must be in (0, 1]", p.DrivetrainEff)
-	case p.RegenEff < 0 || p.RegenEff > 1:
-		return fmt.Errorf("vehicle: RegenEff = %g, must be in [0, 1]", p.RegenEff)
-	case p.MaxTractionPower <= 0:
-		return fmt.Errorf("vehicle: MaxTractionPower = %g, must be > 0", p.MaxTractionPower)
-	case p.MaxRegenPower < 0:
-		return fmt.Errorf("vehicle: MaxRegenPower = %g, must be >= 0", p.MaxRegenPower)
-	case p.AuxPower < 0:
-		return fmt.Errorf("vehicle: AuxPower = %g, must be >= 0", p.AuxPower)
-	case p.HVACPerKelvin < 0:
-		return fmt.Errorf("vehicle: HVACPerKelvin = %g, must be >= 0", p.HVACPerKelvin)
-	}
-	return nil
 }
 
 // WheelForce returns the total tractive force at the wheels in newtons for

@@ -8,35 +8,6 @@ import (
 	"repro/internal/units"
 )
 
-func TestMidSizeEVValid(t *testing.T) {
-	if err := MidSizeEV().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRejectsBadParams(t *testing.T) {
-	mutations := []struct {
-		name string
-		mut  func(*Params)
-	}{
-		{"zero mass", func(p *Params) { p.Mass = 0 }},
-		{"zero CdA", func(p *Params) { p.CdA = 0 }},
-		{"negative rolling", func(p *Params) { p.RollingResistance = -0.01 }},
-		{"efficiency > 1", func(p *Params) { p.DrivetrainEff = 1.2 }},
-		{"regen > 1", func(p *Params) { p.RegenEff = 1.2 }},
-		{"zero traction cap", func(p *Params) { p.MaxTractionPower = 0 }},
-		{"negative regen cap", func(p *Params) { p.MaxRegenPower = -1 }},
-		{"negative aux", func(p *Params) { p.AuxPower = -1 }},
-	}
-	for _, m := range mutations {
-		p := MidSizeEV()
-		m.mut(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("%s: accepted", m.name)
-		}
-	}
-}
-
 func TestWheelForceComponents(t *testing.T) {
 	p := MidSizeEV()
 	// At standstill with no acceleration there is no force.
@@ -193,13 +164,5 @@ func TestPowerSeriesAtAddsHVAC(t *testing.T) {
 		if cold[i] <= comfort[i] {
 			t.Fatal("cold climate should add heating load too")
 		}
-	}
-}
-
-func TestValidateRejectsNegativeHVAC(t *testing.T) {
-	p := MidSizeEV()
-	p.HVACPerKelvin = -1
-	if p.Validate() == nil {
-		t.Error("negative HVACPerKelvin accepted")
 	}
 }

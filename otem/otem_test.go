@@ -125,9 +125,3 @@ func TestRunCannedExperiment(t *testing.T) {
 		t.Errorf("controller = %q", res.Controller)
 	}
 }
-
-func TestMidSizeEVValid(t *testing.T) {
-	if err := otem.MidSizeEV().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
