@@ -25,11 +25,14 @@ import (
 // The analysistest-style fixture suites: each analyzer must fire on every
 // want-annotated line of its fixture and stay silent everywhere else
 // (clean files and exempted packages are part of the same fixtures).
+// DetFlow runs over two fixtures: detrand holds the direct uses of the
+// global math/rand source and time.Now, detflow the transitive ones.
 
 func TestFloatCompareFixture(t *testing.T)   { RunFixture(t, FloatCompare, "floatcompare") }
 func TestNakedGoroutineFixture(t *testing.T) { RunFixture(t, NakedGoroutine, "nakedgoroutine") }
 func TestErrWrapCheckFixture(t *testing.T)   { RunFixture(t, ErrWrapCheck, "errwrapcheck") }
 func TestNoPanicFixture(t *testing.T)        { RunFixture(t, NoPanic, "nopanic") }
+func TestDetRandFixture(t *testing.T)        { RunFixture(t, DetFlow, "detrand") }
 func TestDetFlowFixture(t *testing.T)        { RunFixture(t, DetFlow, "detflow") }
 func TestErrFlowFixture(t *testing.T)        { RunFixture(t, ErrFlow, "errflow") }
 func TestUnitMixFixture(t *testing.T)        { RunFixture(t, UnitMix, "unitmix") }
