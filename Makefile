@@ -82,8 +82,9 @@ bench-smoke:
 # already runs): the AVX2 state sweep against its portable stages, the
 # vector exp and log against math.Exp and math.Log, the lint suite's
 # directive parser, call graph and SSA builder, and the canonical float
-# encoding's bit-faithful round trip. A failing input is written
-# under the package's testdata/fuzz and fails the target.
+# encoding's bit-faithful round trip, and each otem-serve request type
+# from JSON through normalize to its cache key. A failing input is
+# written under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStateSweep$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzExp4$$' -fuzztime 5s ./internal/vmath
@@ -92,6 +93,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCallGraph$$' -fuzztime 5s ./internal/lint
 	$(GO) test -run '^$$' -fuzz '^FuzzSSABuild$$' -fuzztime 5s ./internal/lint/ir
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonFloat$$' -fuzztime 5s ./internal/canon
+	$(GO) test -run '^$$' -fuzz '^FuzzSimulateRequest$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetRequest$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanRequest$$' -fuzztime 5s ./internal/serve
 
 # End-to-end smoke of the HTTP subsystem: boots cmd/otem-serve on an
 # ephemeral port, checks /healthz, a real /v1/simulate, the cache-hit

@@ -14,58 +14,64 @@ import (
 // adjoint needs one taped forward pass, which the solver has nearly always
 // just made (the line search evaluates the point whose gradient it then
 // asks for, and the tape is reused), and one backward sweep that costs
-// about a quarter of a rollout: 1.4 µs against 5.1 µs for a single-lane
-// rollout on a 2-vCPU Xeon (four lanes in lockstep take 7.4 µs, their
-// aging rates recorded by the state kernel).
+// about a fifth of a rollout: 1.8 µs against 7.9 µs for a single-lane
+// rollout on a 2-vCPU Xeon (four lanes in lockstep take 9.7 µs, their
+// aging rates and costs recorded by the state kernel).
 // Correctness is pinned by TestAnalyticGradientMatchesNumeric, which
 // compares against central differences over random states and decisions.
 
-// stepTape records the intermediates of one forward step that the backward
-// sweep needs. The branch flags sit at the end, where they share one
-// 16-byte tail instead of an 8-byte slot each.
-type stepTape struct {
-	soc0, soe0, tb0 float64
-	pcool, qx       float64
+// tapeRow records the intermediates of one forward step that the backward
+// sweep needs, for the four lanes of one kernel group: one [4]float64 per
+// field, lane j at index j, and each branch flag as a 4-bit lane mask, bit
+// j for lane j. A tape is one row per horizon step, and its four columns
+// are the lanes of the group that recorded it: the state kernel stores a
+// field of all four with one vector store, and a flag with one byte.
+type tapeRow struct {
+	soc0, soe0, tb0 [4]float64
+	pcool, qx       [4]float64
 
-	vcap      float64
-	capMax    float64 // capC7, or the 0.97·v²/4R sag limit (sagBranch)
-	etaCapBus float64 // η(vcap), used by BusPower for the clamp limit and by StoragePower
-	capBus    float64
-	sCap      float64 // sqrt of the capacitor discriminant
-	capI      float64
-	dEcap     float64
-	soePre    float64
+	vcap      [4]float64
+	capMax    [4]float64 // capC7, or the 0.97·v²/4R sag limit (sagBranch)
+	etaCapBus [4]float64 // η(vcap), used by BusPower for the clamp limit and by StoragePower
+	capBus    [4]float64
+	sCap      [4]float64 // sqrt of the capacitor discriminant
+	capI      [4]float64
+	dEcap     [4]float64
+	soePre    [4]float64
 
-	voc, res float64
-	cellR    float64 // single-cell resistance R(soc0, tb0) behind res and the heat
+	voc, res [4]float64
+	cellR    [4]float64 // single-cell resistance R(soc0, tb0) behind res and the heat
 	// The exponentials behind voc and cellR — exp(V[1]·z), exp(R[1]·z) and
 	// the Arrhenius factor at (soc0, tb0) — kept so the adjoint's dVoc/dz
 	// and dR/dz need no exp of their own.
-	ocvExp, resZExp, resTExp float64
-	battBus                  float64
-	etaBatt                  float64
-	bsPre                    float64 // battery storage power before the pmax clamp
-	pmax                     float64
-	battStorage              float64
-	sBatt                    float64
-	i, cellI                 float64
-	overC6                   float64 // max(0, i − packMaxI)
-	aging                    float64
-	socPre                   float64
+	ocvExp, resZExp, resTExp [4]float64
+	battBus                  [4]float64
+	etaBatt                  [4]float64
+	bsPre                    [4]float64 // battery storage power before the pmax clamp
+	pmax                     [4]float64
+	battStorage              [4]float64
+	sBatt                    [4]float64
+	i, cellI                 [4]float64
+	overC6                   [4]float64 // max(0, i − packMaxI)
+	aging                    [4]float64
+	socPre                   [4]float64
 
-	tb1, tc1 float64
+	tb1, tc1 [4]float64
 
-	vcapClamped  bool // soe0 ≤ 1e-6 → d(vcap)/d(soe) = 0
-	sagBranch    bool // capMax came from the 0.97·v²/4R sag limit
-	etaCapBusP   bool // derivative of etaCapBus w.r.t. v is nonzero
-	capClamped   bool // capBus clamped to (capMax − idle)·etaCapBus
-	capDiscZero  bool
-	soeClampHi   bool
-	etaBattP     bool
-	bsClamped    bool
-	battDiscZero bool
-	socClampHi   bool
+	vcapClamped  uint8 // soe0 ≤ 1e-6 → d(vcap)/d(soe) = 0
+	sagBranch    uint8 // capMax came from the 0.97·v²/4R sag limit
+	etaCapBusP   uint8 // derivative of etaCapBus w.r.t. v is nonzero
+	capClamped   uint8 // capBus clamped to (capMax − idle)·etaCapBus
+	capDiscZero  uint8
+	soeClampHi   uint8
+	etaBattP     uint8
+	bsClamped    uint8
+	battDiscZero uint8
+	socClampHi   uint8
 }
+
+// on reports lane c's bit of the lane mask f.
+func on(f uint8, c int) bool { return f>>c&1 != 0 }
 
 // cnCoef holds the precomputed Crank–Nicolson coefficients and inverse used
 // by both forward and adjoint (the system matrix is constant: the model
@@ -118,8 +124,8 @@ type laneState struct {
 }
 
 // fwdLane is one lane of a lockstep rollout: the controller whose captured
-// plant, padded forecast and reference windows it rolls, the tape slot of
-// that controller it records into, and its decision vector.
+// plant, padded forecast and reference windows it rolls, the speculation
+// slot of that controller it fills, and its decision vector.
 type fwdLane struct {
 	o    *OTEM
 	slot int
@@ -127,13 +133,16 @@ type fwdLane struct {
 }
 
 // sweep is the state sweep of one objectiveFwd call: its lanes, each
-// lane's captured plant, tape and carried state, and the blocked-input
-// cursor's constants.
+// lane's captured plant, carried state and cost, each group's tape, and
+// the blocked-input cursor's constants.
 type sweep struct {
-	lanes   []fwdLane
-	rs      [laneBudget]*rollout
-	tapes   [laneBudget][]stepTape
-	st      [laneBudget]laneState
+	lanes []fwdLane
+	rs    [laneBudget]*rollout
+	st    [laneBudget]laneState
+	cost  [laneBudget]float64
+	// tapes[g] is the tape group g records into, that of the controller
+	// of the group's first lane: lane l writes column l&3 of tapes[l>>2].
+	tapes   [laneBudget / 4][]tapeRow
 	horizon int
 	// bs, mIn and lastBase walk z one block every bs steps: the same
 	// indexing as Spec.InputAt, without the per-step division.
@@ -146,13 +155,16 @@ type sweep struct {
 // the model forward over the horizon for up to laneBudget lanes in
 // lockstep. The lanes may belong to different controllers (different
 // vehicles of a fleet) of one Config: lane j rolls its controller's
-// captured plant and forecast at lanes[j].z, records its intermediates
-// into that controller's tape slot lanes[j].slot and keys the slot by z and
-// its cost (tapeZ/tapeCost), so the adjoint can reuse whichever lane the
-// solver accepts. A controller's slots in one call must run from 0 up;
-// its tapeLanes ends as their count.
+// captured plant and forecast at lanes[j].z. Lanes go in groups of four
+// by position, and group g records into the tape of the controller of its
+// first lane, lane j into column j&3 (DESIGN.md §10). Each lane's slot of
+// its controller is keyed by its z and cost (tapeZ/tapeCost) and points at
+// that column and the tape's generation, so the adjoint can reuse
+// whichever lane the solver accepts while no later call has written the
+// tape. A controller's slots in one call must run from 0 up and sit in
+// consecutive lanes; its tapeLanes ends as their count.
 //
-// It runs in up to three sweeps, each filling what the next reads:
+// It runs in one or two sweeps:
 //
 //   - the state sweep steps every lane through the horizon in lockstep:
 //     cooling, capacitor and SoE, the battery up to its cell current and
@@ -162,30 +174,29 @@ type sweep struct {
 //     roots overlap. Where vmath's vector kernels are live, every group
 //     of three or four lanes (kernelLanes) runs the stages four lanes per
 //     AVX2 instruction (sweepKernel), with a ninth stage that records the
-//     lanes' Eq. 5 aging rates; one or two lanes, alone or after whole
-//     groups of four, vmath.UsePortable and other architectures run them
-//     as Go loops (stepStages). Eq. 2's and Eq. 3's exponentials go
-//     four at a time through vmath.Exp4, or through its kernel inlined
-//     in the sweep's;
-//   - the aging sweep (agingSweep) fills the Eq. 5 rates of each lane the
-//     Go loops ran from its finished tape, four steps per vmath.Log4/Exp4
-//     call;
-//   - the cost sweep (laneCost) adds each lane's cost terms from its tape
-//     in the order the state recurrences produce them.
+//     lanes' Eq. 5 aging rates and a tenth that adds their cost terms;
+//     one or two lanes, alone or after whole groups of four,
+//     vmath.UsePortable and other architectures run them as Go loops
+//     (stepStages). Eq. 2's and Eq. 3's exponentials go four at a time
+//     through vmath.Exp4, or through its kernel inlined in the sweep's;
+//   - for each lane the Go loops ran, the aging sweep (agingSweep) fills
+//     its Eq. 5 rates from its finished tape column, four steps per
+//     vmath.Log4/Exp4 call, and the cost sweep (laneCost) adds its cost
+//     terms in the order the state recurrences produce them.
 //
 // No state recurrence reads the cost or the aging rate, so deferring them
 // changes no operation, and running the lanes side by side reorders only
 // operations of different lanes: each lane performs exactly the
 // operations a single-lane call performs on its controller and z, a
-// lane's cost and tape rows do not depend on which lanes ran beside it,
+// lane's cost and tape column do not depend on which lanes ran beside it,
 // and the single-lane call is the plain objective. That holds bit for
 // bit except for NaN payloads: where an operation meets two different
 // NaNs, the kernel and the Go stages may return either one (DESIGN.md
 // §10), and a lone lane runs the Go stages.
 //
-// Rows are written in full — every conditionally-set field is explicitly
-// reset — so a dirty, reused tape is fine and the hot path never zeroes or
-// copies a stepTape.
+// A lane's column is written in full — every conditionally-set field and
+// flag is explicitly reset — so a dirty, reused tape is fine and the hot
+// path never zeroes or copies a tapeRow.
 //
 //lint:hotpath every trial of every replan rolls through here; allocflow proves it allocation-free
 func objectiveFwd(lanes []fwdLane) {
@@ -204,13 +215,19 @@ func objectiveFwd(lanes []fwdLane) {
 		o := lanes[j].o
 		r := &o.roll
 		s.rs[j] = r
-		s.tapes[j] = o.tapes[lanes[j].slot][:s.horizon]
+		if j&3 == 0 {
+			s.tapes[j>>2] = o.tape[:s.horizon]
+			o.tapeGen++
+		}
 		s.st[j] = laneState{soc: r.soc, soe: r.soe, tb: r.tb, tc: r.tc}
 	}
 	// Lanes [0, nk) run on the kernel, which records their aging rates
-	// too; the rest run on the Go stages and then agingSweep.
+	// and costs too; the rest run on the Go stages and then agingSweep
+	// and laneCost.
 	nk := kernelLanes(len(lanes))
-	s.sweepKernel(nk)
+	if nk > 0 {
+		s.sweepKernel(nk)
+	}
 	if nk < len(lanes) {
 		s.sweepStages(nk)
 	}
@@ -218,16 +235,20 @@ func objectiveFwd(lanes []fwdLane) {
 	for j := range lanes {
 		ln := &lanes[j]
 		o := ln.o
+		tape, col := s.tapes[j>>2], j&3
+		cost := s.cost[j]
 		if j >= nk {
-			agingSweep(s.rs[j], s.tapes[j])
+			agingSweep(s.rs[j], tape, col)
+			cost = o.laneCost(tape, col)
 		}
-		cost := o.laneCost(s.tapes[j])
 		if d := cfg.TEBTargetSoE - s.st[j].soe; d > 0 {
 			cost += cfg.TEBWeight * o.roll.capEnergy * d * d
 		}
+		owner := lanes[j&^3].o
 		o.tapeZ[ln.slot] = o.tapeZ[ln.slot][:len(ln.z)]
 		copy(o.tapeZ[ln.slot], ln.z)
 		o.tapeCost[ln.slot] = cost
+		o.tapeOwner[ln.slot], o.tapeCol[ln.slot], o.tapeGenAt[ln.slot] = owner, col, owner.tapeGen
 		o.tapeLanes = ln.slot + 1
 	}
 }
@@ -268,93 +289,103 @@ func (s *sweep) sweepStages(lo int) {
 // stepStages advances lanes lo and up by step k, whose inputs start at
 // z[base], in the eight stages of DESIGN.md §10. Each stage runs over all
 // those lanes before the next starts; a stage reads what the earlier ones
-// wrote into the tape rows, or the per-lane arrays below for what the
-// tape does not keep.
+// wrote into the lanes' tape columns, or the per-lane arrays below for
+// what the tape does not keep.
 func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 	n := len(s.lanes)
 	m := n - lo
 	var (
-		rows   [laneBudget]*stepTape
+		rows   [laneBudget]*tapeRow
 		capSto [laneBudget]float64 // the capacitor's storage power
 	)
 
 	// 1. Tape head, cooling (linear intensity model) and the capacitor
 	// voltage.
 	for j := lo; j < n; j++ {
-		r, ls, tp := s.rs[j], &s.st[j], &s.tapes[j][k]
+		r, ls, tp, c := s.rs[j], &s.st[j], &s.tapes[j>>2][k], j&3
 		rows[j] = tp
-		tp.soc0, tp.soe0, tp.tb0 = ls.soc, ls.soe, ls.tb
+		tp.soc0[c], tp.soe0[c], tp.tb0[c] = ls.soc, ls.soe, ls.tb
 		coolU := s.lanes[j].z[base+1]
-		tp.pcool = coolU * (r.coolerMax + r.pump)
-		tp.qx = -coolU * r.coolEff * r.coolerMax
+		tp.pcool[c] = coolU * (r.coolerMax + r.pump)
+		tp.qx[c] = -coolU * r.coolEff * r.coolerMax
 		if ls.soe > 1e-6 {
-			tp.vcap = r.capBusV * math.Sqrt(ls.soe)
-			tp.vcapClamped = false
+			tp.vcap[c] = r.capBusV * math.Sqrt(ls.soe)
+			tp.vcapClamped &^= 1 << c
 		} else {
-			tp.vcap = r.capBusV * math.Sqrt(1e-6)
-			tp.vcapClamped = true
+			tp.vcap[c] = r.capBusV * math.Sqrt(1e-6)
+			tp.vcapClamped |= 1 << c
 		}
 	}
 
 	// 2. The sag limit, η, the clamped bus power and the storage power.
 	for j := lo; j < n; j++ {
-		r, tp := s.rs[j], rows[j]
+		r, tp, c := s.rs[j], rows[j], j&3
 		cc := &r.capConv
-		tp.capMax = r.capC7
-		tp.sagBranch = false
+		vcap := tp.vcap[c]
+		capMax := r.capC7
+		tp.sagBranch &^= 1 << c
 		if capESR := r.capESR; capESR > 0 {
-			if sag := 0.97 * tp.vcap * tp.vcap / (4 * capESR); sag < tp.capMax {
-				tp.capMax = sag
-				tp.sagBranch = true
+			if sag := 0.97 * vcap * vcap / (4 * capESR); sag < capMax {
+				capMax = sag
+				tp.sagBranch |= 1 << c
 			}
 		}
-		tp.etaCapBus, tp.etaCapBusP = etaAt(cc.PeakEfficiency, cc.MinEfficiency, cc.NominalVoltage, cc.Droop, tp.vcap)
-		// BusPower for a non-negative storage power (capMax ≥ 0, idle 0).
-		capMaxBus := (tp.capMax - cc.IdleLoss) * tp.etaCapBus
-		tp.capBus = s.lanes[j].z[base] * s.capPowerScale
-		tp.capClamped = false
-		if tp.capBus > capMaxBus {
-			tp.capBus = capMaxBus
-			tp.capClamped = true
+		tp.capMax[c] = capMax
+		eta, etaP := etaAt(cc.PeakEfficiency, cc.MinEfficiency, cc.NominalVoltage, cc.Droop, vcap)
+		tp.etaCapBus[c] = eta
+		tp.etaCapBusP &^= 1 << c
+		if etaP {
+			tp.etaCapBusP |= 1 << c
 		}
-		if tp.capBus >= 0 {
-			capSto[j] = tp.capBus/tp.etaCapBus + cc.IdleLoss
+		// BusPower for a non-negative storage power (capMax ≥ 0, idle 0).
+		capMaxBus := (capMax - cc.IdleLoss) * eta
+		capBus := s.lanes[j].z[base] * s.capPowerScale
+		tp.capClamped &^= 1 << c
+		if capBus > capMaxBus {
+			capBus = capMaxBus
+			tp.capClamped |= 1 << c
+		}
+		tp.capBus[c] = capBus
+		if capBus >= 0 {
+			capSto[j] = capBus/eta + cc.IdleLoss
 		} else {
-			capSto[j] = tp.capBus*tp.etaCapBus + cc.IdleLoss
+			capSto[j] = capBus*eta + cc.IdleLoss
 		}
 	}
 
 	// 3. The discriminant, its square root and the capacitor current.
 	for j := lo; j < n; j++ {
-		r, tp := s.rs[j], rows[j]
-		capESR := r.capESR
-		tp.sCap = 0
-		tp.capDiscZero = false
-		tp.capI = 0
+		r, tp, c := s.rs[j], rows[j], j&3
+		capESR, vcap := r.capESR, tp.vcap[c]
+		sCap, capI := 0.0, 0.0
+		tp.capDiscZero &^= 1 << c
 		if capESR > 0 {
-			disc := tp.vcap*tp.vcap - 4*capESR*capSto[j]
+			disc := vcap*vcap - 4*capESR*capSto[j]
 			if disc < 0 {
 				disc = 0
-				tp.capDiscZero = true
+				tp.capDiscZero |= 1 << c
 			}
-			tp.sCap = math.Sqrt(disc)
-			tp.capI = (tp.vcap - tp.sCap) / (2 * capESR)
-		} else if tp.vcap > 0 {
-			tp.capI = capSto[j] / tp.vcap
+			sCap = math.Sqrt(disc)
+			capI = (vcap - sCap) / (2 * capESR)
+		} else if vcap > 0 {
+			capI = capSto[j] / vcap
 		}
+		tp.sCap[c], tp.capI[c] = sCap, capI
 	}
 
 	// 4. The energy drawn, the SoE and its clamp; then the arguments of
 	// the battery formulas' exponentials at this step's (soc, tb).
 	for j := lo; j < n; j++ {
-		r, ls, tp := s.rs[j], &s.st[j], rows[j]
-		tp.dEcap = (capSto[j] + tp.capI*tp.capI*r.capESR) * r.dt
-		tp.soePre = ls.soe - tp.dEcap/r.capEnergy
-		soe := tp.soePre
-		tp.soeClampHi = false
+		r, ls, tp, c := s.rs[j], &s.st[j], rows[j], j&3
+		capI := tp.capI[c]
+		dEcap := (capSto[j] + capI*capI*r.capESR) * r.dt
+		tp.dEcap[c] = dEcap
+		soe := ls.soe - dEcap/r.capEnergy
+		tp.soePre[c] = soe
+		tp.soeClampHi &^= 1 << c
 		if soe > 1 {
 			soe = 1
-			tp.soeClampHi = true
+			tp.soeClampHi |= 1 << c
 		}
 		ls.soe = soe
 
@@ -380,82 +411,97 @@ func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 	// 6. The open-circuit voltage, the resistance, η, the storage power
 	// before its clamp and the power limit.
 	for j := lo; j < n; j++ {
-		r, tp := s.rs[j], rows[j]
+		r, tp, c := s.rs[j], rows[j], j&3
 		cell := &r.cell
 		bc := &r.battConv
 		i := j - lo
-		tp.ocvExp, tp.resZExp, tp.resTExp = e[i], e[m+i], e[2*m+i]
-		tp.battBus = s.lanes[j].o.fc[k] + tp.pcool - tp.capBus
-		tp.voc = r.cellOCVScale * cell.OCVFromExp(units.Clamp(tp.soc0, 0, 1), tp.ocvExp)
-		tp.cellR = cell.ResistanceFromExp(tp.resZExp, tp.resTExp)
-		tp.res = r.packResScale * tp.cellR
-		tp.etaBatt, tp.etaBattP = etaAt(bc.PeakEfficiency, bc.MinEfficiency, bc.NominalVoltage, bc.Droop, tp.voc)
-		if tp.battBus >= 0 {
-			tp.bsPre = tp.battBus/tp.etaBatt + bc.IdleLoss
-		} else {
-			tp.bsPre = tp.battBus*tp.etaBatt + bc.IdleLoss
+		ocvExp, resZExp, resTExp := e[i], e[m+i], e[2*m+i]
+		tp.ocvExp[c], tp.resZExp[c], tp.resTExp[c] = ocvExp, resZExp, resTExp
+		battBus := s.lanes[j].o.fc[k] + tp.pcool[c] - tp.capBus[c]
+		tp.battBus[c] = battBus
+		voc := r.cellOCVScale * cell.OCVFromExp(units.Clamp(tp.soc0[c], 0, 1), ocvExp)
+		cellR := cell.ResistanceFromExp(resZExp, resTExp)
+		res := r.packResScale * cellR
+		tp.voc[c], tp.cellR[c], tp.res[c] = voc, cellR, res
+		eta, etaP := etaAt(bc.PeakEfficiency, bc.MinEfficiency, bc.NominalVoltage, bc.Droop, voc)
+		tp.etaBatt[c] = eta
+		tp.etaBattP &^= 1 << c
+		if etaP {
+			tp.etaBattP |= 1 << c
 		}
-		tp.pmax = tp.voc * tp.voc / (4 * tp.res) * 0.98
+		if battBus >= 0 {
+			tp.bsPre[c] = battBus/eta + bc.IdleLoss
+		} else {
+			tp.bsPre[c] = battBus*eta + bc.IdleLoss
+		}
+		tp.pmax[c] = voc * voc / (4 * res) * 0.98
 	}
 
 	// 7. The power clamp, the discriminant's square root and the pack
 	// current.
 	for j := lo; j < n; j++ {
-		tp := rows[j]
-		tp.battStorage = tp.bsPre
-		tp.bsClamped = false
-		if tp.bsPre > tp.pmax {
-			tp.battStorage = tp.pmax
-			tp.bsClamped = true
+		tp, c := rows[j], j&3
+		voc, res, pmax := tp.voc[c], tp.res[c], tp.pmax[c]
+		bs := tp.bsPre[c]
+		tp.bsClamped &^= 1 << c
+		if bs > pmax {
+			bs = pmax
+			tp.bsClamped |= 1 << c
 		}
-		disc := tp.voc*tp.voc - 4*tp.res*tp.battStorage
-		tp.battDiscZero = false
+		tp.battStorage[c] = bs
+		disc := voc*voc - 4*res*bs
+		tp.battDiscZero &^= 1 << c
 		if disc < 0 {
 			disc = 0
-			tp.battDiscZero = true
+			tp.battDiscZero |= 1 << c
 		}
-		tp.sBatt = math.Sqrt(disc)
-		tp.i = (tp.voc - tp.sBatt) / (2 * tp.res)
+		sBatt := math.Sqrt(disc)
+		tp.sBatt[c] = sBatt
+		tp.i[c] = (voc - sBatt) / (2 * res)
 	}
 
 	// 8. The C6 excess, the cell current and heat, the SoC and the
 	// thermal network (closed-form CN, identical to CNStep2).
 	for j := lo; j < n; j++ {
-		r, ls, tp := s.rs[j], &s.st[j], rows[j]
+		r, ls, tp, c := s.rs[j], &s.st[j], rows[j], j&3
 		cn := &r.cnc
 		soc, tb, tc := ls.soc, ls.tb, ls.tc
-		tp.overC6 = tp.i - r.packMaxI
-		if !(tp.overC6 > 0) {
-			tp.overC6 = 0
+		i := tp.i[c]
+		overC6 := i - r.packMaxI
+		if !(overC6 > 0) {
+			overC6 = 0
 		}
-		tp.cellI = tp.i / r.parallel
+		tp.overC6[c] = overC6
+		cellI := i / r.parallel
+		tp.cellI[c] = cellI
 		// Eq. 4 per cell, i²·R + i·T·dVoc/dT, reusing cellR = R(soc, tb).
-		heat := (tp.cellI*tp.cellI*tp.cellR + tp.cellI*tb*r.cell.DVocDT) * r.cells
+		heat := (cellI*cellI*tp.cellR[c] + cellI*tb*r.cell.DVocDT) * r.cells
 
-		tp.socPre = soc - tp.i*r.dt/r.packCapC
-		soc = tp.socPre
-		tp.socClampHi = false
+		soc -= i * r.dt / r.packCapC
+		tp.socPre[c] = soc
+		tp.socClampHi &^= 1 << c
 		if soc > 1 {
 			soc = 1
-			tp.socClampHi = true
+			tp.socClampHi |= 1 << c
 		}
 
 		r0 := cn.r0tb*tb + cn.r0tc*tc + heat
-		r1 := cn.r1tb*tb + cn.r1tc*tc + cn.w*r.ambient + tp.qx
+		r1 := cn.r1tb*tb + cn.r1tc*tc + cn.w*r.ambient + tp.qx[c]
 		tb = cn.i00*r0 + cn.i01*r1
 		tc = cn.i10*r0 + cn.i11*r1
-		tp.tb1, tp.tc1 = tb, tc
+		tp.tb1[c], tp.tc1[c] = tb, tc
 		ls.soc, ls.tb, ls.tc = soc, tb, tc
 	}
 }
 
 // agingSweep records Eq. 5, as CellParams.AgingRate evaluates it, into
-// every row of one lane's tape from the row's cell current and starting
-// temperature. Four steps go through each vmath call: the logarithms of
-// the power law's bases, then its exponentials and the Arrhenius
-// factors. Short blocks are padded with arguments whose results nothing
-// reads (log 1, exp 0).
-func agingSweep(r *rollout, tape []stepTape) {
+// column c of every row of a tape from the column's cell current and
+// starting temperature. Four steps go through each vmath call: the
+// logarithms of the power law's bases, then its exponentials and the
+// Arrhenius factors. Short blocks are padded with arguments whose results
+// nothing reads (log 1, exp 0).
+func agingSweep(r *rollout, tape []tapeRow, c int) {
+	c &= 3
 	cell, pw, dt := &r.cell, &r.agingPow, r.dt
 	for k0 := 0; k0 < len(tape); k0 += 4 {
 		blk := tape[k0:min(k0+4, len(tape))]
@@ -463,15 +509,15 @@ func agingSweep(r *rollout, tape []stepTape) {
 		var ai, ep, ea [4]float64
 		var ages [4]bool
 		for i := range blk {
-			ai[i] = math.Abs(blk[i].cellI)
-			ages[i] = battery.Ages(ai[i], blk[i].tb0)
+			ai[i] = math.Abs(blk[i].cellI[c])
+			ages[i] = battery.Ages(ai[i], blk[i].tb0[c])
 			lx[i] = pw.LogArg(ai[i])
 		}
 		vmath.Log4(&lx)
 		for i := range blk {
 			if ages[i] {
 				ep[i] = pw.ExpArgFromLog(ai[i], lx[i])
-				ea[i] = cell.AgingExpArg(blk[i].tb0)
+				ea[i] = cell.AgingExpArg(blk[i].tb0[c])
 			}
 		}
 		vmath.Exp4(&ep)
@@ -481,18 +527,21 @@ func agingSweep(r *rollout, tape []stepTape) {
 			if ages[i] {
 				aging = cell.AgingRateFromExp(ea[i], pw.FromExp(ai[i], ep[i]))
 			}
-			blk[i].aging = aging * dt
+			blk[i].aging[c] = aging * dt
 		}
 	}
 }
 
-// laneCost returns the running cost of one lane's rollout from its
-// finished tape. Each step adds its terms in the order the state sweep
-// meets them: the SoE penalties, the pmax and C6 penalties, the SoC
+// laneCost returns the running cost of one lane's rollout from column c
+// of its finished tape. Each step adds its terms in the order the state
+// sweep meets them: the SoE penalties, the pmax and C6 penalties, the SoC
 // penalties, the safe-temperature and temperature-pressure terms, the
 // outer-reference tracking (two-layer MPC: latched per replan, skipped
-// entirely for the flat controller) and the Eq. 19 step term.
-func (o *OTEM) laneCost(tape []stepTape) float64 {
+// entirely for the flat controller) and the Eq. 19 step term. The state
+// kernel's cost stage adds the same terms in the same order (DESIGN.md
+// §10).
+func (o *OTEM) laneCost(tape []tapeRow, c int) float64 {
+	c &= 3
 	r := &o.roll
 	cfg := &o.cfg
 	dt := r.dt
@@ -502,31 +551,32 @@ func (o *OTEM) laneCost(tape []stepTape) float64 {
 	cost := 0.0
 	for k := range tape {
 		tp := &tape[k]
-		if d := r.capMinSoE - tp.soePre; d > 0 {
+		soePre, socPre, tb1 := tp.soePre[c], tp.socPre[c], tp.tb1[c]
+		if d := r.capMinSoE - soePre; d > 0 {
 			cost += stateWeight * d * d
 		}
-		if d := tp.soePre - 1; d > 0 {
+		if d := soePre - 1; d > 0 {
 			cost += stateWeight * d * d
 		}
-		if tp.bsClamped {
-			d := (tp.bsPre - tp.pmax) / 1e3
+		if on(tp.bsClamped, c) {
+			d := (tp.bsPre[c] - tp.pmax[c]) / 1e3
 			cost += 1e6 * d * d
 		}
-		if tp.overC6 > 0 {
-			cost += 1e3 * tp.overC6 * tp.overC6
+		if overC6 := tp.overC6[c]; overC6 > 0 {
+			cost += 1e3 * overC6 * overC6
 		}
-		if d := r.battMinSoC - tp.socPre; d > 0 {
+		if d := r.battMinSoC - socPre; d > 0 {
 			cost += stateWeight * d * d
 		}
-		soc := tp.socPre
+		soc := socPre
 		if d := soc - 1; d > 0 {
 			cost += stateWeight * d * d
 			soc = 1
 		}
-		if d := tp.tb1 - r.safeTemp; d > 0 {
+		if d := tb1 - r.safeTemp; d > 0 {
 			cost += safeTempWeight * d * d
 		}
-		tw := (r.battHeatCap*tp.tb1 + r.coolHeatCap*tp.tc1) / (r.battHeatCap + r.coolHeatCap)
+		tw := (r.battHeatCap*tb1 + r.coolHeatCap*tp.tc1[c]) / (r.battHeatCap + r.coolHeatCap)
 		if d := tw - targetTemp; d > 0 {
 			cost += tempPressureWeight / horizonF * d * d
 		}
@@ -535,11 +585,11 @@ func (o *OTEM) laneCost(tape []stepTape) float64 {
 			cost += cfg.SoCRefWeight * d * d
 		}
 		if o.trackTb {
-			d := tp.tb1 - o.refTb[k]
+			d := tb1 - o.refTb[k]
 			cost += cfg.TempRefWeight * d * d
 		}
-		dEbat := tp.voc * tp.i * dt
-		cost += w1*tp.pcool*dt + w2*tp.aging + w3*(dEbat+tp.dEcap)
+		dEbat := tp.voc[c] * tp.i[c] * dt
+		cost += w1*tp.pcool[c]*dt + w2*tp.aging[c] + w3*(dEbat+tp.dEcap[c])
 	}
 	return cost
 }
@@ -563,7 +613,8 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 		o.objective(z)
 		lane = 0
 	}
-	tape := o.tapes[lane][:cfg.Horizon]
+	tape := o.tapeOwner[lane].tape[:cfg.Horizon]
+	c := o.tapeCol[lane] & 3
 	cost := o.tapeCost[lane]
 
 	for gi := range grad {
@@ -573,8 +624,8 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 	// State adjoints at the end of the horizon.
 	var asoc, asoe, atb, atc float64
 	// Terminal TEB term: cost += W·(T − soe)² when T − soe > 0.
-	soeEnd := tape[cfg.Horizon-1].soePre
-	if tape[cfg.Horizon-1].soeClampHi {
+	soeEnd := tape[cfg.Horizon-1].soePre[c]
+	if on(tape[cfg.Horizon-1].soeClampHi, c) {
 		soeEnd = 1
 	}
 	if d := cfg.TEBTargetSoE - soeEnd; d > 0 {
@@ -593,11 +644,11 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 		// this step's own terms. A clamped SoC has zero derivative and
 		// the clamp handling below discards the incoming asoc anyway.
 		if trackTb {
-			atb += 2 * tbRefW * (tp.tb1 - refT[k])
+			atb += 2 * tbRefW * (tp.tb1[c] - refT[k])
 		}
 		if trackSoC {
-			socEnd := tp.socPre
-			if tp.socClampHi {
+			socEnd := tp.socPre[c]
+			if on(tp.socClampHi, c) {
 				socEnd = 1
 			}
 			asoc += 2 * socRefW * (socEnd - refS[k])
@@ -605,10 +656,10 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 
 		// --- Temperature penalties at tb1/tc1 ---
 		atb1, atc1 := atb, atc
-		if d := tp.tb1 - r.safeTemp; d > 0 {
+		if d := tp.tb1[c] - r.safeTemp; d > 0 {
 			atb1 += 2 * cfg.SafeTempWeight * d
 		}
-		tw := (r.battHeatCap*tp.tb1 + r.coolHeatCap*tp.tc1) / hcSum
+		tw := (r.battHeatCap*tp.tb1[c] + r.coolHeatCap*tp.tc1[c]) / hcSum
 		if d := tw - cfg.TargetTemp; d > 0 {
 			c := 2 * cfg.TempPressureWeight / float64(cfg.Horizon) * d
 			atb1 += c * r.battHeatCap / hcSum
@@ -625,10 +676,10 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 
 		// --- SoC clamp/penalties ---
 		asocPre := asoc
-		if tp.socClampHi {
-			asocPre = 2 * cfg.StateWeight * (tp.socPre - 1)
+		if on(tp.socClampHi, c) {
+			asocPre = 2 * cfg.StateWeight * (tp.socPre[c] - 1)
 		}
-		if d := r.battMinSoC - tp.socPre; d > 0 {
+		if d := r.battMinSoC - tp.socPre[c]; d > 0 {
 			asocPre += -2 * cfg.StateWeight * d
 		}
 		// soc' = soc0 − i·dt/capC
@@ -637,50 +688,50 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 
 		// --- Running battery cost terms ---
 		// dEbat = voc·i·dt (weight W3).
-		avoc := cfg.W3 * tp.i * dt
-		ai += cfg.W3 * tp.voc * dt
+		avoc := cfg.W3 * tp.i[c] * dt
+		ai += cfg.W3 * tp.voc[c] * dt
 		// aging = rate(|cellI|, tb0)·dt (weight W2).
 		acellI := 0.0
-		absCell := math.Abs(tp.cellI)
+		absCell := math.Abs(tp.cellI[c])
 		if absCell > 0 {
-			dRdI := tp.aging * r.cell.L[2] / absCell // ∂(rate·dt)/∂|i|
+			dRdI := tp.aging[c] * r.cell.L[2] / absCell // ∂(rate·dt)/∂|i|
 			sign := 1.0
-			if tp.cellI < 0 {
+			if tp.cellI[c] < 0 {
 				sign = -1
 			}
 			acellI += cfg.W2 * dRdI * sign
-			atb0 += cfg.W2 * tp.aging * r.cell.L[1] / (units.GasConstant * tp.tb0 * tp.tb0)
+			atb0 += cfg.W2 * tp.aging[c] * r.cell.L[1] / (units.GasConstant * tp.tb0[c] * tp.tb0[c])
 		}
 		// heat = cells·(cellI²·R(soc,tb) + cellI·tb·dVocdT). cellR and the
 		// shared R'(soc,tb) come off the tape / one call instead of three
 		// redundant Resistance evaluations.
-		cellR := tp.cellR
-		rPrime := r.cell.ResistancePrimeFromExp(tp.resZExp, tp.resTExp)
-		dHdI := r.cells * (2*tp.cellI*cellR + tp.tb0*r.cell.DVocDT)
-		dHdSoc := r.cells * tp.cellI * tp.cellI * rPrime
-		dRdT := cellR * (-r.cell.Kr / (tp.tb0 * tp.tb0))
-		dHdT := r.cells * (tp.cellI*tp.cellI*dRdT + tp.cellI*r.cell.DVocDT)
+		cellR := tp.cellR[c]
+		rPrime := r.cell.ResistancePrimeFromExp(tp.resZExp[c], tp.resTExp[c])
+		dHdI := r.cells * (2*tp.cellI[c]*cellR + tp.tb0[c]*r.cell.DVocDT)
+		dHdSoc := r.cells * tp.cellI[c] * tp.cellI[c] * rPrime
+		dRdT := cellR * (-r.cell.Kr / (tp.tb0[c] * tp.tb0[c]))
+		dHdT := r.cells * (tp.cellI[c]*tp.cellI[c]*dRdT + tp.cellI[c]*r.cell.DVocDT)
 		acellI += aheat * dHdI
 		asoc0 += aheat * dHdSoc
 		atb0 += aheat * dHdT
 		// C6 penalty.
 		ai += acellI / r.parallel
-		if tp.overC6 > 0 {
-			ai += 2 * 1e3 * tp.overC6
+		if tp.overC6[c] > 0 {
+			ai += 2 * 1e3 * tp.overC6[c]
 		}
 
 		// --- Current solve i = (voc − s)/(2res), s² = voc² − 4res·bs ---
 		var abs_, avocI, aresI float64
 		//lint:ignore floatcompare the adjoint must take the same branch the forward pass took; sBatt is exactly 0 iff the forward clamp fired
-		if tp.battDiscZero || tp.sBatt == 0 {
+		if on(tp.battDiscZero, c) || tp.sBatt[c] == 0 {
 			// i = voc/(2res) (s clamped to 0).
-			avocI = ai / (2 * tp.res)
-			aresI = -ai * tp.voc / (2 * tp.res * tp.res)
+			avocI = ai / (2 * tp.res[c])
+			aresI = -ai * tp.voc[c] / (2 * tp.res[c] * tp.res[c])
 		} else {
-			s := tp.sBatt
-			avocI = ai * (1 - tp.voc/s) / (2 * tp.res)
+			s := tp.sBatt[c]
+			avocI = ai * (1 - tp.voc[c]/s) / (2 * tp.res[c])
 			abs_ = ai / s
-			aresI = ai * (4*tp.res*tp.battStorage/s - 2*(tp.voc-s)) / (4 * tp.res * tp.res)
+			aresI = ai * (4*tp.res[c]*tp.battStorage[c]/s - 2*(tp.voc[c]-s)) / (4 * tp.res[c] * tp.res[c])
 		}
 		avoc += avocI
 		ares := aresI
@@ -688,33 +739,33 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 		// --- pmax clamp ---
 		absPre := abs_
 		apmax := 0.0
-		if tp.bsClamped {
-			d := (tp.bsPre - tp.pmax) / 1e3
+		if on(tp.bsClamped, c) {
+			d := (tp.bsPre[c] - tp.pmax[c]) / 1e3
 			absPre = 2 * 1e6 * d / 1e3 // penalty on bsPre
 			apmax = abs_ - 2*1e6*d/1e3 // downstream flows to pmax, minus penalty
 		}
 		//lint:ignore floatcompare skip-if-zero fast path: apmax is exactly 0 iff no upstream adjoint flowed into pmax
 		if apmax != 0 {
-			avoc += apmax * 0.98 * 2 * tp.voc / (4 * tp.res)
-			ares += -apmax * 0.98 * tp.voc * tp.voc / (4 * tp.res * tp.res)
+			avoc += apmax * 0.98 * 2 * tp.voc[c] / (4 * tp.res[c])
+			ares += -apmax * 0.98 * tp.voc[c] * tp.voc[c] / (4 * tp.res[c] * tp.res[c])
 		}
 
 		// --- battery converter ---
 		var abattBus float64
-		if tp.battBus >= 0 {
-			abattBus = absPre / tp.etaBatt
-			if tp.etaBattP {
-				avoc += -absPre * tp.battBus * (r.battConv.Droop / r.battConv.NominalVoltage) / (tp.etaBatt * tp.etaBatt)
+		if tp.battBus[c] >= 0 {
+			abattBus = absPre / tp.etaBatt[c]
+			if on(tp.etaBattP, c) {
+				avoc += -absPre * tp.battBus[c] * (r.battConv.Droop / r.battConv.NominalVoltage) / (tp.etaBatt[c] * tp.etaBatt[c])
 			}
 		} else {
-			abattBus = absPre * tp.etaBatt
-			if tp.etaBattP {
-				avoc += absPre * tp.battBus * (r.battConv.Droop / r.battConv.NominalVoltage)
+			abattBus = absPre * tp.etaBatt[c]
+			if on(tp.etaBattP, c) {
+				avoc += absPre * tp.battBus[c] * (r.battConv.Droop / r.battConv.NominalVoltage)
 			}
 		}
 
 		// --- voc/res to soc0/tb0 ---
-		asoc0 += avoc * r.cellOCVScale * r.cell.OCVPrimeFromExp(units.Clamp(tp.soc0, 0, 1), tp.ocvExp)
+		asoc0 += avoc * r.cellOCVScale * r.cell.OCVPrimeFromExp(units.Clamp(tp.soc0[c], 0, 1), tp.ocvExp[c])
 		asoc0 += ares * r.packResScale * rPrime
 		atb0 += ares * r.packResScale * dRdT
 
@@ -724,10 +775,10 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 
 		// --- SoE clamp/penalties ---
 		asoePre := asoe
-		if tp.soeClampHi {
-			asoePre = 2 * cfg.StateWeight * (tp.soePre - 1)
+		if on(tp.soeClampHi, c) {
+			asoePre = 2 * cfg.StateWeight * (tp.soePre[c] - 1)
 		}
-		if d := r.capMinSoE - tp.soePre; d > 0 {
+		if d := r.capMinSoE - tp.soePre[c]; d > 0 {
 			asoePre += -2 * cfg.StateWeight * d
 		}
 		asoe0 := asoePre
@@ -738,52 +789,52 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 		if r.capESR > 0 {
 			var dIdCS, dIdV float64
 			//lint:ignore floatcompare the adjoint must take the same branch the forward pass took; sCap is exactly 0 iff the forward clamp fired
-			if tp.capDiscZero || tp.sCap == 0 {
+			if on(tp.capDiscZero, c) || tp.sCap[c] == 0 {
 				dIdCS = 0
 				dIdV = 1 / (2 * r.capESR)
 			} else {
-				dIdCS = 1 / tp.sCap
-				dIdV = (1 - tp.vcap/tp.sCap) / (2 * r.capESR)
+				dIdCS = 1 / tp.sCap[c]
+				dIdV = (1 - tp.vcap[c]/tp.sCap[c]) / (2 * r.capESR)
 			}
-			acs = adE * dt * (1 + 2*tp.capI*r.capESR*dIdCS)
-			avcap = adE * dt * 2 * tp.capI * r.capESR * dIdV
+			acs = adE * dt * (1 + 2*tp.capI[c]*r.capESR*dIdCS)
+			avcap = adE * dt * 2 * tp.capI[c] * r.capESR * dIdV
 		} else {
 			acs = adE * dt
 		}
 
 		// --- capacitor converter (StoragePower) ---
 		droopTerm := r.capConv.Droop / r.capConv.NominalVoltage
-		if tp.capBus >= 0 {
-			acapBus += acs / tp.etaCapBus
-			if tp.etaCapBusP {
-				avcap += -acs * tp.capBus * droopTerm / (tp.etaCapBus * tp.etaCapBus)
+		if tp.capBus[c] >= 0 {
+			acapBus += acs / tp.etaCapBus[c]
+			if on(tp.etaCapBusP, c) {
+				avcap += -acs * tp.capBus[c] * droopTerm / (tp.etaCapBus[c] * tp.etaCapBus[c])
 			}
 		} else {
-			acapBus += acs * tp.etaCapBus
-			if tp.etaCapBusP {
-				avcap += acs * tp.capBus * droopTerm
+			acapBus += acs * tp.etaCapBus[c]
+			if on(tp.etaCapBusP, c) {
+				avcap += acs * tp.capBus[c] * droopTerm
 			}
 		}
 
 		// --- capBus clamp ---
 		var acapU float64
-		if tp.capClamped {
+		if on(tp.capClamped, c) {
 			// capBus = capMaxBus = (capMax − idle)·η(vcap)
 			acmb := acapBus
-			acapMax := acmb * tp.etaCapBus
-			if tp.etaCapBusP {
-				avcap += acmb * (tp.capMax - r.capConv.IdleLoss) * droopTerm
+			acapMax := acmb * tp.etaCapBus[c]
+			if on(tp.etaCapBusP, c) {
+				avcap += acmb * (tp.capMax[c] - r.capConv.IdleLoss) * droopTerm
 			}
-			if tp.sagBranch {
-				avcap += acapMax * 0.97 * 2 * tp.vcap / (4 * r.capESR)
+			if on(tp.sagBranch, c) {
+				avcap += acapMax * 0.97 * 2 * tp.vcap[c] / (4 * r.capESR)
 			}
 		} else {
 			acapU = acapBus * cfg.CapPowerScale
 		}
 
 		// --- vcap = busV·sqrt(soe0) ---
-		if !tp.vcapClamped {
-			asoe0 += avcap * r.capBusV / (2 * math.Sqrt(tp.soe0))
+		if !on(tp.vcapClamped, c) {
+			asoe0 += avcap * r.capBusV / (2 * math.Sqrt(tp.soe0[c]))
 		}
 
 		// --- cooling controls ---

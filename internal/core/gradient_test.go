@@ -36,10 +36,10 @@ func randomizedOTEM(t *testing.T, rng *rand.Rand) *OTEM {
 }
 
 // replayTape runs a one-lane forward pass at z and returns a copy of the
-// recorded tape and the cost.
-func replayTape(o *OTEM, z []float64) ([]stepTape, float64) {
+// recorded tape, whose column 0 holds the lane, and the cost.
+func replayTape(o *OTEM, z []float64) ([]tapeRow, float64) {
 	cost := o.objective(z)
-	return append([]stepTape(nil), o.tapes[0][:o.cfg.Horizon]...), cost
+	return append([]tapeRow(nil), o.tape[:o.cfg.Horizon]...), cost
 }
 
 func TestObjectiveFwdMatchesObjective(t *testing.T) {

@@ -25,11 +25,16 @@ const (
 	// it.
 	laneBudget = 8
 	// maxSpec is the most trials one vehicle puts into a round: one Ask's
-	// optimize.BatchWidth, and the number of tape slots that needs. A
-	// vehicle alone therefore runs a line search's first trial alone and
-	// then up to maxSpec trials per round.
+	// optimize.BatchWidth, and the number of speculation slots that needs.
+	// A vehicle alone therefore runs up to maxSpec trials of a line search
+	// per round, its first trial among them.
 	maxSpec = optimize.BatchWidth
 )
+
+// A vehicle's trials sit in consecutive lanes of one call, so with at most
+// four of them it leads at most one group of four: no call writes its tape
+// twice.
+var _ [4 - maxSpec]struct{}
 
 // packStats counts a class leader's packing work: the replan groups it led,
 // their rounds, the objectiveFwd calls of those rounds and the lanes of
@@ -128,11 +133,12 @@ func (lead *OTEM) member(lanes []sim.GroupLane, i int) *OTEM {
 // packRound advances every solving member of lead's class (lanes starts
 // at the leader) by one ask/tell round and reports whether any was
 // solving. Each member asks for its next sequential trial. When that makes
-// fewer than laneBudget trials and vmath's vector exp is live, members
-// past a rejected trial raise their budget one trial at a time, round
-// robin in lane order, up to their tape slots, until the round holds
+// fewer than laneBudget trials and vmath's vector exp is live, members in
+// a line search raise their budget one trial at a time, round robin in
+// lane order, up to their speculation slots, until the round holds
 // laneBudget. The trials go through objectiveFwd in calls of at most
-// laneBudget lanes, split evenly, and every member tells its values back.
+// laneBudget lanes, split evenly, and every member tells its values back
+// right after its call.
 //
 //lint:hotpath one round per trial of every replan group; allocflow proves it allocation-free
 func (lead *OTEM) packRound(lanes []sim.GroupLane) bool {
@@ -151,7 +157,7 @@ func (lead *OTEM) packRound(lanes []sim.GroupLane) bool {
 			added := false
 			for i := range lanes {
 				c := lead.member(lanes, i)
-				if c == nil || c.budget >= c.slots || !c.planner.Backtracking() {
+				if c == nil || c.budget >= c.slots || !c.planner.Searching() {
 					continue
 				}
 				c.budget++
@@ -182,7 +188,6 @@ func (lead *OTEM) packRound(lanes []sim.GroupLane) bool {
 			continue
 		}
 		pts := c.planner.Ask(c.budget)
-		c.asked = len(pts)
 		if len(pts) == 0 {
 			c.solving = false
 			continue
@@ -199,25 +204,29 @@ func (lead *OTEM) packRound(lanes []sim.GroupLane) bool {
 	if n > 0 {
 		lead.flush(call[:n])
 	}
-	for i := range lanes {
-		c := lead.member(lanes, i)
-		if c == nil || c.asked == 0 {
-			continue
-		}
-		c.planner.Tell(c.tapeCost[:c.asked])
-		c.asked = 0
-		if c.planner.Done() {
-			c.solving = false
-		}
-	}
 	return true
 }
 
-// flush evaluates one packed call and counts it.
+// flush evaluates one packed call, counts it and tells each of its members
+// its values. A member's trials never split across calls, and its ask and
+// tell touch only its own solve, so telling it before the round's later
+// calls changes nothing but how long the tapes it reads must last: its
+// gradient, taken inside Tell, reads the call's tape columns before any
+// other call can write them.
 func (lead *OTEM) flush(call []fwdLane) {
 	objectiveFwd(call)
 	lead.stats.calls++
 	lead.stats.lanes += len(call)
+	for j := range call {
+		if call[j].slot != 0 {
+			continue
+		}
+		c := call[j].o
+		c.planner.Tell(c.tapeCost[:c.tapeLanes])
+		if c.planner.Done() {
+			c.solving = false
+		}
+	}
 }
 
 var _ sim.GroupDecider = (*OTEM)(nil)

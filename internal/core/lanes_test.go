@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/battery"
@@ -12,38 +13,58 @@ import (
 	"repro/internal/units"
 )
 
-// withAllSlots gives o a tape for every slot, so the lockstep rollout can
-// be exercised on hosts where New allocates only slot 0.
+// withAllSlots gives o a key for every speculation slot, so the lockstep
+// rollout can be exercised on hosts where New keys only slot 0.
 func withAllSlots(o *OTEM) {
-	for j := range o.tapes {
-		if o.tapes[j] == nil {
-			o.tapes[j] = make([]stepTape, o.cfg.Horizon)
+	for j := range o.tapeZ {
+		if o.tapeZ[j] == nil {
 			o.tapeZ[j] = make([]float64, o.planner.Spec().Dim())
 		}
 	}
 	o.slots = maxSpec
 }
 
-// sameRow reports whether two tape rows agree in every flag and, by same,
-// in every field.
-func sameRow(a, b *stepTape, same func(x, y float64) bool) bool {
+// laneTape returns the tape and column that slot s of o was recorded into.
+func laneTape(o *OTEM, s int) ([]tapeRow, int) {
+	return o.tapeOwner[s].tape[:o.cfg.Horizon], o.tapeCol[s]
+}
+
+// sameRow reports whether column ca of row a and column cb of row b agree
+// in every flag and, by same, in every field.
+func sameRow(a *tapeRow, ca int, b *tapeRow, cb int, same func(x, y float64) bool) bool {
 	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
 	for i := 0; i < va.NumField(); i++ {
 		fa, fb := va.Field(i), vb.Field(i)
 		switch fa.Kind() {
-		case reflect.Float64:
-			if !same(fa.Float(), fb.Float()) {
+		case reflect.Array:
+			if !same(fa.Index(ca).Float(), fb.Index(cb).Float()) {
 				return false
 			}
-		case reflect.Bool:
-			if fa.Bool() != fb.Bool() {
+		case reflect.Uint8:
+			if fa.Uint()>>ca&1 != fb.Uint()>>cb&1 {
 				return false
 			}
 		default:
-			panic("stepTape field of unexpected kind " + fa.Kind().String())
+			panic("tapeRow field of unexpected kind " + fa.Kind().String())
 		}
 	}
 	return true
+}
+
+// laneString formats column c of a tape row, field by field.
+func laneString(tp *tapeRow, c int) string {
+	v := reflect.ValueOf(tp).Elem()
+	out := ""
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		out += v.Type().Field(i).Name + ":"
+		if f.Kind() == reflect.Array {
+			out += strconv.FormatFloat(f.Index(c).Float(), 'g', -1, 64) + " "
+		} else {
+			out += strconv.FormatBool(f.Uint()>>c&1 != 0) + " "
+		}
+	}
+	return out
 }
 
 // sameFloatBits reports whether x and y hold the same bits.
@@ -59,33 +80,33 @@ type laneBranches struct {
 	noCurrent, coldPack, powFallback           int
 }
 
-func (c *laneBranches) add(o *OTEM, tp *stepTape) {
+func (n *laneBranches) add(o *OTEM, tp *tapeRow, c int) {
 	r := &o.roll
-	ai := math.Abs(tp.cellI)
+	ai := math.Abs(tp.cellI[c])
 	flags := []struct {
 		hit bool
 		n   *int
 	}{
-		{tp.soePre < r.capMinSoE, &c.soeLow},
-		{tp.soeClampHi, &c.soeHigh},
-		{tp.socPre < r.battMinSoC, &c.socLow},
-		{tp.socClampHi, &c.socHigh},
-		{tp.bsClamped, &c.pmax},
-		{tp.overC6 > 0, &c.c6},
-		{tp.battDiscZero || tp.sBatt == 0, &c.battDiscZero},
-		{tp.capDiscZero || (r.capESR > 0 && tp.sCap == 0), &c.capDiscZero},
-		{tp.vcapClamped, &c.vcapClamp},
-		{tp.sagBranch, &c.sag},
-		{tp.capClamped, &c.capClamp},
-		{tp.tb1 > r.safeTemp, &c.overTemp},
-		{tp.battBus < 0, &c.regen},
-		{r.cell.Kr == 0, &c.noKr},
-		{o.trackSoC && o.trackTb, &c.tracking},
+		{tp.soePre[c] < r.capMinSoE, &n.soeLow},
+		{on(tp.soeClampHi, c), &n.soeHigh},
+		{tp.socPre[c] < r.battMinSoC, &n.socLow},
+		{on(tp.socClampHi, c), &n.socHigh},
+		{on(tp.bsClamped, c), &n.pmax},
+		{tp.overC6[c] > 0, &n.c6},
+		{on(tp.battDiscZero, c) || tp.sBatt[c] == 0, &n.battDiscZero},
+		{on(tp.capDiscZero, c) || (r.capESR > 0 && tp.sCap[c] == 0), &n.capDiscZero},
+		{on(tp.vcapClamped, c), &n.vcapClamp},
+		{on(tp.sagBranch, c), &n.sag},
+		{on(tp.capClamped, c), &n.capClamp},
+		{tp.tb1[c] > r.safeTemp, &n.overTemp},
+		{tp.battBus[c] < 0, &n.regen},
+		{r.cell.Kr == 0, &n.noKr},
+		{o.trackSoC && o.trackTb, &n.tracking},
 		// Eq. 5 does not age the cell, for either of its two reasons.
-		{floats.Zero(ai), &c.noCurrent},
-		{tp.tb0 <= 0, &c.coldPack},
+		{floats.Zero(ai), &n.noCurrent},
+		{tp.tb0[c] <= 0, &n.coldPack},
 		// The aging power law leaves its direct form for math.Pow.
-		{battery.Ages(ai, tp.tb0) && r.agingPow.LogArg(ai) != ai, &c.powFallback},
+		{battery.Ages(ai, tp.tb0[c]) && r.agingPow.LogArg(ai) != ai, &n.powFallback},
 	}
 	for _, f := range flags {
 		if f.hit {
@@ -98,7 +119,8 @@ func (c *laneBranches) add(o *OTEM, tp *stepTape) {
 // drawn wide enough to drive every clamp of the rollout: near-empty and
 // near-full storages, hot and cold packs, regen bursts, loads beyond the
 // pack's power and current limits, a cell without a temperature
-// correction, tracking terms (when tracking is set), and (as degenerate
+// correction, tracking terms of either reference or both (when tracking
+// is set; a quarter of such controllers track neither), and (as degenerate
 // model parameters) a zero open-circuit scale and a zero capacitor bus
 // voltage, whose discriminants come out exactly zero, a pack starting at
 // or below 0 K, where Eq. 5 does not age the cell, and an aging exponent
@@ -134,6 +156,14 @@ func laneScenario(t *testing.T, rng *rand.Rand, tracking bool) *OTEM {
 		for i := range ref.SoC {
 			ref.SoC[i] = 0.3 + 0.6*rng.Float64()
 			ref.TempK[i] = units.CToK(20 + 15*rng.Float64())
+		}
+		switch rng.Intn(4) {
+		case 0:
+			ref = nil
+		case 1:
+			ref.TempK = nil
+		case 2:
+			ref.SoC = nil
 		}
 		o.SetReference(ref)
 		o.stepAbs = rng.Intn(30)
@@ -213,7 +243,7 @@ func TestLockstepRolloutMatchesSingleLane(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + trial%laneBudget
 		lanes := packedLanes(t, rng, n, rng.Intn(3) == 0)
-		wantTape := make([][]stepTape, n)
+		wantTape := make([][]tapeRow, n)
 		wantCost := make([]float64, n)
 		for j, ln := range lanes {
 			wantTape[j], wantCost[j] = replayTape(ln.o, ln.z)
@@ -227,12 +257,16 @@ func TestLockstepRolloutMatchesSingleLane(t *testing.T) {
 			if lane := o.tapeLane(ln.z); lane < 0 || !sameVector(o.tapeZ[lane], ln.z) {
 				t.Fatalf("trial %d lane %d: tape not keyed by its z", trial, j)
 			}
+			if o.tapeOwner[ln.slot] != lanes[j&^3].o || o.tapeCol[ln.slot] != j&3 {
+				t.Fatalf("trial %d lane %d: recorded outside its group's column", trial, j)
+			}
+			tape, c := laneTape(o, ln.slot)
 			for k := range wantTape[j] {
-				got := &o.tapes[ln.slot][k]
-				if !sameRow(got, &wantTape[j][k], sameFloatBits) {
-					t.Fatalf("trial %d lane %d/%d step %d: tape row differs\n got %+v\nwant %+v", trial, j, n, k, *got, wantTape[j][k])
+				got := &tape[k]
+				if !sameRow(got, c, &wantTape[j][k], 0, sameFloatBits) {
+					t.Fatalf("trial %d lane %d/%d step %d: tape row differs\n got %s\nwant %s", trial, j, n, k, laneString(got, c), laneString(&wantTape[j][k], 0))
 				}
-				seen.add(o, got)
+				seen.add(o, got, c)
 			}
 		}
 	}
@@ -256,11 +290,11 @@ func TestAdjointReusesForwardExponentials(t *testing.T) {
 		cell := &o.roll.cell
 		for k := range tape {
 			tp := &tape[k]
-			z := units.Clamp(tp.soc0, 0, 1)
-			if got, want := cell.OCVPrimeFromExp(z, tp.ocvExp), cell.OCVPrime(tp.soc0); math.Float64bits(got) != math.Float64bits(want) {
+			z := units.Clamp(tp.soc0[0], 0, 1)
+			if got, want := cell.OCVPrimeFromExp(z, tp.ocvExp[0]), cell.OCVPrime(tp.soc0[0]); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("trial %d step %d: dVoc/dz from tape %v, OCVPrime %v", trial, k, got, want)
 			}
-			if got, want := cell.ResistancePrimeFromExp(tp.resZExp, tp.resTExp), cell.ResistancePrime(tp.soc0, tp.tb0); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := cell.ResistancePrimeFromExp(tp.resZExp[0], tp.resTExp[0]), cell.ResistancePrime(tp.soc0[0], tp.tb0[0]); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("trial %d step %d: dR/dz from tape %v, ResistancePrime %v", trial, k, got, want)
 			}
 		}

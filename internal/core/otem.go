@@ -164,23 +164,32 @@ type OTEM struct {
 	roll rollout
 	// forecast buffer padded to the horizon.
 	fc []float64
-	// tapes holds one set of adjoint-gradient intermediates (gradient.go)
-	// per tape slot: slot 0 serves plain objective evaluations, and a
-	// replan's speculative line-search trials fill up to slots of them (1,
-	// or maxSpec where vmath's vector exp is live). They are the scratch of
-	// every evaluation, so steady-state replans never allocate.
-	tapes [maxSpec][]stepTape
-	slots int
-	// tapeZ/tapeCost key each slot's tape by the decision vector and cost
-	// it was recorded at; tapeLanes counts the slots holding a recording
-	// of the current replan (0 after a capture). The line search always
-	// evaluates the objective at the accepted point immediately before the
-	// solver asks for its gradient, so the adjoint can skip its own
-	// forward pass by reading the slot whose z matches — bit-identical,
-	// since the tape rows are exactly what that forward pass would
-	// re-record.
+	// tape is this controller's group-major tape of adjoint-gradient
+	// intermediates (gradient.go), one row per horizon step. Its four
+	// columns are the lanes of a call's group of four whose first lane is
+	// this controller's: its own trials from there on, then other
+	// controllers' lanes packed beside them. tapeGen counts the calls that
+	// wrote it. It is the scratch of every evaluation, so steady-state
+	// replans never allocate.
+	tape    []tapeRow
+	tapeGen uint64
+	// slots is the number of speculation slots a replan fills: 1, or
+	// maxSpec where vmath's vector exp is live. tapeZ/tapeCost key each
+	// slot by the decision vector and cost it was evaluated at, and
+	// tapeOwner/tapeCol/tapeGenAt name the tape column that recorded it
+	// and that tape's generation then. tapeLanes counts the slots of the
+	// last call this controller's lanes ran in (0 after a capture). The
+	// line search always evaluates the objective at the accepted point
+	// immediately before the solver asks for its gradient, so the adjoint
+	// can skip its own forward pass by reading the slot whose z matches —
+	// bit-identical, since the column is exactly what that forward pass
+	// would re-record — as long as no later call wrote the tape.
+	slots     int
 	tapeZ     [maxSpec][]float64
 	tapeCost  [maxSpec]float64
+	tapeOwner [maxSpec]*OTEM
+	tapeCol   [maxSpec]int
+	tapeGenAt [maxSpec]uint64
 	tapeLanes int
 
 	// objFn/gradFn are the planner callbacks, bound once at construction
@@ -191,12 +200,11 @@ type OTEM struct {
 	// State of a replan in a lockstep group (group.go): replanning from
 	// beginReplan to endReplan, solving until the planner is done (started
 	// records whether it began at all), the class leader whose Config this
-	// controller's trials pack with, the trials asked of the planner this
-	// round and the budget of the next Ask. stats is the leader's count of
-	// its packing work.
+	// controller's trials pack with and the budget of the next Ask. stats
+	// is the leader's count of its packing work.
 	replanning, solving, started bool
 	lead                         *OTEM
-	asked, budget                int
+	budget                       int
 	stats                        packStats
 
 	// Outer-layer reference tracking (reference.go). ref is the installed
@@ -246,12 +254,12 @@ func New(cfg Config) (*OTEM, error) {
 	if vmath.Live() {
 		o.slots = maxSpec
 	}
-	// One backing array each for the slots' tapes and keys, so extra slots
-	// add no allocations.
-	h, dim := cfg.Horizon, planner.Spec().Dim()
-	rows, keys := make([]stepTape, o.slots*h), make([]float64, o.slots*dim)
+	// One backing array for the slots' keys, so extra slots add no
+	// allocations.
+	dim := planner.Spec().Dim()
+	o.tape = make([]tapeRow, cfg.Horizon)
+	keys := make([]float64, o.slots*dim)
 	for j := 0; j < o.slots; j++ {
-		o.tapes[j] = rows[j*h : (j+1)*h : (j+1)*h]
 		o.tapeZ[j] = keys[j*dim : (j+1)*dim : (j+1)*dim]
 	}
 	o.objFn = o.objective
@@ -380,19 +388,19 @@ func (o *OTEM) endReplan() {
 }
 
 // objective is the single-shooting cost of the blocked decision vector z:
-// a one-lane forward pass into tape slot 0 (gradient.go has the rollout
-// and the adjoint).
+// a one-lane forward pass into slot 0, column 0 of the controller's own
+// tape (gradient.go has the rollout and the adjoint).
 func (o *OTEM) objective(z []float64) float64 {
 	lane := [1]fwdLane{{o: o, z: z}}
 	objectiveFwd(lane[:])
 	return o.tapeCost[0]
 }
 
-// tapeLane returns the slot whose tape was recorded at exactly this z in
-// the current replan, or -1.
+// tapeLane returns the slot recorded at exactly this z in the current
+// replan whose tape column no later call has overwritten, or -1.
 func (o *OTEM) tapeLane(z []float64) int {
 	for j := 0; j < o.tapeLanes; j++ {
-		if sameVector(o.tapeZ[j], z) {
+		if o.tapeOwner[j].tapeGen == o.tapeGenAt[j] && sameVector(o.tapeZ[j], z) {
 			return j
 		}
 	}

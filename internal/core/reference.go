@@ -156,28 +156,28 @@ func (o *OTEM) PlanTrip(p *sim.Plant, forecast []float64, traj *Trajectory) ([]f
 		return o.plan, nil
 	}
 	// The solver's last objective evaluation is usually the accepted
-	// point, so a slot's tape already holds this rollout; otherwise replay
-	// the forward pass at the final plan (same cost path as the line
-	// search).
+	// point, so a slot's tape column already holds this rollout; otherwise
+	// replay the forward pass at the final plan (same cost path as the
+	// line search).
 	lane := o.tapeLane(o.plan)
 	if lane < 0 {
 		o.objective(o.plan)
 		lane = 0
 	}
-	tape := o.tapes[lane][:h]
+	tape, c := o.tapeOwner[lane].tape[:h], o.tapeCol[lane]&3
 	for k := 0; k < h; k++ {
 		tp := &tape[k]
-		soc, soe := tp.socPre, tp.soePre
-		if tp.socClampHi {
+		soc, soe := tp.socPre[c], tp.soePre[c]
+		if on(tp.socClampHi, c) {
 			soc = 1
 		}
-		if tp.soeClampHi {
+		if on(tp.soeClampHi, c) {
 			soe = 1
 		}
 		traj.SoC[k] = soc
 		traj.SoE[k] = soe
-		traj.BatteryTempK[k] = tp.tb1
-		traj.CoolantTempK[k] = tp.tc1
+		traj.BatteryTempK[k] = tp.tb1[c]
+		traj.CoolantTempK[k] = tp.tc1[c]
 	}
 	return o.plan, nil
 }

@@ -214,15 +214,15 @@ func TestPlanTripTrajectoryMatchesRollout(t *testing.T) {
 	// Replay the rollout independently and compare the extracted states.
 	tape, _ := replayTape(o, plan)
 	for k := 0; k < 16; k++ {
-		wantSoC, wantSoE := tape[k].socPre, tape[k].soePre
-		if tape[k].socClampHi {
+		wantSoC, wantSoE := tape[k].socPre[0], tape[k].soePre[0]
+		if on(tape[k].socClampHi, 0) {
 			wantSoC = 1
 		}
-		if tape[k].soeClampHi {
+		if on(tape[k].soeClampHi, 0) {
 			wantSoE = 1
 		}
 		if traj.SoC[k] != wantSoC || traj.SoE[k] != wantSoE ||
-			traj.BatteryTempK[k] != tape[k].tb1 || traj.CoolantTempK[k] != tape[k].tc1 {
+			traj.BatteryTempK[k] != tape[k].tb1[0] || traj.CoolantTempK[k] != tape[k].tc1[0] {
 			t.Fatalf("step %d: trajectory does not match rollout tape", k)
 		}
 	}

@@ -15,29 +15,32 @@ func useKernel() bool { return vmath.Live() }
 // laneGroup is four lanes of a lockstep rollout laid out for the state
 // sweep's vector kernel: one [4] array per quantity, lane j at index j.
 // A group of fewer than four lanes is padded with copies of its first
-// lane, which compute that lane's values and store them to its own rows.
+// lane, which compute that lane's values into the group's spare columns.
 type laneGroup struct {
-	// Per lane: slot 0 of its tape, its decision vector and its padded
-	// forecast.
-	tape [4]*stepTape
-	z    [4]*float64
-	fc   [4]*float64
+	// Row 0 of the group's tape, and per lane its decision vector, its
+	// padded forecast and its reference windows.
+	tape          *tapeRow
+	z             [4]*float64
+	fc            [4]*float64
+	refSoC, refTb [4]*float64
 
-	// The carried plant state.
+	// The carried plant state and the running cost.
 	soc, soe, tb, tc [4]float64
+	cost             [4]float64
 
-	// The step's state exponentials, Eq. 2's at e[0:4] and Eq. 3's at
-	// e[4:8] and e[8:12], and what one stage hands a later one beyond the
-	// registers.
-	e                        [12]float64
-	pcool, qx, capBus, cellR [4]float64
+	// The arguments of the step's state exponentials, Eq. 2's at e[0:4]
+	// and Eq. 3's at e[4:8] and e[8:12], where the kernel hands a step
+	// back to Go.
+	e [12]float64
 
 	// The horizon, the blocked-input cursor (sweep's bs, mIn and lastBase;
-	// base and nextBlockAt carry across a return to the caller), and
-	// whether the next call resumes a step after its exponentials.
+	// base and nextBlockAt carry across a return to the caller), whether
+	// the next call resumes a step after its exponentials, and whether
+	// any lane tracks a reference.
 	horizon, bs, mIn, lastBase int
 	base, nextBlockAt          int
 	resume                     int
+	track                      int
 
 	// The captured plants' constants, each formed exactly as the portable
 	// stages form it (a product like 4·capESR rounds the same once as at
@@ -67,11 +70,22 @@ type laneGroup struct {
 	agL0, agNegL1, powYf [4]float64
 	powDirect            [4]uint64
 
+	// The cost terms' constants, as laneCost forms them: the penalty
+	// windows and weights, the temperature-pressure weight over the
+	// horizon, the heat capacities and their sum, the Eq. 19 weights and
+	// the tracking weights behind masks of the lanes that track.
+	capMinSoE, battMinSoC, safeTemp, targetTemp [4]float64
+	stateWeight, safeTempWeight, pressureWeight [4]float64
+	battHeatCap, coolHeatCap, heatCapSum        [4]float64
+	w1, w2, w3                                  [4]float64
+	socRefWeight, tbRefWeight                   [4]float64
+	trackSoC, trackTb                           [4]uint64
+
 	// agingMiss has bit j set once a row of lane j needed Eq. 5 where the
 	// kernel's form does not reproduce it: a base outside the power law's
 	// direct form, a product beyond its exact range or an Arrhenius
 	// argument beyond the vector exp's. The caller records that lane's
-	// rates again with agingSweep.
+	// rates again with agingSweep, and its cost with laneCost.
 	agingMiss uint64
 }
 
@@ -83,10 +97,12 @@ func mask(on bool) uint64 {
 	return 0
 }
 
-// setLane fills lane j's state and constants from its captured plant r.
-func (g *laneGroup) setLane(j int, r *rollout, st *laneState, capPowerScale float64) {
+// setLane fills lane j's state and constants from its controller's
+// captured plant, Config and tracking flags.
+func (g *laneGroup) setLane(j int, o *OTEM, st *laneState) {
+	r, cfg := &o.roll, &o.cfg
 	g.soc[j], g.soe[j], g.tb[j], g.tc[j] = st.soc, st.soe, st.tb, st.tc
-	g.capPowerScale[j] = capPowerScale
+	g.capPowerScale[j] = cfg.CapPowerScale
 	g.coolP[j], g.coolEff[j], g.coolerMax[j] = r.coolerMax+r.pump, r.coolEff, r.coolerMax
 	g.capBusV[j], g.vcapFloor[j] = r.capBusV, r.capBusV*math.Sqrt(1e-6)
 	g.capESR[j], g.capESR2[j], g.capESR4[j] = r.capESR, 2*r.capESR, 4*r.capESR
@@ -113,17 +129,31 @@ func (g *laneGroup) setLane(j int, r *rollout, st *laneState, capPowerScale floa
 	g.i00[j], g.i01[j], g.i10[j], g.i11[j] = cn.i00, cn.i01, cn.i10, cn.i11
 	yf, direct := r.agingPow.Direct()
 	g.agL0[j], g.agNegL1[j], g.powYf[j], g.powDirect[j] = cell.L[0], -cell.L[1], yf, mask(direct)
+	g.capMinSoE[j], g.battMinSoC[j], g.safeTemp[j], g.targetTemp[j] = r.capMinSoE, r.battMinSoC, r.safeTemp, cfg.TargetTemp
+	g.stateWeight[j], g.safeTempWeight[j] = cfg.StateWeight, cfg.SafeTempWeight
+	g.pressureWeight[j] = cfg.TempPressureWeight / float64(cfg.Horizon)
+	g.battHeatCap[j], g.coolHeatCap[j], g.heatCapSum[j] = r.battHeatCap, r.coolHeatCap, r.battHeatCap+r.coolHeatCap
+	g.w1[j], g.w2[j], g.w3[j] = cfg.W1, cfg.W2, cfg.W3
+	g.socRefWeight[j], g.tbRefWeight[j] = cfg.SoCRefWeight, cfg.TempRefWeight
+	g.trackSoC[j], g.trackTb[j] = mask(o.trackSoC), mask(o.trackTb)
+	if o.trackSoC || o.trackTb {
+		g.track = 1
+	}
 }
 
 // sweepKernel is the state sweep of lanes 0 to n−1 on the vector kernel,
-// their aging rates included: the lanes run in groups of four, each group
-// through the whole horizon in one sweepGroup call. A call returns early
-// only at a step whose exponentials its vector exp cannot take; math.Exp
-// evaluates them there and the call resumes. A lane whose aging the
-// kernel could not finish has it recorded again by agingSweep.
+// their aging rates and costs included: the lanes run in groups of four,
+// each group through the whole horizon in one sweepGroup call. A call
+// returns early only at a step whose exponentials its vector exp cannot
+// take; math.Exp evaluates them there, into the step's row, and the call
+// resumes. A lane whose aging the kernel could not finish has it recorded
+// again by agingSweep and its cost added again by laneCost.
 func (s *sweep) sweepKernel(n int) {
 	var g laneGroup
 	for l0 := 0; l0 < n; l0 += 4 {
+		tape := s.tapes[l0>>2]
+		g.tape = &tape[0]
+		g.track = 0
 		for j := 0; j < 4; j++ {
 			l := l0 + j
 			if l >= n {
@@ -133,23 +163,31 @@ func (s *sweep) sweepKernel(n int) {
 			// counts as a store to the heap, which would make the lanes
 			// escape.
 			ln := &s.lanes[l]
-			g.tape[j], g.z[j], g.fc[j] = &s.tapes[l][0], &ln.z[0], &ln.o.fc[0]
-			g.setLane(j, s.rs[l], &s.st[l], s.capPowerScale)
+			o := ln.o
+			g.z[j], g.fc[j], g.refSoC[j], g.refTb[j] = &ln.z[0], &o.fc[0], &o.refSoC[0], &o.refTb[0]
+			g.setLane(j, o, &s.st[l])
 		}
 		g.horizon, g.bs, g.mIn, g.lastBase = s.horizon, s.bs, s.mIn, s.lastBase
 		g.base, g.nextBlockAt, g.resume, g.agingMiss = 0, s.bs, 0, 0
+		g.cost = [4]float64{}
 		for k := sweepGroup(&g, 0); k < s.horizon; k = sweepGroup(&g, k) {
 			// A lane's exponential argument at step k is not finite or
 			// beyond the vector exp's range.
-			for i := range g.e {
-				g.e[i] = math.Exp(g.e[i])
+			row := &tape[k]
+			for j := range row.ocvExp {
+				row.ocvExp[j] = math.Exp(g.e[j])
+				row.resZExp[j] = math.Exp(g.e[4+j])
+				row.resTExp[j] = math.Exp(g.e[8+j])
 			}
 			g.resume = 1
 		}
 		for j := 0; j < 4 && l0+j < n; j++ {
-			s.st[l0+j] = laneState{soc: g.soc[j], soe: g.soe[j], tb: g.tb[j], tc: g.tc[j]}
+			l := l0 + j
+			s.st[l] = laneState{soc: g.soc[j], soe: g.soe[j], tb: g.tb[j], tc: g.tc[j]}
+			s.cost[l] = g.cost[j]
 			if g.agingMiss&(1<<j) != 0 {
-				agingSweep(s.rs[l0+j], s.tapes[l0+j])
+				agingSweep(s.rs[l], tape, j)
+				s.cost[l] = s.lanes[l].o.laneCost(tape, j)
 			}
 		}
 	}
@@ -158,14 +196,15 @@ func (s *sweep) sweepKernel(n int) {
 // sweepGroup runs the state sweep of the four lanes of lg from step k on
 // and returns the horizon, or the step whose exponentials it could not
 // take: lg.e then holds their twelve arguments, Eq. 2's at e[0:4] and
-// Eq. 3's at e[4:8] and e[8:12], and the caller overwrites them with
-// their exponentials, sets lg.resume and calls again at that step. Each
-// step records the lanes' tape rows, their Eq. 5 aging rates included, and
-// carries their state in lg, in the stages of DESIGN.md §10; the
-// exponentials and the aging law's logarithm are vmath's exp4AVX and
-// log4AVX inlined, op for op. Every comparison takes the branch the
-// portable stage takes on every input, NaN included. Rows whose aging
-// rate the kernel's form does not reproduce are flagged in lg.agingMiss.
+// Eq. 3's at e[4:8] and e[8:12], and the caller writes their
+// exponentials into the step's row, sets lg.resume and calls again at
+// that step. Each step records the group's tape row, the lanes' Eq. 5
+// aging rates included, adds the lanes' cost terms to lg.cost and carries
+// their state in lg, in the stages of DESIGN.md §10; the exponentials and
+// the aging law's logarithm are vmath's exp4AVX and log4AVX inlined, op
+// for op. Every comparison takes the branch the portable stage takes on
+// every input, NaN included. Lanes with a row whose aging rate the
+// kernel's form does not reproduce are flagged in lg.agingMiss.
 //
 //go:noescape
 func sweepGroup(lg *laneGroup, k int) int

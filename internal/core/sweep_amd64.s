@@ -21,11 +21,13 @@
 // normal bases.
 //
 // One call runs the whole horizon for one group of four lanes: the group
-// at DI, the step's tape rows at R8–R11, Y0–Y11 and the scatter scratch
-// X14, with the step in BX. The capacitor stages (1–4) do not read the
+// at DI, the step's tape row at R8, Y0–Y11 and the running cost in Y12,
+// with the step in BX. The capacitor stages (1–4) do not read the
 // battery's state, so step k+1's capacitor chain overlaps step k's battery
-// chain in the out-of-order window. Results go to each lane's tape row at
-// the stepTape_* offsets of go_asm.h.
+// chain in the out-of-order window. The tape is group-major: a row holds
+// each field of the four lanes as one [4]float64 at the tapeRow_* offsets
+// of go_asm.h, stored with one VMOVUPD, and each flag as a 4-bit lane
+// mask, stored as one byte from VMOVMSKPD.
 
 #include "go_asm.h"
 #include "textflag.h"
@@ -44,6 +46,8 @@ BCAST4(sweepFour, 4.0)
 BCAST4(sweepSag, 0.97)
 BCAST4(sweepPmax, 0.98)
 BCAST4(sweepSoEFloor, 1.0e-6)
+BCAST4(sweep1e3, 1.0e3)
+BCAST4(sweep1e6, 1.0e6)
 
 // vmath's exp4AVX constants.
 #define LOG2E 1.4426950408889634073599246810018920
@@ -122,50 +126,23 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 #define GE $0x1d
 #define GT $0x1e
 
-// ROWS points R0–R3 at the four tape rows of step BX of the lanes of
-// block B.
-#define ROWS(B, R0, R1, R2, R3) \
+// ROW points R8 at the tape row of step BX of the group at DI.
+#define ROW \
 	MOVQ  BX, AX; \
-	IMULQ $stepTape__size, AX; \
-	MOVQ  laneGroup_tape+0(B), R0; \
-	ADDQ  AX, R0; \
-	MOVQ  laneGroup_tape+8(B), R1; \
-	ADDQ  AX, R1; \
-	MOVQ  laneGroup_tape+16(B), R2; \
-	ADDQ  AX, R2; \
-	MOVQ  laneGroup_tape+24(B), R3; \
-	ADDQ  AX, R3
+	IMULQ $tapeRow__size, AX; \
+	MOVQ  laneGroup_tape(DI), R8; \
+	ADDQ  AX, R8
 
-// PUT stores the four lanes of Y (low half X) to field off of rows R0–R3,
-// through the xmm scratch S.
-#define PUT(Y, X, off, R0, R1, R2, R3, S) \
-	VMOVSD       X, off(R0); \
-	VMOVHPD      X, off(R1); \
-	VEXTRACTF128 $1, Y, S; \
-	VMOVSD       S, off(R2); \
-	VMOVHPD      S, off(R3)
-
-// BITS stores bit j of AX as the bool at off of row Rj.
-#define BITS(off, R0, R1, R2, R3) \
-	BTL   $0, AX; \
-	SETCS off(R0); \
-	BTL   $1, AX; \
-	SETCS off(R1); \
-	BTL   $2, AX; \
-	SETCS off(R2); \
-	BTL   $3, AX; \
-	SETCS off(R3)
-
-// FLAG stores the lanes of mask M as a bool field; NFLAG stores their
-// complement.
-#define FLAG(M, off, R0, R1, R2, R3) \
+// FLAG stores the lanes of mask M as the lane-mask flag at off of the
+// row; NFLAG stores their complement.
+#define FLAG(M, off) \
 	VMOVMSKPD M, AX; \
-	BITS(off, R0, R1, R2, R3)
+	MOVB      AX, off(R8)
 
-#define NFLAG(M, off, R0, R1, R2, R3) \
+#define NFLAG(M, off) \
 	VMOVMSKPD M, AX; \
 	XORL      $15, AX; \
-	BITS(off, R0, R1, R2, R3)
+	MOVB      AX, off(R8)
 
 // CLAMP01 clamps X to [0, 1] as units.Clamp does (NaN passes through),
 // given ONE and ZERO; T is scratch.
@@ -282,21 +259,21 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VCMPPD LT, expLimit<>(SB), T, T; \
 	VANDPD T, M, M
 
-// The stages of one step for the four lanes of the group at DI, whose rows
-// of the step R8–R11 point at, with X14 the xmm scratch of PUT and Y0–Y11
-// the ymm registers they use. A stage hands the next one values in the
-// registers noted under each and everything else through the group.
+// The stages of one step for the four lanes of the group at DI, whose row
+// of the step R8 points at, with Y0–Y11 the ymm registers they use. A
+// stage hands the next one values in the registers noted under each and
+// everything else through the row or the group.
 
 // EXPARGS: the tape head, and the arguments of Eq. 2's and Eq. 3's
 // exponentials, V[1]·z, R[1]·z and Kr·(1/T − 1/Tref) (0 without a
-// temperature correction or at T ≤ 0) at z = clamp(soc, 0, 1), stored to
-// lg.e. Leaves them in Y2, Y3, Y4 and the lanes all three of whose
-// arguments the vector exp takes in Y0.
+// temperature correction or at T ≤ 0) at z = clamp(soc, 0, 1). Leaves them
+// in Y2, Y3, Y4 and the lanes all three of whose arguments the vector exp
+// takes in Y0.
 #define EXPARGS \
 	VMOVUPD   laneGroup_soc(DI), Y0; \
-	PUT(Y0, X0, stepTape_soc0, R8, R9, R10, R11, X14); \
+	VMOVUPD   Y0, tapeRow_soc0(R8); \
 	VMOVUPD   laneGroup_tb(DI), Y1; \
-	PUT(Y1, X1, stepTape_tb0, R8, R9, R10, R11, X14); \
+	VMOVUPD   Y1, tapeRow_tb0(R8); \
 	VMOVUPD   sweepOne<>(SB), Y5; \
 	VXORPD    Y6, Y6, Y6; \
 	CLAMP01(Y0, Y5, Y6, Y4); \
@@ -309,23 +286,20 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VCMPPD    LE, Y6, Y1, Y0; \
 	VORPD     laneGroup_krOff(DI), Y0, Y0; \
 	VBLENDVPD Y0, Y6, Y4, Y4; \
-	VMOVUPD   Y2, laneGroup_e+0(DI); \
-	VMOVUPD   Y3, laneGroup_e+32(DI); \
-	VMOVUPD   Y4, laneGroup_e+64(DI); \
 	VCMPPD    $0x0f, Y5, Y5, Y0; \
 	INRANGE(Y2, Y0, Y1); \
 	INRANGE(Y3, Y0, Y1); \
 	INRANGE(Y4, Y0, Y1)
 
 // EXPS: the exponentials of the arguments EXPARGS left in Y2, Y3 and Y4,
-// stored over them in lg.e.
+// stored to the row's ocvExp, resZExp and resTExp.
 #define EXPS \
 	EXP(Y2, Y0, Y1, X1, Y5); \
-	VMOVUPD   Y2, laneGroup_e+0(DI); \
+	VMOVUPD   Y2, tapeRow_ocvExp(R8); \
 	EXP(Y3, Y0, Y1, X1, Y5); \
-	VMOVUPD   Y3, laneGroup_e+32(DI); \
+	VMOVUPD   Y3, tapeRow_resZExp(R8); \
 	EXP(Y4, Y0, Y1, X1, Y5); \
-	VMOVUPD   Y4, laneGroup_e+64(DI)
+	VMOVUPD   Y4, tapeRow_resTExp(R8)
 
 // CAP1 (stage 1): each lane's (capU, coolU) = z[base:base+2] (base
 // is lg's blocked-input cursor), pcool = coolU·(coolerMax +
@@ -345,23 +319,21 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VUNPCKHPD   Y1, Y0, Y2; \
 	VUNPCKLPD   Y1, Y0, Y0; \
 	VMOVUPD     laneGroup_soe(DI), Y1; \
-	PUT(Y1, X1, stepTape_soe0, R8, R9, R10, R11, X14); \
+	VMOVUPD     Y1, tapeRow_soe0(R8); \
 	VMULPD      laneGroup_coolP(DI), Y2, Y3; \
-	VMOVUPD     Y3, laneGroup_pcool(DI); \
-	PUT(Y3, X3, stepTape_pcool, R8, R9, R10, R11, X14); \
+	VMOVUPD     Y3, tapeRow_pcool(R8); \
 	VXORPD      sweepSign<>(SB), Y2, Y2; \
 	VMULPD      laneGroup_coolEff(DI), Y2, Y2; \
 	VMULPD      laneGroup_coolerMax(DI), Y2, Y2; \
-	VMOVUPD     Y2, laneGroup_qx(DI); \
-	PUT(Y2, X2, stepTape_qx, R8, R9, R10, R11, X14); \
+	VMOVUPD     Y2, tapeRow_qx(R8); \
 	VSQRTPD     Y1, Y2; \
 	VMOVUPD     laneGroup_capBusV(DI), Y3; \
 	VMULPD      Y2, Y3, Y2; \
 	VCMPPD      GT, sweepSoEFloor<>(SB), Y1, Y3; \
 	VMOVUPD     laneGroup_vcapFloor(DI), Y4; \
 	VBLENDVPD   Y3, Y2, Y4, Y2; \
-	PUT(Y2, X2, stepTape_vcap, R8, R9, R10, R11, X14); \
-	NFLAG(Y3, stepTape_vcapClamped, R8, R9, R10, R11)
+	VMOVUPD     Y2, tapeRow_vcap(R8); \
+	NFLAG(Y3, tapeRow_vcapClamped)
 
 // CAP2 (stage 2): the sag limit 0.97·v·v/(4·capESR) where capESR > 0 and
 // below capC7; η; capBus = min(capU·scale, (capMax − idle)·η); the
@@ -375,20 +347,19 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VCMPPD    LT, Y4, Y3, Y5; \
 	VANDPD    laneGroup_escOn(DI), Y5, Y5; \
 	VBLENDVPD Y5, Y3, Y4, Y3; \
-	PUT(Y3, X3, stepTape_capMax, R8, R9, R10, R11, X14); \
-	FLAG(Y5, stepTape_sagBranch, R8, R9, R10, R11); \
+	VMOVUPD   Y3, tapeRow_capMax(R8); \
+	FLAG(Y5, tapeRow_sagBranch); \
 	ETA(DI, Y2, laneGroup_ccNom, laneGroup_ccDroop, laneGroup_ccPeak, laneGroup_ccMin, Y4, Y5, Y6, Y1); \
-	PUT(Y4, X4, stepTape_etaCapBus, R8, R9, R10, R11, X14); \
-	NFLAG(Y5, stepTape_etaCapBusP, R8, R9, R10, R11); \
+	VMOVUPD   Y4, tapeRow_etaCapBus(R8); \
+	NFLAG(Y5, tapeRow_etaCapBusP); \
 	VSUBPD    laneGroup_ccIdle(DI), Y3, Y3; \
 	VMULPD    Y4, Y3, Y3; \
 	VMOVUPD   laneGroup_capPowerScale(DI), Y5; \
 	VMULPD    Y5, Y0, Y0; \
 	VCMPPD    GT, Y3, Y0, Y5; \
 	VBLENDVPD Y5, Y3, Y0, Y0; \
-	VMOVUPD   Y0, laneGroup_capBus(DI); \
-	PUT(Y0, X0, stepTape_capBus, R8, R9, R10, R11, X14); \
-	FLAG(Y5, stepTape_capClamped, R8, R9, R10, R11); \
+	VMOVUPD   Y0, tapeRow_capBus(R8); \
+	FLAG(Y5, tapeRow_capClamped); \
 	VDIVPD    Y4, Y0, Y3; \
 	VMULPD    Y4, Y0, Y5; \
 	VXORPD    Y6, Y6, Y6; \
@@ -410,16 +381,16 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VSQRTPD   Y4, Y4; \
 	VMOVUPD   laneGroup_escOn(DI), Y1; \
 	VANDPD    Y1, Y5, Y5; \
-	FLAG(Y5, stepTape_capDiscZero, R8, R9, R10, R11); \
+	FLAG(Y5, tapeRow_capDiscZero); \
 	VSUBPD    Y4, Y2, Y5; \
 	VDIVPD    laneGroup_capESR2(DI), Y5, Y5; \
 	VANDPD    Y1, Y4, Y4; \
-	PUT(Y4, X4, stepTape_sCap, R8, R9, R10, R11, X14); \
+	VMOVUPD   Y4, tapeRow_sCap(R8); \
 	VDIVPD    Y2, Y3, Y4; \
 	VCMPPD    GT, Y6, Y2, Y0; \
 	VANDPD    Y0, Y4, Y4; \
 	VBLENDVPD Y1, Y5, Y4, Y4; \
-	PUT(Y4, X4, stepTape_capI, R8, R9, R10, R11, X14)
+	VMOVUPD   Y4, tapeRow_capI(R8)
 
 // CAP4 (stage 4): dEcap = (capStorage + capI·capI·capESR)·dt, soePre =
 // soe − dEcap/capEnergy, and the SoE clamped at 1 into lg.
@@ -428,21 +399,20 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VMULPD    laneGroup_capESR(DI), Y5, Y5; \
 	VADDPD    Y5, Y3, Y5; \
 	VMULPD    laneGroup_dt(DI), Y5, Y5; \
-	PUT(Y5, X5, stepTape_dEcap, R8, R9, R10, R11, X14); \
+	VMOVUPD   Y5, tapeRow_dEcap(R8); \
 	VDIVPD    laneGroup_capEnergy(DI), Y5, Y5; \
 	VMOVUPD   laneGroup_soe(DI), Y1; \
 	VSUBPD    Y5, Y1, Y1; \
-	PUT(Y1, X1, stepTape_soePre, R8, R9, R10, R11, X14); \
+	VMOVUPD   Y1, tapeRow_soePre(R8); \
 	VMOVUPD   sweepOne<>(SB), Y5; \
 	VCMPPD    GT, Y5, Y1, Y0; \
 	VBLENDVPD Y0, Y5, Y1, Y1; \
 	VMOVUPD   Y1, laneGroup_soe(DI); \
-	FLAG(Y0, stepTape_soeClampHi, R8, R9, R10, R11)
+	FLAG(Y0, tapeRow_soeClampHi)
 
 // BAT1 (stage 6): battBus = load + pcool − capBus; the exponentials from
-// lg.e; cellR = (R[0]·ez + R[2])·et, kept in lg, and res; voc =
-// scale·OCVFromExp(z, e), left to right. Hands on battBus in Y0, voc in Y1
-// and res in Y3.
+// the row; cellR = (R[0]·ez + R[2])·et and res; voc = scale·OCVFromExp(z,
+// e), left to right. Hands on battBus in Y0, voc in Y1 and res in Y3.
 #define BAT1 \
 	MOVQ        laneGroup_fc+0(DI), CX; \
 	VMOVSD      (CX)(BX*8), X0; \
@@ -453,24 +423,20 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	MOVQ        laneGroup_fc+24(DI), CX; \
 	VMOVHPD     (CX)(BX*8), X1, X1; \
 	VINSERTF128 $1, X1, Y0, Y0; \
-	VADDPD      laneGroup_pcool(DI), Y0, Y0; \
-	VSUBPD      laneGroup_capBus(DI), Y0, Y0; \
-	PUT(Y0, X0, stepTape_battBus, R8, R9, R10, R11, X14); \
-	VMOVUPD     laneGroup_e+0(DI), Y1; \
-	PUT(Y1, X1, stepTape_ocvExp, R8, R9, R10, R11, X14); \
-	VMOVUPD     laneGroup_e+32(DI), Y2; \
-	PUT(Y2, X2, stepTape_resZExp, R8, R9, R10, R11, X14); \
-	VMOVUPD     laneGroup_e+64(DI), Y3; \
-	PUT(Y3, X3, stepTape_resTExp, R8, R9, R10, R11, X14); \
+	VADDPD      tapeRow_pcool(R8), Y0, Y0; \
+	VSUBPD      tapeRow_capBus(R8), Y0, Y0; \
+	VMOVUPD     Y0, tapeRow_battBus(R8); \
+	VMOVUPD     tapeRow_ocvExp(R8), Y1; \
+	VMOVUPD     tapeRow_resZExp(R8), Y2; \
+	VMOVUPD     tapeRow_resTExp(R8), Y3; \
 	VMOVUPD     laneGroup_r0(DI), Y4; \
 	VMULPD      Y2, Y4, Y2; \
 	VADDPD      laneGroup_r2(DI), Y2, Y2; \
 	VMULPD      Y3, Y2, Y2; \
-	VMOVUPD     Y2, laneGroup_cellR(DI); \
-	PUT(Y2, X2, stepTape_cellR, R8, R9, R10, R11, X14); \
+	VMOVUPD     Y2, tapeRow_cellR(R8); \
 	VMOVUPD     laneGroup_resScale(DI), Y3; \
 	VMULPD      Y2, Y3, Y3; \
-	PUT(Y3, X3, stepTape_res, R8, R9, R10, R11, X14); \
+	VMOVUPD     Y3, tapeRow_res(R8); \
 	VMOVUPD     sweepOne<>(SB), Y5; \
 	VXORPD      Y6, Y6, Y6; \
 	VMOVUPD     laneGroup_soc(DI), Y4; \
@@ -495,7 +461,7 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VADDPD      laneGroup_v6(DI), Y1, Y1; \
 	VMOVUPD     laneGroup_ocvScale(DI), Y5; \
 	VMULPD      Y1, Y5, Y1; \
-	PUT(Y1, X1, stepTape_voc, R8, R9, R10, R11, X14)
+	VMOVUPD     Y1, tapeRow_voc(R8)
 
 // BAT2 (stage 6): η at voc; bsPre = battBus/η + idle where battBus ≥ 0,
 // else battBus·η + idle; pmax = voc·voc/(4·res)·0.98. Hands on voc·voc in
@@ -503,21 +469,21 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 // in Y6.
 #define BAT2 \
 	ETA(DI, Y1, laneGroup_bcNom, laneGroup_bcDroop, laneGroup_bcPeak, laneGroup_bcMin, Y4, Y2, Y5, Y6); \
-	PUT(Y4, X4, stepTape_etaBatt, R8, R9, R10, R11, X14); \
-	NFLAG(Y2, stepTape_etaBattP, R8, R9, R10, R11); \
+	VMOVUPD   Y4, tapeRow_etaBatt(R8); \
+	NFLAG(Y2, tapeRow_etaBattP); \
 	VDIVPD    Y4, Y0, Y2; \
 	VMULPD    Y4, Y0, Y5; \
 	VXORPD    Y6, Y6, Y6; \
 	VCMPPD    GE, Y6, Y0, Y4; \
 	VBLENDVPD Y4, Y2, Y5, Y2; \
 	VADDPD    laneGroup_bcIdle(DI), Y2, Y2; \
-	PUT(Y2, X2, stepTape_bsPre, R8, R9, R10, R11, X14); \
+	VMOVUPD   Y2, tapeRow_bsPre(R8); \
 	VMULPD    Y1, Y1, Y0; \
 	VMOVUPD   sweepFour<>(SB), Y5; \
 	VMULPD    Y3, Y5, Y5; \
 	VDIVPD    Y5, Y0, Y4; \
 	VMULPD    sweepPmax<>(SB), Y4, Y4; \
-	PUT(Y4, X4, stepTape_pmax, R8, R9, R10, R11, X14)
+	VMOVUPD   Y4, tapeRow_pmax(R8)
 
 // BAT3 (stage 7): battStorage = pmax where bsPre > pmax; the discriminant
 // voc·voc − 4·res·battStorage clamped at 0, its square root and i =
@@ -525,21 +491,21 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 #define BAT3 \
 	VCMPPD    GT, Y4, Y2, Y6; \
 	VBLENDVPD Y6, Y4, Y2, Y2; \
-	PUT(Y2, X2, stepTape_battStorage, R8, R9, R10, R11, X14); \
-	FLAG(Y6, stepTape_bsClamped, R8, R9, R10, R11); \
+	VMOVUPD   Y2, tapeRow_battStorage(R8); \
+	FLAG(Y6, tapeRow_bsClamped); \
 	VMULPD    Y2, Y5, Y5; \
 	VSUBPD    Y5, Y0, Y0; \
 	VXORPD    Y6, Y6, Y6; \
 	VCMPPD    LT, Y6, Y0, Y4; \
 	VBLENDVPD Y4, Y6, Y0, Y0; \
-	FLAG(Y4, stepTape_battDiscZero, R8, R9, R10, R11); \
+	FLAG(Y4, tapeRow_battDiscZero); \
 	VSQRTPD   Y0, Y0; \
-	PUT(Y0, X0, stepTape_sBatt, R8, R9, R10, R11, X14); \
+	VMOVUPD   Y0, tapeRow_sBatt(R8); \
 	VSUBPD    Y0, Y1, Y0; \
 	VMOVUPD   sweepTwo<>(SB), Y5; \
 	VMULPD    Y3, Y5, Y5; \
 	VDIVPD    Y5, Y0, Y0; \
-	PUT(Y0, X0, stepTape_i, R8, R9, R10, R11, X14)
+	VMOVUPD   Y0, tapeRow_i(R8)
 
 // BAT4 (stage 8): overC6 = i − packMaxI where that is > 0, else 0; cellI
 // = i/parallel; heat = (cellI·cellI·cellR + cellI·tb·dVocdT)·cells;
@@ -549,11 +515,11 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VSUBPD    laneGroup_packMaxI(DI), Y0, Y1; \
 	VCMPPD    GT, Y6, Y1, Y2; \
 	VANDPD    Y2, Y1, Y1; \
-	PUT(Y1, X1, stepTape_overC6, R8, R9, R10, R11, X14); \
+	VMOVUPD   Y1, tapeRow_overC6(R8); \
 	VDIVPD    laneGroup_parallel(DI), Y0, Y7; \
-	PUT(Y7, X7, stepTape_cellI, R8, R9, R10, R11, X14); \
+	VMOVUPD   Y7, tapeRow_cellI(R8); \
 	VMULPD    Y7, Y7, Y2; \
-	VMULPD    laneGroup_cellR(DI), Y2, Y2; \
+	VMULPD    tapeRow_cellR(R8), Y2, Y2; \
 	VMOVUPD   laneGroup_tb(DI), Y8; \
 	VMULPD    Y8, Y7, Y4; \
 	VMULPD    laneGroup_dVocDT(DI), Y4, Y4; \
@@ -563,12 +529,12 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VDIVPD    laneGroup_packCapC(DI), Y4, Y4; \
 	VMOVUPD   laneGroup_soc(DI), Y5; \
 	VSUBPD    Y4, Y5, Y5; \
-	PUT(Y5, X5, stepTape_socPre, R8, R9, R10, R11, X14); \
+	VMOVUPD   Y5, tapeRow_socPre(R8); \
 	VMOVUPD   sweepOne<>(SB), Y4; \
 	VCMPPD    GT, Y4, Y5, Y1; \
 	VBLENDVPD Y1, Y4, Y5, Y5; \
 	VMOVUPD   Y5, laneGroup_soc(DI); \
-	FLAG(Y1, stepTape_socClampHi, R8, R9, R10, R11)
+	FLAG(Y1, tapeRow_socClampHi)
 
 // BAT5 (stage 8): the CN step. r0 = r0tb·tb + r0tc·tc + heat; r1 =
 // r1tb·tb + r1tc·tc + w·ambient + qx; tb' = i00·r0 + i01·r1 and tc' =
@@ -587,7 +553,7 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VMULPD  Y4, Y5, Y5; \
 	VADDPD  Y5, Y1, Y1; \
 	VADDPD  laneGroup_wAmb(DI), Y1, Y1; \
-	VADDPD  laneGroup_qx(DI), Y1, Y1; \
+	VADDPD  tapeRow_qx(R8), Y1, Y1; \
 	VMOVUPD laneGroup_i00(DI), Y2; \
 	VMULPD  Y0, Y2, Y2; \
 	VMOVUPD laneGroup_i01(DI), Y3; \
@@ -600,8 +566,8 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VADDPD  Y4, Y3, Y3; \
 	VMOVUPD Y2, laneGroup_tb(DI); \
 	VMOVUPD Y3, laneGroup_tc(DI); \
-	PUT(Y2, X2, stepTape_tb1, R8, R9, R10, R11, X14); \
-	PUT(Y3, X3, stepTape_tc1, R8, R9, R10, R11, X14)
+	VMOVUPD Y2, tapeRow_tb1(R8); \
+	VMOVUPD Y3, tapeRow_tc1(R8)
 
 // AGING (stage 9): Eq. 5 as agingSweep records it, from cellI in Y7 and
 // tb0 in Y8. With ai = |cellI|, where battery.Ages holds (ai above
@@ -651,17 +617,122 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VMULPD    Y1, Y3, Y3; \
 	VANDPD    Y9, Y3, Y3; \
 	VMULPD    laneGroup_dt(DI), Y3, Y3; \
-	PUT(Y3, X3, stepTape_aging, R8, R9, R10, R11, X14)
+	VMOVUPD   Y3, tapeRow_aging(R8)
+
+// PENALTY adds the hinge term W·D·D to the running cost in Y12 where
+// D > 0, with Y6 holding 0; T and M are scratch. Where D ≤ 0 or NaN the
+// term is blended to +0 by its mask, and adding +0 to a sum that started
+// at +0 leaves its bits unchanged (DESIGN.md §10).
+#define PENALTY(W, D, T, M) \
+	VCMPPD GT, Y6, D, M; \
+	VMULPD W, D, T; \
+	VMULPD D, T, T; \
+	VANDPD M, T, T; \
+	VADDPD T, Y12, Y12
+
+// COST (stage 10): the step's penalties, in laneCost's order, from the
+// row: the SoE window, the pmax clamp (bsPre > pmax, as stage 7 decides
+// it), the C6 excess, the SoC window, the safe temperature and the
+// temperature pressure. The C6 term needs no mask: overC6 is +0 where
+// it is not positive, and so is 1e3·0·0. Hands on the SoC clamped at 1
+// in Y7 and tb1 in Y8, and leaves 0 in Y6.
+#define COST \
+	VXORPD    Y6, Y6, Y6; \
+	VMOVUPD   tapeRow_soePre(R8), Y0; \
+	VMOVUPD   laneGroup_capMinSoE(DI), Y1; \
+	VSUBPD    Y0, Y1, Y1; \
+	PENALTY(laneGroup_stateWeight(DI), Y1, Y4, Y2); \
+	VSUBPD    sweepOne<>(SB), Y0, Y1; \
+	PENALTY(laneGroup_stateWeight(DI), Y1, Y4, Y2); \
+	VMOVUPD   tapeRow_bsPre(R8), Y0; \
+	VMOVUPD   tapeRow_pmax(R8), Y1; \
+	VCMPPD    GT, Y1, Y0, Y2; \
+	VSUBPD    Y1, Y0, Y0; \
+	VDIVPD    sweep1e3<>(SB), Y0, Y0; \
+	VMULPD    sweep1e6<>(SB), Y0, Y1; \
+	VMULPD    Y0, Y1, Y1; \
+	VANDPD    Y2, Y1, Y1; \
+	VADDPD    Y1, Y12, Y12; \
+	VMOVUPD   tapeRow_overC6(R8), Y0; \
+	VMULPD    sweep1e3<>(SB), Y0, Y1; \
+	VMULPD    Y0, Y1, Y1; \
+	VADDPD    Y1, Y12, Y12; \
+	VMOVUPD   tapeRow_socPre(R8), Y0; \
+	VMOVUPD   laneGroup_battMinSoC(DI), Y1; \
+	VSUBPD    Y0, Y1, Y1; \
+	PENALTY(laneGroup_stateWeight(DI), Y1, Y4, Y2); \
+	VMOVUPD   sweepOne<>(SB), Y5; \
+	VSUBPD    Y5, Y0, Y1; \
+	PENALTY(laneGroup_stateWeight(DI), Y1, Y4, Y2); \
+	VBLENDVPD Y2, Y5, Y0, Y7; \
+	VMOVUPD   tapeRow_tb1(R8), Y8; \
+	VSUBPD    laneGroup_safeTemp(DI), Y8, Y1; \
+	PENALTY(laneGroup_safeTempWeight(DI), Y1, Y4, Y2); \
+	VMULPD    laneGroup_battHeatCap(DI), Y8, Y1; \
+	VMOVUPD   tapeRow_tc1(R8), Y2; \
+	VMULPD    laneGroup_coolHeatCap(DI), Y2, Y2; \
+	VADDPD    Y2, Y1, Y1; \
+	VDIVPD    laneGroup_heatCapSum(DI), Y1, Y1; \
+	VSUBPD    laneGroup_targetTemp(DI), Y1, Y1; \
+	PENALTY(laneGroup_pressureWeight(DI), Y1, Y4, Y2)
+
+// GATHER loads element BX of the four lanes' arrays at field off of the
+// group into Y (low half X), with XT scratch.
+#define GATHER(off, Y, X, XT) \
+	MOVQ        off+0(DI), CX; \
+	VMOVSD      (CX)(BX*8), X; \
+	MOVQ        off+8(DI), CX; \
+	VMOVHPD     (CX)(BX*8), X, X; \
+	MOVQ        off+16(DI), CX; \
+	VMOVSD      (CX)(BX*8), XT; \
+	MOVQ        off+24(DI), CX; \
+	VMOVHPD     (CX)(BX*8), XT, XT; \
+	VINSERTF128 $1, XT, Y, Y
+
+// TRACK (stage 10, where a lane tracks a reference): (soc − refSoC[k])²
+// and (tb1 − refTb[k])² at their weights, from the SoC in Y7 and tb1 in
+// Y8, each blended to +0 in the lanes that do not track it.
+#define TRACK \
+	GATHER(laneGroup_refSoC, Y0, X0, X1); \
+	VSUBPD  Y0, Y7, Y0; \
+	VMULPD  laneGroup_socRefWeight(DI), Y0, Y1; \
+	VMULPD  Y0, Y1, Y1; \
+	VANDPD  laneGroup_trackSoC(DI), Y1, Y1; \
+	VADDPD  Y1, Y12, Y12; \
+	GATHER(laneGroup_refTb, Y0, X0, X1); \
+	VSUBPD  Y0, Y8, Y0; \
+	VMULPD  laneGroup_tbRefWeight(DI), Y0, Y1; \
+	VMULPD  Y0, Y1, Y1; \
+	VANDPD  laneGroup_trackTb(DI), Y1, Y1; \
+	VADDPD  Y1, Y12, Y12
+
+// STEPCOST (stage 10): the Eq. 19 step term w1·pcool·dt + w2·aging +
+// w3·(voc·i·dt + dEcap), left to right, summed and then added.
+#define STEPCOST \
+	VMOVUPD laneGroup_w1(DI), Y0; \
+	VMULPD  tapeRow_pcool(R8), Y0, Y0; \
+	VMULPD  laneGroup_dt(DI), Y0, Y0; \
+	VMOVUPD laneGroup_w2(DI), Y1; \
+	VMULPD  tapeRow_aging(R8), Y1, Y1; \
+	VADDPD  Y1, Y0, Y0; \
+	VMOVUPD tapeRow_voc(R8), Y1; \
+	VMULPD  tapeRow_i(R8), Y1, Y1; \
+	VMULPD  laneGroup_dt(DI), Y1, Y1; \
+	VADDPD  tapeRow_dEcap(R8), Y1, Y1; \
+	VMULPD  laneGroup_w3(DI), Y1, Y1; \
+	VADDPD  Y1, Y0, Y0; \
+	VADDPD  Y0, Y12, Y12
 
 // func sweepGroup(lg *laneGroup, k int) int
 TEXT ·sweepGroup(SB), NOSPLIT, $0-24
-	MOVQ lg+0(FP), DI
-	MOVQ k+8(FP), BX
-	CMPQ laneGroup_resume(DI), $0
-	JEQ  step
-	// The caller has put step BX's exponentials into lg.e.
+	MOVQ    lg+0(FP), DI
+	MOVQ    k+8(FP), BX
+	VMOVUPD laneGroup_cost(DI), Y12
+	CMPQ    laneGroup_resume(DI), $0
+	JEQ     step
+	// The caller has put step BX's exponentials into its row.
 	MOVQ $0, laneGroup_resume(DI)
-	ROWS(DI, R8, R9, R10, R11)
+	ROW
 	JMP  stages
 
 step:
@@ -669,21 +740,21 @@ step:
 	JGE  done
 	// Blocked-input cursor: base walks z one block every bs steps.
 	CMPQ BX, laneGroup_nextBlockAt(DI)
-	JNE  rows
+	JNE  row
 	MOVQ laneGroup_base(DI), AX
 	CMPQ AX, laneGroup_lastBase(DI)
-	JGE  rows
+	JGE  row
 	ADDQ laneGroup_mIn(DI), AX
 	MOVQ AX, laneGroup_base(DI)
 	MOVQ laneGroup_bs(DI), AX
 	ADDQ AX, laneGroup_nextBlockAt(DI)
 
-rows:
-	ROWS(DI, R8, R9, R10, R11)
+row:
+	ROW
 	EXPARGS
 	VMOVMSKPD Y0, AX
 	CMPL      AX, $15
-	JNE       done
+	JNE       handback
 	EXPS
 
 stages:
@@ -697,13 +768,26 @@ stages:
 	BAT4
 	BAT5
 	AGING
+	COST
+	CMPQ laneGroup_track(DI), $0
+	JEQ  untracked
+	TRACK
+
+untracked:
+	STEPCOST
 	INCQ BX
 	JMP  step
 
+handback:
+	// A lane's exponential argument at step BX is not finite or beyond
+	// the vector exp's range: hand the arguments to the caller, which
+	// evaluates them into the row and resumes.
+	VMOVUPD Y2, laneGroup_e+0(DI)
+	VMOVUPD Y3, laneGroup_e+32(DI)
+	VMOVUPD Y4, laneGroup_e+64(DI)
+
 done:
-	// At the horizon, or at step BX with a lane's exponential argument
-	// out of the vector exp's range: lg.e holds the arguments, and the
-	// caller evaluates them and resumes.
-	MOVQ BX, ret+16(FP)
+	VMOVUPD Y12, laneGroup_cost(DI)
+	MOVQ    BX, ret+16(FP)
 	VZEROUPPER
 	RET

@@ -56,54 +56,69 @@ func sweepEdges(rng *rand.Rand, ln fwdLane) {
 }
 
 // sweepBranches counts, over every recorded row, how often each branch of
-// the state sweep went each way: [0] not taken, [1] taken.
+// the state sweep and of the cost went each way: [0] not taken, [1]
+// taken.
 type sweepBranches map[string][2]int
 
-func (c sweepBranches) add(r *rollout, tp *stepTape) {
-	both := func(name string, on bool) {
-		n := c[name]
-		if on {
-			n[1]++
+func (n sweepBranches) add(o *OTEM, tp *tapeRow, c int) {
+	both := func(name string, taken bool) {
+		m := n[name]
+		if taken {
+			m[1]++
 		} else {
-			n[0]++
+			m[0]++
 		}
-		c[name] = n
+		n[name] = m
 	}
-	both("vcapClamped", tp.vcapClamped)
-	both("sagBranch", tp.sagBranch)
-	both("etaCapBusP", tp.etaCapBusP)
-	both("capClamped", tp.capClamped)
-	both("capDiscZero", tp.capDiscZero)
-	both("soeClampHi", tp.soeClampHi)
-	both("etaBattP", tp.etaBattP)
-	both("bsClamped", tp.bsClamped)
-	both("battDiscZero", tp.battDiscZero)
-	both("socClampHi", tp.socClampHi)
+	r := &o.roll
+	both("vcapClamped", on(tp.vcapClamped, c))
+	both("sagBranch", on(tp.sagBranch, c))
+	both("etaCapBusP", on(tp.etaCapBusP, c))
+	both("capClamped", on(tp.capClamped, c))
+	both("capDiscZero", on(tp.capDiscZero, c))
+	both("soeClampHi", on(tp.soeClampHi, c))
+	both("etaBattP", on(tp.etaBattP, c))
+	both("bsClamped", on(tp.bsClamped, c))
+	both("battDiscZero", on(tp.battDiscZero, c))
+	both("socClampHi", on(tp.socClampHi, c))
 	both("capESR>0", r.capESR > 0)
-	both("capBus>=0", tp.capBus >= 0)
-	both("battBus>=0", tp.battBus >= 0)
-	both("overC6>0", tp.overC6 > 0)
-	both("tb0>0", tp.tb0 > 0)
+	both("capBus>=0", tp.capBus[c] >= 0)
+	both("battBus>=0", tp.battBus[c] >= 0)
+	both("overC6>0", tp.overC6[c] > 0)
+	both("tb0>0", tp.tb0[c] > 0)
 	both("Kr!=0", r.cell.Kr != 0)
-	both("nan", math.IsNaN(tp.soc0+tp.soe0+tp.tb0+tp.voc+tp.i+tp.tb1+tp.tc1))
+	both("nan", math.IsNaN(tp.soc0[c]+tp.soe0[c]+tp.tb0[c]+tp.voc[c]+tp.i[c]+tp.tb1[c]+tp.tc1[c]))
 	// Eq. 5: whether it ages the cell, for each of its reasons, and where
 	// it does, whether the power law keeps its direct form and the
 	// Arrhenius argument lies within the vector exp's range.
-	ai := math.Abs(tp.cellI)
-	ages := battery.Ages(ai, tp.tb0)
+	ai := math.Abs(tp.cellI[c])
+	ages := battery.Ages(ai, tp.tb0[c])
 	both("ages", ages)
 	both("cellI=0", floats.Zero(ai))
-	both("cellI=NaN", math.IsNaN(tp.cellI))
+	both("cellI=NaN", math.IsNaN(tp.cellI[c]))
 	both("!ages||powDirect", !ages || r.agingPow.LogArg(ai) == ai)
-	both("!ages||arrhenius<700", !ages || math.Abs(r.cell.AgingExpArg(tp.tb0)) < 700)
+	both("!ages||arrhenius<700", !ages || math.Abs(r.cell.AgingExpArg(tp.tb0[c])) < 700)
 	if r.capESR <= 0 {
-		both("capESR=0,vcap>0", tp.vcap > 0)
+		both("capESR=0,vcap>0", tp.vcap[c] > 0)
 	}
 	cc, bc := &r.capConv, &r.battConv
-	both("etaCap=min", !tp.etaCapBusP && tp.etaCapBus == cc.MinEfficiency)
-	both("etaCap=peak", !tp.etaCapBusP && tp.etaCapBus == cc.PeakEfficiency)
-	both("etaBatt=min", !tp.etaBattP && tp.etaBatt == bc.MinEfficiency)
-	both("etaBatt=peak", !tp.etaBattP && tp.etaBatt == bc.PeakEfficiency)
+	both("etaCap=min", !on(tp.etaCapBusP, c) && tp.etaCapBus[c] == cc.MinEfficiency)
+	both("etaCap=peak", !on(tp.etaCapBusP, c) && tp.etaCapBus[c] == cc.PeakEfficiency)
+	both("etaBatt=min", !on(tp.etaBattP, c) && tp.etaBatt[c] == bc.MinEfficiency)
+	both("etaBatt=peak", !on(tp.etaBattP, c) && tp.etaBatt[c] == bc.PeakEfficiency)
+	// The cost stage's hinges, as laneCost tests them, and the tracking
+	// terms, on or off per lane (the pmax and C6 terms are bsClamped and
+	// overC6>0 above).
+	soePre, socPre, tb1 := tp.soePre[c], tp.socPre[c], tp.tb1[c]
+	both("cost:soe<min", r.capMinSoE-soePre > 0)
+	both("cost:soe>1", soePre-1 > 0)
+	both("cost:soc<min", r.battMinSoC-socPre > 0)
+	both("cost:soc>1", socPre-1 > 0)
+	both("cost:tb>safe", tb1-r.safeTemp > 0)
+	tw := (r.battHeatCap*tb1 + r.coolHeatCap*tp.tc1[c]) / (r.battHeatCap + r.coolHeatCap)
+	both("cost:tw>target", tw-o.cfg.TargetTemp > 0)
+	both("cost:trackSoC", o.trackSoC)
+	both("cost:trackTb", o.trackTb)
 }
 
 // sameValue reports whether x and y hold the same bits, where any NaN
@@ -118,19 +133,38 @@ func sameValue(x, y float64) bool {
 
 // checkSweepKernel rolls lanes once on the vector kernel and once on the
 // portable stages and fails unless every lane's cost and every field and
-// flag of every tape row agree (sameValue). The rows of the lanes that
-// ran on the kernel are counted into seen.
+// flag of every tape row agree (sameValue), and unless the cost the
+// kernel's cost stage summed for each of its lanes equals laneCost's over
+// that lane's rows, the terminal term added as objectiveFwd adds it. The
+// rows of the lanes that ran on the kernel are counted into seen.
 func checkSweepKernel(t *testing.T, lanes []fwdLane, seen sweepBranches) {
 	t.Helper()
 	nk := kernelLanes(len(lanes))
 	objectiveFwd(lanes)
 	type lane struct {
-		rows []stepTape
+		rows []tapeRow
+		col  int
 		cost float64
 	}
 	kernel := make([]lane, len(lanes))
 	for j, ln := range lanes {
-		kernel[j] = lane{append([]stepTape(nil), ln.o.tapes[ln.slot][:ln.o.cfg.Horizon]...), ln.o.tapeCost[ln.slot]}
+		tape, c := laneTape(ln.o, ln.slot)
+		kernel[j] = lane{append([]tapeRow(nil), tape...), c, ln.o.tapeCost[ln.slot]}
+	}
+	for j, ln := range lanes[:nk] {
+		o, kl := ln.o, &kernel[j]
+		want := o.laneCost(kl.rows, kl.col)
+		last := &kl.rows[len(kl.rows)-1]
+		soe := last.soePre[kl.col]
+		if on(last.soeClampHi, kl.col) {
+			soe = 1
+		}
+		if d := o.cfg.TEBTargetSoE - soe; d > 0 {
+			want += o.cfg.TEBWeight * o.roll.capEnergy * d * d
+		}
+		if !sameValue(kl.cost, want) {
+			t.Fatalf("lane %d/%d: kernel cost stage %v, laneCost %v", j, len(lanes), kl.cost, want)
+		}
 	}
 	vmath.UsePortable(true)
 	defer vmath.UsePortable(false)
@@ -139,13 +173,14 @@ func checkSweepKernel(t *testing.T, lanes []fwdLane, seen sweepBranches) {
 		if got, want := kernel[j].cost, ln.o.tapeCost[ln.slot]; !sameValue(got, want) {
 			t.Fatalf("lane %d/%d: kernel cost %v, portable %v", j, len(lanes), got, want)
 		}
+		tape, c := laneTape(ln.o, ln.slot)
 		for k := range kernel[j].rows {
-			got, want := &kernel[j].rows[k], &ln.o.tapes[ln.slot][k]
-			if !sameRow(got, want, sameValue) {
-				t.Fatalf("lane %d/%d step %d: kernel row differs\n got %+v\nwant %+v", j, len(lanes), k, *got, *want)
+			got, want := &kernel[j].rows[k], &tape[k]
+			if !sameRow(got, kernel[j].col, want, c, sameValue) {
+				t.Fatalf("lane %d/%d step %d: kernel row differs\n got %s\nwant %s", j, len(lanes), k, laneString(got, kernel[j].col), laneString(want, c))
 			}
 			if seen != nil && j < nk {
-				seen.add(&ln.o.roll, want)
+				seen.add(ln.o, want, c)
 			}
 		}
 	}
@@ -158,8 +193,10 @@ func checkSweepKernel(t *testing.T, lanes []fwdLane, seen sweepBranches) {
 // to every clamp, both η saturations, a zero ESR, an SoE at or below
 // 1e-6, a pack a few kelvin above 0 K and non-finite states, loads and
 // inputs, the two sweeps record the same bits (NaN as one value), Eq. 5's
-// aging rates included. Every way of every branch must be reached, the
-// aging law's rows that the kernel hands back to Go among them.
+// aging rates and the costs included, and the kernel's cost stage matches
+// laneCost. Every way of every branch must be reached, the aging law's
+// rows that the kernel hands back to Go and every cost hinge and tracking
+// term, on and off per lane, among them.
 func TestStateSweepKernelMatchesPortable(t *testing.T) {
 	if !useKernel() {
 		t.Skip("the state sweep's vector kernel is not live on this host")
@@ -179,7 +216,7 @@ func TestStateSweepKernelMatchesPortable(t *testing.T) {
 	// A zero row on a zero plant names every branch, the capESR ≤ 0 one
 	// included.
 	names := sweepBranches{}
-	names.add(&rollout{}, &stepTape{})
+	names.add(&OTEM{}, &tapeRow{}, 0)
 	for name := range names {
 		if n := seen[name]; n[0] == 0 || n[1] == 0 {
 			t.Errorf("branch %s went only one way (%d not taken, %d taken)", name, n[0], n[1])

@@ -43,7 +43,7 @@ func RunWith(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 
 // runWith rolls the fleet in lockstep groups of width vehicles.
 func runWith(ctx context.Context, spec Spec, opts Options, width int) (*Result, error) {
-	spec = spec.withDefaults()
+	spec = spec.Resolved()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

@@ -26,8 +26,7 @@ import (
 )
 
 // Spec describes one fleet run. The zero value of every field is completed
-// by withDefaults, so the facade and the serve handler can pass specs
-// straight through.
+// by Resolved, so the facade can pass specs straight through.
 type Spec struct {
 	// Vehicles is the fleet size (required, ≥ 1).
 	Vehicles int
@@ -49,7 +48,9 @@ type Spec struct {
 	SketchK int
 }
 
-func (s Spec) withDefaults() Spec {
+// Resolved returns s with every zero field set to its documented default:
+// the spec a run executes. It is idempotent.
+func (s Spec) Resolved() Spec {
 	if s.Days == 0 {
 		s.Days = 1
 	}
@@ -73,7 +74,7 @@ func (s Spec) withDefaults() Spec {
 
 // Validate reports an error for an unusable spec (after defaults).
 func (s Spec) Validate() error {
-	s = s.withDefaults()
+	s = s.Resolved()
 	switch {
 	case s.Vehicles < 1:
 		return fmt.Errorf("fleet: Vehicles = %d, must be >= 1", s.Vehicles)
@@ -96,7 +97,7 @@ func (s Spec) Validate() error {
 // deterministic outcome, in fixed order. Serve cache keys and result
 // digests derive from this encoding.
 func (s Spec) AppendCanonical(dst []byte) []byte {
-	s = s.withDefaults()
+	s = s.Resolved()
 	dst = append(dst, "otem.fleet"...)
 	dst = canon.Int(dst, "n", s.Vehicles)
 	dst = canon.Int(dst, "d", s.Days)

@@ -206,7 +206,7 @@ func TestSpecCanonical(t *testing.T) {
 // TestDrawScenarioDeterministic: the scenario is a pure function of
 // (spec, vehicle), replayable in any order.
 func TestDrawScenarioDeterministic(t *testing.T) {
-	spec := testSpec().withDefaults()
+	spec := testSpec().Resolved()
 	for i := 0; i < 20; i++ {
 		a, b := drawScenario(spec, i), drawScenario(spec, i)
 		if !reflect.DeepEqual(a, b) {

@@ -20,7 +20,7 @@ import (
 // goroutine, chunked and merged exactly like runWith so the sketches fill
 // in the same order.
 func runReference(ctx context.Context, spec Spec) (*Result, error) {
-	spec = spec.withDefaults()
+	spec = spec.Resolved()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

@@ -58,15 +58,15 @@ func TestSpecValidate(t *testing.T) {
 		{OuterTempTolK: math.Inf(1)},
 	}
 	for i, s := range bad {
-		if err := s.withDefaults().Validate(); err == nil {
+		if err := s.Resolved().Validate(); err == nil {
 			t.Errorf("spec %d: expected validation error", i)
 		}
 	}
-	if err := (Spec{}).withDefaults().Validate(); err != nil {
+	if err := (Spec{}).Resolved().Validate(); err != nil {
 		t.Fatalf("zero spec must validate after defaults: %v", err)
 	}
 	off := Spec{SoCRefWeight: -1, TempRefWeight: -1, SoCTol: -1, TempTolK: -1, OuterSoCTol: -1, OuterTempTolK: -1}
-	if err := off.withDefaults().Validate(); err != nil {
+	if err := off.Resolved().Validate(); err != nil {
 		t.Fatalf("negative (off) tunables must validate: %v", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestSegmentModelPower(t *testing.T) {
 
 func buildPlanner(t *testing.T, spec Spec) (*Planner, *sim.Plant) {
 	t.Helper()
-	spec = spec.withDefaults()
+	spec = spec.Resolved()
 	cycle, err := spec.route()
 	if err != nil {
 		t.Fatal(err)

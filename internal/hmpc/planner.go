@@ -18,7 +18,7 @@ import (
 //
 // A Planner is single-goroutine state, like the mpc.Planner it wraps.
 type Planner struct {
-	spec       Spec // resolved (withDefaults applied)
+	spec       Spec // Resolved
 	preview    []float64
 	steps      int
 	innerDT    float64
@@ -41,7 +41,7 @@ type Planner struct {
 // plant's configuration — the coarse clone copies it with Δt stretched to
 // the block length.
 func NewPlanner(spec Spec, preview []float64, plantCfg sim.PlantConfig) (*Planner, error) {
-	spec = spec.withDefaults()
+	spec = spec.Resolved()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ type Result struct {
 // request series, the plant, and the hierarchical controller with its
 // route-start outer plan already solved and installed.
 func Build(spec Spec) (*Controller, *sim.Plant, []float64, error) {
-	spec = spec.withDefaults()
+	spec = spec.Resolved()
 	if err := spec.Validate(); err != nil {
 		return nil, nil, nil, err
 	}

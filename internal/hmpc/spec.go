@@ -59,7 +59,7 @@ type Spec struct {
 // offable implements the 0-means-default / negative-means-off convention
 // for a tunable with a nonzero default. Negative values pass through
 // unchanged (every consumer treats "> 0" as enabled), which keeps
-// withDefaults idempotent: a resolved spec re-resolves to itself.
+// Resolved idempotent: a resolved spec re-resolves to itself.
 func offable(v, def float64) float64 {
 	if floats.Zero(v) {
 		return def
@@ -76,8 +76,9 @@ func enabled(v float64) float64 {
 	return v
 }
 
-// withDefaults fills unset fields with the documented defaults.
-func (s Spec) withDefaults() Spec {
+// Resolved returns s with every unset field filled with its documented
+// default: the spec a plan or run executes. It is idempotent.
+func (s Spec) Resolved() Spec {
 	if s.Cycle == "" && s.Usage == "" {
 		s.Usage = string(fleet.UsageCommuter)
 	}
@@ -152,7 +153,7 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // outer plan or the hierarchical run, post-defaults and in fixed order.
 // The serve plan cache keys on this encoding.
 func (s Spec) AppendCanonical(dst []byte) []byte {
-	s = s.withDefaults()
+	s = s.Resolved()
 	dst = append(dst, "otem.hmpc"...)
 	dst = canon.Str(dst, "c", s.Cycle)
 	dst = canon.Str(dst, "g", s.Usage)

@@ -267,7 +267,7 @@ func reportNondetCall(pass *Pass, eng *taintEngine, fn *ir.Func, call *ast.CallE
 			return
 		}
 		if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && !rootedInDirectUse(pass.TypesInfo, sel.X) {
 				if r := eng.expr(fn, sel.X); r != "" {
 					pass.Reportf(call.Pos(), "call to %s on a nondeterministically derived receiver in deterministic package %s: receiver %s; thread a seeded *rand.Rand or simulated time instead", callee.Name(), pass.Pkg.Path(), r)
 				}
@@ -277,6 +277,36 @@ func reportNondetCall(pass *Pass, eng *taintEngine, fn *ir.Func, call *ast.CallE
 	}
 	if r := eng.expr(fn, call.Fun); r != "" {
 		pass.Reportf(call.Pos(), "call through nondeterministic function value in deterministic package %s: value %s; thread a seeded *rand.Rand or simulated time instead", pass.Pkg.Path(), r)
+	}
+}
+
+// rootedInDirectUse reports whether e is a call to a banned function or a
+// chain of method calls whose innermost receiver is one, as time.Now() in
+// time.Now().Unix() or time.Now().Sub(x) in time.Now().Sub(x).Hours().
+// Such a receiver's nondeterminism has one root cause, the direct use,
+// and reportDirectNondet reports it there.
+func rootedInDirectUse(info *types.Info, e ast.Expr) bool {
+	for {
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		callee := staticCallee(info, call)
+		if callee == nil {
+			return false
+		}
+		if directNondetReason(callee) != "" {
+			return true
+		}
+		sig, ok := callee.Type().(*types.Signature)
+		if !ok || sig.Recv() == nil {
+			return false
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		e = sel.X
 	}
 }
 

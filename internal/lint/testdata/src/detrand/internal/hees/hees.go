@@ -18,7 +18,7 @@ func PerturbBracket(hi float64) float64 {
 // SolveDeadline keys convergence on the wall clock: the same inputs would
 // bisect to different depths on a loaded machine.
 func SolveDeadline() time.Time {
-	return time.Now().Add(time.Millisecond) // want `time\.Now in deterministic package` `call to Add on a nondeterministically derived receiver`
+	return time.Now().Add(time.Millisecond) // want `time\.Now in deterministic package`
 }
 
 // JitterLanes shows the sanctioned pattern: a locally seeded generator is

@@ -150,9 +150,9 @@ func (p *Planner) Ask(budget int) [][]float64 { return p.ws.Ask(budget) }
 // (optimize.Workspace.Tell).
 func (p *Planner) Tell(fs []float64) { p.ws.Tell(fs) }
 
-// Backtracking reports whether the next Ask continues a line search past a
-// rejected trial, where a budget above 1 is honoured.
-func (p *Planner) Backtracking() bool { return p.ws.Backtracking() }
+// Searching reports whether the next Ask returns line-search trials, where
+// a budget above 1 is honoured.
+func (p *Planner) Searching() bool { return p.ws.Searching() }
 
 // Done reports whether the plan begun by Start has ended.
 func (p *Planner) Done() bool { return p.ws.Done() }

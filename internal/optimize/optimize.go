@@ -347,12 +347,11 @@ func (ws *Workspace) Start(p *Problem, x0 []float64, opts *Options) error {
 // Ask returns the points whose objective values the solve needs next, nil
 // once it is Done. The first Ask of a solve returns the projected start
 // point. After that it returns trials of the current backtracking line
-// search: the search's first trial alone, then, after a rejection, up to
-// min(budget, BatchWidth) trials at once, generated exactly as the
-// one-at-a-time search would generate them (the same step halving and
-// projection, stopping at a trial that does not move x or at
-// MaxLineSearch). Trials past the one the search accepts are wasted
-// evaluations, so a budget above 1 is speculation.
+// search, up to min(budget, BatchWidth) at once from its first trial on,
+// generated exactly as the one-at-a-time search would generate them (the
+// same step halving and projection, stopping at a trial that does not
+// move x or at MaxLineSearch). Trials past the one the search accepts are
+// wasted evaluations, so a budget above 1 is speculation.
 //
 // The returned points alias workspace storage: read them, do not modify
 // them, and pass their values to Tell, in order, before the next Ask.
@@ -380,9 +379,9 @@ func (ws *Workspace) Ask(budget int) [][]float64 {
 	return ws.trials[:ws.asked]
 }
 
-// Backtracking reports whether the next Ask continues a line search past
-// a rejected trial, where a budget above 1 is honoured.
-func (ws *Workspace) Backtracking() bool { return ws.phase == phaseSearch && ws.step > 0 }
+// Searching reports whether the next Ask returns line-search trials, where
+// a budget above 1 is honoured.
+func (ws *Workspace) Searching() bool { return ws.phase == phaseSearch }
 
 // Done reports whether the solve has ended (or none was started).
 func (ws *Workspace) Done() bool { return ws.phase == phaseDone }
@@ -479,15 +478,12 @@ func (ws *Workspace) startSearch(alpha0 float64) {
 }
 
 // generate writes the line search's next trial points into ws.trials and
-// returns how many: one for the search's first trial, else up to budget
-// (at most BatchWidth). Trials halve the step each time; generation stops
-// at a trial whose projection does not move x (setting ws.stalled) or at
-// MaxLineSearch trials in the search.
+// returns how many: up to budget (at least 1, at most BatchWidth). Trials
+// halve the step each time; generation stops at a trial whose projection
+// does not move x (setting ws.stalled) or at MaxLineSearch trials in the
+// search.
 func (ws *Workspace) generate(budget int) int {
-	width := 1
-	if ws.step > 0 {
-		width = min(max(budget, 1), BatchWidth)
-	}
+	width := min(max(budget, 1), BatchWidth)
 	n := 0
 	ws.stalled = false
 	for n < width && ws.step < ws.opts.MaxLineSearch {

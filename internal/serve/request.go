@@ -90,6 +90,26 @@ func (r SimulateRequest) normalize(maxRepeats int) (otem.RunSpec, error) {
 	return spec, nil
 }
 
+// normalize validates the batch's size against maxSpecs and normalizes
+// each spec, returning the RunSpecs to execute in request order.
+func (r BatchRequest) normalize(maxSpecs, maxRepeats int) ([]otem.RunSpec, error) {
+	if len(r.Specs) == 0 {
+		return nil, fmt.Errorf("%w: specs is empty", errBadRequest)
+	}
+	if len(r.Specs) > maxSpecs {
+		return nil, fmt.Errorf("%w: %d specs exceed the limit %d", errBadRequest, len(r.Specs), maxSpecs)
+	}
+	specs := make([]otem.RunSpec, len(r.Specs))
+	for i, sr := range r.Specs {
+		spec, err := sr.normalize(maxRepeats)
+		if err != nil {
+			return nil, fmt.Errorf("spec %d: %w", i, err)
+		}
+		specs[i] = spec
+	}
+	return specs, nil
+}
+
 // resolveMethod maps a case-insensitive methodology spelling onto the
 // canonical presentation name. Unknown spellings pass through verbatim so
 // the run fails with otem.ErrUnknownBaseline and an exact echo of the
@@ -112,6 +132,11 @@ func cacheKey(spec otem.CanonicalSpec) string {
 	return otem.Canonical(spec)
 }
 
+// maxHorizon bounds the controller horizon of fleet and plan requests: a
+// controller sizes its tape, forecast and reference buffers by it, so an
+// unbounded horizon would let one request allocate without limit.
+const maxHorizon = 1000
+
 // FleetRequest is the wire form of POST /v1/fleet. Zero values select the
 // FleetSpec defaults (1 day, OTEM methodology, 25 kF bank, 600 s routes).
 type FleetRequest struct {
@@ -132,7 +157,7 @@ type FleetRequest struct {
 }
 
 // normalize validates the request shape against the server's fleet limits
-// and returns the FleetSpec to execute.
+// and returns the FleetSpec to execute, its defaults resolved.
 func (r FleetRequest) normalize(maxVehicles, maxDays int) (otem.FleetSpec, error) {
 	switch {
 	case r.Vehicles < 1:
@@ -149,6 +174,8 @@ func (r FleetRequest) normalize(maxVehicles, maxDays int) (otem.FleetSpec, error
 		return otem.FleetSpec{}, fmt.Errorf("%w: route_seconds %g is negative", errBadRequest, r.RouteSeconds)
 	case r.Horizon < 0:
 		return otem.FleetSpec{}, fmt.Errorf("%w: horizon %d is negative", errBadRequest, r.Horizon)
+	case r.Horizon > maxHorizon:
+		return otem.FleetSpec{}, fmt.Errorf("%w: horizon %d exceeds the limit %d", errBadRequest, r.Horizon, maxHorizon)
 	}
 	spec := otem.FleetSpec{
 		Vehicles:     r.Vehicles,
@@ -165,7 +192,7 @@ func (r FleetRequest) normalize(maxVehicles, maxDays int) (otem.FleetSpec, error
 	if err := spec.Validate(); err != nil {
 		return otem.FleetSpec{}, fmt.Errorf("%w: %w", errBadRequest, err)
 	}
-	return spec, nil
+	return spec.Resolved(), nil
 }
 
 // PlanRequest is the wire form of POST /v1/plan: the outer scheduling
@@ -207,9 +234,9 @@ type PlanRequest struct {
 }
 
 // normalize validates the request shape against the server's limits and
-// returns the PlanSpec to solve. Range validation beyond the server
-// limits happens inside the solve, whose errors carry otem.ErrBadPlanSpec
-// (mapped to 400).
+// returns the PlanSpec to solve, its defaults resolved. Range validation
+// beyond the server limits happens inside the solve, whose errors carry
+// otem.ErrBadPlanSpec (mapped to 400).
 func (r PlanRequest) normalize(maxRepeats int) (otem.PlanSpec, error) {
 	if r.Repeats < 0 {
 		return otem.PlanSpec{}, fmt.Errorf("%w: repeats %d is negative", errBadRequest, r.Repeats)
@@ -217,7 +244,10 @@ func (r PlanRequest) normalize(maxRepeats int) (otem.PlanSpec, error) {
 	if r.Repeats > maxRepeats {
 		return otem.PlanSpec{}, fmt.Errorf("%w: repeats %d exceeds the limit %d", errBadRequest, r.Repeats, maxRepeats)
 	}
-	return otem.PlanSpec{
+	if r.Horizon > maxHorizon {
+		return otem.PlanSpec{}, fmt.Errorf("%w: horizon %d exceeds the limit %d", errBadRequest, r.Horizon, maxHorizon)
+	}
+	spec := otem.PlanSpec{
 		Cycle:         r.Cycle,
 		Usage:         r.Usage,
 		Seed:          r.Seed,
@@ -234,7 +264,8 @@ func (r PlanRequest) normalize(maxRepeats int) (otem.PlanSpec, error) {
 		TempTolK:      r.TempTolKelvin,
 		OuterSoCTol:   r.OuterSoCTol,
 		OuterTempTolK: r.OuterTempTolKelvin,
-	}, nil
+	}
+	return spec.Resolved(), nil
 }
 
 // fleetFromQuery builds a FleetRequest from the fleet-stream endpoint's

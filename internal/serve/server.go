@@ -305,22 +305,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 		s.writeError(w, err)
 		return
 	}
-	if len(req.Specs) == 0 {
-		s.writeError(w, fmt.Errorf("%w: specs is empty", errBadRequest))
+	specs, err := req.normalize(s.cfg.MaxBatchSpecs, s.cfg.MaxRepeats)
+	if err != nil {
+		s.writeError(w, err)
 		return
-	}
-	if len(req.Specs) > s.cfg.MaxBatchSpecs {
-		s.writeError(w, fmt.Errorf("%w: %d specs exceed the limit %d", errBadRequest, len(req.Specs), s.cfg.MaxBatchSpecs))
-		return
-	}
-	specs := make([]otem.RunSpec, len(req.Specs))
-	for i, sr := range req.Specs {
-		spec, err := sr.normalize(s.cfg.MaxRepeats)
-		if err != nil {
-			s.writeError(w, fmt.Errorf("spec %d: %w", i, err))
-			return
-		}
-		specs[i] = spec
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
