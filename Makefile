@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check cross race race-grids bench bench-smoke vet lint lint-sarif lint-vet fmt fuzz-smoke serve-smoke fleet-bench
+.PHONY: build test check cross race race-grids bench bench-smoke vet lint lint-sarif fmt fuzz-smoke serve-smoke fleet-bench
 
 build:
 	$(GO) build ./...
@@ -12,12 +12,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The domain-aware analyzers (internal/lint via cmd/otem-lint): exact
-# float comparisons, goroutines outside internal/runner, unwrapped
-# fmt.Errorf error args, panics outside Must* constructors, direct and
-# transitive nondeterminism (global rand / time.Now) in the simulation
-# core, discarded errors from module APIs, and arithmetic mixing
-# conflicting unit suffixes. Runs the parallel DAG scheduler with
+# The domain-aware analyzers (internal/lint via cmd/otem-lint):
+# allocations reachable from a //lint:hotpath root (allocflow), direct
+# and transitive nondeterminism (global rand / time.Now) in the
+# simulation core (detflow), discarded errors from module APIs
+# (errflow), unwrapped fmt.Errorf error args (errwrapcheck), exact float
+# comparisons (floatcompare), goroutines outside internal/runner
+# (nakedgoroutine), panics outside Must* constructors (nopanic),
+# arithmetic mixing conflicting unit suffixes (unitmix) and stores no
+# path reads (unusedwrite). Runs the parallel DAG scheduler with
 # cross-package fact propagation. Exits non-zero on any finding.
 lint:
 	$(GO) run ./cmd/otem-lint ./...
@@ -27,13 +30,6 @@ lint:
 # plain `lint` gate, not via this render step.
 lint-sarif:
 	$(GO) run ./cmd/otem-lint -format=sarif ./... > otem-lint.sarif || true
-
-# The same analyzers driven by the go command's unitchecker protocol,
-# proving cmd/otem-lint works as a drop-in `go vet -vettool` with facts
-# flowing between compilation units through vetx files.
-lint-vet:
-	$(GO) build -o bin/otem-lint ./cmd/otem-lint
-	$(GO) vet -vettool=bin/otem-lint ./...
 
 fmt:
 	gofmt -l .
@@ -82,9 +78,11 @@ bench-smoke:
 # already runs): the AVX2 state sweep against its portable stages, the
 # vector exp and log against math.Exp and math.Log, the lint suite's
 # directive parser, call graph and SSA builder, and the canonical float
-# encoding's bit-faithful round trip, and each otem-serve request type
-# from JSON through normalize to its cache key. A failing input is
-# written under the package's testdata/fuzz and fails the target.
+# encoding's bit-faithful round trip, each otem-serve request type
+# from JSON through normalize to its cache key, the hmpc and fleet spec
+# resolvers' zero/negative/off semantics, and merged quantile sketches
+# against their rank-error certificate. A failing input is written under
+# the package's testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStateSweep$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzExp4$$' -fuzztime 5s ./internal/vmath
@@ -97,6 +95,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetRequest$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRequest$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecResolved$$' -fuzztime 5s ./internal/hmpc
+	$(GO) test -run '^$$' -fuzz '^FuzzSketchMerge$$' -fuzztime 5s ./internal/fleet
 
 # End-to-end smoke of the HTTP subsystem: boots cmd/otem-serve on an
 # ephemeral port, checks /healthz, a real /v1/simulate, the cache-hit

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -16,10 +17,30 @@ func rankRange(sorted []float64, q float64) (lo, hi float64) {
 	return lo, hi
 }
 
+// probePhis are the quantiles every sketch property test probes.
+var probePhis = []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1}
+
 // checkQuantiles asserts the sketch's provable contract against the exact
-// sorted data: for every probed φ the returned value's rank interval is
-// within ErrorBound (+1 for the discretisation of φ·n) of the target rank.
+// sorted data: exact Count, Min, Max and Mean, and for every probed φ a
+// returned value whose rank interval is within ErrorBound (+1 for the
+// discretisation of φ·n) of the target rank.
 func checkQuantiles(t *testing.T, s *Sketch, data []float64) {
+	t.Helper()
+	checkRanks(t, s, data, probePhis)
+	var sum float64
+	for _, v := range data {
+		sum += v
+	}
+	n := float64(len(data))
+	if got := s.Mean(); math.Abs(got-sum/n) > 1e-9*math.Max(1, math.Abs(sum/n)) {
+		t.Fatalf("Mean = %g, want %g", got, sum/n)
+	}
+}
+
+// checkRanks is the part of checkQuantiles that holds for any finite data,
+// however it sums: exact Count, Min and Max, and every Quantile(φ) for φ
+// in phis within ErrorBound (+1) ranks of the exact sorted quantile.
+func checkRanks(t *testing.T, s *Sketch, data, phis []float64) {
 	t.Helper()
 	sorted := append([]float64(nil), data...)
 	sort.Float64s(sorted)
@@ -34,19 +55,12 @@ func checkQuantiles(t *testing.T, s *Sketch, data []float64) {
 	if got := s.Max(); got != sorted[len(sorted)-1] {
 		t.Fatalf("Max = %g, want %g", got, sorted[len(sorted)-1])
 	}
-	var sum float64
-	for _, v := range data {
-		sum += v
-	}
-	if got := s.Mean(); math.Abs(got-sum/n) > 1e-9*math.Max(1, math.Abs(sum/n)) {
-		t.Fatalf("Mean = %g, want %g", got, sum/n)
-	}
 
 	slack := float64(s.ErrorBound()) + 1
-	for _, phi := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1} {
+	for _, phi := range phis {
 		q := s.Quantile(phi)
 		lo, hi := rankRange(sorted, q)
-		target := phi * n
+		target := math.Min(math.Max(phi, 0), 1) * n
 		if hi < target-slack || lo > target+slack {
 			t.Fatalf("Quantile(%g) = %g: rank interval [%g, %g] misses target %g by more than bound %g (n=%d)",
 				phi, q, lo, hi, target, slack, len(data))
@@ -192,4 +206,56 @@ func TestSketchWeightInvariant(t *testing.T) {
 			t.Fatalf("round %d: total weight %d != count %d", round, w, s.Count())
 		}
 	}
+}
+
+// FuzzSketchMerge splits a fuzzed list of finite values across two to four
+// sketches of one k, merges them, and holds the merged sketch to the same
+// certificate as a single stream: exact Count, Min and Max, and every
+// Quantile(φ), the fuzzed φ included, within ErrorBound ranks of the exact
+// sorted quantile. raw is read as little-endian float64s; non-finite
+// values are skipped.
+func FuzzSketchMerge(f *testing.F) {
+	enc := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(enc(1, 2, 3, 4, 5, 6, 7, 8, 9, 10), uint8(8), uint8(0), 0.5)
+	f.Add(enc(3, 3, 3, -1, 0, 1e300, -1e300, 5e-324), uint8(8), uint8(2), 0.9)
+	ramp := make([]float64, 300)
+	for i := range ramp {
+		ramp[i] = float64((i * 37) % 101)
+	}
+	f.Add(enc(ramp...), uint8(16), uint8(1), 0.25)
+	f.Fuzz(func(t *testing.T, raw []byte, k, parts uint8, phi float64) {
+		var data []float64
+		for ; len(raw) >= 8; raw = raw[8:] {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				data = append(data, v)
+			}
+		}
+		if len(data) == 0 {
+			return
+		}
+		np := 2 + int(parts)%3
+		sketches := make([]*Sketch, np)
+		for p := range sketches {
+			sketches[p] = NewSketch(int(k))
+			for _, v := range data[p*len(data)/np : (p+1)*len(data)/np] {
+				sketches[p].Add(v)
+			}
+		}
+		merged := sketches[0]
+		for _, s := range sketches[1:] {
+			merged.Merge(s)
+		}
+		phis := probePhis
+		if !math.IsNaN(phi) {
+			phis = append(append([]float64(nil), probePhis...), phi)
+		}
+		checkRanks(t, merged, data, phis)
+	})
 }

@@ -2,12 +2,16 @@ package hmpc
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/canon"
 	"repro/internal/drivecycle"
+	"repro/internal/fleet"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/vehicle"
 )
@@ -68,6 +72,70 @@ func TestSpecValidate(t *testing.T) {
 	off := Spec{SoCRefWeight: -1, TempRefWeight: -1, SoCTol: -1, TempTolK: -1, OuterSoCTol: -1, OuterTempTolK: -1}
 	if err := off.Resolved().Validate(); err != nil {
 		t.Fatalf("negative (off) tunables must validate: %v", err)
+	}
+}
+
+// FuzzSpecResolved holds the two spec resolvers, Spec.Resolved and
+// fleet.Spec.Resolved, to their contract on any input: resolving twice
+// changes nothing, every zero field takes the default the zero spec
+// resolves to, a negative offable tunable stays negative (off), and
+// Validate judges a spec and its Resolved form alike. The fleet spec
+// shares the route, bank and horizon arguments; its horizon is folded
+// into [-1000, 1000], the serve limit, since its Validate builds a
+// controller of that horizon.
+func FuzzSpecResolved(f *testing.F) {
+	f.Add("", "", int64(0), 0.0, 0, 0.0, 0.0, 0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, "", 0)
+	f.Add("UDDS", "highway", int64(9), 300.0, 2, 25000.0, 298.0, 40, 30.0, 1, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 50, 3, "Parallel", 256)
+	f.Add("", "delivery", int64(-3), 5e-10, -1, -5e-10, 1e-10, -2, 0.25, 1000, -1e-10, 1e-10, 0.0, -5e-10, math.Copysign(0, -1), 3.0, -1, -1, "Nonsense", -3)
+	f.Fuzz(func(t *testing.T, cycle, usage string, seed int64, routeS float64, repeats int, ucapF, ambientK float64,
+		horizon int, blockS float64, maxBlocks int, wSoC, wTemp, tolSoC, tolTemp, outerSoC, outerTemp float64,
+		vehicles, days int, method string, sketchK int) {
+		raw := Spec{
+			Cycle: cycle, Usage: usage, Seed: seed, RouteSeconds: routeS, Repeats: repeats,
+			UltracapF: ucapF, AmbientK: ambientK, Horizon: horizon, BlockSeconds: blockS, MaxBlocks: maxBlocks,
+			SoCRefWeight: wSoC, TempRefWeight: wTemp, SoCTol: tolSoC, TempTolK: tolTemp,
+			OuterSoCTol: outerSoC, OuterTempTolK: outerTemp,
+		}
+		res := raw.Resolved()
+		checkResolved(t, raw, res, res.Resolved(), Spec{Cycle: cycle}.Resolved(), raw.Validate(), res.Validate())
+		for _, off := range [][2]float64{
+			{raw.SoCRefWeight, res.SoCRefWeight}, {raw.TempRefWeight, res.TempRefWeight},
+			{raw.SoCTol, res.SoCTol}, {raw.TempTolK, res.TempTolK},
+			{raw.OuterSoCTol, res.OuterSoCTol}, {raw.OuterTempTolK, res.OuterTempTolK},
+		} {
+			if off[0] < 0 && math.Float64bits(off[1]) != math.Float64bits(off[0]) {
+				t.Errorf("negative (off) tunable %g resolved to %g", off[0], off[1])
+			}
+		}
+
+		fraw := fleet.Spec{
+			Vehicles: vehicles, Days: days, Seed: seed, Method: policy.Methodology(method),
+			UltracapF: ucapF, RouteSeconds: routeS, Horizon: horizon % 1001, SketchK: sketchK,
+		}
+		fres := fraw.Resolved()
+		checkResolved(t, fraw, fres, fres.Resolved(), fleet.Spec{}.Resolved(), fraw.Validate(), fres.Validate())
+	})
+}
+
+// checkResolved asserts the resolver properties shared by both specs:
+// resolved and twice are bit-identical (Resolved is idempotent), each
+// field that is zero in raw (a float equal to ±0) holds def's value in
+// resolved, and raw and resolved validate alike (errRaw, errRes).
+func checkResolved(t *testing.T, raw, resolved, twice, def any, errRaw, errRes error) {
+	t.Helper()
+	if a, b := fmt.Sprintf("%#v", resolved), fmt.Sprintf("%#v", twice); a != b {
+		t.Errorf("Resolved is not idempotent:\n once %s\ntwice %s", a, b)
+	}
+	rv, res, dv := reflect.ValueOf(raw), reflect.ValueOf(resolved), reflect.ValueOf(def)
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Field(i)
+		zero := f.IsZero() || (f.Kind() == reflect.Float64 && f.Float() == 0)
+		if got, want := fmt.Sprintf("%#v", res.Field(i)), fmt.Sprintf("%#v", dv.Field(i)); zero && got != want {
+			t.Errorf("%T: zero %s resolved to %s, want the default %s", raw, rv.Type().Field(i).Name, got, want)
+		}
+	}
+	if a, b := fmt.Sprint(errRaw), fmt.Sprint(errRes); a != b {
+		t.Errorf("%T: Validate(raw) = %s, Validate(resolved) = %s", raw, a, b)
 	}
 }
 

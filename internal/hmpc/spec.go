@@ -59,9 +59,11 @@ type Spec struct {
 // offable implements the 0-means-default / negative-means-off convention
 // for a tunable with a nonzero default. Negative values pass through
 // unchanged (every consumer treats "> 0" as enabled), which keeps
-// Resolved idempotent: a resolved spec re-resolves to itself.
+// Resolved idempotent: a resolved spec re-resolves to itself. The sign
+// is tested first, so a negative value within floats.Zero's tolerance
+// of zero is still the off switch, not a request for the default.
 func offable(v, def float64) float64 {
-	if floats.Zero(v) {
+	if v >= 0 && floats.Zero(v) {
 		return def
 	}
 	return v
@@ -115,10 +117,12 @@ func (s Spec) Resolved() Spec {
 	return s
 }
 
-// Validate reports an error for an unusable spec (after defaults). Each
-// check is written so that NaN fails it, and every float must be finite;
-// a negative offable tunable is still the off switch.
+// Validate reports an error for an unusable spec (after defaults, so a
+// spec and its Resolved form validate alike). Each check is written so
+// that NaN fails it, and every float must be finite; a negative offable
+// tunable is still the off switch.
 func (s Spec) Validate() error {
+	s = s.Resolved()
 	switch {
 	case s.Cycle == "" && s.Usage != string(fleet.UsageCommuter) &&
 		s.Usage != string(fleet.UsageDelivery) && s.Usage != string(fleet.UsageHighway):

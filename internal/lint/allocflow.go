@@ -72,8 +72,7 @@ whose exported AllocFact says they may allocate. Allocations on failing
 returns and in panic arguments are exempt (error paths are cold), and
 //lint:coldpath <reason> marks a reviewed amortized path the gate stops
 at. Hoist buffers into warm workspaces instead of allocating per step.`,
-	Run:       runAllocFlow,
-	FactTypes: []Fact{(*AllocFact)(nil)},
+	Run: runAllocFlow,
 }
 
 // allocSite is one may-allocating construct (or suspect external call)

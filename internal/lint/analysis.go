@@ -11,10 +11,10 @@ import (
 	"repro/internal/lint/ir"
 )
 
-// Analyzer describes one static check. The shape deliberately mirrors
-// golang.org/x/tools/go/analysis.Analyzer (Name, Doc, Run(*Pass),
-// FactTypes) so the analyzers can migrate to the real framework wholesale
-// if the dependency ever becomes available.
+// Analyzer describes one static check. Name, Doc and Run(*Pass) keep the
+// shape of golang.org/x/tools/go/analysis.Analyzer; facts need no
+// declaration here because they never leave the in-memory store of one
+// driver run.
 type Analyzer struct {
 	// Name identifies the analyzer in findings and in //lint:ignore
 	// directives. It must look like a Go identifier.
@@ -25,11 +25,6 @@ type Analyzer struct {
 	// Run applies the analyzer to one package and reports findings via
 	// pass.Report / pass.Reportf.
 	Run func(*Pass) error
-	// FactTypes lists the fact types this analyzer exports and imports
-	// (pointers to zero values). Declaring them lets the drivers register
-	// the types for vetx serialization and route stored facts back to the
-	// analyzer when dependent packages are analyzed.
-	FactTypes []Fact
 }
 
 func (a *Analyzer) String() string { return a.Name }
@@ -54,8 +49,8 @@ type Pass struct {
 	facts *factStore
 	// irs caches the per-function SSA/CFG intermediate representation.
 	// The driver shares one cache across every analyzer of a package, so
-	// detflow, errflow, nilness and unusedwrite all reason over the same
-	// IR and each function is lowered exactly once.
+	// detflow, errflow, unusedwrite and the call graph all reason over
+	// the same IR and each function is lowered exactly once.
 	irs *irCache
 	// cg caches the package call graph (repro/internal/lint/callgraph),
 	// shared like irs so the graph and its SCC condensation are built at
@@ -134,8 +129,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ExportObjectFact records a fact about obj, visible to this analyzer when
-// any dependent package is analyzed later in the same run (or, on the
-// `go vet -vettool` path, in a later compilation unit via vetx files).
+// any dependent package is analyzed later in the same run.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if p.facts == nil || obj == nil || obj.Pkg() == nil {
 		return

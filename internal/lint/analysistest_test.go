@@ -11,6 +11,22 @@ import (
 	"testing"
 )
 
+// Run is the sequential reference driver: the same per-package analysis
+// as RunParallel, visiting the packages one at a time in the topological
+// order Load sorted them into, so every dependency's facts are complete
+// before its dependents run. The fixture harness and the whole-module
+// tests run it, and TestParallelMatchesSequential holds RunParallel to
+// its output byte for byte.
+func (m *Module) Run(analyzers []*Analyzer) []Finding {
+	store := newFactStore()
+	var out []Finding
+	for _, pkg := range m.Packages {
+		out = append(out, analyzePackage(m.Fset, pkg, analyzers, store)...)
+	}
+	sortFindings(out)
+	return out
+}
+
 // RunFixture is the analysistest-style harness: it loads the fixture
 // package at testdata/src/<name> (relative to the caller's directory),
 // runs exactly one analyzer over it, and checks the findings against

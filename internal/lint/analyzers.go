@@ -10,7 +10,6 @@ func All() []*Analyzer {
 		ErrWrapCheck,
 		FloatCompare,
 		NakedGoroutine,
-		Nilness,
 		NoPanic,
 		UnitMix,
 		UnusedWrite,

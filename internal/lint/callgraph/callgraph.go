@@ -3,6 +3,11 @@
 // analyzers can compute per-function summaries bottom-up (callees before
 // callers) and propagate them across packages through exported facts.
 //
+// That is its whole contract: the per-package, bottom-up SCC order that
+// detflow, errflow and allocflow summarize in. It resolves no call
+// across packages; a callee in another package is an edge whose summary
+// the analyzer reads from that package's facts.
+//
 // Resolution is layered, cheapest first:
 //
 //  1. Static calls — f(x) and recv.M(x) where the type checker resolves

@@ -68,8 +68,7 @@ SSA-based value-flow IR, flagging the call sites that import them. A
 *rand.Rand seeded from a constant or a per-vehicle SplitMix64 hash is
 deterministic and passes wherever it flows. Thread a seeded *rand.Rand
 (or simulated time) down the call chain instead.`,
-	Run:       runDetFlow,
-	FactTypes: []Fact{(*NondetFact)(nil), (*TaintFact)(nil)},
+	Run: runDetFlow,
 }
 
 func runDetFlow(pass *Pass) error {

@@ -2,7 +2,7 @@
 // gates the whole simulator.
 //
 // It mirrors the golang.org/x/tools/go/analysis contract — Analyzer,
-// Pass, Diagnostic, per-package Run, object/package Facts — on top of
+// Pass, Diagnostic, per-package Run, object Facts — on top of
 // the standard library alone, because this module builds offline with
 // zero third-party dependencies. The driver loads packages with `go list
 // -export -deps -json`, type-checks the targets from source against
@@ -11,57 +11,58 @@
 // //lint:ignore / //lint:file-ignore directives (whose analyzer names
 // are themselves validated against the registered suite).
 //
-// The suite encodes the invariants this reproduction lives or dies by:
+// The suite encodes the invariants this reproduction lives or dies by;
+// each analyzer backs one stated contract:
 //
-//   - floatcompare: no == / != on floating-point operands; use
-//     repro/internal/core/floats (Eq. 19 cost terms and Arrhenius sums
-//     never compare bit-equal).
-//   - nakedgoroutine: no raw go statements outside internal/runner; all
-//     fan-out goes through the bounded pool.
-//   - errwrapcheck: fmt.Errorf must wrap embedded errors with %w, and
-//     sentinel tests must use errors.Is, so otem.ErrUnknownCycle and
-//     friends survive every layer.
-//   - nopanic: library packages return errors; panic is for init and
-//     Must* constructors (the linalg kernels opt out file-by-file with a
-//     documented contract).
-//   - detflow: no global math/rand or time.Now in the deterministic
-//     packages (internal/sim, mpc, policy, fleet, hmpc, hees, battery,
-//     core, optimize, vmath) — replay determinism is a tested property —
-//     directly, transitively and as a value property: a helper anywhere
-//     in the module that reaches global rand or time.Now (at any call
-//     depth) must not be called from the deterministic scope, and
-//     neither may a *rand.Rand or func value derived from those
-//     sources, even laundered through a struct field, closure or
-//     function value.
-//   - errflow: errors returned by this module's own APIs must not be
-//     discarded — as bare call / defer / go statements, or as dead
-//     stores no path reads before overwrite; functions proven always-nil
-//     through the value flow (assignments, phi joins, tuple forwarding,
-//     naked returns of named results) are exempt.
-//   - unitmix: additive arithmetic and comparisons must not mix
-//     identifiers whose names carry conflicting unit suffixes (tempK +
-//     limitC, powerW > energyJ); convert through internal/units first.
-//   - nilness: no guaranteed-nil dereferences and no nil checks the
-//     branch-refined value flow has already decided.
-//   - unusedwrite: no stores whose value is overwritten or dies on
-//     every path before a read (dead error stores stay with errflow).
-//   - allocflow: functions reachable from a //lint:hotpath root must be
-//     provably allocation-free, transitively — the compile-time form of
-//     the allocs/step budget the simulator benchmarks enforce.
+//   - allocflow (the zero-allocation hot path): functions reachable from
+//     a //lint:hotpath root must be provably allocation-free,
+//     transitively — the compile-time form of the allocs/step budget
+//     TestDriveCycleAllocBudget and TestFleetAllocBudget enforce.
+//   - detflow (bit-identical replay): no global math/rand or time.Now in
+//     the deterministic packages (internal/sim, mpc, policy, fleet,
+//     hmpc, hees, battery, core, optimize, vmath) — directly,
+//     transitively and as a value property: a helper anywhere in the
+//     module that reaches global rand or time.Now (at any call depth)
+//     must not be called from the deterministic scope, and neither may a
+//     *rand.Rand or func value derived from those sources, even
+//     laundered through a struct field, closure or function value.
+//   - errflow (no silent failures): errors returned by this module's own
+//     APIs must not be discarded — as bare call / defer / go statements,
+//     or as dead stores no path reads before overwrite; functions proven
+//     always-nil through the value flow (assignments, phi joins, tuple
+//     forwarding, naked returns of named results) are exempt.
+//   - errwrapcheck (the sentinel errors): fmt.Errorf must wrap embedded
+//     errors with %w, and sentinel tests must use errors.Is, so
+//     otem.ErrUnknownCycle and friends survive every layer.
+//   - floatcompare (the numerics): no == / != on floating-point
+//     operands; use repro/internal/core/floats (Eq. 19 cost terms and
+//     Arrhenius sums never compare bit-equal).
+//   - nakedgoroutine (the runner pool): no raw go statements outside
+//     internal/runner; all fan-out goes through the bounded,
+//     panic-isolating, order-preserving pool.
+//   - nopanic (errors, not crashes): library packages return errors;
+//     panic is for init and Must* constructors (the linalg kernels opt
+//     out file-by-file with a documented contract).
+//   - unitmix (the numerics): additive arithmetic and comparisons must
+//     not mix identifiers whose names carry conflicting unit suffixes
+//     (tempK + limitC, powerW > energyJ); convert through internal/units
+//     first.
+//   - unusedwrite (no dead code in the model): no stores whose value is
+//     overwritten or dies on every path before a read (dead error stores
+//     stay with errflow).
 //
-// detflow, errflow and unitmix are cross-package dataflow analyses
-// built on Facts: serializable claims attached to objects or packages
-// (NondetFact, TaintFact, NilErrorFact, UnitFact) that an analyzer
-// exports while analyzing a dependency and imports while analyzing a
-// dependent. In the standalone driver the facts live in an in-memory
-// store keyed by (analyzer, package path, object); under `go vet
-// -vettool` they are gob-encoded into .vetx files and flow between
-// compilation units through the go command's build cache, exactly like
-// vet's own unitchecker facts.
+// allocflow, detflow, errflow and unitmix are cross-package analyses
+// built on Facts: claims attached to objects (AllocFact, NondetFact,
+// TaintFact, NilErrorFact, UnitFact) that an analyzer exports while
+// analyzing a dependency and imports while analyzing a dependent. The
+// facts live in one in-memory store per driver run, keyed by (analyzer,
+// package path, object), because a dependent sees its dependencies
+// through export data — a different *types.Package than the one the
+// facts were exported on.
 //
 // # How value-flow analysis works
 //
-// detflow, errflow, nilness and unusedwrite share one intermediate
+// detflow, errflow and unusedwrite share one intermediate
 // representation, built by repro/internal/lint/ir and cached per
 // function across analyzers by the driver (Pass.FuncIR):
 //
@@ -83,24 +84,21 @@
 //     plus a read count and an Escaped bit that trips the moment the
 //     address leaves the function (call argument, return, field store,
 //     closure capture). Non-escaped cells sustain must-claims (errflow's
-//     always-nil proofs, unusedwrite's dead stores, nilness states);
-//     escaped cells only may-claims (detflow taint).
-//  5. Dataflow. A generic forward fixpoint driver (ir.Forward) visits
-//     reachable blocks in reverse postorder; the per-block transfer
-//     returns one fact per successor edge, which is how nilness refines
-//     "p == nil" into different facts on the two arms. Joins see
-//     per-predecessor edges so they can evaluate phis.
+//     always-nil proofs, unusedwrite's dead stores); escaped cells only
+//     may-claims (detflow taint).
 //
 // # Interprocedural analysis
 //
-// repro/internal/lint/callgraph builds a per-package call graph over the
-// same IR, cached per package by the driver (Pass.CallGraph): one node
-// per declared function and per function literal, edges for static
-// calls, function values chased through SSA def-use chains (including
-// phi joins), and class-hierarchy candidates for interface dispatch
-// computed from the package's own method sets — always paired with a
-// residual dynamic edge, so clients never mistake CHA candidates for a
-// proof of coverage. Tarjan's algorithm emits the SCC condensation in
+// repro/internal/lint/callgraph gives detflow, errflow and allocflow
+// their bottom-up order: per package, callees before callers, with facts
+// carrying the summaries across package boundaries. It builds the
+// package's call graph over the same IR, cached per package by the
+// driver (Pass.CallGraph): one node per declared function and per
+// function literal, edges for static calls, function values chased
+// through SSA def-use chains (including phi joins), and class-hierarchy
+// candidates for interface dispatch computed from the package's own
+// method sets — always paired with a residual dynamic edge, so clients
+// never mistake CHA candidates for a proof of coverage. Tarjan's algorithm emits the SCC condensation in
 // reverse topological order, and detflow, errflow and allocflow compute
 // their per-function summaries bottom-up over it: callees settle before
 // callers, mutually recursive components iterate to their own local
@@ -133,9 +131,8 @@
 // "is this value derived from a nondeterministic source?" with a
 // package-level fixpoint across functions, fields and package variables;
 // errflow proves "this expression is always nil" (a greatest-fixpoint
-// dual: optimistic through phi cycles); nilness and unusedwrite consume
-// the branch-refined facts and the IR's observedness relation directly.
-// Every analysis under-approximates on the same side: a finding is
+// dual: optimistic through phi cycles); unusedwrite reads the IR's
+// observedness relation directly. Every analysis under-approximates on the same side: a finding is
 // proven, silence is not a proof.
 //
 // # Migrating from the syntactic detflow/errflow
@@ -152,23 +149,22 @@
 //     stored time.Now or closure over one),
 //   - "error assigned to <v> from <api> is never checked ..." (errflow:
 //     dead error store),
-//   - nilness and unusedwrite findings, new analyzers with their own
-//     //lint:ignore names.
+//   - unusedwrite findings, a new analyzer with its own //lint:ignore
+//     name.
 //
 // Functions that previously needed ignores because only a literal
 // `return nil` counted as infallible may shed them: always-nil is now
 // proven through the value flow.
 //
-// Because facts make package order matter, the parallel driver
+// Because facts make package order matter, the driver
 // (Module.RunParallel) schedules packages in topological waves over the
 // import DAG on the bounded worker pool from repro/internal/runner —
 // ctx-cancellable and panic-isolated — and sorts findings into a total
-// order so its output is byte-identical to the sequential reference
-// driver (Module.Run).
+// order so its output is byte-identical at any worker count and to the
+// sequential reference driver the package tests keep.
 //
-// Entry points: LoadContext + (*Module).Run or RunParallel for
-// the standalone cmd/otem-lint multichecker (`make lint`), RunUnit for
-// `go vet -vettool=$(otem-lint)`, ToSARIF / WriteSARIF / WriteJSON /
-// WriteText for rendering. The analysistest-style fixtures under
-// testdata/src run through the package tests' RunFixture.
+// Entry points: LoadContext + (*Module).RunParallel for cmd/otem-lint
+// (`make lint`), WriteText and ToSARIF / WriteSARIF for rendering. The
+// analysistest-style fixtures under testdata/src run through the package
+// tests' RunFixture.
 package lint

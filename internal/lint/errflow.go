@@ -52,8 +52,7 @@ Assign and handle the error, discard it explicitly with "_ =" if the
 context justifies it, or suppress with //lint:ignore errflow <reason>.
 Functions proven always-nil through the value flow (every return's error
 position only ever holds nil) are exported as facts and exempt.`,
-	Run:       runErrFlow,
-	FactTypes: []Fact{(*NilErrorFact)(nil)},
+	Run: runErrFlow,
 }
 
 func runErrFlow(pass *Pass) error {

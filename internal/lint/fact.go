@@ -1,25 +1,19 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 	"sync"
 )
 
-// A Fact is a serializable unit of information computed by one analyzer
-// about one object or package, mirroring analysis.Fact. Analyzers export
-// facts while analyzing a package; when a dependent package is analyzed
-// later, the same analyzer can import them and reason across package
-// boundaries (transitive nondeterminism, always-nil error returns, unit
-// annotations) without ever re-reading the dependency's source.
-//
-// Fact types must be pointers to gob-encodable structs and must be listed
-// in the owning Analyzer's FactTypes so the drivers can register them for
-// (de)serialization through vetx files.
+// A Fact is a unit of information computed by one analyzer about one
+// object, mirroring analysis.Fact. Analyzers export facts while analyzing
+// a package; when a dependent package is analyzed later in the same run,
+// the same analyzer can import them and reason across package boundaries
+// (transitive nondeterminism, always-nil error returns, allocation-free
+// callees, unit annotations) without ever re-reading the dependency's
+// source. Fact types are pointers to structs: an import copies the
+// stored struct into the caller's.
 type Fact interface {
 	// AFact is a marker method: it does nothing, but restricts the
 	// interface to types that opt in deliberately.
@@ -142,80 +136,4 @@ func structDeclaresField(st *types.Struct, field *types.Var, depth int) bool {
 		}
 	}
 	return false
-}
-
-// vetxFact is the on-disk form of one fact inside a vetx file (the go
-// command's per-package analysis cache, threaded between compilation units
-// by `go vet -vettool`). The whole store visible while analyzing a package
-// is written out — own facts plus re-exported dependency facts — so
-// transitive facts reach grand-dependents regardless of how the go command
-// prunes the PackageVetx map.
-type vetxFact struct {
-	Analyzer string
-	Pkg      string
-	Obj      string
-	Fact     Fact
-}
-
-var gobRegisterOnce sync.Once
-
-// registerFactTypes makes every declared fact type known to gob. It must
-// run before any vetx encode/decode; registration is process-global and
-// idempotent, hence the Once.
-func registerFactTypes(analyzers []*Analyzer) {
-	gobRegisterOnce.Do(func() {
-		for _, a := range All() {
-			for _, f := range a.FactTypes {
-				gob.Register(f)
-			}
-		}
-		// Also cover analyzers outside the registered suite (tests).
-		for _, a := range analyzers {
-			for _, f := range a.FactTypes {
-				gob.Register(f)
-			}
-		}
-	})
-}
-
-// encodeFacts serializes the store deterministically (sorted by key) for a
-// vetx output file.
-func (s *factStore) encodeFacts() ([]byte, error) {
-	s.mu.RLock()
-	recs := make([]vetxFact, 0, len(s.m))
-	for k, f := range s.m {
-		recs = append(recs, vetxFact{Analyzer: k.analyzer, Pkg: k.pkg, Obj: k.obj, Fact: f})
-	}
-	s.mu.RUnlock()
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		return a.Obj < b.Obj
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
-		return nil, fmt.Errorf("lint: encode facts: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeFacts merges one vetx file's records into the store. Empty input
-// (the fact-free format older builds wrote) decodes to nothing.
-func (s *factStore) decodeFacts(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var recs []vetxFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
-		return fmt.Errorf("lint: decode facts: %w", err)
-	}
-	for _, r := range recs {
-		s.set(factKey{analyzer: r.Analyzer, pkg: r.Pkg, obj: r.Obj}, r.Fact)
-	}
-	return nil
 }

@@ -75,9 +75,6 @@ type Func struct {
 // Entry returns the function's entry block.
 func (f *Func) Entry() *Block { return f.Blocks[0] }
 
-// Reachable reports whether b is reachable from the entry block.
-func (f *Func) Reachable(b *Block) bool { return b.rpo >= 0 }
-
 // builder holds the state of one CFG construction.
 type builder struct {
 	f      *Func

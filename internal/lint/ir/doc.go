@@ -1,5 +1,6 @@
 // Package ir is the value-flow intermediate representation behind the
-// SSA-based otem-lint analyzers (detflow, errflow, nilness, unusedwrite).
+// SSA-based otem-lint analyzers (detflow, errflow, unusedwrite) and the
+// call graph allocflow, detflow and errflow walk.
 //
 // It is deliberately small and stdlib-only, like the rest of
 // repro/internal/lint: the module builds offline with zero third-party
@@ -27,12 +28,6 @@
 //     a pointer-receiver method call are excluded from tracking — every
 //     use of such a variable resolves to an Unknown value, which keeps
 //     the analyses sound at the cost of precision.
-//
-// On top of the SSA values, Forward is a small forward dataflow fixpoint
-// driver: the transfer function returns one fact per successor edge, so
-// branch refinements (the nilness analyzer's x == nil splits) fall out
-// naturally, and the join hook sees which predecessor each incoming fact
-// arrived from, which is what phi evaluation needs.
 //
 // The representation is per-function and immutable once built; the lint
 // driver builds it lazily through Pass.FuncIR and shares one copy across

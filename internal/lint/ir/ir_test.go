@@ -264,142 +264,6 @@ func g() (n int) {
 	}
 }
 
-func TestForwardConstantReaching(t *testing.T) {
-	// A tiny may-be-zero analysis over the diamond: facts are maps from
-	// Value to "known constant" strings; the true edge of `c` refines
-	// nothing, but defs overwrite.
-	fs, _, _ := buildSrc(t, `package p
-func f(c bool) int {
-	x := 1
-	if c {
-		x = 2
-	}
-	return x
-}
-`)
-	f := fs["f"]
-	type fact map[Value]string
-	lit := func(e ast.Expr) string {
-		if l, ok := e.(*ast.BasicLit); ok {
-			return l.Value
-		}
-		return ""
-	}
-	equal := func(a, b fact) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k, v := range a {
-			if b[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	join := func(b *Block, in []Edge[fact]) fact {
-		out := fact{}
-		// Meet: keep only agreeing entries.
-		for k, v := range in[0].Out {
-			ok := true
-			for _, e := range in[1:] {
-				if e.Out[k] != v {
-					ok = false
-				}
-			}
-			if ok {
-				out[k] = v
-			}
-		}
-		// Phi: constant if all edges agree.
-		for _, phi := range b.Phis {
-			var c string
-			agree := true
-			for i, p := range b.Preds {
-				var ec string
-				for _, e := range in {
-					if e.Pred == p {
-						ec = e.Out[phi.Edges[i]]
-					}
-				}
-				if i == 0 {
-					c = ec
-				} else if ec != c {
-					agree = false
-				}
-			}
-			if agree && c != "" {
-				out[phi] = c
-			}
-		}
-		return out
-	}
-	flowFor := func(fn *Func, lit func(ast.Expr) string) func(*Block, fact) []fact {
-		return func(b *Block, in fact) []fact {
-			out := fact{}
-			for k, v := range in {
-				out[k] = v
-			}
-			for _, n := range b.Nodes {
-				fn.eachDef(n, func(id *ast.Ident, rhs ast.Expr, _ DefKind, _ token.Token) {
-					if d := fn.DefAt(id); d != nil && rhs != nil {
-						if c := lit(rhs); c != "" {
-							out[d] = c
-						}
-					}
-				})
-			}
-			return []fact{out}
-		}
-	}
-	flow := flowFor(f, lit)
-	retBlockOf := func(f *Func) *Block {
-		for _, b := range f.Blocks {
-			for _, n := range b.Nodes {
-				if _, ok := n.(*ast.ReturnStmt); ok {
-					return b
-				}
-			}
-		}
-		t.Fatal("no return block")
-		return nil
-	}
-
-	ins := Forward(f, fact{}, join, flow, equal)
-	// At the block holding `return x`, x's phi must NOT be a known
-	// constant: the arms disagree (1 vs 2).
-	retVal := useValue(t, f, "x", 0)
-	phi, ok := retVal.(*Phi)
-	if !ok {
-		t.Fatalf("return x resolved to %v; expected a phi", retVal)
-	}
-	if c, known := ins[retBlockOf(f)][phi]; known {
-		t.Errorf("phi wrongly constant %q at return", c)
-	}
-
-	// When both arms agree, the phi IS a known constant at the merge.
-	fs2, _, _ := buildSrc(t, `package p
-func g(c bool) int {
-	x := 1
-	if c {
-		x = 2
-	} else {
-		x = 2
-	}
-	return x
-}
-`)
-	g := fs2["g"]
-	ins2 := Forward(g, fact{}, join, flowFor(g, lit), equal)
-	retVal2 := useValue(t, g, "x", 0)
-	phi2, ok := retVal2.(*Phi)
-	if !ok {
-		t.Fatalf("g: return x resolved to %v; expected a phi", retVal2)
-	}
-	if c := ins2[retBlockOf(g)][phi2]; c != "2" {
-		t.Errorf("agreeing phi fact = %q at return, want \"2\"", c)
-	}
-}
-
 func TestBranchConventionTrueFalse(t *testing.T) {
 	fs, _, _ := buildSrc(t, `package p
 func f(p *int) int {

@@ -15,6 +15,9 @@ func (f *Func) DefAt(id *ast.Ident) *Def {
 	return nil
 }
 
+// Reachable reports whether b is reachable from the entry block.
+func (f *Func) Reachable(b *Block) bool { return b.rpo >= 0 }
+
 // Phis returns every phi value, in deterministic order.
 func (f *Func) Phis() []*Phi { return f.allPhis }
 

@@ -10,9 +10,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -36,7 +33,6 @@ func TestDetRandFixture(t *testing.T)        { RunFixture(t, DetFlow, "detrand")
 func TestDetFlowFixture(t *testing.T)        { RunFixture(t, DetFlow, "detflow") }
 func TestErrFlowFixture(t *testing.T)        { RunFixture(t, ErrFlow, "errflow") }
 func TestUnitMixFixture(t *testing.T)        { RunFixture(t, UnitMix, "unitmix") }
-func TestNilnessFixture(t *testing.T)        { RunFixture(t, Nilness, "nilness") }
 func TestUnusedWriteFixture(t *testing.T)    { RunFixture(t, UnusedWrite, "unusedwrite") }
 func TestAllocFlowFixture(t *testing.T)      { RunFixture(t, AllocFlow, "allocflow") }
 
@@ -274,7 +270,8 @@ func TestPartialFindingsDropped(t *testing.T) {
 			return errors.New("boom")
 		},
 	}
-	got := runForTypes(fset, files, pkg, info, []*Analyzer{crashing}, newFactStore())
+	p := &Package{Path: pkg.Path(), Name: pkg.Name(), Files: files, Types: pkg, Info: info}
+	got := analyzePackage(fset, p, []*Analyzer{crashing}, newFactStore())
 	if len(got) != 1 {
 		t.Fatalf("got %d findings, want exactly 1 failure marker: %v", len(got), got)
 	}
@@ -292,7 +289,7 @@ func TestPartialFindingsDropped(t *testing.T) {
 		Doc:  "faily\n\nfails without reporting",
 		Run:  func(p *Pass) error { return errors.New("bang") },
 	}
-	got = runForTypes(fset, files, pkg, info, []*Analyzer{failing}, newFactStore())
+	got = analyzePackage(fset, p, []*Analyzer{failing}, newFactStore())
 	if len(got) != 1 || strings.Contains(got[0].Message, "dropped") {
 		t.Fatalf("failure without partials = %v, want a single marker without a drop note", got)
 	}
@@ -355,51 +352,19 @@ func eq(a, b float64) bool {
 	}
 }
 
-// TestFactStoreRoundTrip proves facts survive the vetx serialization the
-// `go vet -vettool` path depends on.
+// TestFactStoreRoundTrip pins the store lookups cross-package facts rely
+// on: a stored fact reads back into a fresh struct of its type, and a
+// lookup with a mismatched fact type misses instead of corrupting.
 func TestFactStoreRoundTrip(t *testing.T) {
-	registerFactTypes(All())
 	store := newFactStore()
-	store.set(factKey{analyzer: "detflow", pkg: "repro/internal/x", obj: "Jitter"}, &NondetFact{Reason: "calls time.Now"})
-	store.set(factKey{analyzer: "errflow", pkg: "repro/internal/x", obj: "NeverFails"}, &NilErrorFact{})
-	store.set(factKey{analyzer: "unitmix", pkg: "repro/internal/units", obj: "CToK"}, &UnitFact{Unit: "K"})
-
-	data, err := store.encodeFacts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic bytes: encoding twice must be identical (the go
-	// command caches on vetx content).
-	data2, err := store.encodeFacts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Error("encodeFacts is not deterministic")
-	}
-
-	decoded := newFactStore()
-	if err := decoded.decodeFacts(data); err != nil {
-		t.Fatal(err)
-	}
+	key := factKey{analyzer: "detflow", pkg: "repro/internal/x", obj: "Jitter"}
+	store.set(key, &NondetFact{Reason: "calls time.Now"})
 	var nd NondetFact
-	if !decoded.get(factKey{analyzer: "detflow", pkg: "repro/internal/x", obj: "Jitter"}, &nd) || nd.Reason != "calls time.Now" {
-		t.Errorf("NondetFact did not round-trip: %+v", nd)
-	}
-	var ne NilErrorFact
-	if !decoded.get(factKey{analyzer: "errflow", pkg: "repro/internal/x", obj: "NeverFails"}, &ne) {
-		t.Error("NilErrorFact did not round-trip")
+	if !store.get(key, &nd) || nd.Reason != "calls time.Now" {
+		t.Errorf("NondetFact did not read back: %+v", nd)
 	}
 	var uf UnitFact
-	if !decoded.get(factKey{analyzer: "unitmix", pkg: "repro/internal/units", obj: "CToK"}, &uf) || uf.Unit != "K" {
-		t.Errorf("UnitFact did not round-trip: %+v", uf)
-	}
-	// The legacy fact-free format (an empty file) must decode cleanly.
-	if err := newFactStore().decodeFacts(nil); err != nil {
-		t.Errorf("empty vetx: %v", err)
-	}
-	// Type mismatches miss instead of corrupting.
-	if decoded.get(factKey{analyzer: "detflow", pkg: "repro/internal/x", obj: "Jitter"}, &uf) {
+	if store.get(key, &uf) {
 		t.Error("get with mismatched fact type succeeded")
 	}
 }
@@ -561,87 +526,6 @@ func TestModuleWaves(t *testing.T) {
 	}
 	if _, err := topoSort([]*Package{mk("m/x", "m/y"), mk("m/y", "m/x")}); err == nil {
 		t.Error("topoSort accepted an import cycle")
-	}
-}
-
-// TestVetToolProtocol builds cmd/otem-lint and runs it the way CI's
-// `go vet -vettool` does, proving the unitchecker handshake (-V=full,
-// -flags, pkg.cfg) against the real go command.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet in -short mode")
-	}
-	bin := filepath.Join(t.TempDir(), "otem-lint")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/otem-lint")
-	build.Dir = "../.."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building otem-lint: %v\n%s", err, out)
-	}
-
-	// A clean leaf package must vet clean through the tool.
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./internal/core/floats")
-	vet.Dir = "../.."
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool on clean package: %v\n%s", err, out)
-	}
-
-	// A package with a violation must fail and name the analyzer.
-	dir := t.TempDir()
-	src := filepath.Join(dir, "bad.go")
-	if err := os.WriteFile(src, []byte("package bad\n\nfunc eq(a, b float64) bool { return a == b }\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	gomod := filepath.Join(dir, "go.mod")
-	if err := os.WriteFile(gomod, []byte("module bad\n\ngo 1.22\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	vet = exec.Command("go", "vet", "-vettool="+bin, ".")
-	vet.Dir = dir
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool on violating package succeeded, want failure\n%s", out)
-	}
-	if !bytes.Contains(out, []byte("floatcompare")) {
-		t.Fatalf("vet output does not mention floatcompare:\n%s", out)
-	}
-
-	// Facts must flow between compilation units through vetx files: a
-	// helper package reaches time.Now, and a deterministic-scope package
-	// in the same module calls it. Only cross-unit fact propagation can
-	// produce the detflow finding — the sim unit never sees the helper's
-	// source.
-	dir = t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		full := filepath.Join(dir, rel)
-		if err := os.MkdirAll(filepath.Dir(full), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(full, []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module factmod\n\ngo 1.22\n")
-	write("helper/helper.go", `package helper
-
-import "time"
-
-func Jitter() int64 { return time.Now().UnixNano() }
-`)
-	write("internal/sim/sim.go", `package sim
-
-import "factmod/helper"
-
-func Step() int64 { return helper.Jitter() }
-`)
-	vet = exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = dir
-	out, err = vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool missed the cross-unit detflow case\n%s", out)
-	}
-	if !bytes.Contains(out, []byte("detflow")) || !bytes.Contains(out, []byte("Jitter")) {
-		t.Fatalf("vet output does not carry the detflow fact finding:\n%s", out)
 	}
 }
 

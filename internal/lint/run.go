@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 
@@ -24,15 +23,20 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
 }
 
-// Run applies every analyzer to every loaded package, filters the results
-// through //lint:ignore and //lint:file-ignore directives, and returns the
-// surviving findings sorted by position.
+// RunParallel applies every analyzer to every loaded package, filters
+// the results through //lint:ignore and //lint:file-ignore directives,
+// and returns the surviving findings sorted by position.
 //
-// Packages are visited in dependency order (Load topo-sorts them), so
-// facts exported while analyzing a package are visible when its dependents
-// are analyzed. This is the sequential reference driver; RunParallel
-// produces identical output by scheduling the same per-package analysis
-// over the dependency DAG.
+// Facts make package order matter, so the analysis is scheduled over the
+// package dependency DAG on the given worker pool (nil selects the
+// default GOMAXPROCS-bounded pool): the packages are partitioned into
+// Kahn waves — wave k holds packages all of whose in-module dependencies
+// sit in waves < k — and each wave's packages are analyzed concurrently,
+// so facts from every dependency are always complete before a dependent
+// starts. Fan-out is bounded by the pool, cancellation is cooperative via
+// ctx, and a panicking analyzer surfaces as a *runner.PanicError instead
+// of crashing the driver. The findings are sorted into a total order, so
+// they are byte-identical at any worker count.
 //
 // Two directive forms are honoured, mirroring staticcheck's:
 //
@@ -44,30 +48,7 @@ func (f Finding) String() string {
 // — a directive without a reason, or naming an unknown analyzer, is
 // itself reported as a finding (analyzer "lintdirective"), so
 // suppressions stay auditable and typos cannot silently suppress nothing.
-func (m *Module) Run(analyzers []*Analyzer) []Finding {
-	registerFactTypes(analyzers)
-	store := newFactStore()
-	var out []Finding
-	for _, pkg := range m.Packages {
-		out = append(out, analyzePackage(m.Fset, pkg, analyzers, store)...)
-	}
-	sortFindings(out)
-	return out
-}
-
-// RunParallel runs the same analysis as Run, scheduled over the package
-// dependency DAG on the given worker pool (nil selects the default
-// GOMAXPROCS-bounded pool): the packages are partitioned into Kahn waves
-// — wave k holds packages all of whose in-module dependencies sit in
-// waves < k — and each wave's packages are analyzed concurrently, so
-// facts from every dependency are always complete before a dependent
-// starts. Fan-out is bounded by the pool, cancellation is cooperative via
-// ctx, and a panicking analyzer surfaces as a *runner.PanicError instead
-// of crashing the driver.
-//
-// The returned findings are byte-identical to Run's at any worker count.
 func (m *Module) RunParallel(ctx context.Context, pool *runner.Pool, analyzers []*Analyzer) ([]Finding, error) {
-	registerFactTypes(analyzers)
 	store := newFactStore()
 	var out []Finding
 	for _, wave := range m.waves() {
@@ -157,7 +138,7 @@ func analyzePackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, st
 
 // sortFindings orders findings by position, analyzer and message — a total
 // order, so the result is independent of the order packages were analyzed
-// in (sequential topo order vs parallel waves).
+// in (topological order or parallel waves).
 func sortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -175,29 +156,6 @@ func sortFindings(out []Finding) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// runForTypes runs analyzers over an already type-checked package — the
-// unitchecker (`go vet -vettool`) path, which gets its type information
-// from vet's config file rather than Load. The fact store is owned by the
-// caller, so the vetx path can pre-load dependency facts and harvest the
-// exports.
-func runForTypes(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, store *factStore) []Finding {
-	var goFiles []string
-	for _, f := range files {
-		goFiles = append(goFiles, fset.Position(f.Pos()).Filename)
-	}
-	p := &Package{
-		Path:    pkg.Path(),
-		Name:    pkg.Name(),
-		GoFiles: goFiles,
-		Files:   files,
-		Types:   pkg,
-		Info:    info,
-	}
-	out := analyzePackage(fset, p, analyzers, store)
-	sortFindings(out)
-	return out
 }
 
 // knownCheckNames is the set of names valid in a //lint: directive's

@@ -7,11 +7,11 @@ import (
 	"strings"
 )
 
-// This file renders findings in machine-readable formats: a flat JSON
-// array for scripting, and SARIF 2.1.0 (the OASIS Static Analysis Results
-// Interchange Format) for CI annotation surfaces like GitHub code
-// scanning. Only the subset of SARIF the findings populate is modelled;
-// every struct field maps 1:1 onto the spec's property of the same name.
+// This file renders findings: one line per finding for the terminal, and
+// SARIF 2.1.0 (the OASIS Static Analysis Results Interchange Format) for
+// CI annotation surfaces like GitHub code scanning. Only the subset of
+// SARIF the findings populate is modelled; every struct field maps 1:1
+// onto the spec's property of the same name.
 
 // SARIFSchemaURI and SARIFVersion identify the emitted dialect.
 const (
@@ -154,37 +154,6 @@ func WriteSARIF(w io.Writer, findings []Finding, analyzers []*Analyzer) error {
 	data, err := json.MarshalIndent(ToSARIF(findings, analyzers), "", "  ")
 	if err != nil {
 		return fmt.Errorf("lint: encode sarif: %w", err)
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// jsonFinding is the flat -format=json record.
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON renders findings as a flat JSON array (never null: zero
-// findings encode as []).
-func WriteJSON(w io.Writer, findings []Finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			Analyzer: f.Analyzer,
-			File:     f.Pos.Filename,
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Message:  f.Message,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return fmt.Errorf("lint: encode json: %w", err)
 	}
 	data = append(data, '\n')
 	_, err = w.Write(data)

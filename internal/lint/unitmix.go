@@ -58,8 +58,7 @@ declared units differ is a dimensional or scale error (K vs C, J vs Wh).
 Convert explicitly (units.CToK, units.JouleToKWh) so the suffixes agree,
 or suppress with //lint:ignore unitmix <reason> where the mix is
 intentional.`,
-	Run:       runUnitMix,
-	FactTypes: []Fact{(*UnitFact)(nil)},
+	Run: runUnitMix,
 }
 
 func runUnitMix(pass *Pass) error {
