@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check cross race race-grids bench bench-smoke vet lint lint-sarif fmt fuzz-smoke serve-smoke fleet-bench
+.PHONY: build test check cross race bench bench-smoke vet lint lint-sarif fmt fuzz-smoke serve-smoke fleet-bench
 
 build:
 	$(GO) build ./...
@@ -41,8 +41,7 @@ test: build
 # and GOAMD64=v3 builds hold (cross), the full suite passes under the race
 # detector, and the benchmark driver's smoke test still reproduces its
 # pinned results.
-check: vet lint build cross bench-smoke
-	$(GO) test -race ./...
+check: vet lint build cross bench-smoke race
 
 # The builds the host's default does not exercise: the portable (non-amd64)
 # build of every package that carries assembly must compile, and the
@@ -55,13 +54,6 @@ cross:
 # The full suite under the race detector (slow: MPC-heavy tests included).
 race:
 	$(GO) test -race ./...
-
-# Race-enabled runs of just the batch-engine-heavy paths: the runner
-# itself, the Fig. 8/9 sweep and Table I grids, the DSE grid and the
-# facade batch API.
-race-grids:
-	$(GO) test -race -run 'Runner|Pool|Map|Cancel|Panic|Sweep|TableI|Explore|Batch|Progress' \
-		./internal/runner ./internal/experiments ./internal/dse ./otem
 
 bench:
 	$(GO) test -bench 'Batch' -benchtime 1x ./internal/experiments

@@ -42,7 +42,7 @@ func BenchmarkObjectiveLanes(b *testing.B) {
 				for k := range o.fc {
 					o.fc[k] = 30e3 + 2e3*float64(j)
 				}
-				z := make([]float64, o.planner.Spec().Dim())
+				z := make([]float64, o.prob.Dim)
 				for i := range z {
 					z[i] = 0.3 / float64(j+1)
 				}

@@ -20,9 +20,15 @@ import "math"
 const Eps = 1e-9
 
 // Zero reports whether x is indistinguishable from zero at tolerance Eps.
-// It is the replacement for `x == 0` guards, including "field left at its
-// zero value" checks on config structs.
+// It is the replacement for `x == 0` guards; a "field left at its zero
+// value" check on a config struct wants Unset.
 func Zero(x float64) bool { return ZeroTol(x, Eps) }
+
+// Unset reports whether a config field holding x was left at its zero
+// value, so its default applies: x is within Eps of zero and not
+// negative. A negative x, however tiny, is an input for validation to
+// judge, never a request for the default.
+func Unset(x float64) bool { return x >= 0 && Zero(x) }
 
 // ZeroTol reports whether |x| <= tol.
 func ZeroTol(x, tol float64) bool { return math.Abs(x) <= tol }

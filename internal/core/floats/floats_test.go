@@ -26,6 +26,27 @@ func TestZero(t *testing.T) {
 	}
 }
 
+func TestUnset(t *testing.T) {
+	cases := []struct {
+		x    float64
+		want bool
+	}{
+		{0, true},
+		{math.Copysign(0, -1), true},
+		{1e-12, true},
+		{Eps, true},
+		{-1e-12, false},
+		{-5e-10, false},
+		{1e-6, false},
+		{math.NaN(), false},
+	}
+	for _, c := range cases {
+		if got := Unset(c.x); got != c.want {
+			t.Errorf("Unset(%g) = %v, want %v", c.x, got, c.want)
+		}
+	}
+}
+
 func TestEq(t *testing.T) {
 	cases := []struct {
 		a, b float64

@@ -145,7 +145,7 @@ type sweep struct {
 	tapes   [laneBudget / 4][]tapeRow
 	horizon int
 	// bs, mIn and lastBase walk z one block every bs steps: the same
-	// indexing as Spec.InputAt, without the per-step division.
+	// indexing as OTEM.blockOf, without the per-step division.
 	bs, mIn, lastBase int
 	// capPowerScale is the lanes' common Config's.
 	capPowerScale float64
@@ -202,13 +202,12 @@ type sweep struct {
 func objectiveFwd(lanes []fwdLane) {
 	lead := lanes[0].o
 	cfg := &lead.cfg
-	spec := lead.planner.Spec()
 	s := sweep{
 		lanes:         lanes,
 		horizon:       cfg.Horizon,
-		bs:            spec.BlockSize,
-		mIn:           spec.InputsPerStep,
-		lastBase:      (spec.Blocks() - 1) * spec.InputsPerStep,
+		bs:            cfg.BlockSize,
+		mIn:           inputs,
+		lastBase:      (lead.blocks - 1) * inputs,
 		capPowerScale: cfg.CapPowerScale,
 	}
 	for j := range lanes {
@@ -599,8 +598,6 @@ func (o *OTEM) laneCost(tape []tapeRow, c int) float64 {
 func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 	r := &o.roll
 	cfg := &o.cfg
-	spec := o.planner.Spec()
-	bs, nb, mIn := spec.BlockSize, spec.Blocks(), spec.InputsPerStep
 	dt := r.dt
 	cn := r.cnc
 
@@ -842,12 +839,9 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 		acoolU := apcool*(r.coolerMax+r.pump) + aqx*(-r.coolEff*r.coolerMax)
 
 		// --- accumulate into the blocked gradient ---
-		b := k / bs
-		if b >= nb {
-			b = nb - 1
-		}
-		grad[b*mIn] += acapU
-		grad[b*mIn+1] += acoolU
+		b := o.blockOf(k) * inputs
+		grad[b] += acapU
+		grad[b+1] += acoolU
 
 		asoc, asoe, atb, atc = asoc0, asoe0, atb0, atc0
 	}

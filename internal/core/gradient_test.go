@@ -47,7 +47,7 @@ func TestObjectiveFwdMatchesObjective(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		o := randomizedOTEM(t, rng)
-		z := make([]float64, o.planner.Spec().Dim())
+		z := make([]float64, o.prob.Dim)
 		for i := range z {
 			if i%2 == 0 {
 				z[i] = -1 + 2*rng.Float64()
@@ -94,7 +94,7 @@ func TestAnalyticGradientMatchesNumeric(t *testing.T) {
 	worstRel := 0.0
 	for trial := 0; trial < 40; trial++ {
 		o := randomizedOTEM(t, rng)
-		dim := o.planner.Spec().Dim()
+		dim := o.prob.Dim
 		z := make([]float64, dim)
 		for i := range z {
 			if i%2 == 0 {
@@ -145,7 +145,7 @@ func TestAnalyticGradientMatchesOnRegenAndSaturation(t *testing.T) {
 		for k := range o.fc {
 			o.fc[k] = -40e3 // heavy regen throughout
 		}
-		dim := o.planner.Spec().Dim()
+		dim := o.prob.Dim
 		z := make([]float64, dim)
 		for i := range z {
 			if i%2 == 0 {
@@ -193,7 +193,7 @@ func TestAnalyticGradientProducesSameControl(t *testing.T) {
 			t.Fatal(err)
 		}
 		if numeric {
-			ctrl.gradFn = fdGrad(ctrl.objective, ctrl.planner.Spec().Dim())
+			ctrl.prob.Grad = fdGrad(ctrl.objective, ctrl.prob.Dim)
 		}
 		res, err := sim.Run(plant, ctrl, requests, sim.Config{Horizon: 20})
 		if err != nil {

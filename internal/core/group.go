@@ -8,9 +8,9 @@ import (
 
 // This file packs the replans of many vehicles into shared lockstep
 // rollouts. Every lane of a sim.RunBatch that is due to replan on a step
-// runs its own ask/tell solve (mpc.Planner over optimize.Workspace); the
-// solves advance together in rounds, and each round evaluates every
-// unfinished vehicle's next trial in one objectiveFwd call. A vehicle that
+// runs its own ask/tell solve on its optimize.Workspace; the solves
+// advance together in rounds, and each round evaluates every unfinished
+// vehicle's next trial in one objectiveFwd call. A vehicle that
 // finishes drops out of the rounds. Each vehicle's solver sees exactly the
 // values its solo replan sees — the rollout lanes are independent and
 // bit-identical to single-lane calls, and Tell counts only the sequential
@@ -157,7 +157,7 @@ func (lead *OTEM) packRound(lanes []sim.GroupLane) bool {
 			added := false
 			for i := range lanes {
 				c := lead.member(lanes, i)
-				if c == nil || c.budget >= c.slots || !c.planner.Searching() {
+				if c == nil || c.budget >= c.slots || !c.ws.Searching() {
 					continue
 				}
 				c.budget++
@@ -187,7 +187,7 @@ func (lead *OTEM) packRound(lanes []sim.GroupLane) bool {
 		if c == nil {
 			continue
 		}
-		pts := c.planner.Ask(c.budget)
+		pts := c.ws.Ask(c.budget)
 		if len(pts) == 0 {
 			c.solving = false
 			continue
@@ -222,8 +222,8 @@ func (lead *OTEM) flush(call []fwdLane) {
 			continue
 		}
 		c := call[j].o
-		c.planner.Tell(c.tapeCost[:c.tapeLanes])
-		if c.planner.Done() {
+		c.ws.Tell(c.tapeCost[:c.tapeLanes])
+		if c.ws.Done() {
 			c.solving = false
 		}
 	}

@@ -18,7 +18,7 @@ import (
 func withAllSlots(o *OTEM) {
 	for j := range o.tapeZ {
 		if o.tapeZ[j] == nil {
-			o.tapeZ[j] = make([]float64, o.planner.Spec().Dim())
+			o.tapeZ[j] = make([]float64, o.prob.Dim)
 		}
 	}
 	o.slots = maxSpec
@@ -216,7 +216,7 @@ func packedLanes(t *testing.T, rng *rand.Rand, n int, tracking bool) []fwdLane {
 	lanes := make([]fwdLane, 0, n)
 	for len(lanes) < n {
 		o := laneScenario(t, rng, tracking)
-		dim := o.planner.Spec().Dim()
+		dim := o.prob.Dim
 		m := min(1+rng.Intn(maxSpec), n-len(lanes))
 		for s := 0; s < m; s++ {
 			z := randomDecision(rng, dim)
@@ -286,7 +286,7 @@ func TestAdjointReusesForwardExponentials(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
 		o := laneScenario(t, rng, rng.Intn(3) == 0)
-		tape, _ := replayTape(o, randomDecision(rng, o.planner.Spec().Dim()))
+		tape, _ := replayTape(o, randomDecision(rng, o.prob.Dim))
 		cell := &o.roll.cell
 		for k := range tape {
 			tp := &tape[k]

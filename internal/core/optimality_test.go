@@ -41,16 +41,16 @@ func TestPlannerBeatsExhaustiveGrid(t *testing.T) {
 	}
 
 	// One plan on finite-difference gradients, one trial per Ask.
-	if err := o.planner.Start(o.objective, fdGrad(o.objective, o.planner.Spec().Dim())); err != nil {
+	o.prob.Grad = fdGrad(o.objective, o.prob.Dim)
+	if err := o.ws.Start(&o.prob, o.warm, &o.cfg.Optimizer); err != nil {
 		t.Fatal(err)
 	}
 	var f [1]float64
-	for pts := o.planner.Ask(1); len(pts) > 0; pts = o.planner.Ask(1) {
+	for pts := o.ws.Ask(1); len(pts) > 0; pts = o.ws.Ask(1) {
 		f[0] = o.objective(pts[0])
-		o.planner.Tell(f[:])
+		o.ws.Tell(f[:])
 	}
-	plan, _ := o.planner.Finish()
-	planCost := o.objective(plan)
+	planCost := o.objective(o.ws.Result().X)
 
 	// Exhaustive grid: 7 capU levels × 5 coolU levels per block = 35³
 	// combinations.

@@ -26,7 +26,6 @@ import (
 	"repro/internal/battery"
 	"repro/internal/converter"
 	"repro/internal/cooling"
-	"repro/internal/mpc"
 	"repro/internal/optimize"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -110,8 +109,6 @@ func DefaultConfig() Config {
 		Optimizer: optimize.Options{
 			MaxIterations: 30,
 			Tolerance:     1e-4,
-			Memory:        6,
-			MaxLineSearch: 25,
 		},
 	}
 }
@@ -149,10 +146,26 @@ func (c Config) Validate() error {
 // finiteNonNeg reports whether w is a usable cost weight: finite and >= 0.
 func finiteNonNeg(w float64) bool { return w >= 0 && !math.IsInf(w, 1) }
 
+// inputs is the number of decision inputs per move block: u0, the
+// ultracapacitor bus power normalised to CapPowerScale, and u1, the
+// cooling intensity.
+const inputs = 2
+
 // OTEM is the controller. It implements sim.Controller. Construct with New.
 type OTEM struct {
-	cfg     Config
-	planner *mpc.Planner
+	cfg Config
+
+	// The horizon problem: blocks is the number of move blocks
+	// ceil(Horizon/BlockSize); prob is the box-bounded problem over the
+	// blocked decision vector, whose Grad is the adjoint gradient; ws is
+	// the optimizer that solves it; warm is the next solve's start — the
+	// last solution, shifted by AdvanceWarmStart, or the bounds' midpoint before
+	// the first solve. ws holds every solver buffer, so a warm replan runs
+	// without allocating, and makes the controller single-goroutine state.
+	blocks int
+	prob   optimize.Problem
+	ws     optimize.Workspace
+	warm   []float64
 
 	// Current plan and its execution cursor.
 	plan      []float64
@@ -192,13 +205,8 @@ type OTEM struct {
 	tapeGenAt [maxSpec]uint64
 	tapeLanes int
 
-	// objFn/gradFn are the planner callbacks, bound once at construction
-	// so each replan does not allocate a method value or closure.
-	objFn  func([]float64) float64
-	gradFn func(z, g []float64)
-
 	// State of a replan in a lockstep group (group.go): replanning from
-	// beginReplan to endReplan, solving until the planner is done (started
+	// beginReplan to endReplan, solving until the solve is done (started
 	// records whether it began at all), the class leader whose Config this
 	// controller's trials pack with and the budget of the next Ask. stats
 	// is the leader's count of its packing work.
@@ -230,25 +238,32 @@ func New(cfg Config) (*OTEM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	planner, err := mpc.NewPlanner(mpc.Spec{
-		Horizon:       cfg.Horizon,
-		BlockSize:     cfg.BlockSize,
-		InputsPerStep: 2,
-		// u0: normalised ultracapacitor bus power; u1: cooling intensity.
-		Lower:   []float64{-1, 0},
-		Upper:   []float64{1, 1},
-		Options: cfg.Optimizer,
-	})
-	if err != nil {
-		return nil, err
-	}
+	blocks := (cfg.Horizon + cfg.BlockSize - 1) / cfg.BlockSize
+	dim := blocks * inputs
 	o := &OTEM{
-		cfg:     cfg,
-		planner: planner,
-		plan:    make([]float64, 0, planner.Spec().Dim()),
-		fc:      make([]float64, cfg.Horizon),
-		refSoC:  make([]float64, cfg.Horizon),
-		refTb:   make([]float64, cfg.Horizon),
+		cfg:    cfg,
+		blocks: blocks,
+		warm:   make([]float64, dim),
+		plan:   make([]float64, 0, dim),
+		fc:     make([]float64, cfg.Horizon),
+		refSoC: make([]float64, cfg.Horizon),
+		refTb:  make([]float64, cfg.Horizon),
+	}
+	o.prob = optimize.Problem{
+		Dim:   dim,
+		Grad:  func(z, g []float64) { o.objectiveGrad(z, g) },
+		Lower: make([]float64, dim),
+		Upper: make([]float64, dim),
+	}
+	// Box bounds: u0 ∈ [-1, 1] (constraint C7), u1 ∈ [0, 1]. The first
+	// solve starts at their midpoint.
+	lower, upper := [inputs]float64{-1, 0}, [inputs]float64{1, 1}
+	for b := 0; b < blocks; b++ {
+		for i := 0; i < inputs; i++ {
+			o.prob.Lower[b*inputs+i] = lower[i]
+			o.prob.Upper[b*inputs+i] = upper[i]
+			o.warm[b*inputs+i] = (lower[i] + upper[i]) / 2
+		}
 	}
 	o.slots = 1
 	if vmath.Live() {
@@ -256,14 +271,11 @@ func New(cfg Config) (*OTEM, error) {
 	}
 	// One backing array for the slots' keys, so extra slots add no
 	// allocations.
-	dim := planner.Spec().Dim()
 	o.tape = make([]tapeRow, cfg.Horizon)
 	keys := make([]float64, o.slots*dim)
 	for j := 0; j < o.slots; j++ {
 		o.tapeZ[j] = keys[j*dim : (j+1)*dim : (j+1)*dim]
 	}
-	o.objFn = o.objective
-	o.gradFn = func(z, g []float64) { o.objectiveGrad(z, g) }
 	return o, nil
 }
 
@@ -300,8 +312,8 @@ func (o *OTEM) dueForReplan(p *sim.Plant) bool {
 // the cursor.
 func (o *OTEM) execute(p *sim.Plant, forecast []float64) sim.Action {
 	o.stepAbs++
-	capU := o.planner.Spec().InputAt(o.plan, o.cursor, 0)
-	coolU := o.planner.Spec().InputAt(o.plan, o.cursor, 1)
+	b := o.blockOf(o.cursor) * inputs
+	capU, coolU := o.plan[b], o.plan[b+1]
 	o.cursor++
 
 	act := sim.Action{Arch: sim.ArchHybrid}
@@ -343,8 +355,8 @@ func (o *OTEM) replan(p *sim.Plant, forecast []float64) {
 }
 
 // beginReplan snapshots the plant and forecast into the rollout and starts
-// the planner's ask/tell solve; replanGroup drives it and endReplan takes
-// its plan.
+// the ask/tell solve from the warm start; replanGroup drives it and
+// endReplan takes its plan.
 func (o *OTEM) beginReplan(p *sim.Plant, forecast []float64) {
 	o.roll.capture(p, o.cfg)
 	o.prepareRefWindow()
@@ -359,32 +371,54 @@ func (o *OTEM) beginReplan(p *sim.Plant, forecast []float64) {
 			o.fc[k] = 0
 		}
 	}
-	o.planner.Advance(o.cursor)
+	o.AdvanceWarmStart(o.cursor)
 	o.replanning = true
-	o.started = o.planner.Start(o.objFn, o.gradFn) == nil
+	o.started = o.ws.Start(&o.prob, o.warm, &o.cfg.Optimizer) == nil
 	o.solving = o.started
 }
 
-// endReplan installs the finished solve's plan and resets the cursor.
+// endReplan installs the finished solve's plan, which also becomes the
+// next warm start, and resets the cursor.
 func (o *OTEM) endReplan() {
 	o.replanning = false
+	// The buffer was sized to the decision dimension at construction, so
+	// this reslice never grows it (replan is on the warm PlanTrip path and
+	// must stay allocation-free).
+	o.plan = o.plan[:o.prob.Dim]
 	if o.started {
-		// The buffer was sized to the decision dimension at construction,
-		// so this reslice-and-copy never grows it (replan is on the warm
-		// PlanTrip path and must stay allocation-free).
-		plan, _ := o.planner.Finish()
-		o.plan = o.plan[:len(plan)]
-		copy(o.plan, plan)
+		copy(o.warm, o.ws.Result().X)
+		copy(o.plan, o.warm)
 	} else {
-		// Objective failures cannot happen with a validated config; fall
-		// back to a do-nothing hybrid action (battery carries everything).
-		o.plan = o.plan[:o.planner.Spec().Dim()]
+		// A validated config never fails to start; fall back to a
+		// do-nothing hybrid action (battery carries everything).
 		for i := range o.plan {
 			o.plan[i] = 0
 		}
 	}
 	o.planValid = true
 	o.cursor = 0
+}
+
+// blockOf returns the move block of horizon step k; steps past the
+// horizon hold the last block.
+func (o *OTEM) blockOf(k int) int { return min(k/o.cfg.BlockSize, o.blocks-1) }
+
+// AdvanceWarmStart shifts the warm start forward by n executed horizon
+// steps (receding horizon): whole executed blocks are dropped and the
+// tail is padded by repeating the last block. Fewer steps than a block
+// leave it unchanged; a shift past the horizon leaves every block equal
+// to the last. Every replan shifts by the steps executed since the last
+// one; PlanTrip callers call it when the trip window has moved forward.
+func (o *OTEM) AdvanceWarmStart(n int) {
+	shift := min(n/o.cfg.BlockSize, o.blocks-1)
+	if shift <= 0 {
+		return
+	}
+	copy(o.warm, o.warm[shift*inputs:])
+	last := o.warm[(o.blocks-shift-1)*inputs : (o.blocks-shift)*inputs]
+	for b := o.blocks - shift; b < o.blocks; b++ {
+		copy(o.warm[b*inputs:(b+1)*inputs], last)
+	}
 }
 
 // objective is the single-shooting cost of the blocked decision vector z:

@@ -328,7 +328,7 @@ func TestObjectiveFiniteOnExtremes(t *testing.T) {
 		{1.0, 1.0, units.CToK(-10), units.CToK(-10)},
 		{0.5, 0.0, units.CToK(25), units.CToK(25)},
 	}
-	z := make([]float64, o.planner.Spec().Dim())
+	z := make([]float64, o.prob.Dim)
 	corners := [][]float64{
 		z,
 		fill(len(z), 1),

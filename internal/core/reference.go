@@ -181,8 +181,3 @@ func (o *OTEM) PlanTrip(p *sim.Plant, forecast []float64, traj *Trajectory) ([]f
 	}
 	return o.plan, nil
 }
-
-// AdvanceWarmStart shifts the planner's warm start by n executed horizon
-// steps, aligning the previous PlanTrip solution with a trip window that
-// has moved forward (receding-horizon reuse across outer replans).
-func (o *OTEM) AdvanceWarmStart(n int) { o.planner.Advance(n) }

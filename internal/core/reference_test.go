@@ -56,7 +56,7 @@ func TestTrackingGradientMatchesNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 30; trial++ {
 		o := trackingOTEM(t, rng)
-		dim := o.planner.Spec().Dim()
+		dim := o.prob.Dim
 		z := make([]float64, dim)
 		for i := range z {
 			if i%2 == 0 {
@@ -113,7 +113,7 @@ func TestZeroWeightReferenceBitIdentical(t *testing.T) {
 		copy(withRef.fc, flat.fc)
 		withRef.prepareRefWindow()
 
-		z := make([]float64, flat.planner.Spec().Dim())
+		z := make([]float64, flat.prob.Dim)
 		for i := range z {
 			z[i] = -1 + 2*rng.Float64()
 		}
@@ -207,8 +207,8 @@ func TestPlanTripTrajectoryMatchesRollout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan) != o.planner.Spec().Dim() {
-		t.Fatalf("plan length %d != dim %d", len(plan), o.planner.Spec().Dim())
+	if len(plan) != o.prob.Dim {
+		t.Fatalf("plan length %d != dim %d", len(plan), o.prob.Dim)
 	}
 
 	// Replay the rollout independently and compare the extracted states.

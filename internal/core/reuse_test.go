@@ -85,7 +85,7 @@ func TestReplanSteadyStateAllocsZero(t *testing.T) {
 func TestTapeReuseSkipsForwardPass(t *testing.T) {
 	o, _, _ := warmOTEM(t)
 
-	z := make([]float64, o.planner.Spec().Dim())
+	z := make([]float64, o.prob.Dim)
 	for i := range z {
 		z[i] = 0.25
 	}

@@ -57,10 +57,10 @@ func (s Spec) Resolved() Spec {
 	if s.Method == "" {
 		s.Method = policy.MethodologyOTEM
 	}
-	if floats.Zero(s.UltracapF) {
+	if floats.Unset(s.UltracapF) {
 		s.UltracapF = 25000
 	}
-	if floats.Zero(s.RouteSeconds) {
+	if floats.Unset(s.RouteSeconds) {
 		s.RouteSeconds = 600
 	}
 	if s.Horizon == 0 {

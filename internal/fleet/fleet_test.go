@@ -164,6 +164,10 @@ func TestSpecValidate(t *testing.T) {
 		{"bad-ucap", func(s *Spec) { s.UltracapF = -5 }, false},
 		{"short-route", func(s *Spec) { s.RouteSeconds = 10 }, false},
 		{"nan-ucap", func(s *Spec) { s.UltracapF = math.NaN() }, false},
+		// A negative value within floats.Eps of zero is not a request for
+		// the default.
+		{"tiny-negative-ucap", func(s *Spec) { s.UltracapF = -5e-10 }, false},
+		{"tiny-negative-route", func(s *Spec) { s.RouteSeconds = -5e-10 }, false},
 		{"inf-ucap", func(s *Spec) { s.UltracapF = math.Inf(1) }, false},
 		{"longest-route-ok", func(s *Spec) { s.RouteSeconds = 7200 }, true},
 		{"long-route", func(s *Spec) { s.RouteSeconds = 7201 }, false},

@@ -12,7 +12,7 @@
 //     fleet scenario synthesiser — on a coarse grid (one decision block
 //     per BlockSeconds) covering the whole trip. It is literally a second
 //     core.OTEM instance run against a coarse clone of the plant
-//     (Δt = BlockSeconds), so mpc.Planner, optimize.Workspace and the
+//     (Δt = BlockSeconds), so its optimize.Workspace solve and the
 //     hand-derived adjoint are reused unchanged. Its solution is turned
 //     into per-second SoC and battery-temperature reference trajectories.
 //   - The INNER layer is the unmodified fast OTEM controller with the

@@ -44,6 +44,12 @@ func TestSpecValidate(t *testing.T) {
 		{RouteSeconds: 10},
 		{Repeats: 99},
 		{AmbientK: 100},
+		// A negative value within floats.Eps of zero is not a request for
+		// the default.
+		{Cycle: "UDDS", UltracapF: -5e-10, AmbientK: -1e-10, BlockSeconds: -1e-10},
+		{Cycle: "UDDS", AmbientK: -1e-10},
+		{Cycle: "UDDS", BlockSeconds: -1e-10},
+		{Usage: "commuter", RouteSeconds: -1e-10},
 		{BlockSeconds: 0.25},
 		{MaxBlocks: 1000},
 		{RouteSeconds: math.NaN()},

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/core"
-	"repro/internal/optimize"
 	"repro/internal/sim"
 )
 
@@ -16,7 +15,7 @@ import (
 // the warm Replan path is allocation-free, which allocflow proves via the
 // hotpath annotation.
 //
-// A Planner is single-goroutine state, like the mpc.Planner it wraps.
+// A Planner is single-goroutine state, like the core.OTEM it wraps.
 type Planner struct {
 	spec       Spec // Resolved
 	preview    []float64
@@ -80,12 +79,7 @@ func NewPlanner(spec Spec, preview []float64, plantCfg sim.PlantConfig) (*Planne
 	outerCfg.Horizon = blocks
 	outerCfg.BlockSize = 1
 	outerCfg.ReplanInterval = 1
-	outerCfg.Optimizer = optimize.Options{
-		MaxIterations: 60,
-		Tolerance:     1e-4,
-		Memory:        6,
-		MaxLineSearch: 25,
-	}
+	outerCfg.Optimizer.MaxIterations = 60
 	coarse, err := core.New(outerCfg)
 	if err != nil {
 		return nil, err

@@ -59,11 +59,11 @@ type Spec struct {
 // offable implements the 0-means-default / negative-means-off convention
 // for a tunable with a nonzero default. Negative values pass through
 // unchanged (every consumer treats "> 0" as enabled), which keeps
-// Resolved idempotent: a resolved spec re-resolves to itself. The sign
-// is tested first, so a negative value within floats.Zero's tolerance
-// of zero is still the off switch, not a request for the default.
+// Resolved idempotent: a resolved spec re-resolves to itself. A negative
+// value within floats.Zero's tolerance of zero is still the off switch,
+// not a request for the default (floats.Unset).
 func offable(v, def float64) float64 {
-	if v >= 0 && floats.Zero(v) {
+	if floats.Unset(v) {
 		return def
 	}
 	return v
@@ -84,7 +84,7 @@ func (s Spec) Resolved() Spec {
 	if s.Cycle == "" && s.Usage == "" {
 		s.Usage = string(fleet.UsageCommuter)
 	}
-	if s.Cycle == "" && floats.Zero(s.RouteSeconds) {
+	if s.Cycle == "" && floats.Unset(s.RouteSeconds) {
 		s.RouteSeconds = 900
 	}
 	if s.Cycle == "" && s.Seed == 0 {
@@ -93,16 +93,16 @@ func (s Spec) Resolved() Spec {
 	if s.Repeats == 0 {
 		s.Repeats = 1
 	}
-	if floats.Zero(s.UltracapF) {
+	if floats.Unset(s.UltracapF) {
 		s.UltracapF = 25000
 	}
-	if floats.Zero(s.AmbientK) {
+	if floats.Unset(s.AmbientK) {
 		s.AmbientK = 298
 	}
 	if s.Horizon == 0 {
 		s.Horizon = core.DefaultConfig().Horizon
 	}
-	if floats.Zero(s.BlockSeconds) {
+	if floats.Unset(s.BlockSeconds) {
 		s.BlockSeconds = 30
 	}
 	if s.MaxBlocks == 0 {

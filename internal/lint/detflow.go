@@ -54,11 +54,11 @@ var DetFlow = &Analyzer{
 	Name: "detflow",
 	Doc: `forbid global math/rand and time.Now, direct or transitive, in deterministic packages
 
-A function in a deterministic package (internal/sim, internal/mpc,
-internal/policy, internal/fleet, internal/hmpc, internal/hees,
-internal/battery, internal/core, internal/optimize and internal/vmath)
-must be replayable: identical seeds and inputs give identical traces
-whether the batch runs on 1 worker or 8. It must not use — directly, at
+A function in a deterministic package (internal/sim, internal/policy,
+internal/fleet, internal/hmpc, internal/hees, internal/battery,
+internal/core, internal/optimize and internal/vmath) must be
+replayable: identical seeds and inputs give identical traces whether
+the batch runs on 1 worker or 8. It must not use — directly, at
 any depth, across packages, or laundered through struct fields, closures
 and function values — the global math/rand source (shared mutable state
 across goroutines) or time.Now (the wall clock leaking into physics).
@@ -350,7 +350,7 @@ func directNondetReason(fn *types.Func) string {
 
 // detScopes are the package-path suffixes where determinism is a tested
 // invariant: the 1-vs-8-worker sweep-determinism test requires the
-// physics (sim), the controller (mpc) and the policy layer to be pure
+// physics (sim), the controller (core) and the policy layer to be pure
 // functions of their seeds and inputs, the fleet simulator promises
 // bit-identical sketches at any worker count, and the hierarchical
 // planner's outer plans are cache keys (POST /v1/plan) — the same spec
@@ -363,9 +363,9 @@ func directNondetReason(fn *types.Func) string {
 // lockstep rollout lanes and the batched trials must give the same plan,
 // bit for bit, as one trial at a time.
 var detScopes = []string{
-	"internal/sim", "internal/mpc", "internal/policy", "internal/fleet",
-	"internal/hmpc", "internal/hees", "internal/battery",
-	"internal/core", "internal/optimize", "internal/vmath",
+	"internal/sim", "internal/policy", "internal/fleet", "internal/hmpc",
+	"internal/hees", "internal/battery", "internal/core",
+	"internal/optimize", "internal/vmath",
 }
 
 // globalRandFuncs are the math/rand package-level functions backed by the

@@ -19,8 +19,8 @@
 //     transitively — the compile-time form of the allocs/step budget
 //     TestDriveCycleAllocBudget and TestFleetAllocBudget enforce.
 //   - detflow (bit-identical replay): no global math/rand or time.Now in
-//     the deterministic packages (internal/sim, mpc, policy, fleet,
-//     hmpc, hees, battery, core, optimize, vmath) — directly,
+//     the deterministic packages (internal/sim, policy, fleet, hmpc,
+//     hees, battery, core, optimize, vmath) — directly,
 //     transitively and as a value property: a helper anywhere in the
 //     module that reaches global rand or time.Now (at any call depth)
 //     must not be called from the deterministic scope, and neither may a

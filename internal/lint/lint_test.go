@@ -374,7 +374,7 @@ func TestFactStoreRoundTrip(t *testing.T) {
 func TestSARIFRoundTrip(t *testing.T) {
 	findings := []Finding{
 		{Analyzer: "floatcompare", Pos: token.Position{Filename: "internal/sim/sim.go", Line: 12, Column: 7}, Message: "floating-point comparison with =="},
-		{Analyzer: "detflow", Pos: token.Position{Filename: "internal/mpc/mpc.go", Line: 3, Column: 1}, Message: "call to nondeterministic Jitter"},
+		{Analyzer: "detflow", Pos: token.Position{Filename: "internal/core/otem.go", Line: 3, Column: 1}, Message: "call to nondeterministic Jitter"},
 		{Analyzer: "crashy", Pos: token.Position{Filename: "repro/internal/x"}, Message: "analyzer failed: boom"},
 	}
 	var buf bytes.Buffer

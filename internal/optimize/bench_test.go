@@ -3,17 +3,10 @@ package optimize
 import "testing"
 
 func BenchmarkMinimizeRosenbrock(b *testing.B) {
-	p := fd(&Problem{
-		Dim: 2,
-		Func: func(x []float64) float64 {
-			a := 1 - x[0]
-			c := x[1] - x[0]*x[0]
-			return a*a + 100*c*c
-		},
-	})
+	p := fd(rosenbrock, &Problem{Dim: 2})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := minimize(new(Workspace), p, []float64{-1.2, 1}, &Options{MaxIterations: 100}); err != nil {
+		if _, err := minimize(new(Workspace), p, rosenbrock, []float64{-1.2, 1}, &Options{MaxIterations: 100}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -21,23 +14,23 @@ func BenchmarkMinimizeRosenbrock(b *testing.B) {
 
 func BenchmarkMinimizeBoxQuadratic10D(b *testing.B) {
 	n := 10
-	p := fd(&Problem{
-		Dim: n,
-		Func: func(x []float64) float64 {
-			var s float64
-			for i := range x {
-				d := x[i] - 0.3
-				s += d * d * float64(i+1)
-			}
-			return s
-		},
+	f := func(x []float64) float64 {
+		var s float64
+		for i := range x {
+			d := x[i] - 0.3
+			s += d * d * float64(i+1)
+		}
+		return s
+	}
+	p := fd(f, &Problem{
+		Dim:   n,
 		Lower: make([]float64, n),
 		Upper: fillSlice(n, 1),
 	})
 	x0 := fillSlice(n, 0.9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := minimize(new(Workspace), p, x0, nil); err != nil {
+		if _, err := minimize(new(Workspace), p, f, x0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,14 +43,13 @@ func (s Status) String() string {
 	}
 }
 
-// Problem defines an objective to minimise, its gradient, and optionally a
-// box constraint l ≤ x ≤ u.
+// Problem defines a minimisation: the objective's gradient and optionally
+// a box constraint l ≤ x ≤ u. The objective values themselves arrive
+// through Workspace.Tell.
 type Problem struct {
 	// Dim is the number of decision variables.
 	Dim int
-	// Func evaluates the objective at x. Required.
-	Func func(x []float64) float64
-	// Grad writes the gradient of Func at x into grad. Required.
+	// Grad writes the gradient of the objective at x into grad. Required.
 	Grad func(x, grad []float64)
 	// Lower and Upper, when non-nil, bound each variable. A nil slice means
 	// unbounded on that side; individual entries may be ±Inf.
@@ -64,15 +63,17 @@ type Options struct {
 	// Tolerance is the convergence threshold on the infinity norm of the
 	// projected gradient step (default 1e-6).
 	Tolerance float64
-	// Memory is the number of curvature pairs retained by L-BFGS
-	// (default 8).
-	Memory int
-	// MaxLineSearch bounds backtracking steps per iteration (default 40).
-	MaxLineSearch int
 }
 
+const (
+	// memory is the number of curvature pairs L-BFGS retains.
+	memory = 6
+	// maxLineSearch bounds the backtracking steps of one line search.
+	maxLineSearch = 25
+)
+
 func (o *Options) withDefaults() Options {
-	out := Options{MaxIterations: 200, Tolerance: 1e-6, Memory: 8, MaxLineSearch: 40}
+	out := Options{MaxIterations: 200, Tolerance: 1e-6}
 	if o == nil {
 		return out
 	}
@@ -81,12 +82,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if o.Tolerance > 0 {
 		out.Tolerance = o.Tolerance
-	}
-	if o.Memory > 0 {
-		out.Memory = o.Memory
-	}
-	if o.MaxLineSearch > 0 {
-		out.MaxLineSearch = o.MaxLineSearch
 	}
 	return out
 }
@@ -109,13 +104,10 @@ type Result struct {
 const BatchWidth = 4
 
 // ErrBadProblem is returned for structurally invalid problems (missing
-// objective or gradient, dimension mismatch, inconsistent bounds).
+// gradient, dimension mismatch, inconsistent bounds).
 var ErrBadProblem = errors.New("optimize: invalid problem definition")
 
 func (p *Problem) validate(x0 []float64) error {
-	if p.Func == nil {
-		return fmt.Errorf("%w: nil Func", ErrBadProblem)
-	}
 	if p.Grad == nil {
 		return fmt.Errorf("%w: nil Grad", ErrBadProblem)
 	}
@@ -176,19 +168,19 @@ func (p *Problem) project(x []float64) {
 // exactly like a bytes.Buffer. Pools of workers (runner.Pool) need one
 // Workspace per worker. The zero value is ready to use.
 type Workspace struct {
-	// dim and mem are the backing capacities; buffers grow monotonically and
-	// are resliced per call, so alternating problem sizes never reallocates
+	// dim is the backing capacity; buffers grow monotonically and are
+	// resliced per call, so alternating problem sizes never reallocates
 	// once the high-water mark is reached.
-	dim, mem int
+	dim int
 
 	x, g, dir, xNew, gNew []float64
 
 	// L-BFGS curvature history: sPool/yPool own the row storage, sHist/yHist
 	// are the ordered live views (oldest first), rho the matching 1/sᵀy.
-	sPool, yPool [][]float64
+	sPool, yPool [memory][]float64
 	sHist, yHist [][]float64
 	rho          []float64
-	alpha        []float64
+	alpha        [memory]float64
 
 	// The points of the last Ask, their step lengths and projected slopes.
 	trials     [BatchWidth][]float64
@@ -227,36 +219,28 @@ const (
 	phaseSearch
 )
 
-// ensure sizes the buffers for an n-dimensional problem with memory m and
-// resets the per-call state (history, evaluation counter). Buffers grow
-// only when the problem outgrows every earlier call, so the makes below
-// amortize to zero on a warm workspace; the vectors share one block.
+// ensure sizes the buffers for an n-dimensional problem and resets the
+// per-call state (history, evaluation counter). Buffers grow only when the
+// problem outgrows every earlier call, so the makes below amortize to zero
+// on a warm workspace; the vectors and history rows share one block.
 //
 //lint:coldpath buffer growth runs once per problem size; warm calls only reslice
-func (ws *Workspace) ensure(n, m int) {
+func (ws *Workspace) ensure(n int) {
 	if n > ws.dim {
-		block := make([]float64, (5+BatchWidth)*n)
+		block := make([]float64, (5+BatchWidth+2*memory)*n)
 		vec := func(i int) []float64 { return block[i*n : (i+1)*n : (i+1)*n] }
 		ws.x, ws.g, ws.dir, ws.xNew, ws.gNew = vec(0), vec(1), vec(2), vec(3), vec(4)
 		for i := range ws.trials {
 			ws.trials[i] = vec(5 + i)
 		}
-		ws.dim = n
-		// Row storage is dimension-dependent; force a pool rebuild.
-		ws.mem = 0
-	}
-	if m > ws.mem {
-		ws.sPool = make([][]float64, m)
-		ws.yPool = make([][]float64, m)
 		for i := range ws.sPool {
-			ws.sPool[i] = make([]float64, ws.dim)
-			ws.yPool[i] = make([]float64, ws.dim)
+			ws.sPool[i] = vec(5 + BatchWidth + i)
+			ws.yPool[i] = vec(5 + BatchWidth + memory + i)
 		}
-		ws.sHist = make([][]float64, 0, m)
-		ws.yHist = make([][]float64, 0, m)
-		ws.rho = make([]float64, 0, m)
-		ws.alpha = make([]float64, m)
-		ws.mem = m
+		ws.sHist = make([][]float64, 0, memory)
+		ws.yHist = make([][]float64, 0, memory)
+		ws.rho = make([]float64, 0, memory)
+		ws.dim = n
 	}
 	ws.x = ws.x[:n]
 	ws.g = ws.g[:n]
@@ -266,7 +250,6 @@ func (ws *Workspace) ensure(n, m int) {
 	for i := range ws.trials {
 		ws.trials[i] = ws.trials[i][:n]
 	}
-	ws.alpha = ws.alpha[:m]
 	ws.resetHistory()
 	ws.evals = 0
 }
@@ -292,18 +275,17 @@ func (ws *Workspace) pushPair(x, xNew, g, gNew []float64) {
 	if !(sy > 1e-12*math.Sqrt(ss)*math.Sqrt(yy) && sy > 0) {
 		return
 	}
-	m := len(ws.alpha)
 	k := len(ws.sHist)
 	var srow, yrow []float64
-	if k == m {
+	if k == memory {
 		// Full: recycle the oldest row to the back of the ring.
 		srow, yrow = ws.sHist[0], ws.yHist[0]
 		copy(ws.sHist, ws.sHist[1:])
 		copy(ws.yHist, ws.yHist[1:])
 		copy(ws.rho, ws.rho[1:])
-		ws.sHist[m-1] = srow
-		ws.yHist[m-1] = yrow
-		ws.rho[m-1] = 1 / sy
+		ws.sHist[k-1] = srow
+		ws.yHist[k-1] = yrow
+		ws.rho[k-1] = 1 / sy
 	} else {
 		srow = ws.sPool[k][:len(x)]
 		yrow = ws.yPool[k][:len(x)]
@@ -332,7 +314,7 @@ func (ws *Workspace) Start(p *Problem, x0 []float64, opts *Options) error {
 		return err
 	}
 	ws.opts = opts.withDefaults()
-	ws.ensure(p.Dim, ws.opts.Memory)
+	ws.ensure(p.Dim)
 	ws.prob = p
 	copy(ws.x, x0)
 	p.project(ws.x)
@@ -350,7 +332,7 @@ func (ws *Workspace) Start(p *Problem, x0 []float64, opts *Options) error {
 // search, up to min(budget, BatchWidth) at once from its first trial on,
 // generated exactly as the one-at-a-time search would generate them (the
 // same step halving and projection, stopping at a trial that does not
-// move x or at MaxLineSearch). Trials past the one the search accepts are
+// move x or at maxLineSearch). Trials past the one the search accepts are
 // wasted evaluations, so a budget above 1 is speculation.
 //
 // The returned points alias workspace storage: read them, do not modify
@@ -412,7 +394,7 @@ func (ws *Workspace) Tell(fs []float64) {
 				return
 			}
 		}
-		if ws.stalled || ws.step >= ws.opts.MaxLineSearch {
+		if ws.stalled || ws.step >= maxLineSearch {
 			ws.searchFailed()
 		}
 	}
@@ -444,7 +426,7 @@ func (ws *Workspace) beginIteration() {
 
 	// Two-loop recursion for d = -H·g, restricted to free variables so
 	// bound-active coordinates do not pollute the curvature estimate.
-	twoLoop(dir, g, ws.sHist, ws.yHist, ws.rho, ws.alpha)
+	twoLoop(dir, g, ws.sHist, ws.yHist, ws.rho, ws.alpha[:])
 	for i := range dir {
 		dir[i] = -dir[i]
 	}
@@ -480,13 +462,13 @@ func (ws *Workspace) startSearch(alpha0 float64) {
 // generate writes the line search's next trial points into ws.trials and
 // returns how many: up to budget (at least 1, at most BatchWidth). Trials
 // halve the step each time; generation stops at a trial whose projection
-// does not move x (setting ws.stalled) or at MaxLineSearch trials in the
+// does not move x (setting ws.stalled) or at maxLineSearch trials in the
 // search.
 func (ws *Workspace) generate(budget int) int {
 	width := min(max(budget, 1), BatchWidth)
 	n := 0
 	ws.stalled = false
-	for n < width && ws.step < ws.opts.MaxLineSearch {
+	for n < width && ws.step < maxLineSearch {
 		sg, moved := projectedTrial(ws.prob, ws.x, ws.g, ws.dir, ws.lsAlpha, ws.trials[n])
 		if !moved {
 			ws.stalled = true

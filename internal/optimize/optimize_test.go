@@ -47,16 +47,16 @@ func fdGrad(f func([]float64) float64, dim int) func(x, grad []float64) {
 	}
 }
 
-// fd fills p.Grad with central differences of p.Func.
-func fd(p *Problem) *Problem {
-	p.Grad = fdGrad(p.Func, p.Dim)
+// fd fills p.Grad with central differences of the objective f.
+func fd(f func([]float64) float64, p *Problem) *Problem {
+	p.Grad = fdGrad(f, p.Dim)
 	return p
 }
 
 func TestMinimizeQuadratic(t *testing.T) {
 	center := []float64{1, -2, 3}
-	p := fd(&Problem{Dim: 3, Func: quadratic(center)})
-	r, err := minimize(new(Workspace), p, []float64{0, 0, 0}, nil)
+	f := quadratic(center)
+	r, err := minimize(new(Workspace), fd(f, &Problem{Dim: 3}), f, []float64{0, 0, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,15 +73,14 @@ func TestMinimizeQuadratic(t *testing.T) {
 func TestMinimizeWithAnalyticGradient(t *testing.T) {
 	center := []float64{5, 5}
 	p := &Problem{
-		Dim:  2,
-		Func: quadratic(center),
+		Dim: 2,
 		Grad: func(x, g []float64) {
 			for i := range x {
 				g[i] = 2 * (x[i] - center[i])
 			}
 		},
 	}
-	r, err := minimize(new(Workspace), p, []float64{-3, 8}, nil)
+	r, err := minimize(new(Workspace), p, quadratic(center), []float64{-3, 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +91,12 @@ func TestMinimizeWithAnalyticGradient(t *testing.T) {
 
 func TestMinimizeRosenbrock(t *testing.T) {
 	// The classic banana function; minimum at (1, 1).
-	p := fd(&Problem{
-		Dim: 2,
-		Func: func(x []float64) float64 {
-			a := 1 - x[0]
-			b := x[1] - x[0]*x[0]
-			return a*a + 100*b*b
-		},
-	})
-	r, err := minimize(new(Workspace), p, []float64{-1.2, 1}, &Options{MaxIterations: 500, Tolerance: 1e-8})
+	f := func(x []float64) float64 {
+		a := 1 - x[0]
+		b := x[1] - x[0]*x[0]
+		return a*a + 100*b*b
+	}
+	r, err := minimize(new(Workspace), fd(f, &Problem{Dim: 2}), f, []float64{-1.2, 1}, &Options{MaxIterations: 500, Tolerance: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +107,13 @@ func TestMinimizeRosenbrock(t *testing.T) {
 
 func TestMinimizeBoxActiveConstraint(t *testing.T) {
 	// Unconstrained minimum at (3, 3); the box caps it at (1, 1).
-	p := fd(&Problem{
+	f := quadratic([]float64{3, 3})
+	p := fd(f, &Problem{
 		Dim:   2,
-		Func:  quadratic([]float64{3, 3}),
 		Lower: []float64{-1, -1},
 		Upper: []float64{1, 1},
 	})
-	r, err := minimize(new(Workspace), p, []float64{0, 0}, nil)
+	r, err := minimize(new(Workspace), p, f, []float64{0, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +123,13 @@ func TestMinimizeBoxActiveConstraint(t *testing.T) {
 }
 
 func TestMinimizeStartOutsideBoxIsProjected(t *testing.T) {
-	p := fd(&Problem{
+	f := quadratic([]float64{0})
+	p := fd(f, &Problem{
 		Dim:   1,
-		Func:  quadratic([]float64{0}),
 		Lower: []float64{-2},
 		Upper: []float64{2},
 	})
-	r, err := minimize(new(Workspace), p, []float64{50}, nil)
+	r, err := minimize(new(Workspace), p, f, []float64{50}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +140,12 @@ func TestMinimizeStartOutsideBoxIsProjected(t *testing.T) {
 
 func TestMinimizeMixedBounds(t *testing.T) {
 	// Only a lower bound; minimum of (x-(-5))² at the bound -1.
-	p := fd(&Problem{
+	f := quadratic([]float64{-5})
+	p := fd(f, &Problem{
 		Dim:   1,
-		Func:  quadratic([]float64{-5}),
 		Lower: []float64{-1},
 	})
-	r, err := minimize(new(Workspace), p, []float64{4}, nil)
+	r, err := minimize(new(Workspace), p, f, []float64{4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,33 +155,27 @@ func TestMinimizeMixedBounds(t *testing.T) {
 }
 
 func TestMinimizeValidation(t *testing.T) {
-	if _, err := minimize(new(Workspace), &Problem{Dim: 2, Func: nil}, []float64{0, 0}, nil); err == nil {
-		t.Error("nil Func accepted")
-	}
-	if _, err := minimize(new(Workspace), &Problem{Dim: 1, Func: quadratic([]float64{0})}, []float64{0}, nil); err == nil {
+	f := quadratic([]float64{0})
+	if _, err := minimize(new(Workspace), &Problem{Dim: 1}, f, []float64{0}, nil); err == nil {
 		t.Error("nil Grad accepted")
 	}
-	f := quadratic([]float64{0})
-	if _, err := minimize(new(Workspace), fd(&Problem{Dim: 2, Func: f}), []float64{0}, nil); err == nil {
+	if _, err := minimize(new(Workspace), fd(f, &Problem{Dim: 2}), f, []float64{0}, nil); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if _, err := minimize(new(Workspace), fd(&Problem{Dim: 1, Func: f, Lower: []float64{1}, Upper: []float64{0}}), []float64{0}, nil); err == nil {
+	if _, err := minimize(new(Workspace), fd(f, &Problem{Dim: 1, Lower: []float64{1}, Upper: []float64{0}}), f, []float64{0}, nil); err == nil {
 		t.Error("inverted bounds accepted")
 	}
-	if _, err := minimize(new(Workspace), fd(&Problem{Dim: 0, Func: f}), nil, nil); err == nil {
+	if _, err := minimize(new(Workspace), fd(f, &Problem{Dim: 0}), f, nil, nil); err == nil {
 		t.Error("zero dim accepted")
 	}
 }
 
 func TestMinimizeIllConditionedQuadratic(t *testing.T) {
 	// f = x² + 1000 y²: steep valley, tests curvature adaptation.
-	p := fd(&Problem{
-		Dim: 2,
-		Func: func(x []float64) float64 {
-			return x[0]*x[0] + 1000*x[1]*x[1]
-		},
-	})
-	r, err := minimize(new(Workspace), p, []float64{1, 1}, &Options{MaxIterations: 300})
+	f := func(x []float64) float64 {
+		return x[0]*x[0] + 1000*x[1]*x[1]
+	}
+	r, err := minimize(new(Workspace), fd(f, &Problem{Dim: 2}), f, []float64{1, 1}, &Options{MaxIterations: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +194,8 @@ func TestMinimizeQuadraticRandomProperty(t *testing.T) {
 			center[i] = rng.NormFloat64() * 5
 			x0[i] = rng.NormFloat64() * 5
 		}
-		p := fd(&Problem{Dim: n, Func: quadratic(center)})
-		r, err := minimize(new(Workspace), p, x0, nil)
+		q := quadratic(center)
+		r, err := minimize(new(Workspace), fd(q, &Problem{Dim: n}), q, x0, nil)
 		if err != nil {
 			return false
 		}
@@ -261,8 +251,8 @@ func TestStatusString(t *testing.T) {
 
 func TestMinimizeDoesNotMutateX0(t *testing.T) {
 	x0 := []float64{3, 3}
-	p := fd(&Problem{Dim: 2, Func: quadratic([]float64{0, 0})})
-	if _, err := minimize(new(Workspace), p, x0, nil); err != nil {
+	f := quadratic([]float64{0, 0})
+	if _, err := minimize(new(Workspace), fd(f, &Problem{Dim: 2}), f, x0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if x0[0] != 3 || x0[1] != 3 {

@@ -4,28 +4,29 @@ import (
 	"testing"
 )
 
-// rosenbrockProblem returns the classic banana function with box bounds and
-// either its analytic gradient or central differences.
+// rosenbrock is the classic banana function; its minimum is at (1, 1).
+func rosenbrock(x []float64) float64 {
+	a := 1 - x[0]
+	b := x[1] - x[0]*x[0]
+	return a*a + 100*b*b
+}
+
+// rosenbrockProblem returns the banana function's problem with box bounds
+// and either its analytic gradient or central differences.
 func rosenbrockProblem(analytic bool) *Problem {
 	p := &Problem{
-		Dim: 2,
-		Func: func(x []float64) float64 {
-			a := 1 - x[0]
-			b := x[1] - x[0]*x[0]
-			return a*a + 100*b*b
-		},
+		Dim:   2,
 		Lower: []float64{-2, -2},
 		Upper: []float64{2, 2},
 	}
-	if analytic {
-		p.Grad = func(x, g []float64) {
-			a := 1 - x[0]
-			b := x[1] - x[0]*x[0]
-			g[0] = -2*a - 400*b*x[0]
-			g[1] = 200 * b
-		}
-	} else {
-		fd(p)
+	if !analytic {
+		return fd(rosenbrock, p)
+	}
+	p.Grad = func(x, g []float64) {
+		a := 1 - x[0]
+		b := x[1] - x[0]*x[0]
+		g[0] = -2*a - 400*b*x[0]
+		g[1] = 200 * b
 	}
 	return p
 }
@@ -37,13 +38,13 @@ func TestWorkspaceMinimizeMatchesMinimize(t *testing.T) {
 	for _, analytic := range []bool{false, true} {
 		p := rosenbrockProblem(analytic)
 		x0 := []float64{-1.2, 1}
-		want, err := minimize(new(Workspace), p, x0, nil)
+		want, err := minimize(new(Workspace), p, rosenbrock, x0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ws := new(Workspace)
 		for round := 0; round < 3; round++ {
-			got, err := minimize(ws, p, x0, nil)
+			got, err := minimize(ws, p, rosenbrock, x0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,13 +70,14 @@ func TestWorkspaceMinimizeHandlesDimensionChange(t *testing.T) {
 		for i := range center {
 			center[i] = float64(i) - 1.5
 		}
-		p := fd(&Problem{Dim: dim, Func: quadratic(center)})
+		f := quadratic(center)
+		p := fd(f, &Problem{Dim: dim})
 		x0 := make([]float64, dim)
-		want, err := minimize(new(Workspace), p, x0, nil)
+		want, err := minimize(new(Workspace), p, f, x0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := minimize(ws, p, x0, nil)
+		got, err := minimize(ws, p, f, x0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +94,11 @@ func TestWorkspaceMinimizeSteadyStateAllocsZero(t *testing.T) {
 		p := rosenbrockProblem(analytic)
 		x0 := []float64{-1.2, 1}
 		ws := new(Workspace)
-		if _, err := minimize(ws, p, x0, nil); err != nil {
+		if _, err := minimize(ws, p, rosenbrock, x0, nil); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := minimize(ws, p, x0, nil); err != nil {
+			if _, err := minimize(ws, p, rosenbrock, x0, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -111,7 +113,7 @@ func TestWorkspaceResultAliasesWorkspace(t *testing.T) {
 	// next solve — it aliases ws.x.
 	ws := new(Workspace)
 	p := rosenbrockProblem(true)
-	res, err := minimize(ws, p, []float64{-1.2, 1}, nil)
+	res, err := minimize(ws, p, rosenbrock, []float64{-1.2, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +123,12 @@ func TestWorkspaceResultAliasesWorkspace(t *testing.T) {
 }
 
 func TestWorkspaceHistoryRingReusesRows(t *testing.T) {
-	// Force enough iterations to wrap the L-BFGS ring (Memory defaults to 8
-	// on a 2-dim Rosenbrock run with many iterations) and verify the row
+	// Force enough iterations to wrap the L-BFGS ring (memory pairs on a
+	// 2-dim Rosenbrock run with many iterations) and verify the row
 	// storage is drawn from the preallocated pools, not fresh allocations.
 	ws := new(Workspace)
 	p := rosenbrockProblem(true)
-	if _, err := minimize(ws, p, []float64{-1.2, 1}, nil); err != nil {
+	if _, err := minimize(ws, p, rosenbrock, []float64{-1.2, 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(ws.sHist) == 0 {
@@ -141,11 +143,37 @@ func TestWorkspaceHistoryRingReusesRows(t *testing.T) {
 		return false
 	}
 	for i := range ws.sHist {
-		if !inPool(ws.sHist[i], ws.sPool) {
+		if !inPool(ws.sHist[i], ws.sPool[:]) {
 			t.Errorf("sHist[%d] is not backed by the workspace pool", i)
 		}
-		if !inPool(ws.yHist[i], ws.yPool) {
+		if !inPool(ws.yHist[i], ws.yPool[:]) {
 			t.Errorf("yHist[%d] is not backed by the workspace pool", i)
 		}
+	}
+}
+
+func TestWarmStartSpeedsResolve(t *testing.T) {
+	// Re-solving from the previous solution, as a receding-horizon
+	// controller does, costs no more evaluations than the cold solve.
+	target := []float64{0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25}
+	f := quadratic(target)
+	p := fd(f, &Problem{
+		Dim:   8,
+		Lower: []float64{-1, 0, -1, 0, -1, 0, -1, 0},
+		Upper: []float64{1, 10, 1, 10, 1, 10, 1, 10},
+	})
+	ws := new(Workspace)
+	cold, err := minimize(ws, p, f, []float64{0, 5, 0, 5, 0, 5, 0, 5}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := append([]float64(nil), cold.X...)
+	coldEvals := cold.FuncEvals
+	warm, err := minimize(ws, p, f, x0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.FuncEvals > coldEvals {
+		t.Errorf("warm-started solve used %d evaluations, cold used %d", warm.FuncEvals, coldEvals)
 	}
 }
