@@ -175,8 +175,10 @@ type sweep struct {
 //     of three or four lanes (kernelLanes) runs the stages four lanes per
 //     AVX2 instruction (sweepKernel), with a ninth stage that records the
 //     lanes' Eq. 5 aging rates and a tenth that adds their cost terms;
-//     one or two lanes, alone or after whole groups of four,
-//     vmath.UsePortable and other architectures run them as Go loops
+//     where AVX-512 is live too, a call of wideLanes or more runs them
+//     eight lanes per instruction as one group instead. One or two
+//     lanes, alone or after whole groups of four, vmath.UsePortable and
+//     other architectures run them as Go loops
 //     (stepStages). Eq. 2's and Eq. 3's exponentials go four at a time
 //     through vmath.Exp4, or through its kernel inlined in the sweep's;
 //   - for each lane the Go loops ran, the aging sweep (agingSweep) fills
@@ -253,7 +255,8 @@ func objectiveFwd(lanes []fwdLane) {
 }
 
 // kernelLanes returns how many of a call's n lanes run on the vector
-// kernel: none where it is not live, and otherwise all but a tail of one
+// kernels: none where they are not live, all of a call of wideLanes or
+// more where the 8-lane kernel is, and otherwise all but a tail of one
 // or two lanes after the call's whole groups of four (all of a call of
 // one or two). A group that holds one or two real lanes costs the kernel
 // as much as four, and the Go stages run one or two lanes faster
@@ -262,11 +265,25 @@ func kernelLanes(n int) int {
 	if !useKernel() {
 		return 0
 	}
+	if n >= wideLanes && useKernel8() {
+		return n
+	}
 	if r := n % 4; r == 1 || r == 2 {
 		return n - r
 	}
 	return n
 }
+
+// wideLanes is the fewest lanes of a call that run as one group of eight
+// on the AVX-512 kernel where it is live (useKernel8): a call of 7 or 8
+// lanes costs it less than two AVX2 groups of four, and one of 5 or 6
+// less than an AVX2 group and a tail on the Go stages (DESIGN.md §10).
+const wideLanes = 5
+
+// kernel8Off puts every call on the AVX2 kernel's groups of four even
+// where the AVX-512 kernel is live: a test hook, so that one binary
+// checks and measures both.
+var kernel8Off bool
 
 // sweepStages is the portable state sweep of lanes lo and up: every step
 // runs stepStages.

@@ -17,12 +17,13 @@ import (
 // evaluations — so packing changes how fast a plan is found, never which.
 
 const (
-	// laneBudget is the widest lockstep rollout: the two four-lane
-	// groups of the state sweep's kernel. On a 2-vCPU Xeon,
-	// BenchmarkObjectiveLanes reads about 1.9 µs per lane at 8 lanes, as
-	// at 4, against about 5.1 µs for a lane alone (DESIGN.md §9, §10).
-	// A round of fewer trials is topped up with speculative ones up to
-	// it.
+	// laneBudget is the widest lockstep rollout: one group of the state
+	// sweep's 8-lane AVX-512 kernel, or two groups of four of its AVX2
+	// kernel where AVX-512 is not live. On a 2-vCPU Xeon with AVX-512,
+	// BenchmarkObjectiveLanes reads about 1.7 µs per lane at 8 lanes
+	// (2.2 µs on two AVX2 groups), against 2.1 µs at 4 and 7.4 µs for
+	// a lane alone (DESIGN.md §9, §10). A round of fewer trials is topped
+	// up with speculative ones up to it.
 	laneBudget = 8
 	// maxSpec is the most trials one vehicle puts into a round: one Ask's
 	// optimize.BatchWidth, and the number of speculation slots that needs.

@@ -301,12 +301,23 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	EXP(Y4, Y0, Y1, X1, Y5); \
 	VMOVUPD   Y4, tapeRow_resTExp(R8)
 
-// CAP1 (stage 1): each lane's (capU, coolU) = z[base:base+2] (base
-// is lg's blocked-input cursor), pcool = coolU·(coolerMax +
-// pump), qx = −coolU·coolEff·coolerMax, and vcap = capBusV·sqrt(soe)
-// where soe > 1e-6, else capBusV·sqrt(1e-6). Hands on capU in Y0 and vcap
-// in Y2.
-#define CAP1 \
+// GATHER loads element BX of the four lanes' arrays at field off of the
+// group into Y (low half X), with XT scratch.
+#define GATHER(off, Y, X, XT) \
+	MOVQ        off+0(DI), CX; \
+	VMOVSD      (CX)(BX*8), X; \
+	MOVQ        off+8(DI), CX; \
+	VMOVHPD     (CX)(BX*8), X, X; \
+	MOVQ        off+16(DI), CX; \
+	VMOVSD      (CX)(BX*8), XT; \
+	MOVQ        off+24(DI), CX; \
+	VMOVHPD     (CX)(BX*8), XT, XT; \
+	VINSERTF128 $1, XT, Y, Y
+
+// ZLOAD loads each lane's blocked inputs (capU, coolU) = z[base:base+2],
+// base being lg's blocked-input cursor, as capU in Y0 and coolU in Y2,
+// with Y1 scratch.
+#define ZLOAD \
 	MOVQ        laneGroup_base(DI), AX; \
 	MOVQ        laneGroup_z+0(DI), CX; \
 	VMOVUPD     (CX)(AX*8), X0; \
@@ -317,7 +328,14 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	MOVQ        laneGroup_z+24(DI), CX; \
 	VINSERTF128 $1, (CX)(AX*8), Y1, Y1; \
 	VUNPCKHPD   Y1, Y0, Y2; \
-	VUNPCKLPD   Y1, Y0, Y0; \
+	VUNPCKLPD   Y1, Y0, Y0
+
+// CAP1 (stage 1): each lane's (capU, coolU) from ZLOAD, pcool =
+// coolU·(coolerMax + pump), qx = −coolU·coolEff·coolerMax, and vcap =
+// capBusV·sqrt(soe) where soe > 1e-6, else capBusV·sqrt(1e-6). Hands on
+// capU in Y0 and vcap in Y2.
+#define CAP1 \
+	ZLOAD; \
 	VMOVUPD     laneGroup_soe(DI), Y1; \
 	VMOVUPD     Y1, tapeRow_soe0(R8); \
 	VMULPD      laneGroup_coolP(DI), Y2, Y3; \
@@ -414,15 +432,7 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 // the row; cellR = (R[0]·ez + R[2])·et and res; voc = scale·OCVFromExp(z,
 // e), left to right. Hands on battBus in Y0, voc in Y1 and res in Y3.
 #define BAT1 \
-	MOVQ        laneGroup_fc+0(DI), CX; \
-	VMOVSD      (CX)(BX*8), X0; \
-	MOVQ        laneGroup_fc+8(DI), CX; \
-	VMOVHPD     (CX)(BX*8), X0, X0; \
-	MOVQ        laneGroup_fc+16(DI), CX; \
-	VMOVSD      (CX)(BX*8), X1; \
-	MOVQ        laneGroup_fc+24(DI), CX; \
-	VMOVHPD     (CX)(BX*8), X1, X1; \
-	VINSERTF128 $1, X1, Y0, Y0; \
+	GATHER(laneGroup_fc, Y0, X0, X1); \
 	VADDPD      tapeRow_pcool(R8), Y0, Y0; \
 	VSUBPD      tapeRow_capBus(R8), Y0, Y0; \
 	VMOVUPD     Y0, tapeRow_battBus(R8); \
@@ -676,19 +686,6 @@ GLOBL sweepSign<>(SB), RODATA|NOPTR, $32
 	VSUBPD    laneGroup_targetTemp(DI), Y1, Y1; \
 	PENALTY(laneGroup_pressureWeight(DI), Y1, Y4, Y2)
 
-// GATHER loads element BX of the four lanes' arrays at field off of the
-// group into Y (low half X), with XT scratch.
-#define GATHER(off, Y, X, XT) \
-	MOVQ        off+0(DI), CX; \
-	VMOVSD      (CX)(BX*8), X; \
-	MOVQ        off+8(DI), CX; \
-	VMOVHPD     (CX)(BX*8), X, X; \
-	MOVQ        off+16(DI), CX; \
-	VMOVSD      (CX)(BX*8), XT; \
-	MOVQ        off+24(DI), CX; \
-	VMOVHPD     (CX)(BX*8), XT, XT; \
-	VINSERTF128 $1, XT, Y, Y
-
 // TRACK (stage 10, where a lane tracks a reference): (soc − refSoC[k])²
 // and (tb1 − refTb[k])² at their weights, from the SoC in Y7 and tb1 in
 // Y8, each blended to +0 in the lanes that do not track it.
@@ -783,8 +780,8 @@ handback:
 	// the vector exp's range: hand the arguments to the caller, which
 	// evaluates them into the row and resumes.
 	VMOVUPD Y2, laneGroup_e+0(DI)
-	VMOVUPD Y3, laneGroup_e+32(DI)
-	VMOVUPD Y4, laneGroup_e+64(DI)
+	VMOVUPD Y3, laneGroup_e+64(DI)
+	VMOVUPD Y4, laneGroup_e+128(DI)
 
 done:
 	VMOVUPD Y12, laneGroup_cost(DI)

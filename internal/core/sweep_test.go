@@ -131,13 +131,56 @@ func sameValue(x, y float64) bool {
 	return sameFloatBits(x, y) || math.IsNaN(x) && math.IsNaN(y)
 }
 
-// checkSweepKernel rolls lanes once on the vector kernel and once on the
+// kernelPath is one way the host runs the state sweep's vector lanes:
+// the AVX2 kernel's groups of four, or the AVX-512 kernel's group of
+// eight, which calls of at least minLanes lanes reach.
+type kernelPath struct {
+	name     string
+	off      bool // kernel8Off while the path runs
+	minLanes int
+}
+
+// kernelPaths returns the paths the host has: the AVX2 groups of four
+// always (the portable stages where vmath's kernels are not live), and
+// the eight-lane kernel where vmath.LiveAVX512 holds.
+func kernelPaths() []kernelPath {
+	paths := []kernelPath{{name: "avx2", off: true, minLanes: 1}}
+	if vmath.LiveAVX512() {
+		paths = append(paths, kernelPath{name: "avx512", minLanes: wideLanes})
+	}
+	return paths
+}
+
+// use puts the sweep on the path and returns the function that restores
+// the default.
+func (p kernelPath) use() func() {
+	kernel8Off = p.off
+	return func() { kernel8Off = false }
+}
+
+// checkSweepKernel checks lanes on every kernel path the host has that a
+// call of their number reaches (checkSweepPath), counting each path's
+// rows into its entry of seen.
+func checkSweepKernel(t *testing.T, lanes []fwdLane, seen map[string]sweepBranches) {
+	t.Helper()
+	for _, p := range kernelPaths() {
+		if len(lanes) < p.minLanes {
+			continue
+		}
+		func() {
+			defer p.use()()
+			checkSweepPath(t, p.name, lanes, seen[p.name])
+		}()
+	}
+}
+
+// checkSweepPath rolls lanes once on the vector kernel and once on the
 // portable stages and fails unless every lane's cost and every field and
 // flag of every tape row agree (sameValue), and unless the cost the
 // kernel's cost stage summed for each of its lanes equals laneCost's over
 // that lane's rows, the terminal term added as objectiveFwd adds it. The
 // rows of the lanes that ran on the kernel are counted into seen.
-func checkSweepKernel(t *testing.T, lanes []fwdLane, seen sweepBranches) {
+func checkSweepPath(t *testing.T, path string, lanes []fwdLane, seen sweepBranches) {
 	t.Helper()
 	nk := kernelLanes(len(lanes))
 	objectiveFwd(lanes)
@@ -163,7 +206,7 @@ func checkSweepKernel(t *testing.T, lanes []fwdLane, seen sweepBranches) {
 			want += o.cfg.TEBWeight * o.roll.capEnergy * d * d
 		}
 		if !sameValue(kl.cost, want) {
-			t.Fatalf("lane %d/%d: kernel cost stage %v, laneCost %v", j, len(lanes), kl.cost, want)
+			t.Fatalf("%s: lane %d/%d: kernel cost stage %v, laneCost %v", path, j, len(lanes), kl.cost, want)
 		}
 	}
 	vmath.UsePortable(true)
@@ -171,13 +214,13 @@ func checkSweepKernel(t *testing.T, lanes []fwdLane, seen sweepBranches) {
 	objectiveFwd(lanes)
 	for j, ln := range lanes {
 		if got, want := kernel[j].cost, ln.o.tapeCost[ln.slot]; !sameValue(got, want) {
-			t.Fatalf("lane %d/%d: kernel cost %v, portable %v", j, len(lanes), got, want)
+			t.Fatalf("%s: lane %d/%d: kernel cost %v, portable %v", path, j, len(lanes), got, want)
 		}
 		tape, c := laneTape(ln.o, ln.slot)
 		for k := range kernel[j].rows {
 			got, want := &kernel[j].rows[k], &tape[k]
 			if !sameRow(got, kernel[j].col, want, c, sameValue) {
-				t.Fatalf("lane %d/%d step %d: kernel row differs\n got %s\nwant %s", j, len(lanes), k, laneString(got, kernel[j].col), laneString(want, c))
+				t.Fatalf("%s: lane %d/%d step %d: kernel row differs\n got %s\nwant %s", path, j, len(lanes), k, laneString(got, kernel[j].col), laneString(want, c))
 			}
 			if seen != nil && j < nk {
 				seen.add(ln.o, want, c)
@@ -186,23 +229,28 @@ func checkSweepKernel(t *testing.T, lanes []fwdLane, seen sweepBranches) {
 	}
 }
 
-// TestStateSweepKernelMatchesPortable pins the vector kernel to the
-// portable stages it replaces: at every lane count from 1 to laneBudget
-// (one or two lanes, alone or after whole groups of four, run the
-// portable stages either way), over packed calls on random plants pushed
+// TestStateSweepKernelMatchesPortable pins the vector kernels to the
+// portable stages they replace, on every path the host has (kernelPaths):
+// at every lane count from 1 to laneBudget (one or two lanes, alone or
+// after whole groups of four of the AVX2 path, run the portable stages
+// either way), over packed calls on random plants pushed
 // to every clamp, both η saturations, a zero ESR, an SoE at or below
 // 1e-6, a pack a few kelvin above 0 K and non-finite states, loads and
 // inputs, the two sweeps record the same bits (NaN as one value), Eq. 5's
 // aging rates and the costs included, and the kernel's cost stage matches
-// laneCost. Every way of every branch must be reached, the aging law's
-// rows that the kernel hands back to Go and every cost hinge and tracking
-// term, on and off per lane, among them.
+// laneCost. On each path every way of every branch must be reached, the
+// aging law's rows that the kernel hands back to Go and every cost hinge
+// and tracking term, on and off per lane, among them. The test logs the
+// paths it checked, and says so where the AVX-512 kernel is not live.
 func TestStateSweepKernelMatchesPortable(t *testing.T) {
 	if !useKernel() {
 		t.Skip("the state sweep's vector kernel is not live on this host")
 	}
 	rng := rand.New(rand.NewSource(23))
-	seen := sweepBranches{}
+	seen := map[string]sweepBranches{}
+	for _, p := range kernelPaths() {
+		seen[p.name] = sweepBranches{}
+	}
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + trial%laneBudget
 		lanes := packedLanes(t, rng, n, rng.Intn(3) == 0)
@@ -217,10 +265,17 @@ func TestStateSweepKernelMatchesPortable(t *testing.T) {
 	// included.
 	names := sweepBranches{}
 	names.add(&OTEM{}, &tapeRow{}, 0)
-	for name := range names {
-		if n := seen[name]; n[0] == 0 || n[1] == 0 {
-			t.Errorf("branch %s went only one way (%d not taken, %d taken)", name, n[0], n[1])
+	for _, p := range kernelPaths() {
+		for name := range names {
+			if n := seen[p.name][name]; n[0] == 0 || n[1] == 0 {
+				t.Errorf("%s: branch %s went only one way (%d not taken, %d taken)", p.name, name, n[0], n[1])
+			}
 		}
+		n := seen[p.name]["ages"]
+		t.Logf("kernel %s: %d lane rows checked against the portable stages", p.name, n[0]+n[1])
+	}
+	if !vmath.LiveAVX512() {
+		t.Logf("kernel avx512: UNTESTED, AVX-512 F/DQ is not live on this host")
 	}
 }
 

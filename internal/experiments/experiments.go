@@ -79,7 +79,7 @@ func (s RunSpec) AppendCanonical(dst []byte) []byte {
 	if s.Repeats < 1 {
 		s.Repeats = 1
 	}
-	if floats.Zero(s.UltracapF) {
+	if floats.Unset(s.UltracapF) {
 		s.UltracapF = 25000
 	}
 	dst = append(dst, "otem.run"...)
@@ -103,7 +103,7 @@ func RunContext(ctx context.Context, spec RunSpec) (sim.Result, error) {
 	if spec.Repeats < 1 {
 		spec.Repeats = 1
 	}
-	if floats.Zero(spec.UltracapF) {
+	if floats.Unset(spec.UltracapF) {
 		spec.UltracapF = 25000
 	}
 	cycle, err := drivecycle.ByName(spec.Cycle)

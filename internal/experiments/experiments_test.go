@@ -39,6 +39,14 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
+// TestRunRejectsTinyNegativeUltracap pins that only a zero UltracapF
+// asks for the 25 kF default: -5e-10 F is a bank to reject.
+func TestRunRejectsTinyNegativeUltracap(t *testing.T) {
+	if _, err := Run(RunSpec{Method: MethodParallel, Cycle: "NYCC", UltracapF: -5e-10}); err == nil {
+		t.Error("UltracapF = -5e-10 accepted")
+	}
+}
+
 func TestRunUnknownCycle(t *testing.T) {
 	if _, err := Run(RunSpec{Method: MethodParallel, Cycle: "MOON"}); err == nil {
 		t.Error("unknown cycle accepted")

@@ -54,7 +54,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if floats.Zero(c.EndOfLifePct) {
+	if floats.Unset(c.EndOfLifePct) {
 		c.EndOfLifePct = 20
 	}
 	if c.BlockRoutes == 0 {
@@ -63,10 +63,10 @@ func (c Config) withDefaults() Config {
 	if c.MaxRoutes == 0 {
 		c.MaxRoutes = 40000
 	}
-	if floats.Zero(c.ResistanceGrowthPerPct) {
+	if floats.Unset(c.ResistanceGrowthPerPct) {
 		c.ResistanceGrowthPerPct = 0.02
 	}
-	if floats.Zero(c.ChargeAmbient) {
+	if floats.Unset(c.ChargeAmbient) {
 		c.ChargeAmbient = 298
 	}
 	if c.Horizon < 1 {
@@ -165,6 +165,16 @@ func ProjectContext(ctx context.Context, newPlant PlantFactory, newController Co
 		return nil, errors.New("lifetime: empty request series")
 	}
 	cfg = cfg.withDefaults()
+	// Each check is written so that NaN fails it; a tiny negative value is
+	// not a request for the default and fails too.
+	switch {
+	case !(cfg.EndOfLifePct > 0):
+		return nil, fmt.Errorf("lifetime: end-of-life loss %g%% invalid", cfg.EndOfLifePct)
+	case !(cfg.ResistanceGrowthPerPct >= 0):
+		return nil, fmt.Errorf("lifetime: resistance growth %g per %% invalid", cfg.ResistanceGrowthPerPct)
+	case !(cfg.ChargeAmbient > 0):
+		return nil, fmt.Errorf("lifetime: charge ambient %g K invalid", cfg.ChargeAmbient)
+	}
 
 	out := &Projection{}
 	loss := 0.0

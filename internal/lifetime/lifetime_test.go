@@ -33,6 +33,20 @@ func TestProjectValidation(t *testing.T) {
 	if _, err := ProjectContext(context.Background(), pf, baselineFactory(), nil, Config{}); err == nil {
 		t.Error("empty route accepted")
 	}
+	// Zero asks for a default; a negative value, however tiny, is an
+	// input to reject.
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"EndOfLifePct", Config{EndOfLifePct: -5e-10}},
+		{"ResistanceGrowthPerPct", Config{ResistanceGrowthPerPct: -5e-10}},
+		{"ChargeAmbient", Config{ChargeAmbient: -5e-10}},
+	} {
+		if _, err := ProjectContext(context.Background(), pf, baselineFactory(), requests, c.cfg); err == nil {
+			t.Errorf("%s = -5e-10 accepted", c.name)
+		}
+	}
 }
 
 func TestProjectReachesEndOfLife(t *testing.T) {

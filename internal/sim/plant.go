@@ -32,8 +32,9 @@ type PlantConfig struct {
 }
 
 // Defaults fills unset (zero) fields with the paper's experimental setup.
+// A negative value, however tiny, is kept for NewPlant to reject.
 func (c PlantConfig) Defaults() PlantConfig {
-	if floats.Zero(c.UltracapF) {
+	if floats.Unset(c.UltracapF) {
 		c.UltracapF = 25000
 	}
 	if c.PackSeries == 0 {
@@ -42,19 +43,19 @@ func (c PlantConfig) Defaults() PlantConfig {
 	if c.PackParallel == 0 {
 		c.PackParallel = 24
 	}
-	if floats.Zero(c.InitialSoC) {
+	if floats.Unset(c.InitialSoC) {
 		c.InitialSoC = 1.0
 	}
-	if floats.Zero(c.InitialSoE) {
+	if floats.Unset(c.InitialSoE) {
 		c.InitialSoE = 1.0
 	}
-	if floats.Zero(c.InitialTemp) {
+	if floats.Unset(c.InitialTemp) {
 		c.InitialTemp = 298
 	}
-	if floats.Zero(c.Ambient) {
+	if floats.Unset(c.Ambient) {
 		c.Ambient = 298
 	}
-	if floats.Zero(c.DT) {
+	if floats.Unset(c.DT) {
 		c.DT = 1
 	}
 	return c
@@ -101,5 +102,9 @@ func NewPlant(cfg PlantConfig) (*Plant, error) {
 		return nil, err
 	}
 
-	return &Plant{HEES: sys, Loop: loop, Ambient: cfg.Ambient, DT: cfg.DT}, nil
+	p := &Plant{HEES: sys, Loop: loop, Ambient: cfg.Ambient, DT: cfg.DT}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }

@@ -52,6 +52,27 @@ func TestNewPlantCustomUltracap(t *testing.T) {
 	}
 }
 
+// TestNewPlantRejectsTinyNegatives pins that zero, and only zero, asks
+// for a default: a field a hair below zero is an input NewPlant rejects,
+// not a full pack, a 25 kF bank or the paper's temperatures.
+func TestNewPlantRejectsTinyNegatives(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  PlantConfig
+	}{
+		{"UltracapF", PlantConfig{UltracapF: -5e-10}},
+		{"InitialSoC", PlantConfig{InitialSoC: -5e-10}},
+		{"InitialSoE", PlantConfig{InitialSoE: -5e-10}},
+		{"InitialTemp", PlantConfig{InitialTemp: -5e-10}},
+		{"Ambient", PlantConfig{Ambient: -5e-10}},
+		{"DT", PlantConfig{DT: -5e-10}},
+	} {
+		if _, err := NewPlant(c.cfg); err == nil {
+			t.Errorf("%s = -5e-10 accepted", c.name)
+		}
+	}
+}
+
 func TestPlantValidate(t *testing.T) {
 	p := newTestPlant(t)
 	bad := *p

@@ -11,6 +11,13 @@ var hostAVX2FMA = cpuHasAVX2FMA()
 // capability unless UsePortable switched it off.
 var useAVX2FMA = hostAVX2FMA
 
+// hostAVX512 reports whether eight-lane AVX-512 kernels can run here as
+// well: the AVX2/FMA check holds, and cpuHasAVX512 does.
+var hostAVX512 = hostAVX2FMA && cpuHasAVX512()
+
+// useAVX512 is hostAVX512 unless UsePortable switched it off.
+var useAVX512 = hostAVX512
+
 // exp4AVX overwrites x with the exponentials of its four lanes and reports
 // true, or leaves x untouched and reports false when any lane is not
 // finite or has |x| ≥ expLimit. It is math.archExp's FMA path widened to
@@ -35,3 +42,7 @@ func log4AVX(x *[4]float64) bool
 // cpuHasAVX2FMA reports CPUID AVX2 (leaf 7) and FMA+AVX+OSXSAVE (leaf 1)
 // with the xmm and ymm state enabled in XCR0.
 func cpuHasAVX2FMA() bool
+
+// cpuHasAVX512 reports CPUID AVX512F and AVX512DQ (leaf 7) with the
+// xmm, ymm, opmask and both zmm states enabled in XCR0.
+func cpuHasAVX512() bool

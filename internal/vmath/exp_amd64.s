@@ -154,3 +154,38 @@ TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
 no:
 	MOVB  $0, ret+0(FP)
 	RET
+
+// func cpuHasAVX512() bool
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	// Leaf 7 must exist.
+	XORL  AX, AX
+	XORL  CX, CX
+	CPUID
+	CMPL  AX, $7
+	JL    no512
+	// Leaf 7 EBX: AVX512F (bit 16), AVX512DQ (bit 17).
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x30000, BX
+	CMPL  BX, $0x30000
+	JNE   no512
+	// Leaf 1 ECX: OSXSAVE (bit 27), before XGETBV may run.
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x08000000, CX
+	JE    no512
+	// XCR0 must have the xmm, ymm, opmask, upper-zmm and high-zmm state
+	// (bits 1, 2, 5, 6 and 7) enabled by the OS.
+	XORL   CX, CX
+	XGETBV
+	ANDL   $0xE6, AX
+	CMPL   AX, $0xE6
+	JNE    no512
+	MOVB   $1, ret+0(FP)
+	RET
+
+no512:
+	MOVB $0, ret+0(FP)
+	RET

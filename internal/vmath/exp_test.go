@@ -130,3 +130,19 @@ func BenchmarkExpScalar4(b *testing.B) {
 		benchSink = y
 	}
 }
+
+// TestUsePortableSwitchesOffAVX512 pins that UsePortable takes the
+// AVX-512 liveness down with Live, so callers' eight-lane kernels fall
+// back with the four-lane ones, and that it never reports AVX-512 where
+// the AVX2/FMA kernels are not live.
+func TestUsePortableSwitchesOffAVX512(t *testing.T) {
+	UsePortable(true)
+	if LiveAVX512() {
+		t.Error("LiveAVX512 under UsePortable(true)")
+	}
+	UsePortable(false)
+	if LiveAVX512() != hostAVX512 || hostAVX512 && !Live() {
+		t.Errorf("LiveAVX512 %v, host AVX-512 %v, Live %v", LiveAVX512(), hostAVX512, Live())
+	}
+	t.Logf("AVX-512 F/DQ live: %v", LiveAVX512())
+}

@@ -20,11 +20,20 @@ const expLimit = 700
 // would replace.
 func Live() bool { return useAVX2FMA }
 
+// LiveAVX512 reports whether callers may run their own eight-lane AVX-512
+// kernels beside Exp4 and Log4: Live holds, and the CPU advertises
+// AVX-512 F and DQ with the opmask and zmm state enabled by the OS.
+// UsePortable switches it off with Live.
+func LiveAVX512() bool { return useAVX512 }
+
 // UsePortable puts Exp4, Log4 (and Live) on the portable path when on is
 // set, and back on the host's best path when it is not. No result changes
 // either way; tests use it to run the scalar path on AVX2 hosts. It is
 // not safe to call while another goroutine uses the package.
-func UsePortable(on bool) { useAVX2FMA = hostAVX2FMA && !on }
+func UsePortable(on bool) {
+	useAVX2FMA = hostAVX2FMA && !on
+	useAVX512 = hostAVX512 && !on
+}
 
 // Exp4 replaces each element of x with its exponential, bit-identical to
 // math.Exp.
