@@ -49,7 +49,7 @@ check: vet lint build cross bench-smoke race
 # the compiler may use v3 instructions.
 cross:
 	GOARCH=arm64 $(GO) vet ./internal/vmath ./internal/hees ./internal/core
-	GOAMD64=v3 $(GO) test ./internal/core ./internal/vmath ./otem
+	GOAMD64=v3 $(GO) test ./internal/core ./internal/hees ./internal/vmath ./otem
 
 # The full suite under the race detector (slow: MPC-heavy tests included).
 race:

@@ -171,18 +171,19 @@ type sweep struct {
 //     heat, SoC and the thermal network. Each step runs in the eight
 //     stages of DESIGN.md §10, each over every lane before the next
 //     begins, so the lanes' independent chains of divisions and square
-//     roots overlap. Where vmath's vector kernels are live, every group
-//     of three or four lanes (kernelLanes) runs the stages four lanes per
-//     AVX2 instruction (sweepKernel), with a ninth stage that records the
-//     lanes' Eq. 5 aging rates and a tenth that adds their cost terms;
-//     where AVX-512 is live too, a call of wideLanes or more runs them
-//     eight lanes per instruction as one group instead. One or two
-//     lanes, alone or after whole groups of four, vmath.UsePortable and
-//     other architectures run them as Go loops
-//     (stepStages). Eq. 2's and Eq. 3's exponentials go four at a time
-//     through vmath.Exp4, or through its kernel inlined in the sweep's;
-//   - for each lane the Go loops ran, the aging sweep (agingSweep) fills
-//     its Eq. 5 rates from its finished tape column, four steps per
+//     roots overlap. Where vmath's vector kernels are live, a call of
+//     two or more lanes runs wholly on them (sweepKernel): the stages
+//     four lanes per AVX2 instruction, with a ninth stage that records
+//     the lanes' Eq. 5 aging rates and a tenth that adds their cost
+//     terms; where AVX-512 is live too, a call of wideLanes or more runs
+//     them eight lanes per instruction as one group instead. A group the
+//     call does not fill is padded with copies of its first lane. A lone
+//     lane, vmath.UsePortable and other architectures run the stages as
+//     Go loops (stepStages). Eq. 2's and Eq. 3's exponentials go four at
+//     a time through vmath.Exp4, or through its kernel inlined in the
+//     sweep's;
+//   - on the Go loops, the aging sweep (agingSweep) then fills each
+//     lane's Eq. 5 rates from its finished tape column, four steps per
 //     vmath.Log4/Exp4 call, and the cost sweep (laneCost) adds its cost
 //     terms in the order the state recurrences produce them.
 //
@@ -222,15 +223,13 @@ func objectiveFwd(lanes []fwdLane) {
 		}
 		s.st[j] = laneState{soc: r.soc, soe: r.soe, tb: r.tb, tc: r.tc}
 	}
-	// Lanes [0, nk) run on the kernel, which records their aging rates
-	// and costs too; the rest run on the Go stages and then agingSweep
-	// and laneCost.
-	nk := kernelLanes(len(lanes))
-	if nk > 0 {
-		s.sweepKernel(nk)
-	}
-	if nk < len(lanes) {
-		s.sweepStages(nk)
+	// The kernel records the lanes' aging rates and costs too; after the
+	// Go stages, agingSweep and laneCost do.
+	kernel := onKernel(len(lanes))
+	if kernel {
+		s.sweepKernel()
+	} else {
+		s.sweepStages()
 	}
 
 	for j := range lanes {
@@ -238,7 +237,7 @@ func objectiveFwd(lanes []fwdLane) {
 		o := ln.o
 		tape, col := s.tapes[j>>2], j&3
 		cost := s.cost[j]
-		if j >= nk {
+		if !kernel {
 			agingSweep(s.rs[j], tape, col)
 			cost = o.laneCost(tape, col)
 		}
@@ -254,30 +253,15 @@ func objectiveFwd(lanes []fwdLane) {
 	}
 }
 
-// kernelLanes returns how many of a call's n lanes run on the vector
-// kernels: none where they are not live, all of a call of wideLanes or
-// more where the 8-lane kernel is, and otherwise all but a tail of one
-// or two lanes after the call's whole groups of four (all of a call of
-// one or two). A group that holds one or two real lanes costs the kernel
-// as much as four, and the Go stages run one or two lanes faster
-// (DESIGN.md §10).
-func kernelLanes(n int) int {
-	if !useKernel() {
-		return 0
-	}
-	if n >= wideLanes && useKernel8() {
-		return n
-	}
-	if r := n % 4; r == 1 || r == 2 {
-		return n - r
-	}
-	return n
-}
+// onKernel reports whether a call of n lanes runs on the vector kernels:
+// where they are live and n is two or more. A lone lane costs a padded
+// group of four more than it costs the Go stages (DESIGN.md §10).
+func onKernel(n int) bool { return n > 1 && useKernel() }
 
 // wideLanes is the fewest lanes of a call that run as one group of eight
-// on the AVX-512 kernel where it is live (useKernel8): a call of 7 or 8
-// lanes costs it less than two AVX2 groups of four, and one of 5 or 6
-// less than an AVX2 group and a tail on the Go stages (DESIGN.md §10).
+// on the AVX-512 kernel where it is live (useKernel8): a call of 5 to 8
+// lanes costs it less than the two AVX2 groups of four it would otherwise
+// run as (DESIGN.md §10).
 const wideLanes = 5
 
 // kernel8Off puts every call on the AVX2 kernel's groups of four even
@@ -285,12 +269,12 @@ const wideLanes = 5
 // checks and measures both.
 var kernel8Off bool
 
-// sweepStages is the portable state sweep of lanes lo and up: every step
-// runs stepStages.
-func (s *sweep) sweepStages(lo int) {
+// sweepStages is the portable state sweep of every lane: every step runs
+// stepStages.
+func (s *sweep) sweepStages() {
 	// The state exponentials' arguments, site-major and overwritten in
-	// place by Exp4: with m = n − lo lanes, lane lo+i's Eq. 2 argument at
-	// i, Eq. 3's at m+i and 2m+i.
+	// place by Exp4: with n lanes, lane j's Eq. 2 argument at j, Eq. 3's
+	// at n+j and 2n+j.
 	var e [3 * laneBudget]float64
 	base, nextBlockAt := 0, s.bs
 	for k := 0; k < s.horizon; k++ {
@@ -298,18 +282,17 @@ func (s *sweep) sweepStages(lo int) {
 			base += s.mIn
 			nextBlockAt += s.bs
 		}
-		s.stepStages(lo, k, base, &e)
+		s.stepStages(k, base, &e)
 	}
 }
 
-// stepStages advances lanes lo and up by step k, whose inputs start at
+// stepStages advances every lane by step k, whose inputs start at
 // z[base], in the eight stages of DESIGN.md §10. Each stage runs over all
-// those lanes before the next starts; a stage reads what the earlier ones
-// wrote into the lanes' tape columns, or the per-lane arrays below for
-// what the tape does not keep.
-func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
+// lanes before the next starts; a stage reads what the earlier ones wrote
+// into the lanes' tape columns, or the per-lane arrays below for what the
+// tape does not keep.
+func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
 	n := len(s.lanes)
-	m := n - lo
 	var (
 		rows   [laneBudget]*tapeRow
 		capSto [laneBudget]float64 // the capacitor's storage power
@@ -317,7 +300,7 @@ func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 
 	// 1. Tape head, cooling (linear intensity model) and the capacitor
 	// voltage.
-	for j := lo; j < n; j++ {
+	for j := 0; j < n; j++ {
 		r, ls, tp, c := s.rs[j], &s.st[j], &s.tapes[j>>2][k], j&3
 		rows[j] = tp
 		tp.soc0[c], tp.soe0[c], tp.tb0[c] = ls.soc, ls.soe, ls.tb
@@ -334,7 +317,7 @@ func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 	}
 
 	// 2. The sag limit, η, the clamped bus power and the storage power.
-	for j := lo; j < n; j++ {
+	for j := 0; j < n; j++ {
 		r, tp, c := s.rs[j], rows[j], j&3
 		cc := &r.capConv
 		vcap := tp.vcap[c]
@@ -370,7 +353,7 @@ func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 	}
 
 	// 3. The discriminant, its square root and the capacitor current.
-	for j := lo; j < n; j++ {
+	for j := 0; j < n; j++ {
 		r, tp, c := s.rs[j], rows[j], j&3
 		capESR, vcap := r.capESR, tp.vcap[c]
 		sCap, capI := 0.0, 0.0
@@ -391,7 +374,7 @@ func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 
 	// 4. The energy drawn, the SoE and its clamp; then the arguments of
 	// the battery formulas' exponentials at this step's (soc, tb).
-	for j := lo; j < n; j++ {
+	for j := 0; j < n; j++ {
 		r, ls, tp, c := s.rs[j], &s.st[j], rows[j], j&3
 		capI := tp.capI[c]
 		dEcap := (capSto[j] + capI*capI*r.capESR) * r.dt
@@ -407,17 +390,16 @@ func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 
 		cell := &r.cell
 		zc := units.Clamp(ls.soc, 0, 1)
-		i := j - lo
-		e[i] = cell.OCVExpArg(zc)
-		e[m+i], e[2*m+i] = cell.ResistanceExpArgs(zc, ls.tb)
+		e[j] = cell.OCVExpArg(zc)
+		e[n+j], e[2*n+j] = cell.ResistanceExpArgs(zc, ls.tb)
 	}
 
-	// 5. The exponentials, ⌈3m/4⌉ Exp4 calls. The entries from 3m up to
+	// 5. The exponentials, ⌈3n/4⌉ Exp4 calls. The entries from 3n up to
 	// the next multiple of four are reset to 0 every step: Exp4
 	// overwrites them too, and a value left to grow step after step would
 	// push every later call onto the kernel's scalar fallback.
-	ne := (3*m + 3) &^ 3
-	for i := 3 * m; i < ne; i++ {
+	ne := (3*n + 3) &^ 3
+	for i := 3 * n; i < ne; i++ {
 		e[i] = 0
 	}
 	for i := 0; i < ne; i += 4 {
@@ -426,12 +408,11 @@ func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 
 	// 6. The open-circuit voltage, the resistance, η, the storage power
 	// before its clamp and the power limit.
-	for j := lo; j < n; j++ {
+	for j := 0; j < n; j++ {
 		r, tp, c := s.rs[j], rows[j], j&3
 		cell := &r.cell
 		bc := &r.battConv
-		i := j - lo
-		ocvExp, resZExp, resTExp := e[i], e[m+i], e[2*m+i]
+		ocvExp, resZExp, resTExp := e[j], e[n+j], e[2*n+j]
 		tp.ocvExp[c], tp.resZExp[c], tp.resTExp[c] = ocvExp, resZExp, resTExp
 		battBus := s.lanes[j].o.fc[k] + tp.pcool[c] - tp.capBus[c]
 		tp.battBus[c] = battBus
@@ -455,7 +436,7 @@ func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 
 	// 7. The power clamp, the discriminant's square root and the pack
 	// current.
-	for j := lo; j < n; j++ {
+	for j := 0; j < n; j++ {
 		tp, c := rows[j], j&3
 		voc, res, pmax := tp.voc[c], tp.res[c], tp.pmax[c]
 		bs := tp.bsPre[c]
@@ -478,7 +459,7 @@ func (s *sweep) stepStages(lo, k, base int, e *[3 * laneBudget]float64) {
 
 	// 8. The C6 excess, the cell current and heat, the SoC and the
 	// thermal network (closed-form CN, identical to CNStep2).
-	for j := lo; j < n; j++ {
+	for j := 0; j < n; j++ {
 		r, ls, tp, c := s.rs[j], &s.st[j], rows[j], j&3
 		cn := &r.cnc
 		soc, tb, tc := ls.soc, ls.tb, ls.tc

@@ -150,16 +150,17 @@ func (g *laneGroup) setLane(j int, o *OTEM, st *laneState) {
 	}
 }
 
-// sweepKernel is the state sweep of lanes 0 to n−1 on the vector kernels,
+// sweepKernel is the state sweep of every lane on the vector kernels,
 // their aging rates and costs included: the lanes run in groups of four,
 // each group through the whole horizon in one sweepGroup call, or, where
-// useKernel8 holds and n is at least wideLanes, as one group of eight in
-// one sweepGroup8 call. A call returns early only at a step whose
-// exponentials its vector exp cannot take; math.Exp evaluates them there,
-// into the step's rows, and the call resumes. A lane whose aging the
-// kernel could not finish has it recorded again by agingSweep and its
+// useKernel8 holds and the call has wideLanes lanes or more, as one group
+// of eight in one sweepGroup8 call. A call returns early only at a step
+// whose exponentials its vector exp cannot take; math.Exp evaluates them
+// there, into the step's rows, and the call resumes. A lane whose aging
+// the kernel could not finish has it recorded again by agingSweep and its
 // cost added again by laneCost.
-func (s *sweep) sweepKernel(n int) {
+func (s *sweep) sweepKernel() {
+	n := len(s.lanes)
 	var g laneGroup
 	w := 4
 	if n >= wideLanes && useKernel8() {

@@ -9,6 +9,6 @@ func useKernel() bool { return false }
 // useKernel8 is always false off amd64.
 func useKernel8() bool { return false }
 
-// sweepKernel has no lanes to run: kernelLanes gives it none when
-// useKernel is false.
-func (s *sweep) sweepKernel(int) {}
+// sweepKernel is unreachable off amd64: objectiveFwd runs the Go stages
+// whenever useKernel is false.
+func (s *sweep) sweepKernel() {}

@@ -182,7 +182,10 @@ func checkSweepKernel(t *testing.T, lanes []fwdLane, seen map[string]sweepBranch
 // rows of the lanes that ran on the kernel are counted into seen.
 func checkSweepPath(t *testing.T, path string, lanes []fwdLane, seen sweepBranches) {
 	t.Helper()
-	nk := kernelLanes(len(lanes))
+	nk := 0
+	if onKernel(len(lanes)) {
+		nk = len(lanes)
+	}
 	objectiveFwd(lanes)
 	type lane struct {
 		rows []tapeRow
@@ -231,9 +234,8 @@ func checkSweepPath(t *testing.T, path string, lanes []fwdLane, seen sweepBranch
 
 // TestStateSweepKernelMatchesPortable pins the vector kernels to the
 // portable stages they replace, on every path the host has (kernelPaths):
-// at every lane count from 1 to laneBudget (one or two lanes, alone or
-// after whole groups of four of the AVX2 path, run the portable stages
-// either way), over packed calls on random plants pushed
+// at every lane count from 1 to laneBudget (a lone lane runs the
+// portable stages either way), over packed calls on random plants pushed
 // to every clamp, both η saturations, a zero ESR, an SoE at or below
 // 1e-6, a pack a few kelvin above 0 K and non-finite states, loads and
 // inputs, the two sweeps record the same bits (NaN as one value), Eq. 5's

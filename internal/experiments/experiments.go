@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/canon"
 	"repro/internal/core"
@@ -72,16 +73,24 @@ type RunSpec struct {
 	Trace bool
 }
 
-// AppendCanonical implements the canonical-encoding contract (see package
-// canon): a stable rendering of every outcome-determining field, after
-// defaulting — the serve result cache keys on it.
-func (s RunSpec) AppendCanonical(dst []byte) []byte {
-	if s.Repeats < 1 {
+// Resolved returns s with its unset fields at their documented defaults:
+// a zero Repeats becomes 1 and an unset UltracapF (floats.Unset) 25000 F.
+// A negative Repeats is left for RunContext to reject. It is idempotent.
+func (s RunSpec) Resolved() RunSpec {
+	if s.Repeats == 0 {
 		s.Repeats = 1
 	}
 	if floats.Unset(s.UltracapF) {
 		s.UltracapF = 25000
 	}
+	return s
+}
+
+// AppendCanonical implements the canonical-encoding contract (see package
+// canon): a stable rendering of every outcome-determining field, after
+// defaulting — the serve result cache keys on it.
+func (s RunSpec) AppendCanonical(dst []byte) []byte {
+	s = s.Resolved()
 	dst = append(dst, "otem.run"...)
 	dst = canon.Str(dst, "m", string(s.Method))
 	dst = canon.Str(dst, "c", s.Cycle)
@@ -98,13 +107,11 @@ func Run(spec RunSpec) (sim.Result, error) {
 
 // RunContext is Run with cooperative cancellation, for batch engines and
 // interruptible CLIs: canceling ctx abandons the simulation mid-route with
-// an error matching runner.ErrCanceled.
+// an error matching runner.ErrCanceled. A negative Repeats is an error.
 func RunContext(ctx context.Context, spec RunSpec) (sim.Result, error) {
-	if spec.Repeats < 1 {
-		spec.Repeats = 1
-	}
-	if floats.Unset(spec.UltracapF) {
-		spec.UltracapF = 25000
+	spec = spec.Resolved()
+	if spec.Repeats < 0 {
+		return sim.Result{}, fmt.Errorf("experiments: repeats %d is negative", spec.Repeats)
 	}
 	cycle, err := drivecycle.ByName(spec.Cycle)
 	if err != nil {

@@ -39,11 +39,21 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
-// TestRunRejectsTinyNegativeUltracap pins that only a zero UltracapF
-// asks for the 25 kF default: -5e-10 F is a bank to reject.
-func TestRunRejectsTinyNegativeUltracap(t *testing.T) {
-	if _, err := Run(RunSpec{Method: MethodParallel, Cycle: "NYCC", UltracapF: -5e-10}); err == nil {
-		t.Error("UltracapF = -5e-10 accepted")
+// TestRunRejectsInvalidSpec pins that only a zero field asks for its
+// default: -5e-10 F is a bank to reject and -4 repeats a count to reject,
+// and neither spec shares its canonical key with the valid one.
+func TestRunRejectsInvalidSpec(t *testing.T) {
+	valid := string(RunSpec{Method: MethodParallel, Cycle: "NYCC"}.AppendCanonical(nil))
+	for _, spec := range []RunSpec{
+		{Method: MethodParallel, Cycle: "NYCC", UltracapF: -5e-10},
+		{Method: MethodParallel, Cycle: "NYCC", Repeats: -4},
+	} {
+		if _, err := Run(spec); err == nil {
+			t.Errorf("%+v accepted", spec)
+		}
+		if key := string(spec.AppendCanonical(nil)); key == valid {
+			t.Errorf("%+v has the valid spec's key %q", spec, key)
+		}
 	}
 }
 

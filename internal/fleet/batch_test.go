@@ -72,27 +72,34 @@ func TestBatchedIdentityOtherMethods(t *testing.T) {
 	}
 }
 
-// TestBatchedOTEMIdentityPortable reruns the OTEM case of
-// TestBatchedIdentityOtherMethods with vmath forced onto its portable
-// path, where the replan packer puts one trial per vehicle into each
-// round and speculates none: the digest must still equal the reference
-// rolled on the host's default path.
-func TestBatchedOTEMIdentityPortable(t *testing.T) {
-	spec := Spec{Vehicles: 6, Days: 1, Seed: 99, Method: policy.MethodologyOTEM, RouteSeconds: 120}
-	ref, err := runReference(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vmath.UsePortable(true)
-	defer vmath.UsePortable(false)
-	for _, width := range []int{1, DefaultBatch} {
-		got, err := runWith(context.Background(), spec, Options{}, width)
+// TestBatchedIdentityPortable reruns the OTEM case of
+// TestBatchedIdentityOtherMethods and the Parallel baseline with vmath
+// forced onto its portable path: the replan packer puts one trial per
+// vehicle into each round and speculates none, and every bus solve runs
+// the scalar bisection. The digest must still equal the reference rolled
+// on the host's default path.
+func TestBatchedIdentityPortable(t *testing.T) {
+	for _, spec := range []Spec{
+		{Vehicles: 6, Days: 1, Seed: 99, Method: policy.MethodologyOTEM, RouteSeconds: 120},
+		{Vehicles: 24, Days: 3, Seed: 99, Method: policy.MethodologyParallel, RouteSeconds: 120},
+	} {
+		ref, err := runReference(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("batch=%d: %v", width, err)
+			t.Fatalf("%s reference: %v", spec.Method, err)
 		}
-		if got.Digest() != ref.Digest() {
-			t.Errorf("portable batch=%d: digest %s != reference %s", width, got.Digest(), ref.Digest())
-		}
+		func() {
+			vmath.UsePortable(true)
+			defer vmath.UsePortable(false)
+			for _, width := range []int{1, DefaultBatch} {
+				got, err := runWith(context.Background(), spec, Options{}, width)
+				if err != nil {
+					t.Fatalf("%s batch=%d: %v", spec.Method, width, err)
+				}
+				if got.Digest() != ref.Digest() {
+					t.Errorf("%s portable batch=%d: digest %s != reference %s", spec.Method, width, got.Digest(), ref.Digest())
+				}
+			}
+		}()
 	}
 }
 

@@ -1,12 +1,14 @@
 package hees
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/battery"
 	"repro/internal/converter"
 	"repro/internal/ultracap"
 	"repro/internal/units"
+	"repro/internal/vmath"
 )
 
 func benchSystem(b *testing.B) *System {
@@ -48,5 +50,38 @@ func BenchmarkStepHybrid(b *testing.B) {
 		}
 		s.Battery.SoC = 0.8
 		s.Cap.SoE = 0.8
+	}
+}
+
+// BenchmarkBusBatchSolve times one 64-lane Solve of mixed discharge and
+// regen lanes, in ns per lane, on the AVX kernel (/vector, where vmath's
+// kernels are live) and on the scalar loop (/portable).
+func BenchmarkBusBatchSolve(b *testing.B) {
+	const n = 64
+	bb := NewBusBatch(n)
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k < n; k++ {
+		bb.VB[k] = 300 + 100*rng.Float64()
+		bb.RB[k] = 0.05 + 0.2*rng.Float64()
+		bb.VC[k] = 200 + 200*rng.Float64()
+		bb.RC[k] = 0.001 + 0.05*rng.Float64()
+		bb.P[k] = -20000 + 60000*rng.Float64()
+	}
+	for _, path := range []struct {
+		name     string
+		portable bool
+	}{{"vector", false}, {"portable", true}} {
+		b.Run(path.name, func(b *testing.B) {
+			if !path.portable && !vmath.Live() {
+				b.Skip("vmath's vector kernels are not live on this host")
+			}
+			vmath.UsePortable(path.portable)
+			defer vmath.UsePortable(false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bb.Solve(n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/lane")
+		})
 	}
 }

@@ -115,26 +115,3 @@ done:
 	VMOVUPD Y12, HI+32(DI)
 	VZEROUPPER
 	RET
-
-// func cpuHasAVX() bool
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL  $1, AX
-	XORL  CX, CX
-	CPUID
-	// OSXSAVE (bit 27) and AVX (bit 28) in ECX
-	MOVL  CX, DX
-	ANDL  $0x18000000, DX
-	CMPL  DX, $0x18000000
-	JNE   noavx
-	// XCR0 must have XMM and YMM state enabled by the OS
-	XORL  CX, CX
-	XGETBV
-	ANDL  $6, AX
-	CMPL  AX, $6
-	JNE   noavx
-	MOVB  $1, ret+0(FP)
-	RET
-
-noavx:
-	MOVB  $0, ret+0(FP)
-	RET

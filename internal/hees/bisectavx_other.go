@@ -2,9 +2,6 @@
 
 package hees
 
-// useAVX is always false off amd64: Solve dispatches to the portable
-// register-blocked kernels.
-var useAVX = false
-
-// bisect8AVX is unreachable when useAVX is false.
+// bisect8AVX is unreachable off amd64, where vmath.Live is false and
+// Solve runs busBisect for every lane.
 func bisect8AVX(l *lanes8) { panic("hees: bisect8AVX without AVX") }

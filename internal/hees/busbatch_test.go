@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/vmath"
 )
 
 // TestBusBatchMatchesScalar is the bit-identity property test for the
@@ -113,14 +115,14 @@ func TestStepParallelPreparedSplit(t *testing.T) {
 }
 
 // TestBusBatchPortableMatchesScalar re-runs the batched-vs-scalar identity
-// property with the AVX kernel disabled, so the portable register-blocked
-// kernels are exercised even on machines where Solve would normally
-// dispatch to the vector path.
+// property with vmath on its portable path, so the scalar loop runs for
+// every lane even on machines where Solve would normally dispatch to the
+// AVX kernel.
 func TestBusBatchPortableMatchesScalar(t *testing.T) {
-	if !useAVX {
-		t.Skip("portable kernels already covered by TestBusBatchMatchesScalar")
+	if !vmath.Live() {
+		t.Skip("portable path already covered by TestBusBatchMatchesScalar")
 	}
-	useAVX = false
-	defer func() { useAVX = true }()
+	vmath.UsePortable(true)
+	defer vmath.UsePortable(false)
 	testBusBatchMatchesScalar(t)
 }

@@ -171,26 +171,46 @@ func (s *System) FinishParallel(pre ParallelPrep, vl, dt float64) (StepReport, e
 // supply P at any voltage (ErrInfeasible). For P ≤ 0, g is strictly
 // decreasing on (0, ∞) with a single root above max(V_b, V_c).
 func solveParallelBus(vb, rb, vc, rc, p float64) (float64, error) {
-	var lo, hi float64
+	lo, hi, ok := busBracket(vb, rb, vc, rc, p)
+	if !ok {
+		if p > 0 {
+			return 0, fmt.Errorf("%w: parallel bus collapsed (P=%.0f W, Vb=%.1f, Vc=%.1f)", ErrInfeasible, p, vb, vc)
+		}
+		return 0, fmt.Errorf("%w: no regen bus bracket", ErrInfeasible)
+	}
+	return busBisect(vb, rb, vc, rc, p, lo, hi), nil
+}
+
+// busBracket returns the bisection interval of solveParallelBus — [V*,
+// max(V_b, V_c)] for P > 0, otherwise [max(min(V_b, V_c), 1e-6),
+// max(V_b, V_c)+1] with the upper end grown by factors of 1.5 until the
+// gap there is not positive — and whether the bus can be solved at all.
+// The P > 0 feasibility test is the negation of the infeasible one, so a
+// NaN input is infeasible exactly where it always was.
+func busBracket(vb, rb, vc, rc, p float64) (lo, hi float64, ok bool) {
 	if p > 0 {
 		lo = math.Sqrt(p * rb * rc / (rb + rc))
 		hi = math.Max(vb, vc)
-		if lo >= hi || parallelBusGap(vb, rb, vc, rc, p, lo) < 0 {
-			return 0, fmt.Errorf("%w: parallel bus collapsed (P=%.0f W, Vb=%.1f, Vc=%.1f)", ErrInfeasible, p, vb, vc)
-		}
-	} else {
-		lo = math.Min(vb, vc)
-		if lo <= 0 {
-			lo = 1e-6
-		}
-		hi = math.Max(vb, vc) + 1
-		for iter := 0; parallelBusGap(vb, rb, vc, rc, p, hi) > 0; iter++ {
-			hi *= 1.5
-			if iter > 200 {
-				return 0, fmt.Errorf("%w: no regen bus bracket", ErrInfeasible)
-			}
+		return lo, hi, !(lo >= hi || parallelBusGap(vb, rb, vc, rc, p, lo) < 0)
+	}
+	lo = math.Min(vb, vc)
+	if lo <= 0 {
+		lo = 1e-6
+	}
+	hi = math.Max(vb, vc) + 1
+	for iter := 0; parallelBusGap(vb, rb, vc, rc, p, hi) > 0; iter++ {
+		hi *= 1.5
+		if iter > 200 {
+			return lo, hi, false
 		}
 	}
+	return lo, hi, true
+}
+
+// busBisect bisects the bus balance on the bracket [lo, hi] until it is
+// narrower than 1e-10 of its upper end, or for 200 iterations, and
+// returns the final midpoint.
+func busBisect(vb, rb, vc, rc, p, lo, hi float64) float64 {
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
 		if parallelBusGap(vb, rb, vc, rc, p, mid) > 0 {
@@ -202,7 +222,7 @@ func solveParallelBus(vb, rb, vc, rc, p float64) (float64, error) {
 			break
 		}
 	}
-	return (lo + hi) / 2, nil
+	return (lo + hi) / 2
 }
 
 // parallelBusGap is the bus balance residual g(V_l) solveParallelBus

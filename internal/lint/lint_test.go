@@ -102,7 +102,7 @@ func TestNoOrphanPackages(t *testing.T) {
 // testHooks are the non-test functions that only other packages' tests
 // call. Each stays for the reason given; keep the list short.
 var testHooks = map[string]string{
-	"repro/internal/vmath.UsePortable":                 "core's and fleet's tests force the portable path to pin it against the vector kernels",
+	"repro/internal/vmath.UsePortable":                 "core's, hees's and fleet's tests force the portable path to pin it against the vector kernels",
 	"(*repro/internal/lint/callgraph.Graph).NodeOf":    "fuzz_test.go maps a fuzzed function declaration to its call-graph node",
 	"(*repro/internal/lint/callgraph.Graph).NodeOfLit": "fuzz_test.go maps a fuzzed function literal to its call-graph node",
 }

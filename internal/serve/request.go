@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core/floats"
 	"repro/otem"
 )
 
@@ -81,13 +80,7 @@ func (r SimulateRequest) normalize(maxRepeats int) (otem.RunSpec, error) {
 		UltracapF: r.UltracapFarad,
 		Trace:     r.Trace,
 	}
-	if spec.Repeats < 1 {
-		spec.Repeats = 1
-	}
-	if floats.Zero(spec.UltracapF) {
-		spec.UltracapF = 25000
-	}
-	return spec, nil
+	return spec.Resolved(), nil
 }
 
 // normalize validates the batch's size against maxSpecs and normalizes

@@ -17,7 +17,9 @@ const expLimit = 700
 // Live reports whether Exp4 and Log4 run their vector kernels on this
 // host. Without AVX2 and FMA they fall back to four math.Exp or math.Log
 // calls: still bit-identical, but no faster than the scalar loop they
-// would replace.
+// would replace. Packages with vector kernels of their own (core's state
+// sweep, hees's bus bisection) run them exactly when Live holds, so this
+// is the simulator's one dispatch switch.
 func Live() bool { return useAVX2FMA }
 
 // LiveAVX512 reports whether callers may run their own eight-lane AVX-512
