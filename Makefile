@@ -66,29 +66,22 @@ bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# Every native fuzz target for 5 s beyond its seeds (which plain `go test`
-# already runs): the AVX2 state sweep against its portable stages, the
-# vector exp and log against math.Exp and math.Log, the lint suite's
-# directive parser, call graph and SSA builder, and the canonical float
-# encoding's bit-faithful round trip, each otem-serve request type
-# from JSON through normalize to its cache key, the hmpc and fleet spec
-# resolvers' zero/negative/off semantics, and merged quantile sketches
-# against their rank-error certificate. A failing input is written under
-# the package's testdata/fuzz and fails the target.
+# Every native fuzz target of the module for 5 s beyond its seeds (which
+# plain `go test` already runs), found with `go test -list` in each
+# package: among them the AVX2 state sweep against its portable stages,
+# the vector exp and log, the lint suite's directive parser, call graph
+# and SSA builder, the canonical float encoding, each otem-serve request
+# decoder, the hmpc and fleet spec resolvers and merged quantile
+# sketches. A failing input is written under the package's testdata/fuzz,
+# fails the target and stops the run.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzStateSweep$$' -fuzztime 5s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzExp4$$' -fuzztime 5s ./internal/vmath
-	$(GO) test -run '^$$' -fuzz '^FuzzLog4$$' -fuzztime 5s ./internal/vmath
-	$(GO) test -run '^$$' -fuzz '^FuzzCollectDirectives$$' -fuzztime 5s ./internal/lint
-	$(GO) test -run '^$$' -fuzz '^FuzzCallGraph$$' -fuzztime 5s ./internal/lint
-	$(GO) test -run '^$$' -fuzz '^FuzzSSABuild$$' -fuzztime 5s ./internal/lint/ir
-	$(GO) test -run '^$$' -fuzz '^FuzzCanonFloat$$' -fuzztime 5s ./internal/canon
-	$(GO) test -run '^$$' -fuzz '^FuzzSimulateRequest$$' -fuzztime 5s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 5s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzFleetRequest$$' -fuzztime 5s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanRequest$$' -fuzztime 5s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzSpecResolved$$' -fuzztime 5s ./internal/hmpc
-	$(GO) test -run '^$$' -fuzz '^FuzzSketchMerge$$' -fuzztime 5s ./internal/fleet
+	@set -e; pkgs=$$($(GO) list ./...); for pkg in $$pkgs; do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for target in $$(echo "$$list" | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$target $$pkg"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s $$pkg; \
+		done; \
+	done
 
 # End-to-end smoke of the HTTP subsystem: boots cmd/otem-serve on an
 # ephemeral port, checks /healthz, a real /v1/simulate, the cache-hit

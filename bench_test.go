@@ -29,7 +29,7 @@ import (
 func BenchmarkFig1ThermalCaseStudy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1()
+		r, err := experiments.Fig1Context(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func BenchmarkFig1ThermalCaseStudy(b *testing.B) {
 func BenchmarkFig6TemperatureTraces(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6()
+		r, err := experiments.Fig6Context(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func BenchmarkFig6TemperatureTraces(b *testing.B) {
 func BenchmarkFig7TEBPreparation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7()
+		r, err := experiments.Fig7Context(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func BenchmarkFig7TEBPreparation(b *testing.B) {
 func BenchmarkFig8BatteryLifetime(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sweep, err := experiments.Sweep(1)
+		sweep, err := experiments.SweepContext(context.Background(), 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func BenchmarkFig8BatteryLifetime(b *testing.B) {
 func BenchmarkFig9PowerConsumption(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sweep, err := experiments.Sweep(1)
+		sweep, err := experiments.SweepContext(context.Background(), 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func BenchmarkFig9PowerConsumption(b *testing.B) {
 func BenchmarkTableIUltracapSizing(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.TableI()
+		r, err := experiments.TableIContext(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func main() {
 	log.SetPrefix("otem-experiments: ")
 
 	var (
-		run      = flag.String("run", "all", "comma-separated subset of: fig1,fig6,fig7,fig8,fig9,table1,hotspot,hmpc,ablations ('all' = figures+table)")
+		run      = flag.String("run", "all", "comma-separated subset of: fig1,fig6,fig7,fig8,fig9,table1,hotspot,hmpc,ablations ('all' = every study but the ablations)")
 		repeats  = flag.Int("repeats", 3, "cycle repetitions for the Fig. 8/9 sweep")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations per experiment (0 = GOMAXPROCS)")
 		quiet    = flag.Bool("quiet", false, "suppress the per-experiment progress line on stderr")
@@ -73,7 +73,7 @@ func main() {
 	start := time.Now()
 
 	if selected("fig1") {
-		r, err := experiments.Fig1()
+		r, err := experiments.Fig1Context(ctx, pool("fig1"))
 		exit(err)
 		r.Write(out)
 		fmt.Fprintln(out)
@@ -85,7 +85,7 @@ func main() {
 		fmt.Fprintln(out)
 	}
 	if selected("fig7") {
-		r, err := experiments.Fig7()
+		r, err := experiments.Fig7Context(ctx)
 		exit(err)
 		r.Write(out)
 		fmt.Fprintln(out)

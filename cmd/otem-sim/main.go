@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -127,7 +128,7 @@ func main() {
 		return
 	}
 
-	res, err := experiments.Run(experiments.RunSpec{
+	res, err := experiments.RunContext(context.Background(), experiments.RunSpec{
 		Method:    experiments.Methodology(*method),
 		Cycle:     *cycle,
 		Repeats:   *repeats,

@@ -147,8 +147,6 @@ type sweep struct {
 	// bs, mIn and lastBase walk z one block every bs steps: the same
 	// indexing as OTEM.blockOf, without the per-step division.
 	bs, mIn, lastBase int
-	// capPowerScale is the lanes' common Config's.
-	capPowerScale float64
 }
 
 // objectiveFwd is the single source of truth for the MPC cost. It rolls
@@ -206,12 +204,11 @@ func objectiveFwd(lanes []fwdLane) {
 	lead := lanes[0].o
 	cfg := &lead.cfg
 	s := sweep{
-		lanes:         lanes,
-		horizon:       cfg.Horizon,
-		bs:            cfg.BlockSize,
-		mIn:           inputs,
-		lastBase:      (lead.blocks - 1) * inputs,
-		capPowerScale: cfg.CapPowerScale,
+		lanes:    lanes,
+		horizon:  cfg.Horizon,
+		bs:       cfg.BlockSize,
+		mIn:      inputs,
+		lastBase: (lead.blocks - 1) * inputs,
 	}
 	for j := range lanes {
 		o := lanes[j].o
@@ -241,7 +238,7 @@ func objectiveFwd(lanes []fwdLane) {
 			agingSweep(s.rs[j], tape, col)
 			cost = o.laneCost(tape, col)
 		}
-		if d := cfg.TEBTargetSoE - s.st[j].soe; d > 0 {
+		if d := tebTargetSoE - s.st[j].soe; d > 0 {
 			cost += cfg.TEBWeight * o.roll.capEnergy * d * d
 		}
 		owner := lanes[j&^3].o
@@ -338,7 +335,7 @@ func (s *sweep) stepStages(k, base int, e *[3 * laneBudget]float64) {
 		}
 		// BusPower for a non-negative storage power (capMax ≥ 0, idle 0).
 		capMaxBus := (capMax - cc.IdleLoss) * eta
-		capBus := s.lanes[j].z[base] * s.capPowerScale
+		capBus := s.lanes[j].z[base] * capPowerScale
 		tp.capClamped &^= 1 << c
 		if capBus > capMaxBus {
 			capBus = capMaxBus
@@ -542,7 +539,6 @@ func (o *OTEM) laneCost(tape []tapeRow, c int) float64 {
 	r := &o.roll
 	cfg := &o.cfg
 	dt := r.dt
-	stateWeight, safeTempWeight, targetTemp := cfg.StateWeight, cfg.SafeTempWeight, cfg.TargetTemp
 	tempPressureWeight, horizonF := cfg.TempPressureWeight, float64(cfg.Horizon)
 	w1, w2, w3 := cfg.W1, cfg.W2, cfg.W3
 	cost := 0.0
@@ -623,7 +619,7 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 	if on(tape[cfg.Horizon-1].soeClampHi, c) {
 		soeEnd = 1
 	}
-	if d := cfg.TEBTargetSoE - soeEnd; d > 0 {
+	if d := tebTargetSoE - soeEnd; d > 0 {
 		asoe += -2 * cfg.TEBWeight * r.capEnergy * d
 	}
 
@@ -652,10 +648,10 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 		// --- Temperature penalties at tb1/tc1 ---
 		atb1, atc1 := atb, atc
 		if d := tp.tb1[c] - r.safeTemp; d > 0 {
-			atb1 += 2 * cfg.SafeTempWeight * d
+			atb1 += 2 * safeTempWeight * d
 		}
 		tw := (r.battHeatCap*tp.tb1[c] + r.coolHeatCap*tp.tc1[c]) / hcSum
-		if d := tw - cfg.TargetTemp; d > 0 {
+		if d := tw - targetTemp; d > 0 {
 			c := 2 * cfg.TempPressureWeight / float64(cfg.Horizon) * d
 			atb1 += c * r.battHeatCap / hcSum
 			atc1 += c * r.coolHeatCap / hcSum
@@ -672,10 +668,10 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 		// --- SoC clamp/penalties ---
 		asocPre := asoc
 		if on(tp.socClampHi, c) {
-			asocPre = 2 * cfg.StateWeight * (tp.socPre[c] - 1)
+			asocPre = 2 * stateWeight * (tp.socPre[c] - 1)
 		}
 		if d := r.battMinSoC - tp.socPre[c]; d > 0 {
-			asocPre += -2 * cfg.StateWeight * d
+			asocPre += -2 * stateWeight * d
 		}
 		// soc' = soc0 − i·dt/capC
 		asoc0 := asocPre
@@ -771,10 +767,10 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 		// --- SoE clamp/penalties ---
 		asoePre := asoe
 		if on(tp.soeClampHi, c) {
-			asoePre = 2 * cfg.StateWeight * (tp.soePre[c] - 1)
+			asoePre = 2 * stateWeight * (tp.soePre[c] - 1)
 		}
 		if d := r.capMinSoE - tp.soePre[c]; d > 0 {
-			asoePre += -2 * cfg.StateWeight * d
+			asoePre += -2 * stateWeight * d
 		}
 		asoe0 := asoePre
 		adE := -asoePre/r.capEnergy + cfg.W3 // soe' = soe0 − dE/E; plus W3·dEcap
@@ -824,7 +820,7 @@ func (o *OTEM) objectiveGrad(z, grad []float64) float64 {
 				avcap += acapMax * 0.97 * 2 * tp.vcap[c] / (4 * r.capESR)
 			}
 		} else {
-			acapU = acapBus * cfg.CapPowerScale
+			acapU = acapBus * capPowerScale
 		}
 
 		// --- vcap = busV·sqrt(soe0) ---

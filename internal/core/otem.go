@@ -47,35 +47,19 @@ type Config struct {
 	// W1, W2 and W3 are the Eq. 19 weights: cooling energy (J), capacity
 	// loss (% → J equivalents) and HEES energy (J).
 	W1, W2, W3 float64
-	// TempPressureWeight prices battery-temperature excess over TargetTemp,
+	// TempPressureWeight prices battery-temperature excess over targetTemp,
 	// integrated across the horizon (J/K² total, distributed per step) —
 	// the proxy for aging beyond the window that makes cooling *now*
 	// strictly better than cooling later (otherwise the receding horizon
 	// procrastinates forever).
 	TempPressureWeight float64
 	// TEBWeight prices the terminal ultracapacitor deficit below
-	// TEBTargetSoE, in joules of cost per joule of capacity at unit
+	// tebTargetSoE, in joules of cost per joule of capacity at unit
 	// squared deficit — the "Thermal and Energy Budget" incentive that
 	// makes the controller re-charge during cheap moments (idle, regen)
 	// and pre-charge "upto the perfect amount" (§III-A) before demand
 	// beyond the window.
 	TEBWeight float64
-	// TEBTargetSoE is the state of energy the terminal TEB cost pulls
-	// toward from below (exceeding it is free).
-	TEBTargetSoE float64
-	// TargetTemp is the temperature the terminal cost pulls toward, kelvin.
-	TargetTemp float64
-	// SafeTempWeight penalises per-step violation of constraint C1 (J/K²).
-	SafeTempWeight float64
-	// StateWeight penalises per-step violation of the SoC/SoE windows
-	// C4/C5 (J per squared fraction).
-	StateWeight float64
-	// CapPowerScale converts the normalised ultracapacitor decision
-	// u∈[-1,1] to bus watts (C7 bound).
-	CapPowerScale float64
-	// CoolingOnThreshold is the normalised intensity below which the pump
-	// stays off.
-	CoolingOnThreshold float64
 	// SoCRefWeight and TempRefWeight price per-step deviation from an
 	// outer-layer reference trajectory installed via SetReference — the
 	// tracking terms of the two-layer hierarchical MPC (arXiv 1809.10002).
@@ -100,12 +84,6 @@ func DefaultConfig() Config {
 		W3:                 1,
 		TempPressureWeight: 2e5,
 		TEBWeight:          2,
-		TEBTargetSoE:       0.85,
-		TargetTemp:         units.CToK(27),
-		SafeTempWeight:     1e7,
-		StateWeight:        1e8,
-		CapPowerScale:      90e3,
-		CoolingOnThreshold: 0.03,
 		Optimizer: optimize.Options{
 			MaxIterations: 30,
 			Tolerance:     1e-4,
@@ -125,29 +103,39 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: ReplanInterval = %d, must be > 0", c.ReplanInterval)
 	case !finiteNonNeg(c.W1) || !finiteNonNeg(c.W2) || !finiteNonNeg(c.W3):
 		return fmt.Errorf("core: cost weights (%g, %g, %g) must be finite and >= 0", c.W1, c.W2, c.W3)
-	case !(c.CapPowerScale > 0) || math.IsInf(c.CapPowerScale, 1):
-		return fmt.Errorf("core: CapPowerScale = %g, must be finite and > 0", c.CapPowerScale)
-	case !(c.TargetTemp > 0) || math.IsInf(c.TargetTemp, 1):
-		return fmt.Errorf("core: TargetTemp = %g K invalid", c.TargetTemp)
 	case !finiteNonNeg(c.TempPressureWeight) || !finiteNonNeg(c.TEBWeight):
 		return fmt.Errorf("core: TempPressureWeight/TEBWeight (%g, %g) must be finite and >= 0", c.TempPressureWeight, c.TEBWeight)
-	case math.IsNaN(c.TEBTargetSoE) || math.IsInf(c.TEBTargetSoE, 0):
-		return fmt.Errorf("core: TEBTargetSoE = %g, must be finite", c.TEBTargetSoE)
-	case !finiteNonNeg(c.SafeTempWeight) || !finiteNonNeg(c.StateWeight):
-		return fmt.Errorf("core: SafeTempWeight/StateWeight (%g, %g) must be finite and >= 0", c.SafeTempWeight, c.StateWeight)
-	case !(c.CoolingOnThreshold >= 0 && c.CoolingOnThreshold < 1):
-		return fmt.Errorf("core: CoolingOnThreshold = %g, must be in [0, 1)", c.CoolingOnThreshold)
 	case !finiteNonNeg(c.SoCRefWeight) || !finiteNonNeg(c.TempRefWeight):
 		return fmt.Errorf("core: reference-tracking weights (%g, %g) must be finite and >= 0", c.SoCRefWeight, c.TempRefWeight)
 	}
 	return nil
 }
 
+// The fixed terms of the horizon problem, shared by every controller.
+const (
+	// tebTargetSoE is the state of energy the terminal TEB cost pulls
+	// toward from below (exceeding it is free).
+	tebTargetSoE = 0.85
+	// targetTemp is the temperature the terminal cost pulls toward, kelvin.
+	targetTemp = 27 + units.ZeroCelsius
+	// safeTempWeight penalises per-step violation of constraint C1 (J/K²).
+	safeTempWeight = 1e7
+	// stateWeight penalises per-step violation of the SoC/SoE windows
+	// C4/C5 (J per squared fraction).
+	stateWeight = 1e8
+	// capPowerScale converts the normalised ultracapacitor decision
+	// u∈[-1,1] to bus watts (C7 bound).
+	capPowerScale = 90e3
+	// coolingOnThreshold is the normalised intensity below which the pump
+	// stays off.
+	coolingOnThreshold = 0.03
+)
+
 // finiteNonNeg reports whether w is a usable cost weight: finite and >= 0.
 func finiteNonNeg(w float64) bool { return w >= 0 && !math.IsInf(w, 1) }
 
 // inputs is the number of decision inputs per move block: u0, the
-// ultracapacitor bus power normalised to CapPowerScale, and u1, the
+// ultracapacitor bus power normalised to capPowerScale, and u1, the
 // cooling intensity.
 const inputs = 2
 
@@ -321,7 +309,7 @@ func (o *OTEM) execute(p *sim.Plant, forecast []float64) sim.Action {
 	// sees an infeasible command even if the model drifted: discharging is
 	// limited by the bank, charging by the battery headroom above the
 	// present request.
-	capBus := capU * o.cfg.CapPowerScale
+	capBus := capU * capPowerScale
 	if maxBus := 0.97 * p.HEES.CapMaxBusPower(); capBus > maxBus {
 		capBus = maxBus
 	}
@@ -336,7 +324,7 @@ func (o *OTEM) execute(p *sim.Plant, forecast []float64) sim.Action {
 	}
 	act.CapBusPower = capBus
 
-	if coolU > o.cfg.CoolingOnThreshold {
+	if coolU > coolingOnThreshold {
 		act.CoolingOn = true
 		loop := p.Loop
 		minTi := loop.MinFeasibleInlet()

@@ -26,22 +26,11 @@ func TestConfigValidation(t *testing.T) {
 		{"block beyond horizon", func(c *Config) { c.BlockSize = c.Horizon + 1 }},
 		{"zero replan", func(c *Config) { c.ReplanInterval = 0 }},
 		{"negative weight", func(c *Config) { c.W2 = -1 }},
-		{"zero cap scale", func(c *Config) { c.CapPowerScale = 0 }},
-		{"zero target temp", func(c *Config) { c.TargetTemp = 0 }},
-		{"threshold >= 1", func(c *Config) { c.CoolingOnThreshold = 1 }},
 		{"negative TEB", func(c *Config) { c.TEBWeight = -1 }},
 		{"NaN weight", func(c *Config) { c.W1 = math.NaN() }},
 		{"infinite weight", func(c *Config) { c.W3 = math.Inf(1) }},
-		{"NaN cap scale", func(c *Config) { c.CapPowerScale = math.NaN() }},
-		{"infinite cap scale", func(c *Config) { c.CapPowerScale = math.Inf(1) }},
-		{"NaN target temp", func(c *Config) { c.TargetTemp = math.NaN() }},
-		{"infinite target temp", func(c *Config) { c.TargetTemp = math.Inf(1) }},
 		{"NaN temp pressure", func(c *Config) { c.TempPressureWeight = math.NaN() }},
 		{"infinite TEB", func(c *Config) { c.TEBWeight = math.Inf(1) }},
-		{"NaN TEB target", func(c *Config) { c.TEBTargetSoE = math.NaN() }},
-		{"NaN safe-temp weight", func(c *Config) { c.SafeTempWeight = math.NaN() }},
-		{"negative state weight", func(c *Config) { c.StateWeight = -1 }},
-		{"NaN threshold", func(c *Config) { c.CoolingOnThreshold = math.NaN() }},
 		{"NaN tracking weight", func(c *Config) { c.SoCRefWeight = math.NaN() }},
 		{"infinite tracking weight", func(c *Config) { c.TempRefWeight = math.Inf(1) }},
 	}

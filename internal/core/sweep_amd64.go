@@ -111,7 +111,7 @@ func mask(on bool) uint64 {
 func (g *laneGroup) setLane(j int, o *OTEM, st *laneState) {
 	r, cfg := &o.roll, &o.cfg
 	g.soc[j], g.soe[j], g.tb[j], g.tc[j] = st.soc, st.soe, st.tb, st.tc
-	g.capPowerScale[j] = cfg.CapPowerScale
+	g.capPowerScale[j] = capPowerScale
 	g.coolP[j], g.coolEff[j], g.coolerMax[j] = r.coolerMax+r.pump, r.coolEff, r.coolerMax
 	g.capBusV[j], g.vcapFloor[j] = r.capBusV, r.capBusV*math.Sqrt(1e-6)
 	g.capESR[j], g.capESR2[j], g.capESR4[j] = r.capESR, 2*r.capESR, 4*r.capESR
@@ -138,8 +138,8 @@ func (g *laneGroup) setLane(j int, o *OTEM, st *laneState) {
 	g.i00[j], g.i01[j], g.i10[j], g.i11[j] = cn.i00, cn.i01, cn.i10, cn.i11
 	yf, direct := r.agingPow.Direct()
 	g.agL0[j], g.agNegL1[j], g.powYf[j], g.powDirect[j] = cell.L[0], -cell.L[1], yf, mask(direct)
-	g.capMinSoE[j], g.battMinSoC[j], g.safeTemp[j], g.targetTemp[j] = r.capMinSoE, r.battMinSoC, r.safeTemp, cfg.TargetTemp
-	g.stateWeight[j], g.safeTempWeight[j] = cfg.StateWeight, cfg.SafeTempWeight
+	g.capMinSoE[j], g.battMinSoC[j], g.safeTemp[j], g.targetTemp[j] = r.capMinSoE, r.battMinSoC, r.safeTemp, targetTemp
+	g.stateWeight[j], g.safeTempWeight[j] = stateWeight, safeTempWeight
 	g.pressureWeight[j] = cfg.TempPressureWeight / float64(cfg.Horizon)
 	g.battHeatCap[j], g.coolHeatCap[j], g.heatCapSum[j] = r.battHeatCap, r.coolHeatCap, r.battHeatCap+r.coolHeatCap
 	g.w1[j], g.w2[j], g.w3[j] = cfg.W1, cfg.W2, cfg.W3

@@ -116,7 +116,7 @@ func (n sweepBranches) add(o *OTEM, tp *tapeRow, c int) {
 	both("cost:soc>1", socPre-1 > 0)
 	both("cost:tb>safe", tb1-r.safeTemp > 0)
 	tw := (r.battHeatCap*tb1 + r.coolHeatCap*tp.tc1[c]) / (r.battHeatCap + r.coolHeatCap)
-	both("cost:tw>target", tw-o.cfg.TargetTemp > 0)
+	both("cost:tw>target", tw-targetTemp > 0)
 	both("cost:trackSoC", o.trackSoC)
 	both("cost:trackTb", o.trackTb)
 }
@@ -205,7 +205,7 @@ func checkSweepPath(t *testing.T, path string, lanes []fwdLane, seen sweepBranch
 		if on(last.soeClampHi, kl.col) {
 			soe = 1
 		}
-		if d := o.cfg.TEBTargetSoE - soe; d > 0 {
+		if d := tebTargetSoE - soe; d > 0 {
 			want += o.cfg.TEBWeight * o.roll.capEnergy * d * d
 		}
 		if !sameValue(kl.cost, want) {

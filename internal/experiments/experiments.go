@@ -100,14 +100,9 @@ func (s RunSpec) AppendCanonical(dst []byte) []byte {
 	return dst
 }
 
-// Run executes one specification on a fresh default plant and vehicle.
-func Run(spec RunSpec) (sim.Result, error) {
-	return RunContext(context.Background(), spec)
-}
-
-// RunContext is Run with cooperative cancellation, for batch engines and
-// interruptible CLIs: canceling ctx abandons the simulation mid-route with
-// an error matching runner.ErrCanceled. A negative Repeats is an error.
+// RunContext executes one specification on a fresh default plant and
+// vehicle. Canceling ctx abandons the simulation mid-route with an error
+// matching runner.ErrCanceled. A negative Repeats is an error.
 func RunContext(ctx context.Context, spec RunSpec) (sim.Result, error) {
 	spec = spec.Resolved()
 	if spec.Repeats < 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestMethodsAndControllers(t *testing.T) {
 }
 
 func TestRunDefaults(t *testing.T) {
-	res, err := Run(RunSpec{Method: MethodParallel, Cycle: "NYCC"})
+	res, err := RunContext(context.Background(), RunSpec{Method: MethodParallel, Cycle: "NYCC"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 		{Method: MethodParallel, Cycle: "NYCC", UltracapF: -5e-10},
 		{Method: MethodParallel, Cycle: "NYCC", Repeats: -4},
 	} {
-		if _, err := Run(spec); err == nil {
+		if _, err := RunContext(context.Background(), spec); err == nil {
 			t.Errorf("%+v accepted", spec)
 		}
 		if key := string(spec.AppendCanonical(nil)); key == valid {
@@ -58,7 +59,7 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 }
 
 func TestRunUnknownCycle(t *testing.T) {
-	if _, err := Run(RunSpec{Method: MethodParallel, Cycle: "MOON"}); err == nil {
+	if _, err := RunContext(context.Background(), RunSpec{Method: MethodParallel, Cycle: "MOON"}); err == nil {
 		t.Error("unknown cycle accepted")
 	}
 }
@@ -67,7 +68,7 @@ func TestFig1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MPC-free but multi-run; skipped in -short")
 	}
-	r, err := Fig1()
+	r, err := Fig1Context(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the MPC controller; skipped in -short")
 	}
-	r, err := Fig6()
+	r, err := Fig6Context(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestFig7TEBSignature(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the MPC controller; skipped in -short")
 	}
-	r, err := Fig7()
+	r, err := Fig7Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestSweepAndHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	sweep, err := Sweep(1)
+	sweep, err := SweepContext(context.Background(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestTableIShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("12 simulations incl. MPC; skipped in -short")
 	}
-	r, err := TableI()
+	r, err := TableIContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/chart"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -22,28 +24,35 @@ type Fig1Result struct {
 	SafeTempK float64
 }
 
-// Fig1 runs the case study: the dual thermal-management policy on US06 ×3
-// with 5 kF, 10 kF and 20 kF banks (the paper's Fig. 1 sizes). At this
+// Fig1Context runs the case study: the dual thermal-management policy on
+// US06 ×3 with 5 kF, 10 kF and 20 kF banks (the paper's Fig. 1 sizes), the
+// three runs on the batch runner; a nil pool uses the defaults. At this
 // route length the small banks deplete and cross the 40 °C threshold while
 // the 20 kF bank holds below it — the paper's headline observation.
-func Fig1() (*Fig1Result, error) {
+func Fig1Context(ctx context.Context, pool *runner.Pool) (*Fig1Result, error) {
 	out := &Fig1Result{
 		SizesF:    []float64{5000, 10000, 20000},
 		SafeTempK: units.CToK(40),
 	}
-	for _, size := range out.SizesF {
-		res, err := Run(RunSpec{
-			Method:    MethodDual,
-			Cycle:     "US06",
-			Repeats:   3,
-			UltracapF: size,
-			Trace:     true,
+	results, err := runner.Map(ctx, pool, len(out.SizesF),
+		func(ctx context.Context, i int) (sim.Result, error) {
+			size := out.SizesF[i]
+			res, err := RunContext(ctx, RunSpec{
+				Method:    MethodDual,
+				Cycle:     "US06",
+				Repeats:   3,
+				UltracapF: size,
+				Trace:     true,
+			})
+			if err != nil {
+				return sim.Result{}, fmt.Errorf("fig1 size %.0f F: %w", size, err)
+			}
+			return res, nil
 		})
-		if err != nil {
-			return nil, fmt.Errorf("fig1 size %.0f F: %w", size, err)
-		}
-		out.Results = append(out.Results, res)
+	if err != nil {
+		return nil, err
 	}
+	out.Results = results
 	return out, nil
 }
 

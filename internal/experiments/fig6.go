@@ -23,12 +23,6 @@ type Fig6Result struct {
 	Results []sim.Result
 }
 
-// Fig6 runs all four methodologies on the Fig. 6 workload with the default
-// pool. See Fig6Context.
-func Fig6() (*Fig6Result, error) {
-	return Fig6Context(context.Background(), nil)
-}
-
 // Fig6Context runs the per-methodology traced simulations on the batch
 // runner; a nil pool uses the defaults.
 func Fig6Context(ctx context.Context, pool *runner.Pool) (*Fig6Result, error) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -24,9 +25,10 @@ type Fig7Result struct {
 	BurstThresholdW float64
 }
 
-// Fig7 runs the traced OTEM experiment and detects TEB preparation events.
-func Fig7() (*Fig7Result, error) {
-	res, err := Run(RunSpec{Method: MethodOTEM, Cycle: "US06", Repeats: 5, Trace: true})
+// Fig7Context runs the traced OTEM experiment and detects TEB preparation
+// events.
+func Fig7Context(ctx context.Context) (*Fig7Result, error) {
+	res, err := RunContext(ctx, RunSpec{Method: MethodOTEM, Cycle: "US06", Repeats: 5, Trace: true})
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}

@@ -24,12 +24,6 @@ type SweepResult struct {
 	Repeats int
 }
 
-// Sweep runs every methodology over every standard drive cycle with the
-// default pool. See SweepContext.
-func Sweep(repeats int) (*SweepResult, error) {
-	return SweepContext(context.Background(), repeats, nil)
-}
-
 // SweepContext runs the full cycle×methodology grid on the batch runner.
 // This is the expensive experiment of the suite (24 simulations, four of
 // them MPC); every run owns a fresh plant and controller and results land

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/units"
@@ -15,11 +16,11 @@ func TestGoldenHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the MPC controller; skipped in -short")
 	}
-	otem, err := Run(RunSpec{Method: MethodOTEM, Cycle: "US06", Repeats: 5})
+	otem, err := RunContext(context.Background(), RunSpec{Method: MethodOTEM, Cycle: "US06", Repeats: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(RunSpec{Method: MethodParallel, Cycle: "US06", Repeats: 5})
+	parallel, err := RunContext(context.Background(), RunSpec{Method: MethodParallel, Cycle: "US06", Repeats: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestGoldenHeadlines(t *testing.T) {
 	inBand("parallel average power W", parallel.AvgPowerW, 15.5e3, 18e3)
 
 	// Determinism: the exact same run must reproduce bit for bit.
-	again, err := Run(RunSpec{Method: MethodOTEM, Cycle: "US06", Repeats: 5})
+	again, err := RunContext(context.Background(), RunSpec{Method: MethodOTEM, Cycle: "US06", Repeats: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

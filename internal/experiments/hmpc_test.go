@@ -56,12 +56,3 @@ func TestHMPCCompareWins(t *testing.T) {
 		t.Errorf("table rendering lost the header or the win marker:\n%s", out)
 	}
 }
-
-// TestHMPCCompareCancellation: a pre-canceled context aborts the grid.
-func TestHMPCCompareCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := HMPCCompareContext(ctx, nil, HMPCScenarios()); err == nil {
-		t.Fatal("canceled context returned no error")
-	}
-}

@@ -25,11 +25,6 @@ type TableIResult struct {
 	BaselineLoss float64
 }
 
-// TableI runs the sizing sweep with the default pool. See TableIContext.
-func TableI() (*TableIResult, error) {
-	return TableIContext(context.Background(), nil)
-}
-
 // TableIContext runs the size×methodology grid (12 simulations, 4 of them
 // MPC) on the batch runner; a nil pool uses the defaults.
 func TableIContext(ctx context.Context, pool *runner.Pool) (*TableIResult, error) {

@@ -12,8 +12,8 @@ import (
 )
 
 // Run is the sequential reference driver: the same per-package analysis
-// as RunParallel, visiting the packages one at a time in the topological
-// order Load sorted them into, so every dependency's facts are complete
+// as RunParallel, visiting the packages one at a time in the dependency
+// order LoadContext returns them in, so every dependency's facts are complete
 // before its dependents run. The fixture harness and the whole-module
 // tests run it, and TestParallelMatchesSequential holds RunParallel to
 // its output byte for byte.

@@ -16,7 +16,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -76,10 +75,12 @@ type listPkg struct {
 // code, and table-driven tests legitimately use constructs (exact float
 // literals, ad-hoc goroutines) the analyzers forbid elsewhere.
 //
-// Packages come back topologically sorted: every package appears after
-// all of its in-module dependencies, with lexicographic order breaking
-// ties. That ordering is what lets the sequential driver propagate facts
-// in a single pass and the parallel driver schedule the DAG in waves.
+// Packages come back in the order `go list -deps` prints them, a
+// depth-first post-order: every package appears after all of its
+// in-module dependencies. That ordering is what lets the sequential
+// driver propagate facts in a single pass and the parallel driver
+// schedule the DAG in waves. An import cycle is a package error of
+// `go list`, which LoadContext returns.
 //
 // The per-package parse + type-check jobs — independent of one another
 // because in-module dependencies resolve from compiled export data, not
@@ -111,7 +112,6 @@ func LoadContext(ctx context.Context, pool *runner.Pool, dir string, patterns ..
 			targetSet[p.ImportPath] = true
 		}
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
 	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -192,78 +192,7 @@ func LoadContext(ctx context.Context, pool *runner.Pool, dir string, patterns ..
 			mod.Packages = append(mod.Packages, pkg)
 		}
 	}
-	mod.Packages, err = topoSort(mod.Packages)
-	if err != nil {
-		return nil, err
-	}
 	return mod, nil
-}
-
-// topoSort orders packages so that dependencies precede dependents (Kahn's
-// algorithm), breaking ties lexicographically for a deterministic result.
-func topoSort(pkgs []*Package) ([]*Package, error) {
-	byPath := make(map[string]*Package, len(pkgs))
-	indegree := make(map[string]int, len(pkgs))
-	dependents := make(map[string][]string, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-		indegree[p.Path] = 0
-	}
-	for _, p := range pkgs {
-		for _, dep := range p.Imports {
-			if _, ok := byPath[dep]; ok {
-				indegree[p.Path]++
-				dependents[dep] = append(dependents[dep], p.Path)
-			}
-		}
-	}
-	var ready []string
-	for path, d := range indegree {
-		if d == 0 {
-			ready = append(ready, path)
-		}
-	}
-	sort.Strings(ready)
-	out := make([]*Package, 0, len(pkgs))
-	for len(ready) > 0 {
-		path := ready[0]
-		ready = ready[1:]
-		out = append(out, byPath[path])
-		var unlocked []string
-		for _, dep := range dependents[path] {
-			indegree[dep]--
-			if indegree[dep] == 0 {
-				unlocked = append(unlocked, dep)
-			}
-		}
-		sort.Strings(unlocked)
-		ready = mergeSorted(ready, unlocked)
-	}
-	if len(out) != len(pkgs) {
-		return nil, errors.New("lint: import cycle among target packages")
-	}
-	return out, nil
-}
-
-// mergeSorted merges two sorted string slices into one sorted slice.
-func mergeSorted(a, b []string) []string {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // goList shells out to `go list -export -deps -json`. The go tool is the

@@ -69,8 +69,9 @@ func (m *Module) RunParallel(ctx context.Context, pool *runner.Pool, analyzers [
 
 // waves partitions the module's packages into dependency levels: wave 0
 // holds packages with no in-module dependencies, wave k packages whose
-// deepest dependency chain has length k. Packages preserve their
-// topological (tie-broken lexicographic) order within a wave.
+// deepest dependency chain has length k. It relies on m.Packages listing
+// every package after its in-module dependencies, as LoadContext does,
+// and keeps that order within a wave.
 func (m *Module) waves() [][]*Package {
 	level := make(map[string]int, len(m.Packages))
 	var waves [][]*Package
@@ -138,7 +139,7 @@ func analyzePackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, st
 
 // sortFindings orders findings by position, analyzer and message — a total
 // order, so the result is independent of the order packages were analyzed
-// in (topological order or parallel waves).
+// in (dependency order or parallel waves).
 func sortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

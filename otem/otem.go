@@ -142,7 +142,9 @@ func SimulateContext(ctx context.Context, plant *Plant, ctrl Controller, request
 
 // Run executes one canned experiment specification (fresh default plant and
 // vehicle), as used by the paper-reproduction suite.
-func Run(spec RunSpec) (Result, error) { return experiments.Run(spec) }
+func Run(spec RunSpec) (Result, error) {
+	return experiments.RunContext(context.Background(), spec)
+}
 
 // RunContext is Run with cooperative cancellation; see SimulateContext for
 // the error semantics. RunBatch fans many specs out concurrently.
