@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check cross race bench bench-smoke vet lint lint-sarif fmt fuzz-smoke serve-smoke fleet-bench
+.PHONY: build test check cross race bench bench-smoke vet lint lint-sarif fmt fuzz-smoke serve-smoke examples-smoke fleet-bench
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,15 @@ fuzz-smoke:
 # header, /metrics, and the graceful SIGTERM drain.
 serve-smoke:
 	./scripts/serve_smoke.sh
+
+# Every program under examples/ built and run once to completion; the
+# first non-zero exit fails the target. The examples show the public otem
+# facade in use, and no test runs them.
+examples-smoke:
+	@set -e; for dir in examples/*/; do \
+		echo "examples-smoke: $$dir"; \
+		$(GO) run ./$$dir; \
+	done
 
 # Monte Carlo fleet benchmark: 10k vehicles under the Parallel baseline,
 # rolled once on 1 worker and once on GOMAXPROCS workers, vehicles/sec and

@@ -20,10 +20,9 @@ import (
 	"os/signal"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/drivecycle"
+	"repro/internal/experiments"
 	"repro/internal/lifetime"
-	"repro/internal/policy"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/vehicle"
@@ -41,6 +40,10 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "max concurrent projections (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
+	if *repeats < 1 {
+		log.Printf("-repeats %d: a route is at least one cycle", *repeats)
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -53,9 +56,9 @@ func main() {
 	requests := vehicle.MidSizeEV().PowerSeries(route)
 	routeKm := route.Stats().Distance / 1000
 
-	var names []policy.Methodology
+	var names []experiments.Methodology
 	for _, m := range strings.Split(*methods, ",") {
-		names = append(names, policy.Methodology(strings.TrimSpace(m)))
+		names = append(names, experiments.Methodology(strings.TrimSpace(m)))
 	}
 
 	// One projection per methodology; each block inside is sequential (the
@@ -63,13 +66,10 @@ func main() {
 	pool := runner.New(runner.Workers(*parallel))
 	projections, err := runner.Map(ctx, pool, len(names),
 		func(ctx context.Context, i int) (*lifetime.Projection, error) {
-			factory, err := controllerFactory(names[i])
-			if err != nil {
-				return nil, err
-			}
 			return lifetime.ProjectContext(ctx,
 				lifetime.DefaultPlantFactory(sim.PlantConfig{}),
-				factory, requests,
+				func() (sim.Controller, error) { return experiments.NewController(names[i]) },
+				requests,
 				lifetime.Config{BlockRoutes: *block, RouteKm: routeKm})
 		})
 	if err != nil {
@@ -83,14 +83,4 @@ func main() {
 		proj.Write(os.Stdout, fmt.Sprintf("%s on %s ×%d", names[i], *cycleName, *repeats))
 		fmt.Println()
 	}
-}
-
-func controllerFactory(method policy.Methodology) (lifetime.ControllerFactory, error) {
-	if method == policy.MethodologyOTEM {
-		return func() (sim.Controller, error) { return core.New(core.DefaultConfig()) }, nil
-	}
-	if _, err := policy.ByMethodology(method); err != nil {
-		return nil, err
-	}
-	return func() (sim.Controller, error) { return policy.ByMethodology(method) }, nil
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,28 +38,25 @@ func main() {
 	fmt.Printf("commute: %.0f s, %.1f km, avg %.0f km/h\n\n",
 		stats.Duration, stats.Distance/1000, stats.AvgSpeed*3.6)
 
-	fmt.Printf("%-12s %14s %16s %14s %16s\n",
+	fmt.Printf("%-14s %14s %16s %14s %16s\n",
 		"methodology", "loss/commute", "pack life (yr)", "kWh/commute", "energy $/yr")
-	for _, name := range []string{"parallel", "dual", "cooling"} {
-		ctrl, err := otem.Baseline(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report(name, ctrl, requests)
+	for _, m := range []otem.Methodology{
+		otem.MethodologyParallel, otem.MethodologyDual, otem.MethodologyCooling, otem.MethodologyOTEM,
+	} {
+		report(m, requests)
 	}
-	ctrl, err := otem.New(otem.DefaultConfig())
+}
+
+func report(m otem.Methodology, requests []float64) {
+	ctrl, err := otem.ControllerFor(m)
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("OTEM", ctrl, requests)
-}
-
-func report(name string, ctrl otem.Controller, requests []float64) {
 	plant, err := otem.NewPlant(otem.PlantConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := otem.Simulate(plant, ctrl, requests)
+	res, err := otem.SimulateContext(context.Background(), plant, ctrl, requests)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,6 +64,6 @@ func report(name string, ctrl otem.Controller, requests []float64) {
 	years := commutes / (commutesPerDay * daysPerYear)
 	kwh := res.HEESEnergyJ / 3.6e6
 	dollarsPerYear := kwh * electricityCost * commutesPerDay * daysPerYear
-	fmt.Printf("%-12s %13.5f%% %16.1f %14.2f %16.0f\n",
-		name, res.QlossPct, years, kwh, dollarsPerYear)
+	fmt.Printf("%-14s %13.5f%% %16.1f %14.2f %16.0f\n",
+		m, res.QlossPct, years, kwh, dollarsPerYear)
 }

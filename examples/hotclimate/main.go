@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,17 +29,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dualCtrl, err := otem.Baseline("dual")
-		if err != nil {
-			log.Fatal(err)
-		}
-		dual := run(dualCtrl, amb, requests)
-
-		otemCtrl, err := otem.New(otem.DefaultConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		managed := run(otemCtrl, amb, requests)
+		dual := run(otem.MethodologyDual, amb, requests)
+		managed := run(otem.MethodologyOTEM, amb, requests)
 
 		fmt.Printf("%-12.0f | %12.1f %12.0f %12.0f | %12.1f %12.0f %12.0f\n",
 			amb,
@@ -49,7 +41,11 @@ func main() {
 	fmt.Println("OTEM spends cooler power only where the climate demands it.")
 }
 
-func run(ctrl otem.Controller, ambientC float64, requests []float64) otem.Result {
+func run(m otem.Methodology, ambientC float64, requests []float64) otem.Result {
+	ctrl, err := otem.ControllerFor(m)
+	if err != nil {
+		log.Fatal(err)
+	}
 	plant, err := otem.NewPlant(otem.PlantConfig{
 		InitialTemp: ambientC + 273.15,
 		Ambient:     ambientC + 273.15,
@@ -57,7 +53,7 @@ func run(ctrl otem.Controller, ambientC float64, requests []float64) otem.Result
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := otem.Simulate(plant, ctrl, requests)
+	res, err := otem.SimulateContext(context.Background(), plant, ctrl, requests)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 
 	// EV power requests: US06 driven five times (the paper's Fig. 6/7
 	// workload).
@@ -25,11 +27,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctrl, err := otem.New(otem.DefaultConfig())
+	ctrl, err := otem.ControllerFor(otem.MethodologyOTEM)
 	if err != nil {
 		log.Fatal(err)
 	}
-	managed, err := otem.Simulate(plant, ctrl, requests)
+	managed, err := otem.SimulateContext(ctx, plant, ctrl, requests)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,11 +41,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseline, err := otem.Baseline("parallel")
+	baseline, err := otem.ControllerFor(otem.MethodologyParallel)
 	if err != nil {
 		log.Fatal(err)
 	}
-	unmanaged, err := otem.Simulate(plant2, baseline, requests)
+	unmanaged, err := otem.SimulateContext(ctx, plant2, baseline, requests)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,8 +31,8 @@ func main() {
 		"size (F)", "bank $", "Dual loss %", "Dual P̄ (W)", "OTEM loss %", "OTEM P̄ (W)")
 
 	for _, size := range sizes {
-		dual := runOne(t("dual"), size, requests)
-		ot := runOne(nil, size, requests)
+		dual := runOne(otem.MethodologyDual, size, requests)
+		ot := runOne(otem.MethodologyOTEM, size, requests)
 		fmt.Printf("%-10.0f %10.0f | %14.5f %14.0f | %14.5f %14.0f\n",
 			size, size*costPerFarad,
 			dual.QlossPct, dual.AvgPowerW,
@@ -42,30 +43,18 @@ func main() {
 	fmt.Printf("so the $%.0f small bank is viable under OTEM.\n", sizes[0]*costPerFarad)
 }
 
-// t returns the named baseline, terminating on error.
-func t(name string) otem.Controller {
-	c, err := otem.Baseline(name)
+// runOne simulates one (methodology, size) pair on a fresh controller and
+// plant.
+func runOne(m otem.Methodology, size float64, requests []float64) otem.Result {
+	ctrl, err := otem.ControllerFor(m)
 	if err != nil {
 		log.Fatal(err)
-	}
-	return c
-}
-
-// runOne simulates one (controller, size) pair; a nil controller selects a
-// fresh OTEM instance.
-func runOne(ctrl otem.Controller, size float64, requests []float64) otem.Result {
-	if ctrl == nil {
-		var err error
-		ctrl, err = otem.New(otem.DefaultConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
 	}
 	plant, err := otem.NewPlant(otem.PlantConfig{UltracapF: size})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := otem.Simulate(plant, ctrl, requests)
+	res, err := otem.SimulateContext(context.Background(), plant, ctrl, requests)
 	if err != nil {
 		log.Fatal(err)
 	}

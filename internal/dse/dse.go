@@ -71,7 +71,8 @@ type Config struct {
 	// UltracapSizesF and CoolerPowersW span the grid.
 	UltracapSizesF []float64
 	CoolerPowersW  []float64
-	// Cycle and Repeats define the workload (default US06 ×3).
+	// Cycle and Repeats define the workload (default US06 ×3; a zero
+	// Repeats means the default and a negative one is an error).
 	Cycle   string
 	Repeats int
 	// Cost prices the designs (default DefaultCostModel).
@@ -88,7 +89,7 @@ func (c Config) withDefaults() Config {
 	if c.Cycle == "" {
 		c.Cycle = "US06"
 	}
-	if c.Repeats < 1 {
+	if c.Repeats == 0 {
 		c.Repeats = 3
 	}
 	//lint:ignore floatcompare the zero-value CostModel is the documented use-defaults sentinel; exact compare intended
@@ -130,6 +131,9 @@ type Result struct {
 // workers).
 func ExploreContext(ctx context.Context, cfg Config, pool *runner.Pool) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Repeats < 0 {
+		return nil, fmt.Errorf("dse: repeats %d is negative", cfg.Repeats)
+	}
 	cycle, err := drivecycle.ByName(cfg.Cycle)
 	if err != nil {
 		return nil, err

@@ -2,8 +2,11 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 func TestCostModel(t *testing.T) {
@@ -120,5 +123,28 @@ func TestExploreSmallGrid(t *testing.T) {
 func TestExploreUnknownCycle(t *testing.T) {
 	if _, err := ExploreContext(context.Background(), Config{Cycle: "MOON"}, nil); err == nil {
 		t.Error("unknown cycle accepted")
+	}
+}
+
+// TestRepeatCount pins the repeat-count rule: zero asks for the default
+// (and shares its canonical key), a negative count is an error. The
+// context is already canceled, so a spec that gets past validation fails
+// with runner.ErrCanceled before simulating anything.
+func TestRepeatCount(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	key := func(c Config) string { return string(c.AppendCanonical(nil)) }
+	if key(Config{}) != key(Config{Repeats: 3}) {
+		t.Errorf("zero repeats keyed %q, want the default's %q", key(Config{}), key(Config{Repeats: 3}))
+	}
+	if _, err := ExploreContext(ctx, Config{}, nil); !errors.Is(err, runner.ErrCanceled) {
+		t.Errorf("zero repeats: err = %v, want runner.ErrCanceled", err)
+	}
+	bad := Config{Repeats: -2}
+	if key(bad) == key(Config{}) {
+		t.Errorf("repeats -2 shares the default's key %q", key(bad))
+	}
+	if _, err := ExploreContext(ctx, bad, nil); err == nil || errors.Is(err, runner.ErrCanceled) {
+		t.Errorf("repeats -2: err = %v, want a validation error", err)
 	}
 }

@@ -40,3 +40,18 @@ func TestEntryPointsHonourCancellation(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepRepeatCount pins the repeat-count rule for the Fig. 8/9 sweep:
+// zero plays each cycle once, a negative count is an error. The context
+// is already canceled, so a count that gets past validation fails with
+// runner.ErrCanceled before simulating anything.
+func TestSweepRepeatCount(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SweepContext(ctx, 0, nil); !errors.Is(err, runner.ErrCanceled) {
+		t.Errorf("repeats 0: err = %v, want runner.ErrCanceled", err)
+	}
+	if _, err := SweepContext(ctx, -3, nil); err == nil || errors.Is(err, runner.ErrCanceled) {
+		t.Errorf("repeats -3: err = %v, want a validation error", err)
+	}
+}

@@ -50,9 +50,11 @@ func MethodNames() []string {
 	return out
 }
 
-// newController builds a fresh controller for a methodology. Controllers
-// are stateful, so each run needs its own.
-func newController(method Methodology) (sim.Controller, error) {
+// NewController builds a fresh controller for a methodology, the OTEM
+// controller (with core.DefaultConfig) included. Controllers are
+// stateful, so each run needs its own. Unknown methodologies wrap
+// policy.ErrUnknown.
+func NewController(method Methodology) (sim.Controller, error) {
 	if method == MethodOTEM {
 		return core.New(core.DefaultConfig())
 	}
@@ -118,7 +120,7 @@ func RunContext(ctx context.Context, spec RunSpec) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	ctrl, err := newController(spec.Method)
+	ctrl, err := NewController(spec.Method)
 	if err != nil {
 		return sim.Result{}, err
 	}

@@ -14,15 +14,15 @@ func TestMethodsAndControllers(t *testing.T) {
 		t.Fatalf("Methods() = %v", names)
 	}
 	for _, m := range names {
-		c, err := newController(m)
+		c, err := NewController(m)
 		if err != nil {
-			t.Errorf("newController(%q): %v", m, err)
+			t.Errorf("NewController(%q): %v", m, err)
 		}
 		if c == nil {
-			t.Errorf("newController(%q) returned nil", m)
+			t.Errorf("NewController(%q) returned nil", m)
 		}
 	}
-	if _, err := newController("nope"); err == nil {
+	if _, err := NewController("nope"); err == nil {
 		t.Error("unknown methodology accepted")
 	}
 }

@@ -28,9 +28,13 @@ type SweepResult struct {
 // This is the expensive experiment of the suite (24 simulations, four of
 // them MPC); every run owns a fresh plant and controller and results land
 // in fixed matrix slots, so the outcome is bit-identical at any
-// parallelism. A nil pool uses the defaults (GOMAXPROCS workers).
+// parallelism. A zero repeats plays each cycle once and a negative count
+// is an error. A nil pool uses the defaults (GOMAXPROCS workers).
 func SweepContext(ctx context.Context, repeats int, pool *runner.Pool) (*SweepResult, error) {
-	if repeats < 1 {
+	if repeats < 0 {
+		return nil, fmt.Errorf("experiments: sweep repeats %d is negative", repeats)
+	}
+	if repeats == 0 {
 		repeats = 1
 	}
 	out := &SweepResult{

@@ -24,8 +24,13 @@ func TestPaperBaselineOrderings(t *testing.T) {
 		qloss, avgP, viol, maxT float64
 	}
 	results := map[string]row{}
-	for _, name := range []string{"battery", "parallel", "dual", "cooling"} {
-		ctrl, err := ByName(name)
+	for name, m := range map[string]Methodology{
+		"battery":  MethodologyBattery,
+		"parallel": MethodologyParallel,
+		"dual":     MethodologyDual,
+		"cooling":  MethodologyCooling,
+	} {
+		ctrl, err := ByMethodology(m)
 		if err != nil {
 			t.Fatal(err)
 		}

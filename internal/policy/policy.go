@@ -16,7 +16,6 @@ package policy
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/hees"
 	"repro/internal/sim"
@@ -252,21 +251,3 @@ var (
 	_ sim.ForecastReader = (*Dual)(nil)
 	_ sim.ForecastReader = BatteryOnly{}
 )
-
-// ByName constructs a baseline controller by name. It accepts both the
-// legacy lowercase CLI names ("parallel", "cooling", "dual", "battery") and
-// the canonical Methodology values, case-insensitively. Unknown names
-// return an error wrapping ErrUnknown.
-func ByName(name string) (sim.Controller, error) {
-	switch strings.ToLower(name) {
-	case "parallel":
-		return ByMethodology(MethodologyParallel)
-	case "cooling", "activecooling":
-		return ByMethodology(MethodologyCooling)
-	case "dual":
-		return ByMethodology(MethodologyDual)
-	case "battery", "batteryonly":
-		return ByMethodology(MethodologyBattery)
-	}
-	return nil, fmt.Errorf("%w %q", ErrUnknown, name)
-}

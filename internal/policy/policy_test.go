@@ -28,21 +28,6 @@ func runPolicy(t *testing.T, ctrl sim.Controller, capF float64, requests []float
 	return res
 }
 
-func TestByName(t *testing.T) {
-	for _, n := range []string{"parallel", "cooling", "dual", "battery"} {
-		c, err := ByName(n)
-		if err != nil {
-			t.Errorf("ByName(%q): %v", n, err)
-		}
-		if c == nil {
-			t.Errorf("ByName(%q) returned nil", n)
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown name accepted")
-	}
-}
-
 func TestControllerNames(t *testing.T) {
 	if (Parallel{}).Name() != "Parallel" {
 		t.Error("Parallel name")

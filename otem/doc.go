@@ -6,13 +6,14 @@
 //
 //   - construct a plant (battery pack + ultracapacitor + converters +
 //     active cooling loop) with NewPlant,
-//   - construct the OTEM model-predictive controller with New, or a
-//     state-of-the-art baseline with Baseline or ControllerFor,
+//   - construct the controller of any compared methodology, OTEM or a
+//     state-of-the-art baseline, with ControllerFor (or a tuned OTEM
+//     controller with New),
 //   - obtain EV power-request series from standard drive cycles with
 //     PowerSeries,
-//   - simulate a route with Simulate / SimulateContext, run a canned paper
-//     experiment with Run / RunContext, or fan a whole grid of experiments
-//     out on the bounded worker pool with RunBatch,
+//   - simulate a route with SimulateContext, run a canned paper
+//     experiment with RunContext, or fan a whole grid of experiments out
+//     on the bounded worker pool with RunBatch,
 //   - roll a Monte Carlo fleet of seeded stochastic vehicle scenarios into
 //     streaming quantile sketches with RunFleet,
 //   - run the two-layer hierarchical MPC with SimulateHierarchical, or
@@ -22,8 +23,8 @@
 //
 //	requests, _ := otem.PowerSeries("US06", 5)
 //	plant, _ := otem.NewPlant(otem.PlantConfig{})
-//	ctrl, _ := otem.New(otem.DefaultConfig())
-//	res, _ := otem.Simulate(plant, ctrl, requests, otem.WithTrace())
+//	ctrl, _ := otem.ControllerFor(otem.MethodologyOTEM)
+//	res, _ := otem.SimulateContext(ctx, plant, ctrl, requests, otem.WithTrace())
 //	fmt.Println(res.QlossPct, res.AvgPowerW)
 //
 // # Batch runs
@@ -91,9 +92,9 @@
 // # Options
 //
 // All run entry points accept the same functional Option values —
-// WithTrace, WithHorizon, WithContext, WithParallelism, WithProgress.
-// Each entry point consumes the options that apply to it and ignores the
-// rest, so one option slice can parameterise a Simulate, a RunBatch and a
+// WithTrace, WithHorizon, WithParallelism, WithProgress. Each entry point
+// consumes the options that apply to it and ignores the rest, so one
+// option slice can parameterise a SimulateContext, a RunBatch and a
 // RunFleet alike.
 //
 // # Canonical spec encoding
@@ -105,11 +106,13 @@
 //
 // # Context and cancellation
 //
-// Every long-running entry point has a Context variant — SimulateContext,
-// RunContext, RunBatch, ExploreDesignsContext, ProjectLifetimeContext —
-// that checks ctx between simulation steps and returns an error wrapping
-// both ErrCanceled and ctx.Err(). The plain variants are equivalent to
-// passing context.Background().
+// Every entry point that runs a simulation — SimulateContext,
+// RunContext, RunBatch, RunFleet, SimulateHierarchical,
+// ProjectLifetimeContext, ExploreDesignsContext — takes its context as
+// the first argument, and that argument is the only way to pass one. Each
+// checks ctx between simulation steps and, once it is canceled, returns
+// an error wrapping both ErrCanceled and ctx.Err(). Callers with nothing
+// to cancel pass context.Background().
 //
 // # Errors
 //
@@ -117,6 +120,6 @@
 // errors, so callers can branch with errors.Is:
 //
 //	if _, err := otem.CycleByName(name); errors.Is(err, otem.ErrUnknownCycle) { … }
-//	if _, err := otem.Baseline(name); errors.Is(err, otem.ErrUnknownBaseline) { … }
+//	if _, err := otem.ControllerFor(m); errors.Is(err, otem.ErrUnknownBaseline) { … }
 //	if err := doBatch(ctx); errors.Is(err, otem.ErrCanceled) { … }
 package otem

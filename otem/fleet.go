@@ -39,13 +39,9 @@ func FleetFamilyNames() []string { return fleet.FamilyNames() }
 //
 // Determinism: the same spec (seed included) produces a bit-identical
 // result at any parallelism. RunFleet consumes the WithParallelism and
-// WithProgress options (progress ticks are vehicles); the explicit context
-// wins over WithContext. A nil ctx means context.Background().
+// WithProgress options (progress ticks are vehicles).
 func RunFleet(ctx context.Context, spec FleetSpec, opts ...Option) (*FleetResult, error) {
 	s := newSettings(opts)
-	if ctx == nil {
-		ctx = s.ctx
-	}
 	return fleet.RunWith(ctx, spec, fleet.Options{
 		Pool:     s.workerPool(),
 		Progress: s.progress,

@@ -49,16 +49,12 @@ func PlanRoute(spec PlanSpec) (*Plan, error) { return hmpc.PlanRoute(spec) }
 //
 // With the outer layer collapsed to a single block and every tracking
 // weight and tolerance negative (explicitly off), the hierarchical run is
-// bit-identical to the flat Simulate with the default OTEM controller —
-// the property test in this package pins that on every registered cycle.
+// bit-identical to the flat SimulateContext with the default OTEM
+// controller — the property test in this package pins that on every
+// registered cycle.
 //
-// It consumes the WithTrace, WithHorizon and WithContext options; the
-// explicit context wins over WithContext. A nil ctx means
-// context.Background().
+// It consumes the WithTrace and WithHorizon options.
 func SimulateHierarchical(ctx context.Context, spec PlanSpec, opts ...Option) (*HierarchicalResult, error) {
 	s := newSettings(opts)
-	if ctx == nil {
-		ctx = s.ctx
-	}
 	return hmpc.Run(ctx, spec, sim.Config{RecordTrace: s.trace, Horizon: s.horizon})
 }

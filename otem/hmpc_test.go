@@ -122,7 +122,7 @@ func collapsedSpec(cycle string) otem.PlanSpec {
 
 // TestHierarchicalCollapsesToFlat is the issue's bit-identity property:
 // with the outer layer collapsed to a single block and zero-weight
-// tracking, SimulateHierarchical must reproduce the flat Simulate result
+// tracking, SimulateHierarchical must reproduce the flat SimulateContext result
 // exactly — every numeric Result field bit-identical — on every registered
 // drive cycle. This pins that the tracking terms, the reference plumbing
 // and the divergence triggers are true no-ops when disabled, so the
@@ -148,9 +148,9 @@ func TestHierarchicalCollapsesToFlat(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			flat, err := otem.Simulate(plant, ctrl, requests)
+			flat, err := otem.SimulateContext(context.Background(), plant, ctrl, requests)
 			if err != nil {
-				t.Fatalf("Simulate: %v", err)
+				t.Fatalf("SimulateContext: %v", err)
 			}
 
 			hier, err := otem.SimulateHierarchical(context.Background(), collapsedSpec(name))

@@ -2,6 +2,7 @@ package otem_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -24,14 +25,14 @@ func goldenRun(t *testing.T) otem.Result {
 	if err != nil {
 		t.Fatalf("NewPlant: %v", err)
 	}
-	ctrl, err := otem.Baseline("parallel")
+	ctrl, err := otem.ControllerFor(otem.MethodologyParallel)
 	if err != nil {
-		t.Fatalf("Baseline: %v", err)
+		t.Fatalf("ControllerFor: %v", err)
 	}
 	requests := []float64{12e3, 30e3, 45e3, 60e3, 20e3, -15e3, -5e3, 8e3}
-	res, err := otem.Simulate(plant, ctrl, requests, otem.WithTrace())
+	res, err := otem.SimulateContext(context.Background(), plant, ctrl, requests, otem.WithTrace())
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("SimulateContext: %v", err)
 	}
 	return res
 }

@@ -1,28 +1,23 @@
 package otem
 
-import (
-	"context"
-
-	"repro/internal/runner"
-)
+import "repro/internal/runner"
 
 // settings is the resolved option set shared by every run entry point in
 // the package. Each entry point consumes the fields that make sense for it
 // and ignores the rest, so any Option can be passed anywhere and the same
-// slice of options composes across Simulate, RunBatch, ExploreDesigns,
-// ProjectLifetime and RunFleet.
+// slice of options composes across SimulateContext, RunBatch,
+// ExploreDesignsContext, ProjectLifetimeContext and RunFleet.
 type settings struct {
-	ctx         context.Context
 	trace       bool
 	horizon     int
 	parallelism int
 	progress    func(done, total int)
 }
 
-// newSettings applies the options over the defaults (background context,
-// zero horizon = entry-point default, GOMAXPROCS parallelism).
+// newSettings applies the options over the defaults (zero horizon =
+// entry-point default, GOMAXPROCS parallelism).
 func newSettings(opts []Option) settings {
-	s := settings{ctx: context.Background()}
+	var s settings
 	for _, o := range opts {
 		if o != nil {
 			o.applyOption(&s)
@@ -33,7 +28,7 @@ func newSettings(opts []Option) settings {
 
 // pool builds the bounded worker pool the settings describe, progress
 // callback included — for entry points whose unit of progress is the pool
-// job (RunBatch, ExploreDesigns).
+// job (RunBatch, ExploreDesignsContext).
 func (s settings) pool() *runner.Pool {
 	return runner.New(runner.Workers(s.parallelism), runner.Progress(s.progress))
 }
@@ -48,14 +43,14 @@ func (s settings) workerPool() *runner.Pool {
 // Option tunes any of the package's run entry points. The one mechanism
 // spans all of them:
 //
-//	WithContext(ctx)     cancellation     (all entry points)
-//	WithTrace()          per-step traces  (Simulate)
-//	WithHorizon(n)       forecast window  (Simulate, ProjectLifetime)
-//	WithParallelism(n)   worker bound     (RunBatch, ExploreDesigns, RunFleet)
-//	WithProgress(fn)     completion ticks (RunBatch, ExploreDesigns, ProjectLifetime, RunFleet)
+//	WithTrace()          per-step traces  (SimulateContext, SimulateHierarchical)
+//	WithHorizon(n)       forecast window  (SimulateContext, SimulateHierarchical, ProjectLifetimeContext)
+//	WithParallelism(n)   worker bound     (RunBatch, ExploreDesignsContext, RunFleet)
+//	WithProgress(fn)     completion ticks (RunBatch, ExploreDesignsContext, ProjectLifetimeContext, RunFleet)
 //
 // Options outside an entry point's row are accepted and ignored, so one
-// option slice can parameterise a whole pipeline.
+// option slice can parameterise a whole pipeline. Cancellation is not an
+// option: every run entry point takes its context as the first argument.
 type Option interface {
 	applyOption(*settings)
 }
@@ -79,18 +74,6 @@ func WithHorizon(n int) Option {
 	})
 }
 
-// WithContext makes a run cooperatively cancelable: when ctx is canceled
-// the run abandons with an error matching ErrCanceled. Entry points that
-// take an explicit context argument (SimulateContext, RunBatch, RunFleet,
-// …) use that argument and ignore this option.
-func WithContext(ctx context.Context) Option {
-	return optionFunc(func(s *settings) {
-		if ctx != nil {
-			s.ctx = ctx
-		}
-	})
-}
-
 // WithParallelism bounds the number of concurrent jobs (batch specs, grid
 // points, fleet chunks). Zero or negative selects the default, GOMAXPROCS.
 func WithParallelism(n int) Option {
@@ -99,7 +82,8 @@ func WithParallelism(n int) Option {
 
 // WithProgress registers a callback invoked as a run advances, with the
 // units done so far and the total (specs for RunBatch, grid points for
-// ExploreDesigns, routes for ProjectLifetime, vehicles for RunFleet).
+// ExploreDesignsContext, routes for ProjectLifetimeContext, vehicles for
+// RunFleet).
 // Calls are serialized and done is increasing, so the callback needs no
 // locking.
 func WithProgress(fn func(done, total int)) Option {

@@ -60,16 +60,16 @@ func TestOptionsComposeAcrossEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := otem.Baseline("parallel")
+	ctrl, err := otem.ControllerFor(otem.MethodologyParallel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := otem.Simulate(plant, ctrl, []float64{10e3, 20e3, 5e3}, opts...)
+	res, err := otem.SimulateContext(context.Background(), plant, ctrl, []float64{10e3, 20e3, 5e3}, opts...)
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("SimulateContext: %v", err)
 	}
 	if res.Trace == nil {
-		t.Error("Simulate ignored WithTrace from the shared slice")
+		t.Error("SimulateContext ignored WithTrace from the shared slice")
 	}
 
 	specs := []otem.RunSpec{{Method: otem.MethodologyParallel, Cycle: "NYCC"}}
@@ -99,13 +99,13 @@ func TestOptionsComposeAcrossEntryPoints(t *testing.T) {
 	}
 }
 
-// TestProjectLifetimeOptions: the lifetime entry point consumes context,
-// horizon and progress from the same option family.
+// TestProjectLifetimeOptions: the lifetime entry point consumes horizon
+// and progress from the same option family.
 func TestProjectLifetimeOptions(t *testing.T) {
 	requests := []float64{20e3, 40e3, 30e3, 10e3}
 	var ticks int
-	proj, err := otem.ProjectLifetime(otem.PlantConfig{},
-		func() (otem.Controller, error) { return otem.Baseline("parallel") },
+	proj, err := otem.ProjectLifetimeContext(context.Background(), otem.PlantConfig{},
+		func() (otem.Controller, error) { return otem.ControllerFor(otem.MethodologyParallel) },
 		requests,
 		otem.LifetimeConfig{MaxRoutes: 500, BlockRoutes: 250},
 		otem.WithHorizon(8),
@@ -117,7 +117,7 @@ func TestProjectLifetimeOptions(t *testing.T) {
 		}),
 	)
 	if err != nil {
-		t.Fatalf("ProjectLifetime: %v", err)
+		t.Fatalf("ProjectLifetimeContext: %v", err)
 	}
 	if proj.RoutesToEOL == 0 {
 		t.Error("projection did not advance")

@@ -2,6 +2,7 @@ package otem
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/drivecycle"
@@ -65,8 +66,8 @@ var (
 	// ErrUnknownCycle reports a drive-cycle name CycleByName (and everything
 	// built on it) does not know.
 	ErrUnknownCycle = drivecycle.ErrUnknown
-	// ErrUnknownBaseline reports a methodology or baseline name Baseline and
-	// ControllerFor do not know.
+	// ErrUnknownBaseline reports a methodology ControllerFor (and everything
+	// built on it) does not know.
 	ErrUnknownBaseline = policy.ErrUnknown
 	// ErrCanceled reports that a context-aware run was canceled before
 	// completing; errors.Is also matches the causing ctx.Err().
@@ -84,70 +85,63 @@ func New(cfg Config) (*OTEM, error) { return core.New(cfg) }
 // experimental defaults (96S24P NCR18650A pack, 25 kF bank, 298 K).
 func NewPlant(cfg PlantConfig) (*Plant, error) { return sim.NewPlant(cfg) }
 
-// Baseline constructs one of the paper's comparison methodologies by name:
-// "parallel", "cooling", "dual" or "battery" (canonical Methodology names
-// are accepted too, case-insensitively). Unknown names wrap
-// ErrUnknownBaseline.
-func Baseline(name string) (Controller, error) { return policy.ByName(name) }
-
-// ControllerFor builds a fresh controller for a methodology, including the
-// OTEM controller itself (with DefaultConfig) — the typed counterpart of
-// Baseline for RunSpec-style code. Controllers are stateful: build one per
-// run. Unknown methodologies wrap ErrUnknownBaseline.
-func ControllerFor(m Methodology) (Controller, error) {
-	if m == MethodologyOTEM {
-		return core.New(core.DefaultConfig())
-	}
-	return policy.ByMethodology(m)
-}
+// ControllerFor builds a fresh controller for a methodology, the OTEM
+// controller (with DefaultConfig) included. Controllers are stateful:
+// build one per run. Unknown methodologies wrap ErrUnknownBaseline.
+func ControllerFor(m Methodology) (Controller, error) { return experiments.NewController(m) }
 
 // MidSizeEV returns the road-load parameters of the experiments' vehicle.
 func MidSizeEV() VehicleParams { return vehicle.MidSizeEV() }
 
 // PowerSeries returns the bus power-request series for a named standard
 // drive cycle ("US06", "UDDS", "HWFET", "NYCC", "LA92", "SC03") repeated
-// the given number of times, using the MidSizeEV road-load model.
+// the given number of times (zero means once; a negative count is an
+// error), using the MidSizeEV road-load model.
 func PowerSeries(cycleName string, repeats int) ([]float64, error) {
-	c, err := drivecycle.ByName(cycleName)
+	c, err := repeatedCycle(cycleName, repeats)
+	if err != nil {
+		return nil, err
+	}
+	return vehicle.MidSizeEV().PowerSeries(c), nil
+}
+
+// repeatedCycle looks up a standard cycle and plays it back repeats times;
+// zero repeats means one pass and a negative count is an error.
+func repeatedCycle(name string, repeats int) (*Cycle, error) {
+	if repeats < 0 {
+		return nil, fmt.Errorf("otem: repeats %d is negative", repeats)
+	}
+	c, err := drivecycle.ByName(name)
 	if err != nil {
 		return nil, err
 	}
 	if repeats > 1 {
 		c = c.Repeat(repeats)
 	}
-	return vehicle.MidSizeEV().PowerSeries(c), nil
+	return c, nil
 }
 
-// Simulate runs the power-request series through the plant under the given
-// controller (the paper's Algorithm 1) and returns the route summary. The
-// plant is mutated in place. It consumes the WithTrace, WithHorizon and
-// WithContext options (see Option).
-func Simulate(plant *Plant, ctrl Controller, requests []float64, opts ...Option) (Result, error) {
+// SimulateContext runs the power-request series through the plant under
+// the given controller (the paper's Algorithm 1) and returns the route
+// summary. The plant is mutated in place. It consumes the WithTrace and
+// WithHorizon options (see Option). When ctx is canceled the simulation
+// abandons mid-route and the returned error matches both ErrCanceled and
+// ctx.Err() via errors.Is.
+func SimulateContext(ctx context.Context, plant *Plant, ctrl Controller, requests []float64, opts ...Option) (Result, error) {
 	s := newSettings(opts)
 	if s.horizon < 1 {
 		s.horizon = core.DefaultConfig().Horizon
 	}
-	return sim.RunContext(s.ctx, plant, ctrl, requests, sim.Config{
+	return sim.RunContext(ctx, plant, ctrl, requests, sim.Config{
 		RecordTrace: s.trace,
 		Horizon:     s.horizon,
 	})
 }
 
-// SimulateContext is Simulate with cooperative cancellation: when ctx is
-// canceled the simulation abandons mid-route and the returned error
-// matches both ErrCanceled and ctx.Err() via errors.Is.
-func SimulateContext(ctx context.Context, plant *Plant, ctrl Controller, requests []float64, opts ...Option) (Result, error) {
-	return Simulate(plant, ctrl, requests, append([]Option{WithContext(ctx)}, opts...)...)
-}
-
-// Run executes one canned experiment specification (fresh default plant and
-// vehicle), as used by the paper-reproduction suite.
-func Run(spec RunSpec) (Result, error) {
-	return experiments.RunContext(context.Background(), spec)
-}
-
-// RunContext is Run with cooperative cancellation; see SimulateContext for
-// the error semantics. RunBatch fans many specs out concurrently.
+// RunContext executes one canned experiment specification (fresh default
+// plant and vehicle), as used by the paper-reproduction suite; see
+// SimulateContext for the error semantics. RunBatch fans many specs out
+// concurrently.
 func RunContext(ctx context.Context, spec RunSpec) (Result, error) {
 	return experiments.RunContext(ctx, spec)
 }
@@ -181,12 +175,9 @@ func PowerSeriesFor(c *Cycle) []float64 { return vehicle.MidSizeEV().PowerSeries
 // PowerSeriesAt is PowerSeries at an explicit ambient temperature (kelvin):
 // the vehicle's HVAC load for that climate is added to every sample.
 func PowerSeriesAt(cycleName string, repeats int, ambientK float64) ([]float64, error) {
-	c, err := drivecycle.ByName(cycleName)
+	c, err := repeatedCycle(cycleName, repeats)
 	if err != nil {
 		return nil, err
-	}
-	if repeats > 1 {
-		c = c.Repeat(repeats)
 	}
 	return vehicle.MidSizeEV().PowerSeriesAt(c, ambientK), nil
 }
@@ -194,29 +185,20 @@ func PowerSeriesAt(cycleName string, repeats int, ambientK float64) ([]float64, 
 // LifetimeConfig tunes a routes-to-end-of-life projection.
 type LifetimeConfig = lifetime.Config
 
-// LifetimeProjection is the outcome of ProjectLifetime.
+// LifetimeProjection is the outcome of ProjectLifetimeContext.
 type LifetimeProjection = lifetime.Projection
 
-// ProjectLifetime projects the battery to end of life (20 % capacity loss)
-// driving the given request series repeatedly under a controller built by
-// newController, carrying capacity fade and impedance growth forward. It
-// consumes the WithContext, WithHorizon and WithProgress options (progress
-// ticks are routes driven, out of LifetimeConfig.MaxRoutes).
-func ProjectLifetime(plantCfg PlantConfig, newController func() (Controller, error), requests []float64, cfg LifetimeConfig, opts ...Option) (*LifetimeProjection, error) {
-	s := newSettings(opts)
-	return projectLifetime(s.ctx, s, plantCfg, newController, requests, cfg)
-}
-
-// ProjectLifetimeContext is ProjectLifetime with cooperative cancellation:
-// the projection is sequential (each block feeds the accumulated fade
-// forward), but canceling ctx aborts the in-flight route simulation with
-// an error matching ErrCanceled. The explicit context wins over any
-// WithContext option.
+// ProjectLifetimeContext projects the battery to end of life (20 %
+// capacity loss) driving the given request series repeatedly under a
+// controller built by newController (ControllerFor fits), carrying
+// capacity fade and impedance growth forward. The projection is
+// sequential (each block feeds the accumulated fade forward), but
+// canceling ctx aborts the in-flight route simulation with an error
+// matching ErrCanceled. It consumes the WithHorizon and WithProgress
+// options (progress ticks are routes driven, out of
+// LifetimeConfig.MaxRoutes).
 func ProjectLifetimeContext(ctx context.Context, plantCfg PlantConfig, newController func() (Controller, error), requests []float64, cfg LifetimeConfig, opts ...Option) (*LifetimeProjection, error) {
-	return projectLifetime(ctx, newSettings(opts), plantCfg, newController, requests, cfg)
-}
-
-func projectLifetime(ctx context.Context, s settings, plantCfg PlantConfig, newController func() (Controller, error), requests []float64, cfg LifetimeConfig) (*LifetimeProjection, error) {
+	s := newSettings(opts)
 	if s.horizon > 0 {
 		cfg.Horizon = s.horizon
 	}
@@ -224,9 +206,7 @@ func projectLifetime(ctx context.Context, s settings, plantCfg PlantConfig, newC
 		cfg.Progress = s.progress
 	}
 	return lifetime.ProjectContext(ctx,
-		lifetime.DefaultPlantFactory(plantCfg),
-		func() (sim.Controller, error) { return newController() },
-		requests, cfg)
+		lifetime.DefaultPlantFactory(plantCfg), newController, requests, cfg)
 }
 
 // DSEConfig tunes a design-space exploration; DSEResult carries the grid
@@ -236,18 +216,12 @@ type (
 	DSEResult = dse.Result
 )
 
-// ExploreDesigns sweeps ultracapacitor size × cooler capacity under the
-// OTEM controller and extracts the cost-vs-capacity-loss Pareto frontier —
-// the design-space exploration the paper defers to future work. It
-// consumes the WithContext, WithParallelism and WithProgress options
+// ExploreDesignsContext sweeps ultracapacitor size × cooler capacity
+// under the OTEM controller and extracts the cost-vs-capacity-loss Pareto
+// frontier — the design-space exploration the paper defers to future
+// work. Canceling ctx aborts it mid-grid with an error matching
+// ErrCanceled. It consumes the WithParallelism and WithProgress options
 // (progress ticks are grid points).
-func ExploreDesigns(cfg DSEConfig, opts ...Option) (*DSEResult, error) {
-	s := newSettings(opts)
-	return dse.ExploreContext(s.ctx, cfg, s.pool())
-}
-
-// ExploreDesignsContext is ExploreDesigns with the context as an explicit
-// leading argument (which wins over any WithContext option).
 func ExploreDesignsContext(ctx context.Context, cfg DSEConfig, opts ...Option) (*DSEResult, error) {
 	return dse.ExploreContext(ctx, cfg, newSettings(opts).pool())
 }

@@ -1,22 +1,33 @@
 package otem_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/otem"
 )
 
+// TestPowerSeries pins one repeat rule for both series builders: n
+// repeats play the cycle n times, zero means one pass and a negative
+// count is an error.
 func TestPowerSeries(t *testing.T) {
 	one, err := otem.PowerSeries("US06", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	five, err := otem.PowerSeries("US06", 5)
-	if err != nil {
-		t.Fatal(err)
+	builders := map[string]func(repeats int) ([]float64, error){
+		"PowerSeries":   func(r int) ([]float64, error) { return otem.PowerSeries("US06", r) },
+		"PowerSeriesAt": func(r int) ([]float64, error) { return otem.PowerSeriesAt("US06", r, 298) },
 	}
-	if len(five) != 5*len(one) {
-		t.Errorf("repeat: %d vs %d", len(five), len(one))
+	for name, build := range builders {
+		for _, c := range []struct{ repeats, passes int }{{5, 5}, {0, 1}} {
+			if got, err := build(c.repeats); err != nil || len(got) != c.passes*len(one) {
+				t.Errorf("%s(US06, %d): %d samples, err %v; want %d samples", name, c.repeats, len(got), err, c.passes*len(one))
+			}
+		}
+		if got, err := build(-3); err == nil {
+			t.Errorf("%s(US06, -3): %d samples and no error", name, len(got))
+		}
 	}
 	if _, err := otem.PowerSeries("NOPE", 1); err == nil {
 		t.Error("unknown cycle accepted")
@@ -35,24 +46,12 @@ func TestCycleNames(t *testing.T) {
 	}
 }
 
-func TestBaselines(t *testing.T) {
-	for _, n := range []string{"parallel", "cooling", "dual", "battery"} {
-		c, err := otem.Baseline(n)
-		if err != nil || c == nil {
-			t.Errorf("Baseline(%q): %v", n, err)
-		}
-	}
-	if _, err := otem.Baseline("x"); err == nil {
-		t.Error("unknown baseline accepted")
-	}
-}
-
 func TestSimulateEndToEnd(t *testing.T) {
 	plant, err := otem.NewPlant(otem.PlantConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := otem.Baseline("parallel")
+	ctrl, err := otem.ControllerFor(otem.MethodologyParallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func TestSimulateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := otem.Simulate(plant, ctrl, requests, otem.WithTrace())
+	res, err := otem.SimulateContext(context.Background(), plant, ctrl, requests, otem.WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestOTEMControllerViaFacade(t *testing.T) {
 	for i := range requests {
 		requests[i] = 15e3
 	}
-	res, err := otem.Simulate(plant, ctrl, requests, otem.WithHorizon(16))
+	res, err := otem.SimulateContext(context.Background(), plant, ctrl, requests, otem.WithHorizon(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestSynthesizeViaFacade(t *testing.T) {
 }
 
 func TestRunCannedExperiment(t *testing.T) {
-	res, err := otem.Run(otem.RunSpec{Method: "Dual", Cycle: "SC03"})
+	res, err := otem.RunContext(context.Background(), otem.RunSpec{Method: "Dual", Cycle: "SC03"})
 	if err != nil {
 		t.Fatal(err)
 	}
